@@ -74,6 +74,17 @@ VISITED = "visited"
 PROCESSING = "processing"
 EDGES = "edges"
 
+#: task waves per hop for a seed frontier. Per-doc fan-out variance
+#: skews task walls ~2.6x, so more/smaller blocks could in principle
+#: smooth the straggler tail before the shuffle barrier — measured,
+#: waves=2/4 and sink partitions 8/16/32 are indistinguishable inside
+#: the ±30% run-to-run drift, so it stays at the benchmarked shape
+FETCH_WAVES = 2
+#: edge rows up to which the last hop's "final" edge classification
+#: rides the hop's own shuffle; past it the separate map-only pass
+#: (membership RPCs, no shuffle of the edge set) is the scale path
+CLASSIFY_FUSE_MAX = 20_000_000
+
 
 @dataclass
 class CrawlConfig:
@@ -146,74 +157,31 @@ class CrawlResult:
 
 
 # ----------------------------------------------------------------------
-# membership-consulting map_batches stages
+# the membership-consulting map_batches stage
 # ----------------------------------------------------------------------
-class MembershipFilter:
-    """Keep rows whose key is (not) in any of the named shard sets.
-    Pure ``contains`` — safe under task retries."""
+class MembershipStage:
+    """The one membership-consulting stage: drop rows whose key is in
+    any of the ``check`` sets, then register the kept keys into
+    ``register``; either step may be left out. Emits the kept rows.
+    Both steps are retry-safe (``contains`` is pure, ``add``
+    idempotent), so fusing them costs nothing."""
 
-    def __init__(self, sm: ShardedMembership, names: list[str], column: str, keep_present: bool = False):
+    def __init__(self, sm: ShardedMembership, column: str,
+                 check: tuple[str, ...] = (), register: str | None = None):
         self.sm = sm
-        self.names = names
         self.column = column
-        self.keep_present = keep_present
+        self.check = list(check)
+        self.register = register
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         if len(batch) == 0:
             return batch
         keys = as_key_array(batch[self.column])
-        present = self.sm.contains_any(self.names, keys)
-        return batch.filter(pa.array(present if self.keep_present else ~present))
-
-
-class MembershipAdd:
-    """Idempotent add of a key column into one named shard set."""
-
-    def __init__(self, sm: ShardedMembership, name: str, column: str):
-        self.sm = sm
-        self.name = name
-        self.column = column
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        keys = as_key_array(batch[self.column])
-        self.sm.add(self.name, keys)
-        return pa.table({"n": pa.array([len(keys)], pa.int64())})
-
-
-class FilterAndRegister:
-    """Fused stage: keep rows NOT in ``check_names``, register the kept
-    keys into ``register_name`` in the same pass. Both the contains and
-    the idempotent add are retry-safe, so fusing costs nothing."""
-
-    def __init__(self, sm: ShardedMembership, check_names: list[str], register_name: str, column: str):
-        self.sm = sm
-        self.check_names = check_names
-        self.register_name = register_name
-        self.column = column
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return batch
-        keys = as_key_array(batch[self.column])
-        present = self.sm.contains_any(self.check_names, keys)
-        kept = keys[~present]
-        if len(kept):
-            self.sm.add(self.register_name, kept)
-        return batch.filter(pa.array(~present))
-
-
-class RegisterPassthrough:
-    """Register a key column into a set; emit the batch unchanged
-    (fused into a write pipeline)."""
-
-    def __init__(self, sm: ShardedMembership, name: str, column: str):
-        self.sm = sm
-        self.name = name
-        self.column = column
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if len(batch):
-            self.sm.add(self.name, as_key_array(batch[self.column]))
+        if self.check:
+            absent = ~self.sm.contains_any(self.check, keys)
+            batch, keys = batch.filter(pa.array(absent)), keys[absent]
+        if self.register is not None and len(keys):
+            self.sm.add(self.register, keys)
         return batch
 
 
@@ -738,14 +706,16 @@ class Crawler:
         # batched filter-state rebuild: one pass over all hops' tables
         v_paths = _expand_parquet([st.join(self._hop_dir(h), "vertices.parquet") for h in done])
         st.read_parquet(v_paths, columns=["id"]).map_batches(
-            MembershipAdd(self.sm, VISITED, "id"), batch_format="pyarrow", batch_size=8192
-        ).sum("n")
+            MembershipStage(self.sm, "id", register=VISITED),
+            batch_format="pyarrow", batch_size=8192
+        ).count()
         e_paths = _expand_parquet([st.join(self._hop_dir(h), "edges.parquet") for h in done])
         st.read_parquet(e_paths, columns=["source", "destination"]).map_batches(
             _edge_key, batch_format="pyarrow"
         ).map_batches(
-            MembershipAdd(self.sm, EDGES, "edge_key"), batch_format="pyarrow", batch_size=8192
-        ).sum("n")
+            MembershipStage(self.sm, "edge_key", register=EDGES),
+            batch_format="pyarrow", batch_size=8192
+        ).count()
         last = done[-1]
         return last + 1, st.join(self._hop_dir(last), "frontier.parquet"), log
 
@@ -796,15 +766,7 @@ class Crawler:
             # are the same granularity as re-read frontiers get.
             n_frontier_est = len(seed_tbl)
             _cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-            # FSRAY_FETCH_WAVES task waves per hop. Per-doc fan-out
-            # variance skews task walls ~2.6x, so more/smaller blocks
-            # could in principle smooth the straggler tail before the
-            # shuffle barrier — measured on this VM, waves=2/4 and sink
-            # partitions 8/16/32 are indistinguishable inside the ±30%
-            # run-to-run drift, so the default stays at the benchmarked
-            # shape and the knob records the experiment
-            _waves = int(os.environ.get("FSRAY_FETCH_WAVES", "2"))
-            chunk = (min(32_768, max(4096, n_frontier_est // (_waves * _cpus) + 1))
+            chunk = (min(32_768, max(4096, n_frontier_est // (FETCH_WAVES * _cpus) + 1))
                      if self.direct else 5_000)
             # override_num_blocks over one table instead of driver-side
             # slice+put per chunk: the split happens lazily inside Ray
@@ -908,8 +870,8 @@ class Crawler:
                     src = _read_sized(frontier_path, rows_per_block=_fetch_rpb(n_frontier_est))
                 else:
                     src = seed_frontier
-                stage = (RegisterPassthrough(self.sm, PROCESSING, "id") if prefiltered
-                         else FilterAndRegister(self.sm, [VISITED], PROCESSING, "id"))
+                stage = MembershipStage(self.sm, "id", register=PROCESSING,
+                                        check=() if prefiltered else (VISITED,))
                 eligible = src.map_batches(stage, batch_format="pyarrow").map_batches(
                     BranchCheckpoint(proc_path, FRONTIER_SCHEMA), batch_format="pyarrow"
                 )
@@ -925,12 +887,12 @@ class Crawler:
                 frontier = (_read_sized(frontier_path) if frontier_path is not None
                             else seed_frontier)
                 filtered = frontier if prefiltered else frontier.map_batches(
-                    MembershipFilter(self.sm, [VISITED], "id"), batch_format="pyarrow"
+                    MembershipStage(self.sm, "id", check=(VISITED,)), batch_format="pyarrow"
                 )
                 ordered = filtered.sort(["priority", "id"]).materialize()
                 head, tail = ordered.split_at_indices([cfg.frontier_budget])
                 eligible = head.map_batches(
-                    RegisterPassthrough(self.sm, PROCESSING, "id"), batch_format="pyarrow"
+                    MembershipStage(self.sm, "id", register=PROCESSING), batch_format="pyarrow"
                 )
                 remainder = tail
                 _safe_write(eligible, proc_path, FRONTIER_SCHEMA)
@@ -969,10 +931,7 @@ class Crawler:
             # classification stops being its own streaming execution
             # (one fewer ~0.5-1 s per-crawl floor). The groupby barrier
             # provides the ordering (all VISITED registrations complete
-            # before any sink group). Volume-gated: past
-            # FSRAY_CLASSIFY_FUSE_MAX edge rows the separate map-only
-            # pass (membership RPCs, no shuffle of the edge set) is the
-            # scale path and _classify_edges runs as before.
+            # before any sink group). Volume-gated by CLASSIFY_FUSE_MAX.
             fuse_classify = (cfg.log_edge_classification == "final"
                              and hop == cfg.hops - 1)
             prev_edge_paths: list[str] = []
@@ -982,8 +941,7 @@ class Crawler:
                                 for h in result.hops_run)
                     if st.exists(p)])
                 n_prev = sum(st.file_rows(p) for p in prev_edge_paths)
-                if n_prev > int(os.environ.get("FSRAY_CLASSIFY_FUSE_MAX",
-                                               20_000_000)):
+                if n_prev > CLASSIFY_FUSE_MAX:
                     fuse_classify = False
 
             tagger = _make_record_tagger(hop, eff_buckets, eff_buckets, self.range_boundaries)
@@ -1020,8 +978,7 @@ class Crawler:
             # work (measured, BASELINE.md r3). Groups stay intact at any
             # partition count; the sink splits multi-bucket partitions.
             _cl_cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-            n_parts = int(os.environ.get(
-                "FSRAY_HOP_PARTITIONS", max(4, min(2 * eff_buckets, 2 * _cl_cpus))))
+            n_parts = max(4, min(2 * eff_buckets, 2 * _cl_cpus))
             grouped = tagged.groupby("__bucket", num_partitions=n_parts).map_groups(
                 hop_sink, batch_format="pyarrow"
             )
@@ -1055,7 +1012,7 @@ class Crawler:
             else:
                 counts = {"within": None, "spanning": None, "frontier": None}
             shard_stats = self.sm.stats()  # ONE gather per hop, reused below
-            n_vertices = sum(s[VISITED]["exact_size"] or s[VISITED]["cuckoo_count"] for s in shard_stats if VISITED in s)
+            n_vertices = sum(s[VISITED]["count"] for s in shard_stats if VISITED in s)
             n_frontier = _parquet_rows(st.join(hop_dir, "frontier.parquet"))
             _mark("log_classify", tick)
             lineage = {

@@ -144,7 +144,7 @@ def edge_classification_counts(sf_dir: str) -> pd.DataFrame:
     # vertex-id set broadcast once as an Arrow array; membership via the
     # pc.is_in kernel (one call per endpoint column, no Python row loop).
     # For sets too big to broadcast, use the membership shard actors
-    # (crawl.MembershipFilter) instead.
+    # (crawl.MembershipStage) instead.
     vert_ids = result.vertices().select_columns(["id"]).to_pandas()["id"]
     ref = _ray.put(pa.array(vert_ids.to_numpy()))
 

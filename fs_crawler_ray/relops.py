@@ -388,7 +388,8 @@ def broadcast_semi_join(
     """Semi/anti join against a small key set: ``ray.put`` the set once,
     filter inside map_batches (no shuffle). For key sets too big to
     broadcast use the membership shard actors instead
-    (:class:`fs_crawler_ray.crawl.MembershipFilter`)."""
+    (:class:`fs_crawler_ray.crawl.MembershipStage`). A null key never
+    matches (SQL semi-join semantics): nulls leave the broadcast set."""
     # stateless task + ray.get of the broadcast set: the object is
     # plasma-local after first access, and stateless tasks avoid
     # per-execution actor-pool startup/teardown churn (measured: actor
@@ -398,7 +399,7 @@ def broadcast_semi_join(
         # its ORIGINAL Arrow dtype — no Python key list, no string
         # coercion, so is_in needs no value_set cast at probe time
         ka = keys.combine_chunks() if isinstance(keys, pa.ChunkedArray) else keys
-        ref = ray.put(pc.unique(ka))
+        ref = ray.put(pc.unique(ka).drop_null())
     else:
         arr = np.asarray(list(keys) if not isinstance(keys, np.ndarray) else keys)
         if arr.dtype.kind == "S":
@@ -461,6 +462,10 @@ def semi_anti_join(
     ids), shuffle-joining otherwise."""
     right = right.materialize()  # sized AND reused — never execute twice
     n = right.count()
+    if n == 0:
+        # before collecting: an empty right side's blocks may all be
+        # schema-less, which would leave nothing to concatenate
+        return ds if anti else ds.map_batches(lambda t: t.slice(0, 0), batch_format="pyarrow")
     if n <= BROADCAST_LIMIT:
         # collect the key COLUMN as Arrow (concat of block refs — no
         # per-row Python comprehension over up to 2M keys, VERDICT r4
@@ -477,8 +482,6 @@ def semi_anti_join(
         keys = pa.concat_tables(
             b.select([right_on]) for b in blocks
             if right_on in b.schema.names).column(right_on)
-        if len(keys) == 0:
-            return ds.map_batches(lambda t: t.slice(0, 0), batch_format="pyarrow") if not anti else ds
         return broadcast_semi_join(ds, keys, on, anti=anti)
     # large-key-set fallback: our bucketed hash_join, NOT Dataset.join —
     # the built-in's aggregator KeyErrors on one-sided shuffle

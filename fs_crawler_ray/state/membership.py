@@ -1,5 +1,5 @@
-"""Distributed person/URL-seen membership: bloom pre-filter + partitioned
-cuckoo filters in Ray actors, consulted from ``map_batches`` stages.
+"""Distributed person/URL-seen membership: partitioned shard actors,
+consulted from ``map_batches`` stages.
 
 This replaces the reference's process-local seen state
 (``fscrawler/model/graph_memory_impl.py:33-34,45-46,60-63`` in-memory
@@ -8,19 +8,22 @@ with the scale substitution mandated by the north rule:
 
 - keys are hash-partitioned across K shard actors (one id meets exactly
   one shard), route = ``stable_hash64(id) % K``;
-- each shard holds, per named set (e.g. ``visited``, ``processing``,
-  ``edges``): a bloom bit-array pre-filter (fast definite-negative),
-  a cuckoo filter (4-way buckets, 16-bit fingerprints, supports delete)
-  and — in ``exact`` mode — an authoritative Python set used by the
-  small-scale conformance tests;
+- each shard holds named sets (e.g. ``visited``, ``processing``,
+  ``edges``), all of ONE kind fixed by the shard's mode:
+
+  - ``exact``: the authoritative Python key set, nothing else — the
+    conformance mode the oracle tests run (SURVEY §7.5);
+  - ``probabilistic``: a chain of segments, each a bloom bit-array
+    pre-filter (fast definite-negative) gating a cuckoo filter (4-way
+    buckets, 16-bit fingerprints) — bounded memory at 10^10 keys;
 - batch RPCs only: ``contains / add / check_and_add`` take numpy string
   arrays and return masks, so a 10^10-key frontier costs O(keys/batch)
   RPCs, not O(keys).
 
 False-positive budget: in ``probabilistic`` mode membership may report
-a never-seen id as seen (dropping a frontier candidate). Shards count
-bloom/cuckoo occupancy and report it via ``stats()`` so bench runs can
-record the fp budget; correctness runs use ``exact`` mode (SURVEY §7.5).
+a never-seen id as seen (dropping a frontier candidate). Shards report
+per-set counts and cuckoo occupancy via ``stats()`` so bench runs can
+record the fp budget; correctness runs use ``exact`` mode.
 """
 
 from __future__ import annotations
@@ -128,8 +131,7 @@ class CuckooFilter:
 
     Lookup is fully vectorized; insert is vectorized for the
     no-collision fast path with a bounded per-key eviction loop for the
-    rest. Supports ``delete`` (needed if a shard must retract
-    ``processing`` marks on hop retry).
+    rest.
     """
 
     SLOTS = 4
@@ -146,7 +148,7 @@ class CuckooFilter:
         #: key — dropping it would create a false negative. It goes to
         #: the stash as BOTH of its (bucket, fingerprint) addressings
         #: (the alternate bucket is derivable from either), which lookups
-        #: and deletes consult. Bounded in practice; a growing stash
+        #: consult. Bounded in practice; a growing stash
         #: means the filter is undersized (see stats).
         self.stash: set[tuple[int, int]] = set()
 
@@ -260,32 +262,43 @@ class CuckooFilter:
         self.stash.add((idx, fp))
         self.stash.add((self._i2_one(idx, fp), fp))
 
-    def delete_h(self, h: np.ndarray) -> None:
-        fp = self._fp(h)
-        i1 = self._i1(h)
-        i2 = self._i2(i1, fp)
-        for j in range(len(h)):
-            for idx in (int(i1[j]), int(i2[j])):
-                row = self.table[idx]
-                hit = np.nonzero(row == fp[j])[0]
-                if len(hit):
-                    row[hit[0]] = 0
-                    self.count -= 1
-                    break
-            else:
-                pair = (int(i1[j]), int(fp[j]))
-                if pair in self.stash:
-                    alt = (int(i2[j]), int(fp[j]))
-                    self.stash.discard(pair)
-                    self.stash.discard(alt)
-                    self.count -= 1
-
 
 # ----------------------------------------------------------------------
-# One shard's state (usable directly, or inside the Ray actor)
+# Named sets: one mechanism per mode, chosen once per shard
 # ----------------------------------------------------------------------
-class _NamedSet:
-    """Scalable membership: a CHAIN of (bloom, cuckoo) segments, each
+# Both kinds share one protocol. ``probe(keys)`` turns an RPC's keys into
+# what the set looks up, once per RPC; a probe slices like the keys
+# along its last axis (``probe[..., idx]``), so a shard can narrow it to
+# a batch's absent keys without knowing which kind it holds.
+class _ExactSet:
+    """Exact mode: the authoritative key set and nothing else — no
+    filters, no hashing. The probe is the keys themselves; an epoch
+    commit is a set union."""
+
+    def __init__(self, capacity: int):
+        self.keys: set = set()
+
+    @staticmethod
+    def probe(keys: np.ndarray) -> np.ndarray:
+        return keys
+
+    def contains(self, probe: np.ndarray) -> np.ndarray:
+        seen = self.keys
+        return np.fromiter((k in seen for k in probe.tolist()), dtype=bool, count=len(probe))
+
+    def add(self, probe: np.ndarray) -> None:
+        self.keys.update(probe.tolist())
+
+    def merge(self, staged: "_ExactSet") -> int:
+        self.keys |= staged.keys
+        return len(staged.keys)
+
+    def stats(self) -> dict:
+        return {"mode": "exact", "count": len(self.keys)}
+
+
+class _FilterChain:
+    """Probabilistic mode: a CHAIN of (bloom, cuckoo) segments, each
     sized for its own capacity; when the active segment's cuckoo reaches
     ``GROW_AT`` load a new segment of 2× capacity is opened (the
     scalable-bloom growth shape applied to cuckoo filters). Inserts go
@@ -294,20 +307,27 @@ class _NamedSet:
     bloom probe. Growth keeps every cuckoo below eviction-storm load: a
     fixed-size cuckoo pushed past ~capacity degrades to ~2.5 ms/key
     Python eviction chains (measured 51 s for one 470k-key add at 1.8×
-    load), which would serialize hop commits at 10^10-key scale."""
+    load), which would serialize hop commits at 10^10-key scale.
+
+    The probe is the keys' two hashes stacked as a ``(2, n)`` array."""
 
     GROW_AT = 0.88
+    H1_SEED, H2_SEED = 11, 23
 
-    def __init__(self, capacity: int, mode: str):
-        self.mode = mode
+    def __init__(self, capacity: int):
         self.capacity = capacity
-        self.exact: set | None = set() if mode == "exact" else None
         self.segments: list[tuple[BloomFilter, CuckooFilter]] = [
             (BloomFilter(capacity), CuckooFilter(capacity))
         ]
         self._next_capacity = capacity * 2
 
-    def _filter_contains(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
+    @classmethod
+    def probe(cls, keys: np.ndarray) -> np.ndarray:
+        return np.stack([stable_hash64(keys, seed=cls.H1_SEED),
+                         stable_hash64(keys, seed=cls.H2_SEED)])
+
+    def contains(self, probe: np.ndarray) -> np.ndarray:
+        h1, h2 = probe
         out = np.zeros(len(h1), dtype=bool)
         for bloom, cuckoo in self.segments:
             rem = np.nonzero(~out)[0]
@@ -319,23 +339,17 @@ class _NamedSet:
                 out[sel] = cuckoo.contains_h(h1[sel])
         return out
 
-    def contains(self, keys: np.ndarray, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-        if self.mode == "exact":
-            return np.fromiter((k in self.exact for k in keys), dtype=bool, count=len(keys))
-        return self._filter_contains(h1, h2)
-
     def _grow(self) -> None:
         cap = self._next_capacity
         self._next_capacity = cap * 2
         self.segments.append((BloomFilter(cap), CuckooFilter(cap)))
 
-    def add(self, keys: np.ndarray, h1: np.ndarray, h2: np.ndarray) -> None:
-        if self.mode == "exact":
-            self.exact.update(keys.tolist())
+    def add(self, probe: np.ndarray) -> None:
+        h1, h2 = probe
         # cross-segment dedup: a key lives in exactly one segment (up to
         # fingerprint collisions), so counts stay distinct-key estimates
         # and the chain never accumulates duplicates
-        fresh = np.nonzero(~self._filter_contains(h1, h2))[0]
+        fresh = np.nonzero(~self.contains(probe))[0]
         i, n = 0, len(fresh)
         while i < n:
             bloom, cuckoo = self.segments[-1]
@@ -348,60 +362,71 @@ class _NamedSet:
             cuckoo.add_h(h1[sel])
             i += len(sel)
 
-    def clear(self) -> None:
-        if self.exact is not None:
-            self.exact = set()
-        self.segments = [(BloomFilter(self.capacity), CuckooFilter(self.capacity))]
-        self._next_capacity = self.capacity * 2
+    def merge(self, staged: "_FilterChain") -> int:
+        """Splice the staged segments into the chain — no re-hash, no
+        re-insert; the bloom-gated contains() reads them like any other
+        segment."""
+        self.segments.extend(seg for seg in staged.segments if seg[1].count or seg[0].count)
+        self._next_capacity = max(self._next_capacity, staged._next_capacity)
+        return sum(c.count for _, c in staged.segments)
+
+    def stats(self) -> dict:
+        active = self.segments[-1][1]
+        return {
+            "mode": "probabilistic",
+            "count": sum(c.count for _, c in self.segments),
+            "cuckoo_load": active.count / (active.n_buckets * CuckooFilter.SLOTS),
+            "segments": len(self.segments),
+            "stash": sum(len(c.stash) for _, c in self.segments),
+        }
 
 
+_SET_KINDS = {"exact": _ExactSet, "probabilistic": _FilterChain}
+
+
+# ----------------------------------------------------------------------
+# One shard's state (usable directly, or inside the Ray actor)
+# ----------------------------------------------------------------------
 class MembershipShardState:
-    """Per-shard multi-set membership. Keys: numpy arrays of strings."""
+    """Per-shard multi-set membership. Keys: numpy arrays of strings.
+    Every named set of a shard is of the one kind its mode selects."""
 
-    H1_SEED, H2_SEED = 11, 23
+    H1_SEED, H2_SEED = _FilterChain.H1_SEED, _FilterChain.H2_SEED
 
     def __init__(self, capacity: int = 1 << 16, mode: str = "exact"):
+        if mode not in _SET_KINDS:
+            raise ValueError(f"unknown membership mode {mode!r}")
         self.capacity = capacity
-        self.mode = mode
-        self.sets: dict[str, _NamedSet] = {}
-        # deferred-add staging: a full _NamedSet per name, built
-        # INCREMENTALLY by check_and_add_deferred so the filter-insert
-        # cost lands inside the (parallel, overlapped) execution, not on
-        # the driver's post-hop critical path — commit() just splices
-        # the staged segments into the committed chain (O(1)).
-        self._epoch: dict[str, _NamedSet] = {}
+        self._kind = _SET_KINDS[mode]
+        self.sets: dict = {}
+        # deferred-add staging: a fresh set per name, filled
+        # INCREMENTALLY by check_and_add_deferred so the insert cost
+        # lands inside the (parallel, overlapped) execution, not on the
+        # driver's post-hop critical path — commit() only merges it.
+        self._epoch: dict = {}
 
-    def _get(self, name: str) -> _NamedSet:
+    def _get(self, name: str):
         if name not in self.sets:
-            self.sets[name] = _NamedSet(self.capacity, self.mode)
+            self.sets[name] = self._kind(self.capacity)
         return self.sets[name]
 
-    @staticmethod
-    def _hashes(keys: np.ndarray):
-        return stable_hash64(keys, seed=MembershipShardState.H1_SEED), \
-               stable_hash64(keys, seed=MembershipShardState.H2_SEED)
-
     def contains(self, name: str, keys: np.ndarray) -> np.ndarray:
-        if len(keys) == 0:
-            return np.zeros(0, dtype=bool)
-        h1, h2 = self._hashes(keys)
-        return self._get(name).contains(keys, h1, h2)
+        return self.contains_any([name], keys)
 
     def contains_any(self, names: list[str], keys: np.ndarray) -> np.ndarray:
         """OR of membership across several named sets (one RPC)."""
         if len(keys) == 0:
             return np.zeros(0, dtype=bool)
-        h1, h2 = self._hashes(keys)
+        probe = self._kind.probe(keys)
         out = np.zeros(len(keys), dtype=bool)
         for n in names:
-            out |= self._get(n).contains(keys, h1, h2)
+            out |= self._get(n).contains(probe)
         return out
 
     def add(self, name: str, keys: np.ndarray) -> int:
         if len(keys) == 0:
             return 0
-        h1, h2 = self._hashes(keys)
-        self._get(name).add(keys, h1, h2)
+        self._get(name).add(self._kind.probe(keys))
         return len(keys)
 
     def check_and_add(self, name: str, keys: np.ndarray) -> np.ndarray:
@@ -409,19 +434,17 @@ class MembershipShardState:
         Duplicate keys within the batch: first occurrence wins."""
         if len(keys) == 0:
             return np.zeros(0, dtype=bool)
-        h1, h2 = self._hashes(keys)
+        probe = self._kind.probe(keys)
         s = self._get(name)
-        present = s.contains(keys, h1, h2)
+        present = s.contains(probe)
         # in-batch duplicates: mark later occurrences as present
         _, first_idx, inv = np.unique(keys, return_index=True, return_inverse=True)
         is_first = np.zeros(len(keys), dtype=bool)
         is_first[first_idx] = True
-        dup_present = present[first_idx][inv] | ~is_first
-        new = ~dup_present
-        new_first = new & is_first
-        if new_first.any():
-            s.add(keys[new_first], h1[new_first], h2[new_first])
-        return present | ~new
+        new = ~(present[first_idx][inv] | ~is_first)
+        if new.any():
+            s.add(probe[..., new])
+        return ~new
 
     def check_and_add_deferred(self, name: str, keys: np.ndarray) -> np.ndarray:
         """contains() against COMMITTED state only; absent keys are
@@ -429,64 +452,39 @@ class MembershipShardState:
         retries re-send the same keys and get the same mask (the
         committed state is unchanged mid-epoch and the epoch set's own
         add() dedups) — the retry-safe fused check+add used by the
-        per-hop edge-seen filter. Staging does the filter inserts HERE,
-        inside the hop's streaming execution across all shard actors in
-        parallel, so commit() is O(1): a 950k-key hop commit measured
-        2.9 s when all inserts happened at commit time (k=22 bloom adds
-        serialized on the critical path) vs ~0 after this change."""
+        per-hop edge-seen filter. Staging does the inserts HERE, inside
+        the hop's streaming execution across all shard actors in
+        parallel, so commit() stays cheap: a 950k-key probabilistic hop
+        commit measured 2.9 s when all filter inserts happened at commit
+        time (k=22 bloom adds serialized on the critical path) vs ~0
+        after this change."""
         if len(keys) == 0:
             return np.zeros(0, dtype=bool)
-        h1, h2 = self._hashes(keys)
-        present = self._get(name).contains(keys, h1, h2)
+        probe = self._kind.probe(keys)
+        present = self._get(name).contains(probe)
         ep = self._epoch.get(name)
         if ep is None:
-            ep = self._epoch[name] = _NamedSet(self.capacity, self.mode)
-        absent = np.nonzero(~present)[0]
-        if len(absent):
-            ep.add(keys[absent], h1[absent], h2[absent])
+            ep = self._epoch[name] = self._kind(self.capacity)
+        if not present.all():
+            ep.add(probe[..., ~present])
         return present
 
     def commit(self, name: str) -> int:
-        """Splice the staged epoch segments into the committed chain —
-        no re-hash, no re-insert; the chain's bloom-gated contains()
-        reads them like any other segment."""
+        """Merge the staged epoch into the committed set; returns the
+        number of keys the epoch added."""
         ep = self._epoch.pop(name, None)
-        if ep is None:
-            return 0
-        committed = self._get(name)
-        if self.mode == "exact":
-            n = len(ep.exact)
-            committed.exact.update(ep.exact)
-        else:
-            n = sum(c.count for _, c in ep.segments)
-        committed.segments.extend(
-            seg for seg in ep.segments if seg[1].count or seg[0].count
-        )
-        committed._next_capacity = max(committed._next_capacity, ep._next_capacity)
-        return n
+        return 0 if ep is None else self._get(name).merge(ep)
 
     def clear(self, name: str) -> None:
         if name in self.sets:
-            self.sets[name].clear()
+            self.sets[name] = self._kind(self.capacity)
         self._epoch.pop(name, None)
 
     def drop(self, name: str) -> None:
         self.sets.pop(name, None)
 
     def stats(self) -> dict:
-        return {
-            name: {
-                "mode": s.mode,
-                "exact_size": len(s.exact) if s.exact is not None else None,
-                "bloom_count": sum(b.count for b, _ in s.segments),
-                "cuckoo_count": sum(c.count for _, c in s.segments),
-                "cuckoo_load": s.segments[-1][1].count
-                / (s.segments[-1][1].n_buckets * CuckooFilter.SLOTS),
-                "segments": len(s.segments),
-                "stash": sum(len(c.stash) for _, c in s.segments),
-            }
-            for name, s in self.sets.items()
-        }
+        return {name: s.stats() for name, s in self.sets.items()}
 
 
 MembershipShard = ray.remote(MembershipShardState)
@@ -511,8 +509,8 @@ class ShardedMembership:
     conformance is routing-independent.
 
     Stages route inside their own ``map_batches`` batch (see
-    :class:`SeenFilterStage`), so each batch issues ≤K RPCs regardless
-    of batch size.
+    :class:`fs_crawler_ray.crawl.MembershipStage`), so each batch issues
+    ≤K RPCs regardless of batch size.
     """
 
     actors: list

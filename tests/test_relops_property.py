@@ -149,3 +149,48 @@ if __name__ == "__main__":
     import sys
 
     sys.exit(pytest.main([__file__, "-x", "-q"]))
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    lk=st.lists(st.one_of(st.none(), st.sampled_from(KEYS)), min_size=0, max_size=10),
+    rk=st.lists(st.one_of(st.none(), st.sampled_from(KEYS)), min_size=0, max_size=10),
+    anti=st.booleans(),
+)
+def test_broadcast_semi_join_null_keys_never_match(lk, rk, anti):
+    """SQL semi-join semantics: a null key matches nothing, whether the
+    null is on the left, the right or both — semi drops null-key rows,
+    anti keeps them."""
+    import pyarrow as pa
+
+    from fs_crawler_ray.relops import broadcast_semi_join
+
+    right = {k for k in rk if k is not None}
+    left = pa.table({"k": pa.array(lk, pa.string()),
+                     "x": pa.array(range(len(lk)), pa.int64())})
+    want = [(k, x) for x, k in enumerate(lk) if (k in right) != anti]
+    got = broadcast_semi_join(ray.data.from_arrow(left), pa.array(rk, pa.string()),
+                              "k", anti=anti).take_all()
+    assert sorted(((r["k"], r["x"]) for r in got), key=repr) == sorted(want, key=repr), (
+        lk, rk, anti)
+
+
+@pytest.mark.parametrize("anti", [False, True])
+@pytest.mark.parametrize("empty_right", ["no_blocks", "schemaless_blocks"])
+def test_semi_anti_join_empty_right_side(anti, empty_right):
+    """An empty right side — no blocks at all, or only schema-less empty
+    blocks (what an empty shuffle partition yields) — is a valid filter
+    set: semi keeps no row, anti keeps every row."""
+    import pyarrow as pa
+
+    from fs_crawler_ray.relops import semi_anti_join
+
+    if empty_right == "no_blocks":
+        right = ray.data.from_items([])
+    else:
+        right = ray.data.from_arrow(pa.table({"id": ["x"]})).map_batches(
+            lambda t: pa.table({}), batch_format="pyarrow")
+    left = ray.data.from_arrow(pa.table({"k": ["a", "b"]}))
+    got = sorted(r["k"] for r in semi_anti_join(left, right, "k", "id", anti=anti).take_all())
+    assert got == (["a", "b"] if anti else [])
