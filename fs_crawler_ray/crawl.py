@@ -197,6 +197,37 @@ def _expand_parquet(paths: list[str]) -> list[str]:
     return files
 
 
+#: Ray Data fetches the footers of a read of more than this many files
+#: in tasks of 0.5 CPU (``PARALLELIZE_META_FETCH_THRESHOLD`` in
+#: ``ray.data.datasource.parquet_meta_provider``), two to a CPU
+FOOTER_TASKS_ABOVE = 24
+
+
+def _read_parts(files: list[str], **kwargs) -> ray.data.Dataset:
+    """read_parquet of checkpoint part files as a union of reads of at
+    most FOOTER_TASKS_ABOVE files, whose footers the driver reads itself.
+    The crawl builds its reads across hops (30 files for a 5-hop crawl)
+    right after another execution. Ray's half-CPU footer tasks then find
+    that execution's workers not yet returned and start ~3 more (~1
+    CPU-s each), which Ray kills about a second after they go idle, so
+    whether a crawl or resume pays for them would depend on how soon
+    after the previous crawl it runs. ``CrawlResult`` keeps one read: a
+    union does not fuse with the map stages after it (about 1.3x the
+    graph-build CPU on the wide_wave benchmark), and a graph build on
+    its own starts no workers for the footer tasks."""
+    if len(files) <= FOOTER_TASKS_ABOVE:
+        return st.read_parquet(files, **kwargs)
+    n_blocks = kwargs.pop("override_num_blocks", None)
+    parts = []
+    for i in range(0, len(files), FOOTER_TASKS_ABOVE):
+        chunk = files[i:i + FOOTER_TASKS_ABOVE]
+        if n_blocks is not None:  # split pro rata, cumulative so they add up
+            kwargs["override_num_blocks"] = max(
+                1, n_blocks * (i + len(chunk)) // len(files) - n_blocks * i // len(files))
+        parts.append(st.read_parquet(chunk, **kwargs))
+    return parts[0].union(*parts[1:])
+
+
 def _read_sized(path: str, columns: list[str] | None = None,
                 rows_per_block: int | None = None, max_blocks: int = 512) -> ray.data.Dataset:
     """read_parquet with a block count proportional to the DATA (and,
@@ -613,7 +644,10 @@ class Crawler:
         # visited/processing RPCs hit 1-2 shards instead of all K —
         # the per-batch RPC fan-out no longer grows with the shard
         # count. Edge-seen keys are hashes (no range locality) and stay
-        # hash-routed inside the same instance.
+        # hash-routed inside the same instance. The shards (and the
+        # direct-mode metrics actor) are session-resident: idle ones
+        # left by an earlier crawl are reset and reused, see shutdown().
+        t_acquire = time.perf_counter()
         self.sm = ShardedMembership.create(
             num_shards=self.config.num_shards,
             capacity_per_shard=self.config.shard_capacity,
@@ -627,23 +661,32 @@ class Crawler:
         # one, fetch resolves partition-locally in-task against the
         # row-group range store (no nested RPC, no corpus broadcast —
         # scales with task parallelism AND corpus size).
+        self.direct = self.config.politeness is None or self.config.politeness.rate_per_host <= 0
+        self.metrics, self.metrics_epoch, m_reused = None, None, 0
+        if self.direct:
+            from fs_crawler_ray.metrics import acquire_metrics
+
+            self.metrics, self.metrics_epoch, m_reused = acquire_metrics()
+        reused = self.sm.reused + m_reused
+        #: how this Crawler got its state actors; the first lineage.json
+        #: a crawl writes records it
+        self._actors = {"reused": reused,
+                        "started": self.config.num_shards + self.direct - reused,
+                        "acquire_s": round(time.perf_counter() - t_acquire, 3)}
         #: False until this Crawler's first hop runs — lets a fresh
         #: crawl skip the no-op hop-0 PROCESSING clear (see hop loop)
         self._shards_touched = False
-        self.direct = self.config.politeness is None or self.config.politeness.rate_per_host <= 0
-        if self.direct:
-            from fs_crawler_ray.metrics import MetricsActor
-
-            self.pool = None
-            self.metrics = MetricsActor.remote()
-        else:
+        #: True from the start of crawl() until it returns normally; a
+        #: crawl that raised may still have tasks calling the actors
+        self._in_flight = False
+        self.pool = None
+        if not self.direct:
             self.pool = FetchPool(
                 corpus.documents_path,
                 size=self.config.fetch_concurrency,
                 politeness=self.config.politeness,
                 robots=self.config.robots,
             )
-            self.metrics = None
 
     def _fetch_stage(self, hop: int):
         if self.direct:
@@ -651,7 +694,8 @@ class Crawler:
 
             return make_partition_fetcher(self.corpus.documents_path, hop,
                                           robots=self.config.robots,
-                                          metrics=self.metrics)
+                                          metrics=self.metrics,
+                                          epoch=self.metrics_epoch)
         return FetchStage(self.pool, hop)
 
     def _fetch_counters(self, hop: int | None = None) -> dict:
@@ -660,14 +704,27 @@ class Crawler:
         return self.pool.reset()
 
     def shutdown(self) -> None:
-        """Kill the state actors. Results remain fully readable — all
-        state is reconstructable from the checkpoint (resume does so)."""
-        for a in self.sm.actors:
-            ray.kill(a)
+        """Release the state actors. The membership shards and the
+        metrics actor are session-resident: after a crawl that returned
+        normally they go back to the Ray session's free-list, and the
+        next Crawler resets and reuses them instead of starting new
+        worker processes. After a crawl that raised, Ray Data tasks may
+        still be calling them, so they are killed. The polite-mode fetch
+        pool is always killed (its token buckets and auth session start
+        fresh per crawl). Results remain fully readable — all state is
+        reconstructable from the checkpoint (resume does so)."""
+        if self._in_flight:
+            for a in self.sm.actors + [self.metrics]:
+                if a is not None:
+                    ray.kill(a)
+        else:
+            from fs_crawler_ray.metrics import release_metrics
+
+            self.sm.release()
+            if self.metrics is not None:
+                release_metrics(self.metrics)
         if self.pool is not None:
             self.pool.shutdown()
-        if self.metrics is not None:
-            ray.kill(self.metrics)
 
     # -- checkpoint helpers -------------------------------------------
     def _hop_dir(self, hop: int) -> str:
@@ -705,12 +762,12 @@ class Crawler:
             log.append(st.read_json(st.join(self._hop_dir(h), "log.json")))
         # batched filter-state rebuild: one pass over all hops' tables
         v_paths = _expand_parquet([st.join(self._hop_dir(h), "vertices.parquet") for h in done])
-        st.read_parquet(v_paths, columns=["id"]).map_batches(
+        _read_parts(v_paths, columns=["id"]).map_batches(
             MembershipStage(self.sm, "id", register=VISITED),
             batch_format="pyarrow", batch_size=8192
         ).count()
         e_paths = _expand_parquet([st.join(self._hop_dir(h), "edges.parquet") for h in done])
-        st.read_parquet(e_paths, columns=["source", "destination"]).map_batches(
+        _read_parts(e_paths, columns=["source", "destination"]).map_batches(
             _edge_key, batch_format="pyarrow"
         ).map_batches(
             MembershipStage(self.sm, "edge_key", register=EDGES),
@@ -722,6 +779,7 @@ class Crawler:
     # -- main loop -----------------------------------------------------
     def crawl(self, seeds: list[str], resume: bool = False) -> CrawlResult:
         cfg = self.config
+        self._in_flight = True
         # vectorized seed gate: a Python regex loop over a 500k-seed wave
         # costs ~0.5 s of driver time before any task runs
         import pyarrow.compute as _pc
@@ -948,7 +1006,7 @@ class Crawler:
             tagged = records.map_batches(tagger, batch_format="pyarrow")
             if fuse_classify and prev_edge_paths:
                 n_prev_blocks = int(min(64, max(1, n_prev // 65_536 + 1)))
-                prev_edges = st.read_parquet(
+                prev_edges = _read_parts(
                     prev_edge_paths, columns=["source", "destination"],
                     override_num_blocks=n_prev_blocks)
                 tagged = tagged.union(prev_edges.map_batches(
@@ -1022,6 +1080,8 @@ class Crawler:
                 "stage_seconds": stage_t,
                 "records": n_records,
             }
+            if hop == start_hop:
+                lineage["actors"] = self._actors
             with st.open_file(st.join(hop_dir, "lineage.json"), "wt") as f:
                 json.dump(lineage, f, indent=1, default=str)
             row = {
@@ -1043,6 +1103,10 @@ class Crawler:
             frontier_path, seed_frontier = st.join(hop_dir, "frontier.parquet"), None
 
         result.log = log
+        # a later crawl() of this Crawler reuses every actor it holds
+        held = self._actors["reused"] + self._actors["started"]
+        self._actors = {"reused": held, "started": 0, "acquire_s": 0.0}
+        self._in_flight = False
         return result
 
     # -- edge classification (J1/A2: graph_memory_impl.py:106-120) ----
@@ -1051,7 +1115,7 @@ class Crawler:
         paths = _expand_parquet([p for p in paths if st.exists(p)])
         if not paths:
             return {"within": 0, "spanning": 0, "frontier": 0}
-        ds = st.read_parquet(paths, columns=["source", "destination"])
+        ds = _read_parts(paths, columns=["source", "destination"])
         sm = self.sm
 
         def classify(batch: pa.Table) -> pa.Table:

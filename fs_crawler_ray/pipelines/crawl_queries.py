@@ -28,6 +28,7 @@ from fs_crawler_ray.stages.resolve import (
     resolve_relationships,
 )
 from fs_crawler_ray.stages.validate import birth_year_from_lifespan, validate
+from fs_crawler_ray.state import resident
 
 CRAWL_HOPS = 5
 
@@ -62,7 +63,11 @@ def corpus_and_crawl(sf_dir: str) -> tuple[CorpusInfo, CrawlResult]:
     except FileNotFoundError:
         pass
     cfg = CrawlConfig(hops=CRAWL_HOPS, num_shards=8, num_buckets=32, fetch_concurrency=4)
-    return info, crawl(info, info.seeds, out_dir, cfg)
+    result = crawl(info, info.seeds, out_dir, cfg)
+    # the crawl is cached, so this session does not crawl again: its
+    # idle state actors would only hold memory through the later queries
+    resident.drain()
+    return info, result
 
 
 def _resolved_edges(sf_dir: str) -> tuple[CorpusInfo, CrawlResult, ray.data.Dataset]:

@@ -902,3 +902,149 @@ FROM inter JOIN sizes sa ON sa.doc_id = da JOIN sizes sb ON sb.doc_id = db
 WHERE i * 100 >= {threshold_pct} * (sa.n + sb.n - i)
 ORDER BY doc_a, doc_b
 """
+
+
+# ----------------------------------------------------------------------
+# exact SQL replays of the sketches (fs_crawler_ray.sketch) over the
+# ``events`` table. Null user ids are left out, as the sketches skip
+# null values (SQL md5_number_lower(NULL) is NULL and counts nowhere);
+# a null event_type is one NULL group, as in any GROUP BY.
+# ----------------------------------------------------------------------
+
+# exact SQL replay of sketch.hll_distinct (p=12, m=4096):
+# md5_number_lower == text.md5_lower64 bit-for-bit; register
+# value rho = 53 - bit_length(low 52 bits) (length(bin(x)) is
+# the exact integer bit length); Z kept as a HUGEINT so no
+# float accumulation order exists; est floored at 4 decimals on
+# both sides. alpha = 0.7213/(1 + 1.079/m).
+EVENTS_HLL_USERS = """
+WITH v AS (
+    SELECT DISTINCT md5_number_lower(CAST(user_id AS VARCHAR)) AS hv
+    FROM events WHERE user_id IS NOT NULL
+),
+b AS (
+    SELECT CAST(hv >> 52 AS BIGINT) AS bucket,
+           CAST(hv & 4503599627370495 AS BIGINT) AS rest
+    FROM v
+),
+r AS (
+    SELECT bucket,
+           MAX(CASE WHEN rest = 0 THEN 53
+                    ELSE 53 - length(bin(rest)) END) AS rho
+    FROM b GROUP BY bucket
+),
+agg AS (
+    SELECT 4096 AS m,
+           4096 - COUNT(*) AS n_zero,
+           SUM(CAST(1 AS HUGEINT) << (53 - rho))
+           + (4096 - COUNT(*)) * (CAST(1 AS HUGEINT) << 53) AS z
+    FROM r
+),
+est0 AS (
+    SELECT m, n_zero, z,
+           (0.7213 / (1.0 + 1.079 / m)) * m * m
+               * 9007199254740992.0 / CAST(z AS DOUBLE) AS raw
+    FROM agg
+)
+SELECT CAST(m AS BIGINT) AS m,
+       CAST(n_zero AS BIGINT) AS n_zero,
+       CAST(z AS VARCHAR) AS z_scaled,
+       FLOOR((CASE WHEN raw <= 2.5 * m AND n_zero > 0
+                   THEN m * ln(CAST(m AS DOUBLE) / n_zero)
+                   ELSE raw END) * 10000.0) / 10000.0 AS est
+FROM est0
+"""
+
+# grouped variant of events_hll_users: same register layout per
+# event_type
+EVENTS_HLL_USERS_BY_TYPE = """
+WITH v AS (
+    SELECT DISTINCT event_type,
+           md5_number_lower(CAST(user_id AS VARCHAR)) AS hv
+    FROM events WHERE user_id IS NOT NULL
+),
+b AS (
+    SELECT event_type,
+           CAST(hv >> 52 AS BIGINT) AS bucket,
+           CAST(hv & 4503599627370495 AS BIGINT) AS rest
+    FROM v
+),
+r AS (
+    SELECT event_type, bucket,
+           MAX(CASE WHEN rest = 0 THEN 53
+                    ELSE 53 - length(bin(rest)) END) AS rho
+    FROM b GROUP BY event_type, bucket
+),
+agg AS (
+    SELECT event_type, 4096 AS m,
+           4096 - COUNT(*) AS n_zero,
+           SUM(CAST(1 AS HUGEINT) << (53 - rho))
+           + (4096 - COUNT(*)) * (CAST(1 AS HUGEINT) << 53) AS z
+    FROM r GROUP BY event_type
+),
+est0 AS (
+    SELECT event_type, m, n_zero, z,
+           (0.7213 / (1.0 + 1.079 / m)) * m * m
+               * 9007199254740992.0 / CAST(z AS DOUBLE) AS raw
+    FROM agg
+)
+SELECT event_type,
+       CAST(m AS BIGINT) AS m,
+       CAST(n_zero AS BIGINT) AS n_zero,
+       CAST(z AS VARCHAR) AS z_scaled,
+       FLOOR((CASE WHEN raw <= 2.5 * m AND n_zero > 0
+                   THEN m * ln(CAST(m AS DOUBLE) / n_zero)
+                   ELSE raw END) * 10000.0) / 10000.0 AS est
+FROM est0 ORDER BY event_type
+"""
+
+# exact SQL replay of sketch.kmv_overlap (k=1024): bottom-k
+# distinct md5 hashes per side, union bottom-k as the reference
+# sample, integer intersection counts; distinct estimate
+# (k-1)*2^64/(hk+1) with the double cast BEFORE the +1 (matches
+# the engine's float op order), floor-truncated at 4 decimals.
+EVENTS_KMV_OVERLAP = """
+WITH a AS (
+    SELECT DISTINCT md5_number_lower(CAST(user_id AS VARCHAR)) AS h
+    FROM events WHERE event_type = 'purchase' AND user_id IS NOT NULL
+),
+b AS (
+    SELECT DISTINCT md5_number_lower(CAST(user_id AS VARCHAR)) AS h
+    FROM events WHERE event_type = 'view' AND user_id IS NOT NULL
+),
+ka AS (SELECT h FROM a ORDER BY h LIMIT 1024),
+kb AS (SELECT h FROM b ORDER BY h LIMIT 1024),
+u AS (
+    SELECT h FROM (SELECT h FROM ka UNION SELECT h FROM kb)
+    ORDER BY h LIMIT 1024
+),
+flags AS (
+    SELECT u.h,
+           u.h IN (SELECT h FROM ka) AS ina,
+           u.h IN (SELECT h FROM kb) AS inb
+    FROM u
+),
+sa AS (SELECT COUNT(*) AS kn, MAX(h) AS hk FROM ka),
+sb AS (SELECT COUNT(*) AS kn, MAX(h) AS hk FROM kb),
+ov AS (
+    SELECT COUNT(*) AS n_ref,
+           SUM(CASE WHEN ina AND inb THEN 1 ELSE 0 END) AS n_both
+    FROM flags
+)
+SELECT CAST(1024 AS BIGINT) AS k,
+       CAST(ov.n_ref AS BIGINT) AS n_ref,
+       CAST(ov.n_both AS BIGINT) AS n_both,
+       CASE WHEN ov.n_ref > 0
+            THEN FLOOR(CAST(ov.n_both AS DOUBLE) / ov.n_ref
+                       * 10000.0) / 10000.0
+            ELSE 0.0 END AS jaccard,
+       CASE WHEN sa.kn < 1024 THEN CAST(sa.kn AS DOUBLE)
+            ELSE FLOOR((1024 - 1) * 18446744073709551616.0
+                       / (CAST(sa.hk AS DOUBLE) + 1.0)
+                       * 10000.0) / 10000.0 END AS est_distinct_a,
+       CASE WHEN sb.kn < 1024 THEN CAST(sb.kn AS DOUBLE)
+            ELSE FLOOR((1024 - 1) * 18446744073709551616.0
+                       / (CAST(sb.hk AS DOUBLE) + 1.0)
+                       * 10000.0) / 10000.0 END AS est_distinct_b
+FROM ov, sa, sb
+"""

@@ -61,14 +61,14 @@ def q_pricing_summary(sf_dir: str):
             "sum_disc_price": disc,
         }).group_by(["l_returnflag", "l_linestatus"]).aggregate(
             [("sum_qty", "sum"), ("sum_base_price", "sum"),
-             ("sum_disc_price", "sum"), ("sum_qty", "count")])
+             ("sum_disc_price", "sum"), ([], "count_all")])
         return pa.table({
             "l_returnflag": g["l_returnflag"],
             "l_linestatus": g["l_linestatus"],
             "sum_qty": g["sum_qty_sum"],
             "sum_base_price": g["sum_base_price_sum"],
             "sum_disc_price": g["sum_disc_price_sum"],
-            "count_order": g["sum_qty_count"],
+            "count_order": g["count_all"],
         })
 
     out = (
@@ -165,10 +165,10 @@ def q_events_hourly(sf_dir: str):
             "hour": pc.floor_temporal(t["ts"], unit="hour"),
             "value": t["value"],
         }).group_by(["user_id", "hour"]).aggregate(
-            [("value", "count"), ("value", "sum")])
+            [([], "count_all"), ("value", "sum")])
         return pa.table({
             "user_id": g["user_id"], "hour": g["hour"],
-            "n_events": g["value_count"], "sum_value": g["value_sum"],
+            "n_events": g["count_all"], "sum_value": g["value_sum"],
         })
 
     from fs_crawler_ray.relops import bucketed_agg
@@ -994,9 +994,9 @@ def q_events_weekday_profile(sf_dir: str):
         b = pa.table({"isodow": dow, "event_type": t["event_type"],
                       "cents": cents})
         g = b.group_by(["isodow", "event_type"], use_threads=False).aggregate(
-            [("cents", "sum"), ("cents", "count")])
+            [("cents", "sum"), ([], "count_all")])
         return pa.table({"isodow": g["isodow"], "event_type": g["event_type"],
-                         "n_events": g["cents_count"].cast(pa.int64()),
+                         "n_events": g["count_all"],
                          "total_cents": g["cents_sum"]})
 
     ev = _t(sf_dir, "events", columns=["ts", "event_type", "value"])
@@ -1124,9 +1124,9 @@ def q_customer_rfm(sf_dir: str):
             pc.cast(t["o_totalprice"], pa.float64()), 100.0), 0.5)), pa.int64())
         b = pa.table({"custkey": t["o_custkey"], "day": day, "cents": cents})
         g = b.group_by("custkey", use_threads=False).aggregate(
-            [("day", "max"), ("cents", "sum"), ("cents", "count")])
+            [("day", "max"), ("cents", "sum"), ([], "count_all")])
         return pa.table({"custkey": g["custkey"], "last_day": g["day_max"],
-                         "n_orders": g["cents_count"].cast(pa.int64()),
+                         "n_orders": g["count_all"],
                          "total_cents": g["cents_sum"]})
 
     orders = _t(sf_dir, "orders",

@@ -50,22 +50,31 @@ def _registers_of(hashes: np.ndarray, p: int) -> np.ndarray:
     return regs
 
 
+def _value_hashes(col_a) -> np.ndarray:
+    """md5_lower64 of a column's NON-NULL values, as DuckDB's
+    ``md5_number_lower(CAST(col AS VARCHAR))``. SQL hashes a null to
+    NULL, which drops out of every register and bottom-k, so nulls are
+    dropped here rather than hashed as the string ``'None'``."""
+    import pyarrow.compute as pc
+
+    from fs_crawler_ray.text import md5_lower64
+
+    col_a = pc.drop_null(col_a)
+    if not (pa.types.is_string(col_a.type) or pa.types.is_large_string(col_a.type)):
+        # Arrow's int→string cast prints the same decimal digits as
+        # DuckDB's CAST(... AS VARCHAR), keeping the md5s aligned
+        col_a = pc.cast(col_a, pa.string())
+    return md5_lower64(np.asarray(col_a.to_pylist(), dtype=object))
+
+
 def hll_sketch(ds: ray.data.Dataset, col: str, p: int = DEFAULT_P) -> np.ndarray:
     """Distributed register build: one streaming ``map_batches`` pass
     emitting a 2^p-byte register partial per block, elementwise-max
-    folded on the driver (fixed-size state — the whole point)."""
-    from fs_crawler_ray.text import md5_lower64
+    folded on the driver (fixed-size state — the whole point). Null
+    values are not counted (SQL ``COUNT(DISTINCT)``)."""
 
     def partial(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        col_a = t[col]
-        if not (pa.types.is_string(col_a.type) or pa.types.is_large_string(col_a.type)):
-            # Arrow's int→string cast prints the same decimal digits as
-            # DuckDB's CAST(... AS VARCHAR), keeping the md5s aligned
-            col_a = pc.cast(col_a, pa.string())
-        vals = np.asarray(col_a.to_pylist(), dtype=object)
-        regs = _registers_of(md5_lower64(vals), p)
+        regs = _registers_of(_value_hashes(t[col]), p)
         return pa.table({"regs": pa.array([regs.tobytes()], pa.binary())})
 
     parts = ds.select_columns([col]).map_batches(
@@ -136,28 +145,31 @@ def hll_distinct_by(ds: ray.data.Dataset, col: str, by: str,
     ``(by, regs)`` row per group per block (O(groups × blocks), never
     O(rows)); one bucketed shuffle on ``by`` merges registers by
     elementwise max and emits each group's summary row. Same
-    bit-exactly SQL-replayable layout as :func:`hll_distinct`."""
+    bit-exactly SQL-replayable layout as :func:`hll_distinct`. Rows with
+    a null ``col`` are dropped first (a group with none left has no
+    row); null ``by`` keys form one NULL group, as SQL ``GROUP BY``
+    does."""
     import pyarrow.compute as pc
 
     from fs_crawler_ray.relops import _BUCKET_COL, _add_bucket
-    from fs_crawler_ray.text import md5_lower64
+
+    def _encode(by_a) -> tuple[pa.Array, np.ndarray]:
+        """(dictionary, per-row codes); a null key is a dictionary entry."""
+        if isinstance(by_a, pa.ChunkedArray):
+            by_a = by_a.combine_chunks()
+        enc = pc.dictionary_encode(by_a, null_encoding="encode")
+        return enc.dictionary, enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
 
     def partial(t: pa.Table) -> pa.Table:
-        col_a = t[col]
-        if not (pa.types.is_string(col_a.type) or pa.types.is_large_string(col_a.type)):
-            col_a = pc.cast(col_a, pa.string())
-        by_a = t[by].combine_chunks() if isinstance(t[by], pa.ChunkedArray) else t[by]
-        enc = pc.dictionary_encode(by_a)
-        if isinstance(enc, pa.ChunkedArray):
-            enc = enc.combine_chunks()
-        codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        hashes = md5_lower64(np.asarray(col_a.to_pylist(), dtype=object))
-        out_by, out_regs = [], []
-        for g in range(len(enc.dictionary)):
+        t = t.filter(pc.is_valid(t[col]))
+        dictionary, codes = _encode(t[by])
+        hashes = _value_hashes(t[col])
+        out_regs = []
+        for g in range(len(dictionary)):
             regs = _registers_of(hashes[codes == g], p)
             out_regs.append(regs.tobytes())
         return pa.table({
-            by: enc.dictionary,
+            by: dictionary,
             "regs": pa.array(out_regs, pa.binary()),
         })
 
@@ -167,14 +179,10 @@ def hll_distinct_by(ds: ray.data.Dataset, col: str, by: str,
         # one shuffle bucket may hold SEVERAL `by` keys — merge and
         # estimate per key within the group
         t = t.drop_columns([_BUCKET_COL])
-        by_a = t[by].combine_chunks() if isinstance(t[by], pa.ChunkedArray) else t[by]
-        enc = pc.dictionary_encode(by_a)
-        if isinstance(enc, pa.ChunkedArray):
-            enc = enc.combine_chunks()
-        codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+        dictionary, codes = _encode(t[by])
         bufs = t["regs"].to_pylist()
         out = {by: [], "m": [], "n_zero": [], "z_scaled": [], "est": []}
-        for g, key in enumerate(enc.dictionary.to_pylist()):
+        for g, key in enumerate(dictionary.to_pylist()):
             regs = np.zeros(1 << p, dtype=np.uint8)
             for i in np.flatnonzero(codes == g):
                 regs = np.maximum(regs, np.frombuffer(bufs[i], dtype=np.uint8))
@@ -183,7 +191,7 @@ def hll_distinct_by(ds: ray.data.Dataset, col: str, by: str,
             for k in ("m", "n_zero", "z_scaled", "est"):
                 out[k].append(d[k])
         return pa.table({
-            by: pa.array(out[by], enc.dictionary.type),
+            by: pa.array(out[by], dictionary.type),
             "m": pa.array(out["m"], pa.int64()),
             "n_zero": pa.array(out["n_zero"], pa.int64()),
             "z_scaled": pa.array(out["z_scaled"], pa.string()),
@@ -209,16 +217,11 @@ def kmv_sketch(ds: ray.data.Dataset, col: str, k: int = DEFAULT_K) -> np.ndarray
     """The ``k`` smallest md5-lower64 hashes of the column's DISTINCT
     values, ascending uint64. Per-block bottom-k partials (one ≤k-row
     chunk per block — O(k × blocks) crosses to the driver, never
-    O(rows)), merged by a sorted-unique bottom-k fold."""
-    from fs_crawler_ray.text import md5_lower64
+    O(rows)), merged by a sorted-unique bottom-k fold. Null values are
+    skipped."""
 
     def partial(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        col_a = t[col]
-        if not (pa.types.is_string(col_a.type) or pa.types.is_large_string(col_a.type)):
-            col_a = pc.cast(col_a, pa.string())
-        h = np.unique(md5_lower64(np.asarray(col_a.to_pylist(), dtype=object)))
+        h = np.unique(_value_hashes(t[col]))
         return pa.table({"h": pa.array(h[:k].astype(np.uint64), pa.uint64())})
 
     parts = ds.select_columns([col]).map_batches(

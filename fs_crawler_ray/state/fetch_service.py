@@ -168,7 +168,8 @@ class FetchPool:
 
 
 def make_partition_fetcher(documents_path: str, hop: int,
-                           robots: RobotsPolicy | None = None, metrics=None):
+                           robots: RobotsPolicy | None = None, metrics=None,
+                           epoch: int | None = None):
     """Direct (politeness-free) fetch path: a STATELESS map_batches fn
     that resolves ids against the corpus PARTITION-LOCALLY — each task
     reads only the row groups owning its ids (worker-global
@@ -177,7 +178,9 @@ def make_partition_fetcher(documents_path: str, hop: int,
     contiguous id range hitting 1-2 row groups; at deployment scale the
     same shape is a Lance fragment ``take``. Nothing broadcasts the
     corpus. Politeness-budgeted crawls must use :class:`FetchStage`
-    instead (central token buckets)."""
+    instead (central token buckets). ``metrics`` (a
+    :class:`~fs_crawler_ray.metrics.MetricsActor`) receives per-batch
+    fetch counters tagged with ``hop`` and its acquisition ``epoch``."""
 
     def fetch_fn(batch: pa.Table) -> pa.Table:
         import fs_crawler_ray.model as m
@@ -202,7 +205,7 @@ def make_partition_fetcher(documents_path: str, hop: int,
                 "fetched": len(docs),
                 "missing": int((~found).sum()),
                 "politeness_wait_s": 0.0,
-            }, hop)
+            }, hop, epoch)
         if len(out) == 0:
             return m.DOCUMENT_SCHEMA.empty_table().append_column("hop", pa.array([], pa.int32()))
         return out

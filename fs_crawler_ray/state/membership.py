@@ -24,16 +24,47 @@ False-positive budget: in ``probabilistic`` mode membership may report
 a never-seen id as seen (dropping a frontier candidate). Shards report
 per-set counts and cuckoo occupancy via ``stats()`` so bench runs can
 record the fp budget; correctness runs use ``exact`` mode.
+
+Shard actors are session-resident (:mod:`fs_crawler_ray.state.resident`):
+:meth:`ShardedMembership.create` takes idle shards of the Ray session
+first, resets each to the state of a fresh ``MembershipShardState(
+capacity, mode)`` with a driver-side ``ray.get`` before use, and starts
+only the shortfall; :meth:`ShardedMembership.release` gives them back
+after a crawl that returned normally and has them drop their sets at
+once. Filter arrays live on their own zero-on-touch mappings, which go
+back to the OS with the filter, so neither an idle shard nor a reused
+one in a crawl holds more than a fresh one (an idle shard is ~65 MB
+PSS, all of it the Ray worker process itself).
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
 import ray
 
 from fs_crawler_ray.ids import stable_hash64
+from fs_crawler_ray.state import resident
+
+
+def _zeroed(shape, dtype) -> np.ndarray:
+    """A zero array on its own anonymous mapping, for the buffers that
+    live as long as a filter: the kernel zero-fills a page on first
+    touch, so only the pages a filter writes become resident, and the
+    pages go back to the OS with the filter. ``np.zeros`` gives that
+    only while malloc serves the size by mmap; once glibc's dynamic
+    threshold has risen (a shard reused for a second crawl), calloc
+    reuses heap chunks and zeroes every page up front (measured on the
+    wide_wave benchmark: ~10 MB more PSS per reused shard during a
+    crawl)."""
+    count = int(np.prod(shape))
+    # PRIVATE: a read of an untouched page maps the shared zero page (a
+    # SHARED anonymous mapping, mmap's default, would allocate it)
+    buf = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize),
+                    flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
 
 
 # ----------------------------------------------------------------------
@@ -49,7 +80,7 @@ class BloomFilter:
         # fp while insert cost (the per-hop epoch-staging hot path) is
         # ~3.7× cheaper than k=22.
         self.k = max(1, min(6, int(round(self.n_bits / capacity * np.log(2)))))
-        self.bits = np.zeros(self.n_bits // 64, dtype=np.uint64)
+        self.bits = _zeroed(self.n_bits // 64, np.uint64)
         self._bitmask = np.uint64(self.n_bits - 1)  # n_bits is a power of two
         self.count = 0
         self._posbuf: np.ndarray | None = None  # persistent add() workspace
@@ -82,7 +113,7 @@ class BloomFilter:
         if n == 0:
             return
         if self._posbuf is None or self._posbuf.size < k * n:
-            self._posbuf = np.empty(k * self.ADD_CHUNK, dtype=np.uint64)
+            self._posbuf = _zeroed(k * self.ADD_CHUNK, np.uint64)
         pos = self._posbuf[:k * n].reshape(k, n)
         with np.errstate(over="ignore"):
             for i in range(k):
@@ -140,7 +171,7 @@ class CuckooFilter:
     def __init__(self, capacity: int):
         n_buckets = max(8, int(capacity / self.SLOTS / 0.84) + 1)
         self.n_buckets = 1 << int(np.ceil(np.log2(n_buckets)))
-        self.table = np.zeros((self.n_buckets, self.SLOTS), dtype=np.uint16)
+        self.table = _zeroed((self.n_buckets, self.SLOTS), np.uint16)
         self.count = 0
         self._mask = np.uint64(self.n_buckets - 1)
         #: cuckoo-with-stash: a failed eviction chain leaves one
@@ -394,6 +425,11 @@ class MembershipShardState:
     H1_SEED, H2_SEED = _FilterChain.H1_SEED, _FilterChain.H2_SEED
 
     def __init__(self, capacity: int = 1 << 16, mode: str = "exact"):
+        self.reset(capacity, mode)
+
+    def reset(self, capacity: int, mode: str) -> None:
+        """Back to the state of ``MembershipShardState(capacity, mode)``:
+        no sets, no staged epochs (``stats() == {}``)."""
         if mode not in _SET_KINDS:
             raise ValueError(f"unknown membership mode {mode!r}")
         self.capacity = capacity
@@ -518,6 +554,8 @@ class ShardedMembership:
     mode: str
     boundaries: "np.ndarray | None" = None
     range_names: frozenset = frozenset()
+    #: how many of ``actors`` were idle shards reused, not started
+    reused: int = 0
 
     @staticmethod
     def create(num_shards: int, capacity_per_shard: int = 1 << 16, mode: str = "exact",
@@ -528,25 +566,39 @@ class ShardedMembership:
         # against Ray Data's own resource accounting and can deadlock an
         # actor-pool stage on a small cluster (observed: fetch pool +
         # shard actors > num_cpus → pool never starts).
-        actors = [
-            MembershipShard.options(num_cpus=0, max_concurrency=1).remote(capacity_per_shard, mode)
-            for _ in range(num_shards)
-        ]
-        # fire-and-forget warmup ping: actor PROCESS startup costs
-        # ~0.5-0.8 s for a shard set on a cold worker pool, and the
-        # first real RPC (the hop-0 clear) would pay it serially on the
-        # driver. Kicking a ping now lets startup overlap the caller's
-        # remaining prep (seed validation, settings write, Ray Data
-        # executor spin-up); the refs are held so the tasks aren't
-        # cancelled, never awaited.
-        warmup = [a.stats.remote() for a in actors]
+        if mode not in _SET_KINDS:
+            raise ValueError(f"unknown membership mode {mode!r}")
+        actors, reused = resident.acquire(
+            "MembershipShard", num_shards,
+            lambda: MembershipShard.options(num_cpus=0, max_concurrency=1).remote(
+                capacity_per_shard, mode),
+            lambda a: a.reset.remote(capacity_per_shard, mode))
+        # fire-and-forget warmup ping for the started shards: actor
+        # PROCESS startup costs ~0.5-0.8 s for a shard set on a cold
+        # worker pool, and the first real RPC (the hop-0 clear) would
+        # pay it serially on the driver. Kicking a ping now lets startup
+        # overlap the caller's remaining prep (seed validation, settings
+        # write, Ray Data executor spin-up); the refs are held so the
+        # tasks aren't cancelled, never awaited.
+        warmup = [a.stats.remote() for a in actors[reused:]]
         if boundaries is not None and len(boundaries) == 0:
             boundaries = None
         sm = ShardedMembership(actors=actors, num_shards=num_shards, mode=mode,
                                boundaries=boundaries,
-                               range_names=frozenset(range_names))
+                               range_names=frozenset(range_names), reused=reused)
         sm._warmup_refs = warmup
         return sm
+
+    def release(self) -> None:
+        """Give the shard actors back to the session's free-list, for the
+        next :meth:`create`. Only after a run that returned normally;
+        otherwise ``ray.kill`` them. Each shard drops its state now
+        (fire-and-forget), so an idle shard holds no crawl's sets; the
+        synchronous reset on acquire still runs after this one (Ray
+        keeps one caller's calls to an actor in order)."""
+        for a in self.actors:
+            a.reset.remote(1 << 16, self.mode)
+        resident.release("MembershipShard", self.actors)
 
     def _route(self, keys: np.ndarray, names=()):
         from fs_crawler_ray.ids import range_bucket_of, shard_of

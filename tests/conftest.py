@@ -52,3 +52,33 @@ def pytest_configure(config):
         "markers",
         "scale_smoke: driver-RSS-bounded ~10x-bench-volume smoke test "
         "(enable with FSRAY_SCALE_SMOKE=1)")
+
+
+@pytest.fixture
+def empty_free_lists(ray_session):
+    """Kill the session's idle state actors and forget the free-list
+    bounds, so a test sees exactly the reuse it causes itself."""
+    from fs_crawler_ray.state import resident
+
+    resident.drain()
+
+
+@pytest.fixture
+def kill_shard(ray_session):
+    """``ray.kill`` a membership shard and wait until it is gone.
+    ``ray.kill`` is asynchronous: a shard killed just before a crawl can
+    still answer that crawl's reset and die after it, which is a shard
+    dying mid-crawl, not the dead idle shard a test means to hand over."""
+    import time
+
+    def kill(actor) -> None:
+        ray.kill(actor)
+        for _ in range(200):
+            try:
+                ray.get(actor.stats.remote())
+            except ray.exceptions.RayActorError:
+                return
+            time.sleep(0.05)
+        raise AssertionError("shard still answers 10 s after ray.kill")
+
+    return kill

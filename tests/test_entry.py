@@ -103,3 +103,19 @@ def test_entry_smoke(ray_session):
     out = _to_df(entry_mod.entry())
     assert len(out) > 0
     assert "id" in out.columns
+
+
+def test_crawl_queries_drain_idle_actors(tmp_path, monkeypatch, empty_free_lists):
+    """The query session crawls once (the crawl is cached on disk), so
+    its crawl leaves no idle state actors behind for the later queries."""
+    import functools
+
+    from fs_crawler_ray.corpus import corpus_for_sf
+    from fs_crawler_ray.pipelines import crawl_queries
+    from fs_crawler_ray.state import resident
+
+    monkeypatch.setattr(crawl_queries, "corpus_for_sf",
+                        functools.partial(corpus_for_sf, cache_root=str(tmp_path)))
+    _, result = crawl_queries.corpus_and_crawl(SF)
+    assert len(result.hops_run) == crawl_queries.CRAWL_HOPS
+    assert not any(resident._idle.values())

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -163,3 +167,110 @@ def test_mixed_range_hash_names_raises():
     for a in sm.actors:
         import ray
         ray.kill(a)
+
+
+@pytest.mark.parametrize("mode", ["exact", "probabilistic"])
+def test_reset_equals_fresh_state(mode):
+    """reset(capacity, mode) leaves a shard indistinguishable from a new
+    MembershipShardState(capacity, mode), whatever it held before."""
+    other = "probabilistic" if mode == "exact" else "exact"
+    s = MembershipShardState(capacity=1024, mode=other)
+    keys = indices_to_pids(np.arange(500))
+    s.add("visited", keys)
+    s.check_and_add_deferred("edges", keys)  # a staged, uncommitted epoch
+    s.reset(4096, mode)
+    assert s.stats() == {}
+    assert s.commit("edges") == 0  # the staged epoch is gone
+    assert not s.contains("visited", keys).any()
+    assert not s.check_and_add("visited", keys).any()
+    assert s.stats()["visited"]["mode"] == mode
+    assert s.capacity == 4096
+    with pytest.raises(ValueError, match="unknown membership mode"):
+        s.reset(4096, "fuzzy")
+
+
+def test_released_shards_are_reused_empty(empty_free_lists):
+    """create() takes released shards first; each is reset before use,
+    so its stats() are empty on acquire."""
+    import ray
+
+    sm = ShardedMembership.create(num_shards=3, capacity_per_shard=1024, mode="exact")
+    assert sm.reused == 0
+    sm.add("visited", indices_to_pids(np.arange(300)))
+    sm.check_and_add_deferred("edges", indices_to_pids(np.arange(50)))
+    sm.release()
+    again = ShardedMembership.create(num_shards=3, capacity_per_shard=1024, mode="probabilistic")
+    assert again.reused == 3
+    assert {a._actor_id for a in again.actors} == {a._actor_id for a in sm.actors}
+    assert again.stats() == [{}, {}, {}]
+    assert again.commit("edges") == 0
+    keys = indices_to_pids(np.arange(300))
+    assert not again.check_and_add("visited", keys).any()
+    assert again.stats()[0]["visited"]["mode"] == "probabilistic"
+    for a in again.actors:
+        ray.kill(a)
+
+
+def test_dead_idle_shard_is_replaced(empty_free_lists, kill_shard):
+    import ray
+
+    sm = ShardedMembership.create(num_shards=2, capacity_per_shard=1024, mode="exact")
+    sm.stats()
+    sm.release()
+    kill_shard(sm.actors[0])  # dies while idle
+    again = ShardedMembership.create(num_shards=2, capacity_per_shard=1024, mode="exact")
+    assert again.reused == 1
+    assert sm.actors[0]._actor_id not in {a._actor_id for a in again.actors}
+    keys = indices_to_pids(np.arange(100))
+    assert not again.check_and_add("visited", keys).any()
+    assert again.contains("visited", keys).all()
+    for a in again.actors:
+        ray.kill(a)
+
+
+def test_free_list_is_bounded(empty_free_lists):
+    """The free-list holds at most the largest set one release returned."""
+    from fs_crawler_ray.state import resident
+
+    a = ShardedMembership.create(num_shards=2, capacity_per_shard=1024, mode="exact")
+    b = ShardedMembership.create(num_shards=3, capacity_per_shard=1024, mode="exact")
+    a.release()
+    b.release()
+    assert len(resident._free_list("MembershipShard")) == 3
+
+
+def test_free_list_is_per_session(empty_free_lists, monkeypatch):
+    """Idle actors of an earlier Ray session are never handed out: the
+    free-list starts empty when the session (node id, job id) changes."""
+    import ray
+
+    from fs_crawler_ray.state import resident
+
+    sm = ShardedMembership.create(num_shards=1, capacity_per_shard=1024, mode="exact")
+    sm.release()
+    assert len(resident._free_list("MembershipShard")) == 1
+    ray.kill(sm.actors[0])
+    monkeypatch.setattr(resident, "_session", ("an-earlier-node", "01000000"))
+    fresh = ShardedMembership.create(num_shards=1, capacity_per_shard=1024, mode="exact")
+    assert fresh.reused == 0
+    ray.kill(fresh.actors[0])
+
+
+def test_create_without_ray_init_starts_ray():
+    """A library caller that never called ray.init(): create() starts
+    Ray, as the first ``.remote()`` call does, and the free-list works
+    in the session it started."""
+    code = (
+        "import ray\n"
+        "from fs_crawler_ray.state.membership import ShardedMembership\n"
+        "sm = ShardedMembership.create(num_shards=2, capacity_per_shard=1024)\n"
+        "assert ray.is_initialized() and sm.reused == 0\n"
+        "assert sm.stats() == [{}, {}]\n"
+        "sm.release()\n"
+        "again = ShardedMembership.create(num_shards=2, capacity_per_shard=1024)\n"
+        "assert again.reused == 2\n"
+        "ray.shutdown()\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]

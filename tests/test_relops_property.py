@@ -194,3 +194,67 @@ def test_semi_anti_join_empty_right_side(anti, empty_right):
     left = ray.data.from_arrow(pa.table({"k": ["a", "b"]}))
     got = sorted(r["k"] for r in semi_anti_join(left, right, "k", "id", anti=anti).take_all())
     assert got == (["a", "b"] if anti else [])
+
+
+def _null_star_schema(sf) -> None:
+    """A tiny star schema whose counted columns (l_quantity, value,
+    o_totalprice) hold nulls."""
+    import datetime as dt
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    day = dt.datetime(1998, 1, 5, 10, 30)
+    rows = 24
+    ts = [day + dt.timedelta(hours=i % 3, days=i % 2) for i in range(rows)]
+    nullable = [None if i % 4 == 0 else float(i) for i in range(rows)]
+    pq.write_table(pa.table({
+        "l_quantity": pa.array(nullable, pa.float64()),
+        "l_extendedprice": pa.array([10.0 + i for i in range(rows)]),
+        "l_discount": pa.array([0.05] * rows),
+        "l_returnflag": pa.array(["A", "N", "R"] * (rows // 3)),
+        "l_linestatus": pa.array(["F", "O"] * (rows // 2)),
+        "l_shipdate": pa.array(ts, pa.timestamp("us")),
+    }), sf / "lineitem.parquet")
+    pq.write_table(pa.table({
+        "event_id": pa.array(range(rows), pa.int64()),
+        "ts": pa.array(ts, pa.timestamp("us")),
+        "user_id": pa.array([i % 3 for i in range(rows)], pa.int64()),
+        "event_type": pa.array(["view", "click"] * (rows // 2)),
+        "value": pa.array(nullable, pa.float64()),
+    }), sf / "events.parquet")
+    pq.write_table(pa.table({
+        "o_custkey": pa.array([i % 5 for i in range(rows)], pa.int64()),
+        "o_orderdate": pa.array(ts, pa.timestamp("us")),
+        "o_totalprice": pa.array(nullable, pa.float64()),
+    }), sf / "orders.parquet")
+
+
+@pytest.mark.parametrize("query,keys,count_col,sql", [
+    ("q_pricing_summary", ["l_returnflag", "l_linestatus"], "count_order",
+     "SELECT l_returnflag, l_linestatus, COUNT(*) AS n FROM read_parquet('{sf}/lineitem.parquet')"
+     " WHERE l_shipdate < TIMESTAMP '1998-09-01' GROUP BY ALL"),
+    ("q_events_hourly", ["user_id", "hour"], "n_events",
+     "SELECT user_id, date_trunc('hour', ts) AS hour, COUNT(*) AS n"
+     " FROM read_parquet('{sf}/events.parquet') GROUP BY ALL"),
+    ("q_events_weekday_profile", ["isodow", "event_type"], "n_events",
+     "SELECT CAST(isodow(ts) AS BIGINT) AS isodow, event_type, COUNT(*) AS n"
+     " FROM read_parquet('{sf}/events.parquet') GROUP BY ALL"),
+    ("q_customer_rfm", ["custkey"], "n_orders",
+     "SELECT o_custkey AS custkey, COUNT(*) AS n FROM read_parquet('{sf}/orders.parquet')"
+     " GROUP BY ALL"),
+])
+def test_relational_counts_are_count_star_with_nulls(tmp_path, query, keys, count_col, sql):
+    """The relational partials count rows (SQL ``COUNT(*)``), not the
+    non-null values of the column they aggregate: every fourth counted
+    value here is null."""
+    import duckdb
+
+    from fs_crawler_ray.pipelines import relational
+
+    _null_star_schema(tmp_path)
+    got = getattr(relational, query)(str(tmp_path))
+    want = duckdb.sql(sql.format(sf=tmp_path)).df()
+    got_counts = {tuple(r[:-1]): int(r[-1]) for r in got[keys + [count_col]].itertuples(index=False)}
+    want_counts = {tuple(r[:-1]): int(r[-1]) for r in want[keys + ["n"]].itertuples(index=False)}
+    assert got_counts == want_counts

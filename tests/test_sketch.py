@@ -114,3 +114,50 @@ def test_kmv_sketch_block_split_invariant():
     many = kmv_sketch(
         ray.data.from_pandas(pd.DataFrame({"k": vals})).repartition(16), "k")
     assert np.array_equal(one, many)
+
+
+def test_sketches_match_duckdb_replay_with_nulls():
+    """Null user ids are skipped (SQL md5_number_lower(NULL) is NULL,
+    not the md5 of 'None') and null event types form one NULL group,
+    register for register against the DuckDB replays the query registry
+    uses."""
+    import duckdb
+    import pyarrow as pa
+
+    from fs_crawler_ray.pipelines import oracle_sqls as osql
+    from fs_crawler_ray.sketch import hll_distinct_by, kmv_overlap
+
+    rng = np.random.default_rng(11)
+    n = 12_000
+    users = rng.integers(0, 4000, size=n)
+    types = rng.choice(["view", "purchase", "click"], size=n).astype(object)
+    events = pa.table({
+        "user_id": pa.array(users, pa.int64(), mask=rng.random(n) < 0.1),
+        "event_type": pa.array(types, pa.string(), mask=rng.random(n) < 0.1),
+    })
+    con = duckdb.connect()
+    con.register("events", events)
+    ds = ray.data.from_arrow(events).repartition(4)
+
+    got = hll_distinct(ds, "user_id").to_pandas()
+    want = con.execute(osql.EVENTS_HLL_USERS).df()
+    assert got.to_dict("records") == want.to_dict("records")
+
+    got = hll_distinct_by(ds, "user_id", "event_type", num_partitions=2).to_pandas()
+    want = con.execute(osql.EVENTS_HLL_USERS_BY_TYPE).df()
+    assert got["event_type"].isna().sum() == 1  # the NULL group
+    key = lambda r: (r["event_type"] is None, r["event_type"] or "")  # noqa: E731
+    assert (sorted(got.to_dict("records"), key=key)
+            == sorted(want.astype(object).where(want.notna(), None).to_dict("records"),
+                      key=key))
+
+    import pyarrow.compute as pc
+
+    def of_type(t):
+        return lambda b: b.filter(pc.equal(b["event_type"], t))
+
+    got = kmv_overlap(ds.map_batches(of_type("purchase"), batch_format="pyarrow"),
+                      ds.map_batches(of_type("view"), batch_format="pyarrow"),
+                      "user_id").to_pandas()
+    want = con.execute(osql.EVENTS_KMV_OVERLAP).df()
+    assert got.to_dict("records") == want.to_dict("records")
