@@ -89,6 +89,18 @@ def _keep_first_arrow(t: pa.Table, key_cols: list[str], order_cols: list,
     return out
 
 
+def _probe_key(t: pa.Table, cols: list[str]) -> pa.Array:
+    """One probe array per row: the column itself for a one-column key,
+    else the columns cast to string and joined on ``\\x1f`` (never
+    occurs in ids). A null in any part makes the whole key null."""
+    if len(cols) == 1:
+        a = t[cols[0]]
+    else:
+        a = pc.binary_join_element_wise(
+            *[pc.cast(t[c], pa.string()) for c in cols], "\x1f")
+    return a.combine_chunks() if isinstance(a, pa.ChunkedArray) else a
+
+
 def dedup_keep_first(
     ds: ray.data.Dataset,
     key_cols: list[str],
@@ -164,6 +176,7 @@ def hash_join(
     num_buckets: int = 16,
     left_schema: pa.Schema | None = None,
     right_schema: pa.Schema | None = None,
+    right_unique: bool = False,
 ) -> ray.data.Dataset:
     """Distributed hash join on ONE key-bucket shuffle: both sides are
     tagged and unioned so one shuffle co-locates them, then each bucket
@@ -186,7 +199,10 @@ def hash_join(
     ``full_outer``). Pass ``left_schema``/``right_schema`` when a side
     comes out of a shuffle (groupby/map_groups): ``Dataset.schema()``
     on such a side executes its whole upstream plan just to learn the
-    column types — at scale that is a full extra pass."""
+    column types — at scale that is a full extra pass.
+    ``right_unique=True`` raises ``ValueError`` when a non-null right
+    key occurs twice (a bucket holds every row of its keys, so the check
+    is exact) instead of multiplying left rows."""
     right_on = right_on or on
     semi_anti = how in ("left_semi", "left_anti")
     if semi_anti:
@@ -302,6 +318,10 @@ def hash_join(
             [c for c in keep_l if c not in null_payload])
         rt = t.filter(pc.equal(side, 1)).select(
             [c for c in list(right_on) + keep_r if c not in null_payload])
+        if right_unique:
+            rk = _probe_key(rt, list(right_on)).drop_null()
+            if len(pc.unique(rk)) != len(rk):
+                raise ValueError(f"hash_join: right side not unique on {right_on}")
         joined = lt.join(rt, keys=list(on), right_keys=list(right_on),
                          join_type=arrow_how, coalesce_keys=True)
         for c in null_payload:
@@ -505,7 +525,10 @@ def lookup_join(
     right_schema: pa.Schema | None = None,
 ) -> ray.data.Dataset:
     """Hash join that broadcasts a small right side (pandas merge per
-    batch) and falls back to Dataset.join for large ones.
+    batch; duplicate right keys multiply left rows) and falls back to
+    the bucketed :func:`hash_join` for large ones. For a right side
+    that is unique on its key use :func:`unique_lookup` (Arrow, no
+    pandas).
 
     ``right_schema``: static schema hint for the right side — REQUIRED
     when the right side can be EMPTY (a zero-row Dataset loses its
@@ -524,6 +547,78 @@ def lookup_join(
     return hash_join(ds, right, on=[on], right_on=[right_on],
                      how="inner" if how == "inner" else "left_outer",
                      num_buckets=num_partitions)
+
+
+def unique_lookup(
+    ds: ray.data.Dataset,
+    right: ray.data.Dataset,
+    right_on: list[str],
+    probes: list[tuple[list[str], dict[str, str]]],
+    how: str = "inner",
+    num_partitions: int = 16,
+) -> ray.data.Dataset:
+    """Look up left rows in a right side that is UNIQUE on ``right_on``.
+
+    Each probe is ``(left key columns, {right column: output column})``:
+    the left key (positionally matched to ``right_on``) finds at most
+    one right row, whose columns are appended under the output names.
+    Several probes against the same right side (e.g. both endpoints of
+    an edge against one vertex table) share one broadcast and one pass.
+    ``how="inner"`` drops rows that miss on any probe; ``how="left"``
+    keeps them with nulls. A null key never matches (SQL semantics).
+
+    At or below :data:`BROADCAST_LIMIT` right rows the right side is
+    collected as Arrow, ``ray.put`` once, and probed per batch with
+    ``index_in`` + ``take``: first match, left row order kept, no
+    shuffle and no pandas. A right side with a duplicate key raises
+    ``ValueError`` (a lookup must not multiply left rows). Above the
+    limit each probe is one bucketed :func:`hash_join`, which raises on
+    duplicate right keys as well; it keeps no row order."""
+    right = right.materialize()  # sized AND reused — never execute twice
+    n = right.count()
+    value_cols = list(dict.fromkeys(c for _, cols in probes for c in cols))
+    if n <= BROADCAST_LIMIT:
+        # empty shuffle partitions yield schema-less empty blocks — skip
+        # them; an empty right side keeps its column types when it has any
+        blocks = [b.select(right_on + value_cols)
+                  for b in ray.get(right.to_arrow_refs()) if b.num_columns]
+        schema = pa.schema([(c, pa.null()) for c in right_on + value_cols])
+        rtbl = (pa.concat_tables(blocks, promote_options="default") if blocks
+                else schema.empty_table())
+        rtbl = rtbl.filter(pc.is_valid(_probe_key(rtbl, right_on)))
+        rkeys = _probe_key(rtbl, right_on)
+        if len(pc.unique(rkeys)) != len(rkeys):
+            raise ValueError(f"unique_lookup: right side not unique on {right_on}")
+        ref = ray.put((rkeys, rtbl.select(value_cols)))
+
+        def probe(t: pa.Table) -> pa.Table:
+            keys, vals = ray.get(ref)  # plasma-local after first access
+            idx = [pc.index_in(_probe_key(t, cols), value_set=keys, skip_nulls=True)
+                   if len(keys) else pa.nulls(len(t), pa.int32())
+                   for cols, _ in probes]
+            if how == "inner":
+                hit = idx[0].is_valid()
+                for i in idx[1:]:
+                    hit = pc.and_(hit, i.is_valid())
+                t, idx = t.filter(hit), [i.filter(hit) for i in idx]
+            for i, (_, cols) in zip(idx, probes):
+                for rc, out in cols.items():
+                    t = t.append_column(out, vals[rc].take(i))
+            return t
+
+        return ds.map_batches(probe, batch_format="pyarrow")
+
+    # above the limit: one bucketed hash_join per probe, the right key
+    # renamed so it cannot collide with a left column of the same name
+    out = ds
+    for p, (cols, outs) in enumerate(probes):
+        keys = [f"__k{p}_{j}" for j in range(len(right_on))]
+        side = right.select_columns(right_on + list(outs)).rename_columns(
+            dict(zip(right_on, keys)) | outs)
+        out = hash_join(out, side, on=list(cols), right_on=keys,
+                        how="inner" if how == "inner" else "left_outer",
+                        num_buckets=num_partitions, right_unique=True)
+    return out
 
 
 def count_rows(ds: ray.data.Dataset) -> int:

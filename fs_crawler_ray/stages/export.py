@@ -21,7 +21,11 @@ Re-creates ``fscrawler/util/db_reader.py`` semantics Ray-Data-first:
   ``(row=pos-1, col=pos-1, val=color)`` diagonal entries and
   ``(row=src-1, col=dst-1, val= 3 if dest_color==1 else 2)`` edge
   entries, globally ordered by ``(row, diag-first, col)`` — which is how
-  we build it: a union + one distributed sort, sharded for scale.
+  we build it: a union + one distributed sort, sharded for scale. Both
+  endpoints of each edge find their position (and the destination its
+  color) in one pass over the edges, probing one broadcast of the
+  numbering table (:func:`fs_crawler_ray.relops.unique_lookup`; a
+  bucketed hash join above ``relops.BROADCAST_LIMIT`` vertices).
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import ray
 import ray.data
 
 from fs_crawler_ray.model import ADJACENCY_EDGE_TYPES
+from fs_crawler_ray.relops import unique_lookup
 
 
 @ray.remote
@@ -41,20 +46,33 @@ def _nrows(t: pa.Table) -> int:
 
 
 @ray.remote
-def _add_index(t: pa.Table, offset: int, col: str) -> pa.Table:
+def _add_index(t: pa.Table, offset: int, col: str, keep: list[str] | None) -> pa.Table:
+    if keep is not None:
+        t = t.select(keep)
     return t.append_column(col, pa.array(np.arange(offset, offset + len(t), dtype=np.int64)))
 
 
 def zip_with_index(
-    ds: ray.data.Dataset, sort_keys: list[str], index_col: str = "position", start: int = 1
+    ds: ray.data.Dataset, sort_keys: list[str], index_col: str = "position", start: int = 1,
+    keep: list[str] | None = None,
 ) -> ray.data.Dataset:
     """Global sort + dense sequential index. Distributed: per-block row
-    counts → cumulative offsets → per-block index columns."""
-    sorted_ds = ds.sort(sort_keys)
-    refs = sorted_ds.to_arrow_refs()
+    counts → cumulative offsets → per-block index columns. ``keep``
+    narrows the output to those columns (plus the index) in the same
+    per-block task, so a projection costs no extra execution."""
+    # materialized, so to_arrow_refs needs no second run of the sort to
+    # learn the schema
+    refs = ds.sort(sort_keys).materialize().to_arrow_refs()
     counts = ray.get([_nrows.remote(r) for r in refs])
-    offsets = start + np.concatenate([[0], np.cumsum(counts)[:-1]]) if counts else []
-    out_refs = [_add_index.remote(r, int(off), index_col) for r, off in zip(refs, offsets)]
+    if not sum(counts):
+        # the sort of an all-empty input leaves schema-less blocks; keep
+        # the input's columns so lookups against the index find them
+        empty = ds.schema().base_schema.empty_table()
+        return ray.data.from_arrow(
+            empty.select(keep or empty.column_names).append_column(
+                index_col, pa.array([], pa.int64())))
+    offsets = start + np.concatenate([[0], np.cumsum(counts)[:-1]])
+    out_refs = [_add_index.remote(r, int(off), index_col, keep) for r, off in zip(refs, offsets)]
     return ray.data.from_arrow_refs(out_refs)
 
 
@@ -80,13 +98,8 @@ def compute_positions(
     ``db_reader.py:29-45,308-316``) — to compose a builder-supplied
     canonical order into the read."""
     if ordering is not None:
-        from fs_crawler_ray.relops import lookup_join
-
         v = hop_filter_vertices(vertices, hops).select_columns(["id", "color"])
-        j = lookup_join(
-            v, ordering.select_columns(["external_id", "position"]),
-            on="id", right_on="external_id", how="inner",
-        )
+        j = unique_lookup(v, ordering, ["external_id"], [(["id"], {"position": "position"})])
         return j.map_batches(
             lambda t: pa.table({"id": t["id"], "color": t["color"],
                                 "position": pc.cast(t["position"], pa.int64())}),
@@ -95,8 +108,8 @@ def compute_positions(
     v = hop_filter_vertices(vertices, hops).select_columns(
         list(dict.fromkeys(["id", "color"] + (order_cols or ["iteration", "id"])))
     )
-    pos = zip_with_index(v, order_cols or ["iteration", "id"], "position")
-    return pos.select_columns(["id", "color", "position"])
+    return zip_with_index(v, order_cols or ["iteration", "id"], "position",
+                          keep=["id", "color"])
 
 
 def adjacency_entries(
@@ -124,21 +137,17 @@ def adjacency_entries(
 
     diag = pos.map_batches(vert_entries, batch_format="pyarrow")
 
-    from fs_crawler_ray.relops import lookup_join
+    def typed(t: pa.Table) -> pa.Table:
+        keep = pc.is_in(t["type"], value_set=pa.array(list(ADJACENCY_EDGE_TYPES)))
+        return t.filter(keep).select(["source", "destination"])
 
-    e = edges.map_batches(
-        lambda t: t.filter(pc.is_in(t["type"], value_set=pa.array(list(ADJACENCY_EDGE_TYPES)))),
-        batch_format="pyarrow",
-    ).select_columns(["source", "destination"])
-    # endpoint joins: inner joins drop edges outside the (hop-filtered)
-    # vertex set — the reference's double-join does the same (db_reader.py:20-27)
-    j1 = lookup_join(
-        e, pos.select_columns(["id", "position"]).rename_columns({"id": "__s", "position": "src_pos"}),
-        on="source", right_on="__s", how="inner", num_partitions=num_partitions,
-    )
-    j2 = lookup_join(
-        j1, pos.rename_columns({"id": "__d", "position": "dst_pos", "color": "dst_color"}),
-        on="destination", right_on="__d", how="inner", num_partitions=num_partitions,
+    # inner lookups drop edges outside the (hop-filtered) vertex set — the
+    # reference's double join does the same (db_reader.py:20-27)
+    e = unique_lookup(
+        edges.map_batches(typed, batch_format="pyarrow"), pos, ["id"],
+        [(["source"], {"position": "src_pos"}),
+         (["destination"], {"position": "dst_pos", "color": "dst_color"})],
+        num_partitions=num_partitions,
     )
 
     def edge_entries(t: pa.Table) -> pa.Table:
@@ -152,7 +161,7 @@ def adjacency_entries(
             }
         )
 
-    return diag.union(j2.map_batches(edge_entries, batch_format="pyarrow"))
+    return diag.union(e.map_batches(edge_entries, batch_format="pyarrow"))
 
 
 def build_csr(

@@ -19,24 +19,30 @@ The reference's post-crawl pass (``fsapi.py:224-235``):
    BiologicalParent} stay in the primary edges output, the rest move to
    aux edges.
 
-Ray mapping: the per-source grouping shuffles by a HASH BUCKET of
-source (all rows of a source land in one bucket; vectorized pandas
-inside — no per-group Python call), classification/update application
-are size-aware joins (broadcast below ``BROADCAST_LIMIT``), and the
-resolve fetch resolves in-task against the row-group range store
-(partition-local — the relationship table is never broadcast).
+Ray mapping: the pass reads the edges once and materializes them; the
+candidates and both type overrides run over those blocks. Every vertex
+or type lookup is :func:`fs_crawler_ray.relops.unique_lookup`: the
+unique right side (vertex ``(id, color)``, the classification, the
+deduped updates) is collected as Arrow, ``ray.put`` once and probed per
+edge batch with ``index_in`` + ``take`` — both candidate endpoints in
+one pass, no shuffle, no pandas — and only above
+``relops.BROADCAST_LIMIT`` rows becomes a bucketed hash join. The
+per-source classification shuffles by a HASH BUCKET of source (all rows
+of a source land in one bucket; vectorized Arrow/numpy inside — no
+per-group Python call), and the resolve fetch resolves in-task against
+the row-group range store (partition-local — the relationship table is
+never broadcast).
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
 from fs_crawler_ray.model import PRIMARY_EDGE_TYPES, RelationshipType
-from fs_crawler_ray.relops import _BUCKET_COL, _add_bucket, distinct
+from fs_crawler_ray.relops import _BUCKET_COL, _add_bucket, unique_lookup
 
 
 ASSUMED = RelationshipType.ASSUMED_BIOLOGICAL.value
@@ -49,23 +55,24 @@ def candidate_relationships(
     edges: ray.data.Dataset, vertices: ray.data.Dataset, num_partitions: int = 16
 ) -> ray.data.Dataset:
     """J2: untyped edges ⨝ vertices(source) ⨝ vertices(destination→color)
-    → (source, rel_id, dest_color). Both joins are hash-partitioned
-    shuffle joins (both sides are graph-sized)."""
-    from fs_crawler_ray.relops import lookup_join
+    → (source, rel_id, dest_color). One pass over the edges: both
+    endpoints probe one broadcast of the vertex ``(id, color)`` table
+    (:func:`unique_lookup`; vertex ids are unique)."""
 
-    unt = edges.map_batches(
-        lambda t: t.filter(pc.equal(t["type"], UNTYPED)), batch_format="pyarrow"
-    ).select_columns(["source", "destination", "id"])
-    v_ids = vertices.select_columns(["id", "color"]).materialize()
-    j1 = lookup_join(
-        unt, v_ids.rename_columns({"id": "__vs", "color": "__cs"}),
-        on="source", right_on="__vs", how="inner", num_partitions=num_partitions,
+    def untyped(t: pa.Table) -> pa.Table:
+        return t.filter(pc.equal(t["type"], UNTYPED)).select(["source", "destination", "id"])
+
+    unt = edges.map_batches(untyped, batch_format="pyarrow")
+    j = unique_lookup(
+        unt, vertices.select_columns(["id", "color"]), ["id"],
+        [(["source"], {}), (["destination"], {"color": "dest_color"})],
+        num_partitions=num_partitions,
     )
-    j2 = lookup_join(
-        j1, v_ids.rename_columns({"id": "__vd", "color": "dest_color"}),
-        on="destination", right_on="__vd", how="inner", num_partitions=num_partitions,
+    return j.map_batches(
+        lambda t: pa.table({"source": t["source"], "rel_id": t["id"],
+                            "dest_color": t["dest_color"]}),
+        batch_format="pyarrow",
     )
-    return j2.select_columns(["source", "id", "dest_color"]).rename_columns({"id": "rel_id"})
 
 
 def classify_resolution(candidates: ray.data.Dataset, num_buckets: int = 64) -> ray.data.Dataset:
@@ -104,14 +111,6 @@ def classify_resolution(candidates: ray.data.Dataset, num_buckets: int = 64) -> 
     )
 
 
-#: Right sides at or below this row count are broadcast (ray.put + merge
-#: per batch) instead of shuffle-joined. Besides being faster for small
-#: sides, this sidesteps a Ray 2.49 Dataset.join failure when a hash
-#: partition of the right side is empty (pyarrow acero gets a
-#: schema-less empty table → "No match ... for key field reference").
-BROADCAST_LIMIT = 2_000_000
-
-
 def _left_join_type_override(
     edges: ray.data.Dataset,
     right: ray.data.Dataset,
@@ -120,60 +119,20 @@ def _left_join_type_override(
     value_col: str,
     num_partitions: int,
 ) -> ray.data.Dataset:
-    """edges ⟕ right; type := coalesce(right.value_col, type)."""
-    import ray as _ray
-
+    """edges ⟕ right; type := coalesce(right.value_col, type). Both call
+    sites guarantee UNIQUE right keys (classification is one row per rel
+    id; updates are deduped keep-max-rel on the endpoint pair first), so
+    this is a :func:`unique_lookup`: a broadcast Arrow probe below
+    ``relops.BROADCAST_LIMIT``, a bucketed hash join above it."""
     right = right.materialize()  # sized AND reused — never execute twice
-    n = right.count()
-    if n == 0:
-        return edges
-    if n <= BROADCAST_LIMIT:
-        # Arrow broadcast lookup (VERDICT r4 item 3): both call sites
-        # guarantee UNIQUE right keys (classification is one row per
-        # rel id; updates are deduped keep-max-rel on the endpoint pair
-        # first), so index_in+take — first match, left row order kept —
-        # is exactly the left-join-coalesce semantics with no pandas
-        # round-trip. Multi-column keys probe as one concatenated string
-        # (keys are strings already; \x1f never occurs in ids).
-        rtbl = pa.Table.from_pandas(right.to_pandas(), preserve_index=False)
-
-        def _probe_key(t: pa.Table, cols) -> pa.Array:
-            if len(cols) == 1:
-                a = t[cols[0]]
-                return a.combine_chunks() if isinstance(a, pa.ChunkedArray) else a
-            parts = []
-            for c in cols:
-                a = pc.cast(t[c], pa.string())
-                parts.append(a.combine_chunks() if isinstance(a, pa.ChunkedArray) else a)
-            return pc.binary_join_element_wise(*parts, "\x1f")
-
-        rkeys_arr = _probe_key(rtbl, list(right_on))
-        if pc.count_distinct(rkeys_arr).as_py() != len(rkeys_arr):
-            raise ValueError(
-                f"_left_join_type_override: right side not unique on "
-                f"{right_on} — dedup before the lookup (index_in keeps "
-                f"first match; pandas-merge row expansion is not wanted here)")
-        ref = _ray.put((rkeys_arr, rtbl[value_col].combine_chunks()))
-
-        def merge_fn(t: pa.Table) -> pa.Table:
-            rkeys, rvals = _ray.get(ref)
-            idx = pc.index_in(_probe_key(t, list(on)), value_set=rkeys)
-            new_type = pc.coalesce(rvals.take(idx), t["type"])
-            return t.set_column(t.column_names.index("type"), "type", new_type)
-
-        return edges.map_batches(merge_fn, batch_format="pyarrow")
-
-    # relops.hash_join, not Dataset.join: rel-id keys are sparse relative
-    # to the partition count, exactly the regime where the built-in's
-    # one-sided shuffle partitions KeyError (relops.py:160)
-    from fs_crawler_ray.relops import hash_join
-
-    j = hash_join(edges, right, on=list(on), right_on=list(right_on),
-                  how="left_outer", num_buckets=num_partitions)
+    if right.count() == 0:
+        return edges  # nothing overrides; an empty side may carry no dtypes
+    j = unique_lookup(edges, right, list(right_on), [(list(on), {value_col: value_col})],
+                      how="left", num_partitions=num_partitions)
 
     def coalesce(t: pa.Table) -> pa.Table:
         new_type = pc.coalesce(t[value_col], t["type"])
-        t = t.drop_columns([c for c in set(right_on) | {value_col} if c in t.column_names])
+        t = t.drop_columns([value_col])
         return t.set_column(t.column_names.index("type"), "type", new_type)
 
     return j.map_batches(coalesce, batch_format="pyarrow")
@@ -192,7 +151,6 @@ def fetch_resolve_updates(
     classification: ray.data.Dataset,
     relationships_path: str,
     fetch_concurrency: int = 2,
-    metrics=None,
 ) -> ray.data.Dataset:
     """Distinct Resolve rel ids → relationship store → update rows
     (source, destination, new_type).
@@ -201,7 +159,9 @@ def fetch_resolve_updates(
     contiguous range of the (rel_id-sorted) relationship store — the
     same partition-local shape as the corpus fetch; the store is NEVER
     broadcast or loaded whole (``open_range_store`` reads only the row
-    groups owning each batch's ids)."""
+    groups owning each batch's ids). ``fetch_concurrency`` does nothing:
+    the lookup tasks are plain ``map_batches`` tasks that Ray schedules
+    by free CPUs; it stays in the signature for existing callers."""
 
     def _resolve_ids(t: pa.Table) -> pa.Table:
         # filter+project in one Arrow batch fn (select/rename Project
@@ -288,13 +248,14 @@ def resolve_relationships(
     num_partitions: int = 16,
     num_buckets: int = 64,
     fetch_concurrency: int = 2,
-    metrics=None,
 ) -> ray.data.Dataset:
-    """Full lazy-resolution pass → edges with final types."""
+    """Full lazy-resolution pass → edges with final types. The edges are
+    read once: the candidates and the two type overrides all run over
+    the same materialized edge blocks. ``fetch_concurrency`` does
+    nothing (see :func:`fetch_resolve_updates`)."""
+    edges = edges.materialize()
     cands = candidate_relationships(edges, vertices, num_partitions)
     classification = classify_resolution(cands, num_buckets).materialize()
     typed = apply_classification(edges, classification, num_partitions)
-    updates = fetch_resolve_updates(
-        classification, relationships_path, fetch_concurrency, metrics
-    )
+    updates = fetch_resolve_updates(classification, relationships_path, fetch_concurrency)
     return apply_updates(typed, updates, num_partitions)

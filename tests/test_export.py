@@ -321,3 +321,53 @@ def test_ordering_round_trip_and_cache(golden, tmp_path):
     assert not b.is_cache_valid(reader.cache_path(), reader._source_mtime_path())
     reader.read(use_cache=True)
     assert b.builds == builds_before + 3
+
+
+def test_golden_csr_hash_join_path(golden, tmp_path, monkeypatch):
+    """relops.BROADCAST_LIMIT=0 sends the endpoint lookups through the
+    bucketed hash_join (the path for vertex tables too large to
+    broadcast); the CSR must still equal the golden triple."""
+    import fs_crawler_ray.relops as relops
+
+    monkeypatch.setattr(relops, "BROADCAST_LIMIT", 0)
+    verts, edges = golden
+    rows, cols, vals = build_csr(verts, edges, hops=4, order_cols=["id"], num_partitions=4)
+    r = -1
+    assert vals == [r, 2, 3, r, 3, 2, 1, 3, 2, r, 2, 3, r, 3, 2, 1, 1, r, 3, 2, 1, r, 2, 3, 1, 1, r, r, 1]
+    assert rows == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 5, 6, 7, 7, 7, 8, 9, 9, 9, 10, 11, 12, 13, 14]
+    assert cols == [0, 4, 5, 1, 2, 4, 2, 8, 9, 3, 9, 10, 4, 6, 7, 5, 6, 7, 11, 12, 8, 9, 13, 14, 10, 11, 12, 13, 14]
+    out = str(tmp_path / "adj")
+    write_adjacency_shards(verts, edges, out, shard_size=8, hops=4, order_cols=["id"],
+                           num_partitions=4)
+    got = sorted((r["row"], r["diag"], r["col"], r["val"])
+                 for r in ray.data.read_parquet(out).take_all())
+    assert [(g[0], g[2], g[3]) for g in got] == list(zip(rows, cols, vals))
+
+
+def test_hops_zero_is_an_empty_graph(golden, tmp_path):
+    """hops=0 keeps no vertex (iteration < 0), so the graph is empty —
+    not a crash on the empty vertex table."""
+    verts, edges = golden
+    assert build_csr(verts, edges, hops=0, order_cols=["id"], num_partitions=4) == ([], [], [])
+
+
+def test_hops_zero_writes_no_entries(golden, tmp_path):
+    verts, edges = golden
+    out = str(tmp_path / "adj")
+    write_adjacency_shards(verts, edges, out, shard_size=8, hops=0, num_partitions=4)
+    rows = ray.data.read_parquet(out).count() if os.path.exists(out) else 0
+    assert rows == 0
+
+
+def test_hops_zero_builder_gets_empty_graph(golden):
+    from fs_crawler_ray.stages.export import build_with_builder
+
+    class Recording(_OrderingBuilder):
+        def init_builder(self, nv, ne):
+            super().init_builder(nv, ne)
+            self.sizes = (nv, ne)
+
+    verts, edges = golden
+    b = Recording()
+    g = build_with_builder(verts, edges, b, hops=0, num_partitions=4)
+    assert b.sizes == (0, 0) and g == {"entries": [], "genders": {}}

@@ -258,3 +258,99 @@ def test_relational_counts_are_count_star_with_nulls(tmp_path, query, keys, coun
     got_counts = {tuple(r[:-1]): int(r[-1]) for r in got[keys + [count_col]].itertuples(index=False)}
     want_counts = {tuple(r[:-1]): int(r[-1]) for r in want[keys + ["n"]].itertuples(index=False)}
     assert got_counts == want_counts
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    lk=st.lists(st.tuples(st.one_of(st.none(), st.sampled_from(KEYS)),
+                          st.one_of(st.none(), st.sampled_from(KEYS))),
+                min_size=0, max_size=10),
+    rk=st.sets(st.sampled_from(KEYS), max_size=6),
+    r_nulls=st.integers(min_value=0, max_value=2),
+    how=st.sampled_from(["inner", "left"]),
+    broadcast=st.booleans(),
+)
+def test_unique_lookup_null_keys_never_match(lk, rk, r_nulls, how, broadcast):
+    """Two probes (k1, k2) against one unique right side, nulls on both
+    sides: a null key matches nothing (SQL semantics, not Arrow's
+    null-equals-null default), several right null keys are not
+    duplicates, and the broadcast and hash_join paths agree with the
+    oracle."""
+    from unittest import mock
+
+    import pyarrow as pa
+
+    import fs_crawler_ray.relops as relops
+
+    right_keys = sorted(rk) + [None] * r_nulls
+    rmap = {k: 100 + i for i, k in enumerate(right_keys) if k is not None}
+    left = pa.table({"k1": pa.array([a for a, _ in lk], pa.string()),
+                     "k2": pa.array([b for _, b in lk], pa.string()),
+                     "x": pa.array(range(len(lk)), pa.int64())})
+    right = pa.table({"id": pa.array(right_keys, pa.string()),
+                      "y": pa.array(range(100, 100 + len(right_keys)), pa.int64())})
+    want = []
+    for x, (a, b) in enumerate(lk):
+        y1, y2 = rmap.get(a), rmap.get(b)
+        if how == "left" or (y1 is not None and y2 is not None):
+            want.append((x, y1, y2))
+    limit = relops.BROADCAST_LIMIT if broadcast else 0
+    with mock.patch.object(relops, "BROADCAST_LIMIT", limit):
+        got = relops.unique_lookup(
+            ray.data.from_arrow(left), ray.data.from_arrow(right), ["id"],
+            [(["k1"], {"y": "y1"}), (["k2"], {"y": "y2"})], how=how, num_partitions=3,
+        ).take_all()
+    assert sorted((r["x"], r["y1"], r["y2"]) for r in got) == sorted(want), (lk, right_keys, how)
+
+
+@pytest.mark.parametrize("broadcast", [True, False])
+def test_unique_lookup_duplicate_right_key_raises(broadcast, monkeypatch):
+    """A lookup never multiplies left rows: a right side with a repeated
+    key raises on both the broadcast and the hash_join path."""
+    import pyarrow as pa
+
+    import fs_crawler_ray.relops as relops
+
+    if not broadcast:
+        monkeypatch.setattr(relops, "BROADCAST_LIMIT", 0)
+    left = ray.data.from_arrow(pa.table({"k": ["a", "b"]}))
+    right = ray.data.from_arrow(pa.table({"id": ["a", "a", "b"], "y": [1, 2, 3]}))
+    with pytest.raises(Exception, match="not unique"):
+        relops.unique_lookup(left, right, ["id"], [(["k"], {"y": "y"})]).take_all()
+
+
+def test_unique_lookup_two_column_key():
+    """A two-column key probes as one key; a null in either part misses."""
+    import pyarrow as pa
+
+    from fs_crawler_ray.relops import unique_lookup
+
+    left = ray.data.from_arrow(pa.table({"s": ["a", "a", None, "b"], "d": ["x", "y", "x", "x"],
+                                         "i": [0, 1, 2, 3]}))
+    right = ray.data.from_arrow(pa.table({"rs": ["a", "a", "b"], "rd": ["x", "y", None],
+                                          "v": ["ax", "ay", "bnull"]}))
+    got = unique_lookup(left, right, ["rs", "rd"], [(["s", "d"], {"v": "v"})],
+                        how="left").take_all()
+    assert sorted((r["i"], r["v"]) for r in got) == [(0, "ax"), (1, "ay"), (2, None), (3, None)]
+
+
+@pytest.mark.parametrize("how", ["inner", "left"])
+@pytest.mark.parametrize("empty_right", ["no_blocks", "schemaless_blocks"])
+def test_unique_lookup_empty_right_side(how, empty_right):
+    """An empty right side with no column types (no blocks, or only
+    schema-less empty blocks) matches nothing: inner keeps no row, left
+    keeps every row with a null value."""
+    import pyarrow as pa
+
+    from fs_crawler_ray.relops import unique_lookup
+
+    if empty_right == "no_blocks":
+        right = ray.data.from_items([])
+    else:
+        right = ray.data.from_arrow(pa.table({"id": ["x"], "y": [1]})).map_batches(
+            lambda t: pa.table({}), batch_format="pyarrow")
+    left = ray.data.from_arrow(pa.table({"k": ["a", "b"]}))
+    got = unique_lookup(left, right, ["id"], [(["k"], {"y": "y"})], how=how).take_all()
+    assert sorted((r["k"], r["y"]) for r in got) == ([] if how == "inner" else
+                                                     [("a", None), ("b", None)])

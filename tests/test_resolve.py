@@ -113,13 +113,14 @@ def test_split_primary_aux(crawled, resolve_corpus):
 
 
 def test_full_resolution_distributed_join_path(crawled, resolve_corpus, monkeypatch):
-    """BROADCAST_LIMIT=0 forces the hash_join fallback in
-    _left_join_type_override (the 100-TB path); it must agree with the
-    broadcast path / oracle exactly — including on the sparse rel-id key
-    space that breaks Dataset.join (relops.py:160)."""
-    import fs_crawler_ray.stages.resolve as resolve_mod
+    """relops.BROADCAST_LIMIT=0 forces the hash_join fallback of every
+    lookup in the pass (the candidates' vertex lookups and both type
+    overrides — the 100-TB path); it must agree with the broadcast path
+    / oracle exactly — including on the sparse rel-id key space that
+    breaks Dataset.join (relops.py:160)."""
+    import fs_crawler_ray.relops as relops
 
-    monkeypatch.setattr(resolve_mod, "BROADCAST_LIMIT", 0)
+    monkeypatch.setattr(relops, "BROADCAST_LIMIT", 0)
     result, oracle = crawled
     final = resolve_relationships(
         result.edges(), result.vertices(), resolve_corpus.relationships_path,
