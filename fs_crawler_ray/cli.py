@@ -76,13 +76,14 @@ def cmd_crawl(args) -> int:
 def cmd_resolve(args) -> int:
     from fs_crawler_ray.corpus import CorpusInfo
     from fs_crawler_ray.crawl import CrawlResult
-    from fs_crawler_ray.stages.resolve import resolve_relationships, split_primary_aux
+    from fs_crawler_ray.stages.resolve import (VERTEX_LOOKUP_COLUMNS, resolve_relationships,
+                                               split_primary_aux)
 
     _init_ray(args.num_cpus)
     info = CorpusInfo.load(args.corpus)
     result = CrawlResult.load(args.crawl)
     final = resolve_relationships(
-        result.edges(), result.vertices(), info.relationships_path
+        result.edges(), result.vertices(columns=VERTEX_LOOKUP_COLUMNS), info.relationships_path
     ).materialize()
     import os
 
@@ -113,12 +114,13 @@ def cmd_export(args) -> int:
     import ray.data
 
     from fs_crawler_ray.crawl import CrawlResult
-    from fs_crawler_ray.stages.export import write_adjacency_shards
+    from fs_crawler_ray.stages.export import position_columns, write_adjacency_shards
 
     _init_ray(args.num_cpus)
     result = CrawlResult.load(args.crawl)
     edges = ray.data.read_parquet(args.edges) if args.edges else result.edges()
-    out = write_adjacency_shards(result.vertices(), edges, args.out, hops=args.hops)
+    out = write_adjacency_shards(result.vertices(columns=position_columns(args.hops)), edges,
+                                 args.out, hops=args.hops)
     print(json.dumps({"adjacency": out}))
     return 0
 

@@ -21,8 +21,9 @@ import ray.data
 
 from fs_crawler_ray.corpus import CorpusInfo, corpus_for_sf
 from fs_crawler_ray.crawl import CrawlConfig, CrawlResult, crawl
-from fs_crawler_ray.stages.export import build_csr, vertex_key
+from fs_crawler_ray.stages.export import build_csr, position_columns, vertex_key
 from fs_crawler_ray.stages.resolve import (
+    VERTEX_LOOKUP_COLUMNS,
     candidate_relationships,
     classify_resolution,
     resolve_relationships,
@@ -73,7 +74,7 @@ def corpus_and_crawl(sf_dir: str) -> tuple[CorpusInfo, CrawlResult]:
 def _resolved_edges(sf_dir: str) -> tuple[CorpusInfo, CrawlResult, ray.data.Dataset]:
     info, result = corpus_and_crawl(sf_dir)
     final = resolve_relationships(
-        result.edges(), result.vertices(), info.relationships_path,
+        result.edges(), result.vertices(columns=VERTEX_LOOKUP_COLUMNS), info.relationships_path,
         num_partitions=8, num_buckets=32,
     )
     return info, result, final
@@ -106,7 +107,8 @@ def crawl_log(sf_dir: str) -> pd.DataFrame:
 
 def resolution_classification(sf_dir: str) -> pd.DataFrame:
     _, result = corpus_and_crawl(sf_dir)
-    cands = candidate_relationships(result.edges(), result.vertices(), 8)
+    cands = candidate_relationships(
+        result.edges(), result.vertices(columns=VERTEX_LOOKUP_COLUMNS), 8)
     return classify_resolution(cands, 32).to_pandas()[["rel_id", "rtype"]]
 
 
@@ -118,8 +120,8 @@ def resolved_edge_types(sf_dir: str) -> pd.DataFrame:
 
 def adjacency_triples(sf_dir: str) -> pd.DataFrame:
     info, result, final = _resolved_edges(sf_dir)
-    rows, cols, vals = build_csr(result.vertices(), final.materialize(), hops=None,
-                                 num_partitions=8)
+    rows, cols, vals = build_csr(result.vertices(columns=position_columns()), final.materialize(),
+                                 hops=None, num_partitions=8)
     return pd.DataFrame({
         "idx": np.arange(len(rows), dtype=np.int64),
         "row": np.array(rows, dtype=np.int64),

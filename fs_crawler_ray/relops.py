@@ -44,6 +44,19 @@ def arrow_dtype(typ) -> pa.DataType:
 _BUCKET_COL = "__bucket"
 
 
+def project(ds: ray.data.Dataset, columns: list[str]) -> ray.data.Dataset:
+    """``ds`` with only ``columns``, in that order. A Dataset that has
+    exactly these columns already (a read given ``columns=``, e.g.
+    ``CrawlResult.vertices(columns=...)``) is returned as it is: after a
+    read that splits its blocks, a ``select_columns`` Project cannot fuse
+    into the read and runs as tasks of its own. The check reads only a
+    schema Ray Data already knows; it never starts an execution."""
+    columns = list(columns)
+    if ds.columns(fetch_if_missing=False) == columns:
+        return ds
+    return ds.select_columns(columns)
+
+
 def _add_bucket(ds: ray.data.Dataset, key_cols: list[str], num_buckets: int) -> ray.data.Dataset:
     def add(batch: pa.Table) -> pa.Table:
         h = np.zeros(len(batch), dtype=np.uint64)

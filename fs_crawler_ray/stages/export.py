@@ -37,7 +37,8 @@ import ray
 import ray.data
 
 from fs_crawler_ray.model import ADJACENCY_EDGE_TYPES
-from fs_crawler_ray.relops import unique_lookup
+from fs_crawler_ray.relops import project, unique_lookup
+from fs_crawler_ray.sources import storage as st
 
 
 @ray.remote
@@ -84,6 +85,15 @@ def hop_filter_vertices(vertices: ray.data.Dataset, hops: int | None) -> ray.dat
     )
 
 
+def position_columns(hops: int | None = None,
+                     order_cols: list[str] | None = None) -> list[str]:
+    """The vertex columns :func:`compute_positions` reads. A caller that
+    holds a ``CrawlResult`` passes ``vertices(columns=position_columns(
+    hops, order_cols))`` so the read carries no other column."""
+    return list(dict.fromkeys(["id", "color"] + (order_cols or ["iteration", "id"])
+                              + (["iteration"] if hops is not None else [])))
+
+
 def compute_positions(
     vertices: ray.data.Dataset,
     hops: int | None = None,
@@ -97,17 +107,14 @@ def compute_positions(
     ``(external_id, position)`` (the persisted ORDERING table, reference
     ``db_reader.py:29-45,308-316``) — to compose a builder-supplied
     canonical order into the read."""
+    v = hop_filter_vertices(project(vertices, position_columns(hops, order_cols)), hops)
     if ordering is not None:
-        v = hop_filter_vertices(vertices, hops).select_columns(["id", "color"])
         j = unique_lookup(v, ordering, ["external_id"], [(["id"], {"position": "position"})])
         return j.map_batches(
             lambda t: pa.table({"id": t["id"], "color": t["color"],
                                 "position": pc.cast(t["position"], pa.int64())}),
             batch_format="pyarrow",
         )
-    v = hop_filter_vertices(vertices, hops).select_columns(
-        list(dict.fromkeys(["id", "color"] + (order_cols or ["iteration", "id"])))
-    )
     return zip_with_index(v, order_cols or ["iteration", "id"], "position",
                           keep=["id", "color"])
 
@@ -203,6 +210,8 @@ def write_adjacency_shards(
     ent.map_batches(add_shard, batch_format="pyarrow").write_parquet(
         out_path, partition_cols=["shard"]
     )
+    # an empty graph writes no file; its (empty) directory still exists
+    st.makedirs(out_path)
     return out_path
 
 

@@ -42,13 +42,16 @@ import pyarrow.compute as pc
 import ray.data
 
 from fs_crawler_ray.model import PRIMARY_EDGE_TYPES, RelationshipType
-from fs_crawler_ray.relops import _BUCKET_COL, _add_bucket, unique_lookup
+from fs_crawler_ray.relops import _BUCKET_COL, _add_bucket, project, unique_lookup
 
 
 ASSUMED = RelationshipType.ASSUMED_BIOLOGICAL.value
 RESOLVE = RelationshipType.RESOLVE.value
 UNTYPED = RelationshipType.UNTYPED_PARENT.value
 UNSPECIFIED = RelationshipType.UNSPECIFIED_PARENT.value
+#: the vertex columns the resolve reads: pass ``vertices`` as
+#: ``CrawlResult.vertices(columns=VERTEX_LOOKUP_COLUMNS)`` to read no others
+VERTEX_LOOKUP_COLUMNS = ["id", "color"]
 
 
 def candidate_relationships(
@@ -64,7 +67,7 @@ def candidate_relationships(
 
     unt = edges.map_batches(untyped, batch_format="pyarrow")
     j = unique_lookup(
-        unt, vertices.select_columns(["id", "color"]), ["id"],
+        unt, project(vertices, VERTEX_LOOKUP_COLUMNS), ["id"],
         [(["source"], {}), (["destination"], {"color": "dest_color"})],
         num_partitions=num_partitions,
     )

@@ -1,13 +1,13 @@
-"""Distributed person/URL-seen membership: partitioned shard actors,
-consulted from ``map_batches`` stages.
+"""Distributed person/URL-seen membership: partitioned shards hosted by
+a few actor processes, consulted from ``map_batches`` stages.
 
 This replaces the reference's process-local seen state
 (``fscrawler/model/graph_memory_impl.py:33-34,45-46,60-63`` in-memory
 sets; ``fscrawler/model/graph_db_impl.py:101-127`` SQL point lookups)
 with the scale substitution mandated by the north rule:
 
-- keys are hash-partitioned across K shard actors (one id meets exactly
-  one shard), route = ``stable_hash64(id) % K``;
+- keys are hash-partitioned across K shards (one id meets exactly one
+  shard), route = ``stable_hash64(id) % K``;
 - each shard holds named sets (e.g. ``visited``, ``processing``,
   ``edges``), all of ONE kind fixed by the shard's mode:
 
@@ -20,27 +20,37 @@ with the scale substitution mandated by the north rule:
   arrays and return masks, so a 10^10-key frontier costs O(keys/batch)
   RPCs, not O(keys).
 
+Hosting: the K shards live in ``H = min(K, max(1, CPUs // 2))`` actor
+processes (:class:`MembershipShardHost`, :func:`host_count`), each
+serving a contiguous block of shard indices, so a call costs one RPC
+per host it touches. ``K`` keeps its meaning — the routing, and with it
+every mask and count, is the same for any ``H``. An actor process costs
+~65 MB PSS however little it holds (all of it the Ray worker itself),
+so 8 shards in 2 hosts instead of 8 processes save 6 of those.
+
 False-positive budget: in ``probabilistic`` mode membership may report
 a never-seen id as seen (dropping a frontier candidate). Shards report
 per-set counts and cuckoo occupancy via ``stats()`` so bench runs can
 record the fp budget; correctness runs use ``exact`` mode.
 
-Shard actors are session-resident (:mod:`fs_crawler_ray.state.resident`):
-:meth:`ShardedMembership.create` takes idle shards of the Ray session
-first, resets each to the state of a fresh ``MembershipShardState(
-capacity, mode)`` with a driver-side ``ray.get`` before use, and starts
+Hosts are session-resident (:mod:`fs_crawler_ray.state.resident`):
+:meth:`ShardedMembership.create` takes idle hosts of the Ray session
+first, resets each (all its shards become fresh ``MembershipShardState(
+capacity, mode)``) with a driver-side ``ray.get`` before use, and starts
 only the shortfall; :meth:`ShardedMembership.release` gives them back
-after a crawl that returned normally and has them drop their sets at
-once. Filter arrays live on their own zero-on-touch mappings, which go
-back to the OS with the filter, so neither an idle shard nor a reused
-one in a crawl holds more than a fresh one (an idle shard is ~65 MB
-PSS, all of it the Ray worker process itself).
+after a crawl that returned normally and has them drop their shards at
+once. A host that died while idle is replaced, and the shards of its
+block start empty on the new one. Filter arrays live on their own
+zero-on-touch mappings, which go back to the OS with the filter, so
+neither an idle host nor a reused one in a crawl holds more than a
+fresh one.
 """
 
 from __future__ import annotations
 
 import mmap
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import ray
@@ -523,12 +533,70 @@ class MembershipShardState:
         return {name: s.stats() for name, s in self.sets.items()}
 
 
-MembershipShard = ray.remote(MembershipShardState)
+class MembershipShardHost:
+    """One actor process holding a contiguous block of shards, each a
+    :class:`MembershipShardState` keyed by its global shard index. A
+    shard is made on first touch, so a host needs to know only the
+    capacity and mode (``reset``), not which shards it will serve, and
+    ``reset`` leaves every shard as a fresh ``MembershipShardState(
+    capacity, mode)``. Each RPC carries the keys of several shards,
+    cut by ``bounds``."""
+
+    def __init__(self, capacity: int = 1 << 16, mode: str = "exact"):
+        self.reset(capacity, mode)
+
+    def reset(self, capacity: int, mode: str) -> None:
+        if mode not in _SET_KINDS:
+            raise ValueError(f"unknown membership mode {mode!r}")
+        self.capacity, self.mode = capacity, mode
+        self.shards: dict[int, MembershipShardState] = {}
+
+    def _shard(self, i: int) -> MembershipShardState:
+        if i not in self.shards:
+            self.shards[i] = MembershipShardState(self.capacity, self.mode)
+        return self.shards[i]
+
+    def call(self, method: str, first: int, bounds: np.ndarray, keys: np.ndarray,
+             *args) -> np.ndarray:
+        """``method(*args, keys[bounds[j]:bounds[j + 1]])`` on shard
+        ``first + j`` for every non-empty span; the shards' masks,
+        concatenated in key order."""
+        out = np.zeros(len(keys), dtype=bool)
+        for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if lo < hi:
+                r = getattr(self._shard(first + j), method)(*args, keys[lo:hi])
+                if isinstance(r, np.ndarray):
+                    out[lo:hi] = r
+        return out
+
+    def commit(self, name: str) -> int:
+        return sum(s.commit(name) for s in self.shards.values())
+
+    def clear(self, name: str) -> None:
+        for s in self.shards.values():
+            s.clear(name)
+
+    def stats(self, shards=()) -> list[dict]:
+        """Per-shard ``stats()`` of ``shards`` (global indices), in order."""
+        return [self.shards[i].stats() if i in self.shards else {} for i in shards]
+
+
+_Host = ray.remote(MembershipShardHost)
+
+
+def host_count(num_shards: int) -> int:
+    """Host processes for ``num_shards`` shards: one per two CPUs of the
+    Ray cluster, at most one per shard. An idle actor process costs
+    ~65 MB PSS however little it holds, and a shard's own state is
+    small next to it."""
+    ray.get_runtime_context()  # starts Ray, as .remote() would, if not started
+    cpus = int(ray.cluster_resources().get("CPU", 1))
+    return min(num_shards, max(1, cpus // 2))
 
 
 @dataclass
 class ShardedMembership:
-    """Driver-side handle to the K shard actors + batched routing.
+    """Driver-side handle to the shard hosts + batched routing.
 
     Routing contract: key → shard ``stable_hash64(key, seed=7) % K``
     (``fs_crawler_ray.ids.shard_of``) — EXCEPT for filter names listed
@@ -544,9 +612,14 @@ class ShardedMembership:
     filter: any routing gives the same union semantics; exact-mode
     conformance is routing-independent.
 
+    Hosting: host ``h`` of ``actors`` serves shards ``first[h]`` to
+    ``first[h + 1] - 1``, a contiguous block, so neighbouring key ranges
+    share a host. A call makes one RPC per host that owns any of its
+    keys (``commit``/``clear``/``stats``: one per host).
+
     Stages route inside their own ``map_batches`` batch (see
     :class:`fs_crawler_ray.crawl.MembershipStage`), so each batch issues
-    ≤K RPCs regardless of batch size.
+    ≤ one RPC per host regardless of batch size.
     """
 
     actors: list
@@ -554,14 +627,19 @@ class ShardedMembership:
     mode: str
     boundaries: "np.ndarray | None" = None
     range_names: frozenset = frozenset()
-    #: how many of ``actors`` were idle shards reused, not started
+    #: how many of ``actors`` were idle hosts reused, not started
     reused: int = 0
+
+    @cached_property
+    def first(self) -> np.ndarray:
+        """Shard index where each host's block starts, then ``num_shards``."""
+        return np.arange(len(self.actors) + 1) * self.num_shards // len(self.actors)
 
     @staticmethod
     def create(num_shards: int, capacity_per_shard: int = 1 << 16, mode: str = "exact",
                boundaries: "np.ndarray | None" = None,
                range_names=()) -> "ShardedMembership":
-        # num_cpus=0: the shards are lightweight, mostly-idle lookup
+        # num_cpus=0: the hosts are lightweight, mostly-idle lookup
         # servers; reserving CPU slots makes them invisible contenders
         # against Ray Data's own resource accounting and can deadlock an
         # actor-pool stage on a small cluster (observed: fetch pool +
@@ -569,11 +647,11 @@ class ShardedMembership:
         if mode not in _SET_KINDS:
             raise ValueError(f"unknown membership mode {mode!r}")
         actors, reused = resident.acquire(
-            "MembershipShard", num_shards,
-            lambda: MembershipShard.options(num_cpus=0, max_concurrency=1).remote(
+            "MembershipShard", host_count(num_shards),
+            lambda: _Host.options(num_cpus=0, max_concurrency=1).remote(
                 capacity_per_shard, mode),
             lambda a: a.reset.remote(capacity_per_shard, mode))
-        # fire-and-forget warmup ping for the started shards: actor
+        # fire-and-forget warmup ping for the started hosts: actor
         # PROCESS startup costs ~0.5-0.8 s for a shard set on a cold
         # worker pool, and the first real RPC (the hop-0 clear) would
         # pay it serially on the driver. Kicking a ping now lets startup
@@ -590,10 +668,10 @@ class ShardedMembership:
         return sm
 
     def release(self) -> None:
-        """Give the shard actors back to the session's free-list, for the
-        next :meth:`create`. Only after a run that returned normally;
-        otherwise ``ray.kill`` them. Each shard drops its state now
-        (fire-and-forget), so an idle shard holds no crawl's sets; the
+        """Give the hosts back to the session's free-list, for the next
+        :meth:`create`. Only after a run that returned normally;
+        otherwise ``ray.kill`` them. Each host drops its shards now
+        (fire-and-forget), so an idle host holds no crawl's sets; the
         synchronous reset on acquire still runs after this one (Ray
         keeps one caller's calls to an actor in order)."""
         for a in self.actors:
@@ -625,17 +703,16 @@ class ShardedMembership:
             return np.zeros(0, dtype=bool)
         order, bounds = self._route(keys, route_names)
         refs, spans = [], []
-        for s in range(self.num_shards):
-            lo, hi = bounds[s], bounds[s + 1]
+        for actor, a, b in zip(self.actors, self.first[:-1], self.first[1:]):
+            lo, hi = bounds[a], bounds[b]
             if lo == hi:
                 continue
-            refs.append(getattr(self.actors[s], method).remote(*args, keys[order[lo:hi]]))
+            refs.append(actor.call.remote(method, int(a), bounds[a:b + 1] - lo,
+                                          keys[order[lo:hi]], *args))
             spans.append((lo, hi))
-        results = ray.get(refs)
         out = np.zeros(len(keys), dtype=bool)
-        for (lo, hi), r in zip(spans, results):
-            if isinstance(r, np.ndarray):
-                out[order[lo:hi]] = r
+        for (lo, hi), r in zip(spans, ray.get(refs)):
+            out[order[lo:hi]] = r
         return out
 
     def contains(self, name: str, keys) -> np.ndarray:
@@ -662,4 +739,7 @@ class ShardedMembership:
         ray.get([a.clear.remote(name) for a in self.actors])
 
     def stats(self) -> list[dict]:
-        return ray.get([a.stats.remote() for a in self.actors])
+        """One ``stats()`` dict per shard, in shard order."""
+        per_host = ray.get([a.stats.remote(range(lo, hi)) for a, lo, hi
+                            in zip(self.actors, self.first[:-1], self.first[1:])])
+        return [s for block in per_host for s in block]

@@ -2,10 +2,12 @@
 actor class and Ray session.
 
 Starting a Ray actor costs a worker-process birth (about a CPU-second
-each on a 4-vCPU host), and a crawl holds nine of them (the membership
-shards plus the metrics actor). Instead of starting and killing them
-per crawl, a crawl that returned normally gives its actors back here
-and the next crawl of the same session takes them again:
+each on a 4-vCPU host), and a crawl holds one per two CPUs for its
+membership shard hosts plus the metrics actor (3 on 4 CPUs). Instead of
+starting and killing them per crawl, a crawl that returned normally
+gives its actors back here and the next crawl of the same session takes
+them again. The pool holds processes, not shards: any idle shard host
+serves any block of shards after its reset.
 
 - :func:`acquire` takes idle actors first and resets each with a
   driver-side ``ray.get`` before handing it out. Ray orders calls per

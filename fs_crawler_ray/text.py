@@ -703,8 +703,9 @@ def pack_chunk_assignments(ds: ray.data.Dataset, budget: int = 512) -> ray.data.
     :func:`token_count`'s ``[A-Za-z0-9]+`` runs, so the DuckDB window
     oracle (``SUM OVER ... ROWS UNBOUNDED PRECEDING AND 1 PRECEDING``)
     reproduces the assignment bit-for-bit — integers end to end."""
-    tc = token_count(ds).sort("doc_id")
-    refs = tc.to_arrow_refs()
+    # materialized, so to_arrow_refs needs no second run of the sort to
+    # learn the schema
+    refs = token_count(ds).sort("doc_id").materialize().to_arrow_refs()
     sums = ray.get([_block_token_sum.remote(r) for r in refs])
     offs = np.concatenate([[0], np.cumsum(sums)[:-1]]) if len(sums) else []
     out_refs = [_assign_packs.remote(r, int(o), int(budget))

@@ -65,10 +65,10 @@ def empty_free_lists(ray_session):
 
 @pytest.fixture
 def kill_shard(ray_session):
-    """``ray.kill`` a membership shard and wait until it is gone.
-    ``ray.kill`` is asynchronous: a shard killed just before a crawl can
-    still answer that crawl's reset and die after it, which is a shard
-    dying mid-crawl, not the dead idle shard a test means to hand over."""
+    """``ray.kill`` a membership shard host and wait until it is gone.
+    ``ray.kill`` is asynchronous: a host killed just before a crawl can
+    still answer that crawl's reset and die after it, which is a host
+    dying mid-crawl, not the dead idle host a test means to hand over."""
     import time
 
     def kill(actor) -> None:
@@ -79,6 +79,6 @@ def kill_shard(ray_session):
             except ray.exceptions.RayActorError:
                 return
             time.sleep(0.05)
-        raise AssertionError("shard still answers 10 s after ray.kill")
+        raise AssertionError("host still answers 10 s after ray.kill")
 
     return kill

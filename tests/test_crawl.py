@@ -361,27 +361,34 @@ def test_second_crawl_reuses_actors(small_corpus, tmp_path_factory, empty_free_l
         result = crawl(small_corpus, seeds, out, cfg)
         _assert_match(result, oracle_crawl(small_corpus.documents_path, seeds, 3))
         actors = _first_lineage(out)["actors"]
-        want = {"reused": 0, "started": 5} if i == 0 else {"reused": 5, "started": 0}
+        # 4 shards on the 2 hosts of the 4-CPU test cluster, + the metrics actor
+        want = {"hosts": 2, "shards": 4} | (
+            {"reused": 0, "started": 3} if i == 0 else {"reused": 3, "started": 0})
         assert {k: actors[k] for k in want} == want
         assert actors["acquire_s"] >= 0
 
 
 def test_killed_idle_actor_replaced_then_resume(small_corpus, tmp_path_factory,
                                                 empty_free_lists, kill_shard, crawled):
-    """A pooled shard killed while idle is replaced by a fresh one, and
-    the next crawl (a resume) still equals the full crawl."""
+    """A pooled shard host killed while idle loses all of its shards and
+    is replaced by a fresh one, never handed out again, and the next
+    crawl (a resume) still equals the full crawl."""
     from fs_crawler_ray.state import resident
 
     full, _ = crawled
     out = str(tmp_path_factory.mktemp("pool_resume"))
     crawl(small_corpus, small_corpus.seeds, out,
           CrawlConfig(hops=2, num_shards=4, num_buckets=8))
-    kill_shard(resident._free_list("MembershipShard")[-1])
+    dead = resident._free_list("MembershipShard")[-1]
+    kill_shard(dead)
     resumed = crawl(small_corpus, small_corpus.seeds, out,
                     CrawlConfig(hops=HOPS, num_shards=4, num_buckets=8), resume=True)
     with open(os.path.join(out, "hop=2", "lineage.json")) as f:
         actors = json.load(f)["actors"]  # the first lineage the resume wrote
-    assert (actors["reused"], actors["started"]) == (4, 1)
+    # 2 hosts of 2 shards each: the live host and the metrics actor reused
+    assert (actors["hosts"], actors["shards"]) == (2, 4)
+    assert (actors["reused"], actors["started"]) == (2, 1)
+    assert dead._actor_id not in {a._actor_id for a in resident._free_list("MembershipShard")}
     assert _ray_tables(resumed) == _ray_tables(full)
     assert [r["vertices"] for r in resumed.log] == [r["vertices"] for r in full.log]
 

@@ -200,7 +200,7 @@ def test_released_shards_are_reused_empty(empty_free_lists):
     sm.check_and_add_deferred("edges", indices_to_pids(np.arange(50)))
     sm.release()
     again = ShardedMembership.create(num_shards=3, capacity_per_shard=1024, mode="probabilistic")
-    assert again.reused == 3
+    assert again.reused == 2  # both hosts of the 4-CPU test cluster
     assert {a._actor_id for a in again.actors} == {a._actor_id for a in sm.actors}
     assert again.stats() == [{}, {}, {}]
     assert again.commit("edges") == 0
@@ -236,7 +236,7 @@ def test_free_list_is_bounded(empty_free_lists):
     b = ShardedMembership.create(num_shards=3, capacity_per_shard=1024, mode="exact")
     a.release()
     b.release()
-    assert len(resident._free_list("MembershipShard")) == 3
+    assert len(resident._free_list("MembershipShard")) == 2  # hosts, not shards
 
 
 def test_free_list_is_per_session(empty_free_lists, monkeypatch):
@@ -274,3 +274,111 @@ def test_create_without_ray_init_starts_ray():
                          cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          timeout=300)
     assert out.returncode == 0, out.stderr[-2000:]
+
+
+# ----------------------------------------------------------------------
+# shard hosts: several shards per actor process
+# ----------------------------------------------------------------------
+def test_host_count_follows_cluster_cpus(ray_session):
+    """One host per two CPUs of the (4-CPU) test cluster, at most one
+    per shard; every host serves a contiguous, non-empty shard block."""
+    from fs_crawler_ray.state.membership import host_count
+
+    assert [host_count(k) for k in (1, 2, 3, 8)] == [1, 2, 2, 2]
+    sm = ShardedMembership.create(num_shards=8, capacity_per_shard=1024, mode="exact")
+    assert len(sm.actors) == 2 and sm.first.tolist() == [0, 4, 8]
+    sm.release()
+
+
+_PIDS = indices_to_pids(np.arange(48))
+_ROUTES = (("visited",), ("visited", "processing"), ("processing",), ("edges",))
+
+
+def _op():
+    from hypothesis import strategies as hst
+
+    idx = hst.lists(hst.integers(0, len(_PIDS) - 1), max_size=24)
+    names = hst.sampled_from(_ROUTES)
+    one = hst.sampled_from(("visited", "processing", "edges"))
+    return hst.one_of(
+        hst.tuples(hst.sampled_from(("check_and_add", "check_and_add_deferred", "add")),
+                   one, idx),
+        hst.tuples(hst.just("contains_any"), names, idx),
+        hst.tuples(hst.sampled_from(("commit", "clear")), one, hst.just([])),
+    )
+
+
+@pytest.mark.parametrize("ranged", [False, True], ids=["hash", "range"])
+@pytest.mark.parametrize("num_shards,hosts", [(1, 1), (3, 1), (3, 2), (3, 3),
+                                              (8, 1), (8, 2), (8, 8)])
+def test_hosting_is_invisible(num_shards, hosts, ranged, monkeypatch, empty_free_lists):
+    """Whatever the host count, with hash or range routing, every
+    ShardedMembership op gives the masks and counts of one in-process
+    MembershipShardState."""
+    from hypothesis import HealthCheck, given, settings
+    from hypothesis import strategies as hst
+
+    from fs_crawler_ray.state import membership, resident
+
+    monkeypatch.setattr(membership, "host_count", lambda k: hosts)
+    cuts = (np.arange(1, num_shards) * len(_PIDS)) // num_shards
+    boundaries = np.sort(_PIDS.astype("S"))[cuts] if ranged else None
+
+    def create():
+        return ShardedMembership.create(num_shards, capacity_per_shard=1024, mode="exact",
+                                        boundaries=boundaries,
+                                        range_names=("visited", "processing"))
+
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(hst.lists(_op(), max_size=10))
+    def run(ops):
+        sm = create()  # the hosts of the last example, reset
+        assert len(sm.actors) == hosts
+        model = MembershipShardState(1024, "exact")
+        try:
+            for op, name, idx in ops:
+                keys = _PIDS[idx]
+                if op in ("commit", "clear"):
+                    assert getattr(sm, op)(name) == getattr(model, op)(name), (op, name)
+                elif op == "add":
+                    sm.add(name, keys)
+                    model.add(name, keys)
+                else:
+                    got = getattr(sm, op)(list(name) if op == "contains_any" else name, keys)
+                    want = getattr(model, op)(list(name) if op == "contains_any" else name, keys)
+                    assert got.tolist() == want.tolist(), (op, name, idx)
+            stats = sm.stats()
+            assert len(stats) == num_shards
+            for name, want in model.stats().items():
+                assert sum(s[name]["count"] for s in stats if name in s) == want["count"]
+        finally:
+            sm.release()
+
+    try:
+        run()
+    finally:
+        resident.drain()
+
+
+def test_dead_idle_host_loses_its_block(empty_free_lists, kill_shard):
+    """A host killed while idle takes all of its shards with it: the next
+    create() starts one host in its place, the free-list never hands out
+    the dead one again, and the new host serves the whole block."""
+    from fs_crawler_ray.state import resident
+
+    sm = ShardedMembership.create(num_shards=8, capacity_per_shard=1024, mode="exact")
+    keys = indices_to_pids(np.arange(400))
+    sm.add("visited", keys)
+    sm.release()
+    dead = sm.actors[0]
+    kill_shard(dead)
+    for reused in (1, 2):
+        again = ShardedMembership.create(num_shards=8, capacity_per_shard=1024, mode="exact")
+        assert again.reused == reused
+        assert dead._actor_id not in {a._actor_id for a in again.actors}
+        assert again.stats() == [{}] * 8
+        assert not again.check_and_add("visited", keys).any()
+        assert again.contains("visited", keys).all()
+        again.release()
+    assert dead._actor_id not in {a._actor_id for a in resident._free_list("MembershipShard")}
