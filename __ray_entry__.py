@@ -18,6 +18,7 @@ here calls ray.init()/ray.shutdown().
 
 from __future__ import annotations
 
+import functools
 import os
 from collections.abc import Callable
 from typing import Any
@@ -40,318 +41,114 @@ def entry() -> Any:
     return crawl_vertices(SF001)
 
 
-def _docs_exact_dedup(sf_dir: str):
+def _read(sf_dir: str, table: str, columns: list[str] | None = None):
+    """A testdata table as a Dataset; ``"corpus"`` is the synthetic
+    interleaved-document corpus derived from ``sf_dir``."""
     import ray.data
 
-    from fs_crawler_ray.text import exact_dedup
+    if table == "corpus":
+        from fs_crawler_ray.corpus import corpus_for_sf
 
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = exact_dedup(ds, num_buckets=32).to_pandas()
-    out["doc_id"] = out["doc_id"].astype(np.int64)
-    return out[["doc_id", "content_hash"]]
-
-
-def _docs_pack_chunks(sf_dir: str):
-    import ray.data
-
-    from fs_crawler_ray.text import pack_chunk_assignments
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = pack_chunk_assignments(ds, budget=PACK_BUDGET).to_pandas()
-    return out.astype(
-        {"doc_id": np.int64, "n_tokens": np.int64,
-         "seq_first": np.int64, "seq_last": np.int64}
-    ).sort_values("doc_id").reset_index(drop=True)
+        path = corpus_for_sf(sf_dir).documents_path
+    else:
+        path = os.path.join(sf_dir, f"{table}.parquet")
+    return ray.data.read_parquet(path, columns=columns)
 
 
-def _docs_pack_greedy(sf_dir: str):
-    import ray.data
+def _frame(table: str, op: Callable, *, read_cols: list[str] | None = None,
+           cols: list[str] | None = None, ints: str | tuple[str, ...] = "*",
+           sort: str | list[str] | None = None, descending: tuple[str, ...] = (),
+           **op_kwargs) -> Callable[[str], Any]:
+    """The ``sf_dir → DataFrame`` query ``op(table, **op_kwargs)``.
 
-    from fs_crawler_ray.text import pack_greedy_assignments
+    ``table`` is read (only ``read_cols``, if given) and handed to
+    ``op``; its result (Dataset, Arrow table or DataFrame) becomes a
+    DataFrame, narrowed to ``cols``, with the ``ints`` columns (``"*"``:
+    all of them) cast to int64 and the rows sorted by ``sort``
+    (ascending, except the keys named in ``descending``)."""
 
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = pack_greedy_assignments(ds, budget=256, n_shards=8).to_pandas()
-    return out.astype(
-        {"doc_id": np.int64, "shard": np.int64, "pack_id": np.int64}
-    ).sort_values("doc_id").reset_index(drop=True)
+    def run(sf_dir: str):
+        import pandas as pd
 
+        out = op(_read(sf_dir, table, read_cols), **op_kwargs)
+        if not isinstance(out, pd.DataFrame):
+            out = out.to_pandas()
+        if cols is not None:
+            out = out[cols]
+        out = out.astype({c: np.int64 for c in (out.columns if ints == "*" else ints)})
+        if sort is not None:
+            keys = [sort] if isinstance(sort, str) else sort
+            out = out.sort_values(keys, ascending=[k not in descending for k in keys])
+        return out.reset_index(drop=True)
 
-def _docs_mix_epochs(sf_dir: str):
-    import ray.data
-
-    from fs_crawler_ray.text import epoch_oversample
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = epoch_oversample(ds, thresholds=(40, 80)).to_pandas()
-    return out.astype({"doc_id": np.int64, "epoch": np.int64}).sort_values(
-        ["doc_id", "epoch"]).reset_index(drop=True)
-
-
-def _docs_chunk_overlap(sf_dir: str):
-    import ray.data
-
-    from fs_crawler_ray.text import chunk_spans
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = chunk_spans(ds, size=64, stride=32).to_pandas()
-    return out.astype({c: np.int64 for c in out.columns}).sort_values(
-        ["doc_id", "chunk_id"]).reset_index(drop=True)
+    return run
 
 
-def _emb_dim_stats(sf_dir: str):
-    import ray.data
-
-    from fs_crawler_ray.ann import dim_stats
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
-    out = dim_stats(ds).to_pandas()
-    return out.astype({c: np.int64 for c in out.columns}).sort_values(
-        "dim").reset_index(drop=True)
+# --- queries that compose two or more reads or operators -------------
 
 
-def _emb_label_scatter(sf_dir: str):
-    """Within-cluster scatter per label in fixed-point integer
-    arithmetic (ann.label_scatter): scatter_fp = Σ_d (n·Σx̃²−(Σx̃)²)."""
-    import ray.data
+def _docs_near_dup_pairs(sf_dir: str):
+    """MinHash → LSH bucket candidates → n-gram-Jaccard verify: the full
+    near-dup detection pipeline, oracled by an all-pairs true-Jaccard
+    SQL (recall of the 16×4 LSH at J≥0.8 is ~1-2e-4 per pair; verified
+    exact-equal on the test corpora)."""
+    from fs_crawler_ray.text import minhash_lsh_candidates, ngram_jaccard_verify
 
-    from fs_crawler_ray.ann import label_scatter
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
-    out = label_scatter(ds).to_pandas()
-    return out.astype({c: np.int64 for c in out.columns}).sort_values(
-        "label").reset_index(drop=True)
-
-
-def _emb_kmeans_assign(sf_dir: str):
-    """One k-means E-step in fixed-point integer distance
-    (ann.kmeans_assign): nearest of the k smallest-id centroid
-    vectors, ties to the smallest centroid id."""
-    import ray.data
-
-    from fs_crawler_ray.ann import kmeans_assign
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
-    out = kmeans_assign(ds, k=8).to_pandas()
-    return out.astype({c: np.int64 for c in out.columns}).sort_values(
-        "vec_id").reset_index(drop=True)
+    ds = _read(sf_dir, "documents")
+    cand = minhash_lsh_candidates(ds, num_perm=64, bands=16)
+    out = ngram_jaccard_verify(cand, ds, threshold=0.8, shingle_k=3).to_pandas()
+    return out[["doc_a", "doc_b"]].astype({"doc_a": np.int64, "doc_b": np.int64})
 
 
-def _docs_rarity_tiles(sf_dir: str):
-    """CCNet-style quality tertiles by mean token rarity
-    (text.rarity_tiles): exact SQL NTILE semantics on the global
-    quality ordering."""
-    import ray.data
+def _docs_dedup_survivors(sf_dir: str):
+    """The corpus minus non-representative near-dup cluster members
+    (the min doc_id of each cluster survives)."""
+    from fs_crawler_ray.components import near_dup_clusters, near_dup_survivors
 
-    from fs_crawler_ray.text import rarity_tiles
+    ds = _read(sf_dir, "documents")
+    out = near_dup_survivors(ds, near_dup_clusters(ds)).to_pandas()
+    return out[["doc_id"]].astype({"doc_id": np.int64})
 
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = rarity_tiles(ds, n_tiles=3).to_pandas()
+
+def _ann_topk(sf_dir: str):
+    """Top-ANN_K neighbours of the ANN_NQ smallest-id vectors."""
+    from fs_crawler_ray.ann import brute_force_topk
+
+    ds = _read(sf_dir, "embeddings")
+    head = ds.sort("vec_id").limit(ANN_NQ).to_pandas()
+    q = np.stack(head["embedding"].to_numpy()).astype(np.float64)
+    out = brute_force_topk(ds, q, query_ids=head["vec_id"].tolist(), k=ANN_K)
+    return out[["query_id", "vec_id"]].astype({"query_id": np.int64, "vec_id": np.int64})
+
+
+def _docs_winsorized(sf_dir: str):
+    """Token counts clamped to their exact global 5th/95th percentiles."""
+    from fs_crawler_ray.curation import winsorize
+    from fs_crawler_ray.text import token_count
+
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
+    out = winsorize(token_count(ds), "n_tokens", 0.05, 0.95).to_pandas()
     return out.astype({c: np.int64 for c in out.columns}).sort_values(
         "doc_id").reset_index(drop=True)
-
-
-def _docs_gopher_stats(sf_dir: str):
-    """Gopher-style composite quality rules in all-integer form
-    (text.gopher_stats): token-count bounds, stopword permille floor,
-    mean-word-length deci-char band, plus the combined verdict."""
-    import ray.data
-
-    from fs_crawler_ray.text import gopher_stats
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = gopher_stats(ds).to_pandas()
-    return out.astype({c: np.int64 for c in out.columns}).sort_values(
-        "doc_id").reset_index(drop=True)
-
-
-def _emb_centroid_dists(sf_dir: str):
-    """Inter-centroid squared-L2 separation matrix in offset fixed
-    point (ann.centroid_dists)."""
-    import ray.data
-
-    from fs_crawler_ray.ann import centroid_dists
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
-    out = centroid_dists(ds).to_pandas()
-    return out.astype({c: np.int64 for c in out.columns}).sort_values(
-        ["label_a", "label_b"]).reset_index(drop=True)
-
-
-def _media_type_stats(sf_dir: str):
-    from fs_crawler_ray.multimodal import media_type_stats
-
-    return media_type_stats(sf_dir)
-
-
-def _docs_split_assign(sf_dir: str):
-    """Deterministic train/valid/test hash split (text.split_assign)."""
-    import ray.data
-
-    from fs_crawler_ray.text import split_assign
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = split_assign(ds).to_pandas()
-    return out.astype({"doc_id": np.int64, "bucket": np.int64}).sort_values(
-        "doc_id").reset_index(drop=True)
-
-
-def _docs_length_buckets(sf_dir: str):
-    """Power-of-two token-length histogram (text.length_buckets)."""
-    import ray.data
-
-    from fs_crawler_ray.text import length_buckets
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = length_buckets(ds).to_pandas()
-    return out.astype({c: np.int64 for c in out.columns}).sort_values(
-        "bucket").reset_index(drop=True)
-
-
-def _docs_edit_distance_pairs(sf_dir: str):
-    """Levenshtein distance on the verified near-dup pair set
-    (text.edit_distance_pairs)."""
-    import ray.data
-
-    from fs_crawler_ray.text import edit_distance_pairs
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = edit_distance_pairs(ds, threshold=0.8, shingle_k=3).to_pandas()
-    return out.astype({c: np.int64 for c in out.columns}).sort_values(
-        ["doc_a", "doc_b"]).reset_index(drop=True)
-
-
-def _span_media_position(sf_dir: str):
-    """Media-span position deciles within interleaved docs
-    (multimodal.span_media_position)."""
-    from fs_crawler_ray.corpus import corpus_for_sf
-    from fs_crawler_ray.multimodal import span_media_position
-
-    import ray.data
-
-    info = corpus_for_sf(sf_dir)
-    ds = ray.data.read_parquet(info.documents_path)
-    out = span_media_position(ds).to_pandas()
-    return out.astype({c: np.int64 for c in out.columns}).sort_values(
-        "decile").reset_index(drop=True)
-
-
-def _emb_label_deviation(sf_dir: str):
-    """Per-member deviation from the label centroid in exact n²-scaled
-    integers (ann.label_deviation)."""
-    import ray.data
-
-    from fs_crawler_ray.ann import label_deviation
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
-    out = label_deviation(ds).to_pandas()
-    return out.astype({c: np.int64 for c in out.columns}).sort_values(
-        "vec_id").reset_index(drop=True)
-
-
-def _docs_dup_spans_merged(sf_dir: str):
-    """Maximal duplicated regions per doc (text.dup_spans_merged):
-    duplicate passages merged into disjoint intervals — gaps-and-
-    islands interval union."""
-    import ray.data
-
-    from fs_crawler_ray.text import dup_spans_merged
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = dup_spans_merged(ds, window=16, stride=8).to_pandas()
-    return out.astype({c: np.int64 for c in out.columns}).sort_values(
-        ["doc_id", "span_start"]).reset_index(drop=True)
-
-
-def _docs_shard_manifest(sf_dir: str):
-    """Resumable-output shard manifest (text.shard_manifest): per-shard
-    row count + order-independent XOR content checksum."""
-    import ray.data
-
-    from fs_crawler_ray.text import shard_manifest
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = shard_manifest(ds, num_shards=16)
-    return out.astype({c: np.int64 for c in out.columns}).sort_values(
-        "shard").reset_index(drop=True)
-
-
-def _events_user_streaks(sf_dir: str):
-    """Longest consecutive-day activity streak per user
-    (windows.user_streaks) — gaps-and-islands."""
-    import ray.data
-
-    from fs_crawler_ray.windows import user_streaks
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"))
-    out = user_streaks(ds).to_pandas()
-    return out.astype({c: np.int64 for c in out.columns}).sort_values(
-        "user_id").reset_index(drop=True)
-
-
-def _docs_skipgram_pairs(sf_dir: str):
-    """Windowed token co-occurrence pairs (text.skipgram_pairs): the
-    counting half of a PMI/word2vec association table."""
-    import ray.data
-
-    from fs_crawler_ray.text import skipgram_pairs
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = skipgram_pairs(ds, max_dist=3, top_n=50).to_pandas()
-    return out.astype({"cnt": np.int64}).sort_values(
-        ["cnt", "tok_a", "tok_b"],
-        ascending=[False, True, True]).reset_index(drop=True)
-
-
-def _emb_sqnorm_hist(sf_dir: str):
-    """Fixed-point squared-norm histogram (ann.sqnorm_hist)."""
-    import ray.data
-
-    from fs_crawler_ray.ann import sqnorm_hist
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
-    out = sqnorm_hist(ds).to_pandas()
-    return out.astype({c: np.int64 for c in out.columns}).sort_values(
-        "bucket").reset_index(drop=True)
-
-
-def _docs_lang_confusion(sf_dir: str):
-    """Declared-vs-detected language cross-tab (text.lang_confusion)."""
-    import ray.data
-
-    from fs_crawler_ray.text import lang_confusion
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = lang_confusion(ds).to_pandas()
-    return out.astype({"n_docs": np.int64}).sort_values(
-        ["lang", "lang_guess"]).reset_index(drop=True)
 
 
 def _emb_label_rarity(sf_dir: str):
-    """Per-label member-document rarity report (ann.label_rarity):
-    cross-modal join on the aligned vec_id = doc_id contract."""
-    import ray.data
-
+    """Per-label member-document rarity: a cross-modal join on the
+    aligned vec_id = doc_id contract."""
     from fs_crawler_ray.ann import label_rarity
 
-    emb = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
-    docs = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = label_rarity(emb, docs).to_pandas()
+    out = label_rarity(_read(sf_dir, "embeddings"), _read(sf_dir, "documents")).to_pandas()
     return out.astype({c: np.int64 for c in out.columns}).sort_values(
         "label").reset_index(drop=True)
 
 
 def _docs_cluster_sizes(sf_dir: str):
-    """Near-dup cluster-size histogram: (cluster_size, n_clusters) —
-    the dedup-impact report (how much boilerplate, how big the worst
-    template family is). Composition of the verified clustering with
-    two shrinking count shuffles."""
-    import ray.data
-
+    """Near-dup cluster-size histogram (cluster_size, n_clusters): the
+    verified clustering, then two shrinking count shuffles."""
     from fs_crawler_ray.components import near_dup_clusters
     from fs_crawler_ray.relops import bucketed_agg
 
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    clusters = near_dup_clusters(ds)
+    clusters = near_dup_clusters(_read(sf_dir, "documents"))
     sizes = bucketed_agg(clusters, ["cluster_id"],
                          [("doc_id", "count", "cluster_size")], 8)
     hist = bucketed_agg(sizes, ["cluster_size"],
@@ -361,521 +158,20 @@ def _docs_cluster_sizes(sf_dir: str):
         "cluster_size").reset_index(drop=True)
 
 
-def _emb_quant_error(sf_dir: str):
-    """Per-dimension quantization reconstruction error
-    (ann.quantization_error)."""
-    import ray.data
-
-    from fs_crawler_ray.ann import quantization_error
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
-    out = quantization_error(ds).to_pandas()
-    return out.astype({c: np.int64 for c in out.columns}).sort_values(
-        "i").reset_index(drop=True)
-
-
-def _emb_kmeans_sizes(sf_dir: str):
-    """k-means cell-occupancy report (ann.kmeans_cell_sizes): the
-    IVF-balance diagnostic."""
-    import ray.data
-
-    from fs_crawler_ray.ann import kmeans_cell_sizes
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
-    out = kmeans_cell_sizes(ds, k=8).to_pandas()
-    return out.astype({c: np.int64 for c in out.columns}).sort_values(
-        "cluster").reset_index(drop=True)
-
-
-def _emb_pq_codes(sf_dir: str):
-    """Product-quantization code assignment per subspace
-    (ann.pq_assign)."""
-    import ray.data
-
-    from fs_crawler_ray.ann import pq_assign
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
-    out = pq_assign(ds, k=8, n_sub=2).to_pandas()
-    return out.astype({c: np.int64 for c in out.columns}).sort_values(
-        ["vec_id", "sub"]).reset_index(drop=True)
-
-
-def _docs_near_dup_scores(sf_dir: str):
-    """Verified near-dup pairs with integer Jaccard permille
-    (text.near_dup_scores)."""
-    import ray.data
-
-    from fs_crawler_ray.text import near_dup_scores
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = near_dup_scores(ds, threshold=0.8, shingle_k=3).to_pandas()
-    return out.astype({c: np.int64 for c in out.columns}).sort_values(
-        ["doc_a", "doc_b"]).reset_index(drop=True)
-
-
-def _docs_dedup_keep_best(sf_dir: str):
-    """Quality-aware dedup representative per near-dup cluster
-    (text.dedup_keep_best)."""
-    import ray.data
-
-    from fs_crawler_ray.text import dedup_keep_best
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = dedup_keep_best(ds).to_pandas()
-    return out.astype({c: np.int64 for c in out.columns}).sort_values(
-        "cluster_id").reset_index(drop=True)
-
-
-def _docs_source_quality(sf_dir: str):
-    """Provenance × quality-tertile mixing matrix
-    (text.source_quality_matrix)."""
-    import ray.data
-
-    from fs_crawler_ray.text import source_quality_matrix
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = source_quality_matrix(ds, n_tiles=3).to_pandas()
-    return out.astype({"tile": np.int64, "n_docs": np.int64}).sort_values(
-        ["source", "tile"]).reset_index(drop=True)
-
-
-def _docs_vocab_growth(sf_dir: str):
-    """Heaps'-law vocabulary growth curve (text.vocab_growth)."""
-    import ray.data
-
-    from fs_crawler_ray.text import vocab_growth
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = vocab_growth(ds, n_points=10).to_pandas()
-    return out.astype({c: np.int64 for c in out.columns}).sort_values(
-        "k").reset_index(drop=True)
-
-
-def _span_transitions(sf_dir: str):
-    """Modality-interleaving transition matrix over the Lance-shaped
-    span table (multimodal.span_transitions)."""
-    import ray.data
-
-    from fs_crawler_ray.corpus import corpus_for_sf
-    from fs_crawler_ray.multimodal import span_transitions
-
-    info = corpus_for_sf(sf_dir)
-    ds = ray.data.read_parquet(info.documents_path)
-    out = span_transitions(ds).to_pandas()
-    return out.astype({"cnt": np.int64}).sort_values(
-        ["prev_kind", "next_kind"]).reset_index(drop=True)
-
-
-def _docs_jaccard_pairs(sf_dir: str):
-    import ray.data
-
-    from fs_crawler_ray.text import jaccard_pairs
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = jaccard_pairs(ds, min_permille=300, max_df=100).to_pandas()
-    return out.astype({c: np.int64 for c in out.columns}).sort_values(
-        ["doc_a", "doc_b"]).reset_index(drop=True)
-
-
-def _docs_winsorized(sf_dir: str):
-    """Global percentile winsorization of token counts
-    (curation.winsorize): exact quantile_disc bounds from an O(distinct
-    values) histogram shuffle, then a shuffle-free integer clamp."""
-    import ray.data
-
-    from fs_crawler_ray.curation import winsorize
-    from fs_crawler_ray.text import token_count
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                               columns=["doc_id", "text"])
-    out = winsorize(token_count(ds), "n_tokens", 0.05, 0.95).to_pandas()
-    return out.astype({c: np.int64 for c in out.columns}).sort_values(
-        "doc_id").reset_index(drop=True)
-
-
-def _emb_knn_label_vote(sf_dir: str):
-    """kNN-classifier majority-label vote (ann.knn_label_vote, exact
-    conformance mode; the IVF path is the scale mode)."""
-    import ray.data
-
-    from fs_crawler_ray.ann import knn_label_vote
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
-    out = knn_label_vote(ds, k=5, exact=True).to_pandas()
-    return out.astype({"vec_id": np.int64, "voted_label": np.int64,
-                       "cnt": np.int64}).sort_values("vec_id").reset_index(drop=True)
-
-
-def _emb_vote_confusion(sf_dir: str):
-    """kNN-vote vs true-label confusion matrix (ann.vote_confusion)."""
-    import ray.data
-
-    from fs_crawler_ray.ann import vote_confusion
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
-    out = vote_confusion(ds, k=5, exact=True).to_pandas()
-    return out.astype({c: np.int64 for c in out.columns}).sort_values(
-        ["label", "voted_label"]).reset_index(drop=True)
-
-
-def _docs_collocations(sf_dir: str):
-    """Top bigram collocations by the integer PMI proxy
-    (text.collocations)."""
-    import ray.data
-
-    from fs_crawler_ray.text import collocations
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = collocations(ds, top_n=20, min_count=5).to_pandas()
-    return out.astype({"cnt": np.int64, "score": np.int64}).reset_index(
-        drop=True)
-
-
-def _emb_dim_covariance(sf_dir: str):
-    """Per-dimension-pair covariance numerators in exact integers
-    (ann.dim_covariance)."""
-    import ray.data
-
-    from fs_crawler_ray.ann import dim_covariance
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
-    out = dim_covariance(ds).to_pandas()
-    return out.astype({c: np.int64 for c in out.columns}).sort_values(
-        ["dim_a", "dim_b"]).reset_index(drop=True)
-
-
-def _docs_token_len_hist(sf_dir: str):
-    """Token-length histogram (text.token_length_hist)."""
-    import ray.data
-
-    from fs_crawler_ray.text import token_length_hist
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = token_length_hist(ds).to_pandas()
-    return out.astype({c: np.int64 for c in out.columns}).sort_values(
-        "length").reset_index(drop=True)
-
-
-def _docs_dedup_savings(sf_dir: str):
-    """Exact-dedup ROI report (text.dedup_savings)."""
-    import ray.data
-
-    from fs_crawler_ray.text import dedup_savings
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = dedup_savings(ds).to_pandas()
-    return out.astype({c: np.int64 for c in out.columns}).reset_index(drop=True)
-
-
-def _docs_token_counts(sf_dir: str):
-    import ray.data
-
-    from fs_crawler_ray.text import token_count
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = token_count(ds).to_pandas()
-    return out.astype({"doc_id": np.int64, "n_tokens": np.int64})
-
-
-def _docs_near_dup_pairs(sf_dir: str):
-    """MinHash → LSH bucket candidates → n-gram-Jaccard verify: the full
-    near-dup detection pipeline, oracled by an all-pairs true-Jaccard
-    SQL (recall of the 16×4 LSH at J≥0.8 is ~1-2e-4 per pair; verified
-    exact-equal on the test corpora)."""
-    import ray.data
-
-    from fs_crawler_ray.text import minhash_lsh_candidates, ngram_jaccard_verify
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    cand = minhash_lsh_candidates(ds, num_perm=64, bands=16)
-    out = ngram_jaccard_verify(cand, ds, threshold=0.8, shingle_k=3).to_pandas()
-    return out[["doc_a", "doc_b"]].astype({"doc_a": np.int64, "doc_b": np.int64})
-
-
-def _docs_simhash(sf_dir: str):
-    import ray.data
-
-    from fs_crawler_ray.text import simhash_fingerprints
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    return simhash_fingerprints(ds).to_pandas().astype({"doc_id": np.int64, "simhash": np.int64})
-
-
-def _docs_analysis(sf_dir: str):
-    import ray.data
-
-    from fs_crawler_ray.text import analyze_text
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = analyze_text(ds).to_pandas()
-    return out[["doc_id", "lang_guess", "n_tokens", "quality", "fingerprint"]].astype(
-        {"doc_id": np.int64}
-    )
-
-
-def _ann_topk(sf_dir: str):
-    import ray.data
-
-    from fs_crawler_ray.ann import brute_force_topk
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
-    head = ds.sort("vec_id").limit(ANN_NQ).to_pandas()
-    q = np.stack(head["embedding"].to_numpy()).astype(np.float64)
-    out = brute_force_topk(ds, q, query_ids=head["vec_id"].tolist(), k=ANN_K)
-    return out[["query_id", "vec_id"]].astype({"query_id": np.int64, "vec_id": np.int64})
-
-
-def _embedding_near_dups(sf_dir: str):
-    import ray.data
-
-    from fs_crawler_ray.ann import embedding_near_dups
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
-    out = embedding_near_dups(ds, threshold=0.42, exact=True)
-    return out[["vec_a", "vec_b"]].astype({"vec_a": np.int64, "vec_b": np.int64})
-
-
-def _docs_dup_clusters(sf_dir: str):
-    """Fuzzy-dedup clustering: near-dup pairs → distributed connected
-    components (hash-min label propagation), oracled by a recursive-CTE
-    reachability closure over the same pair graph."""
-    import ray.data
-
-    from fs_crawler_ray.components import near_dup_clusters
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = near_dup_clusters(ds).to_pandas()
-    return out[["doc_id", "cluster_id"]].astype({"doc_id": np.int64, "cluster_id": np.int64})
-
-
-def _docs_dedup_survivors(sf_dir: str):
-    """Canonical fuzzy dedup: the corpus minus non-representative
-    near-dup cluster members (min doc_id per cluster survives)."""
-    import ray.data
-
-    from fs_crawler_ray.components import near_dup_clusters, near_dup_survivors
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = near_dup_survivors(ds, near_dup_clusters(ds)).to_pandas()
-    return out[["doc_id"]].astype({"doc_id": np.int64})
-
-
-def _docs_hash_sample(sf_dir: str):
-    import ray.data
-
-    from fs_crawler_ray.text import hash_sample
-
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "source"]
-    )
-    out = hash_sample(ds, denom=20).to_pandas()
-    return out[["doc_id", "source"]].astype({"doc_id": np.int64})
-
-
-def _docs_token_df(sf_dir: str):
-    """TF-IDF document-frequency pass: per-batch (doc, token) dedup +
-    partial counts, vocabulary-sized shuffle, top-100 by (df, tok)."""
-    import ray.data
-
-    from fs_crawler_ray.text import token_doc_frequency
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = token_doc_frequency(ds, top_n=100).to_pandas()
-    return out[["tok", "df"]].astype({"df": np.int64})
-
-
-def _embedding_centroids(sf_dir: str):
-    """Per-label embedding centroids: zero-copy (n, dim) reshape per
-    batch, scatter-add partial sums, O(groups × dim) shuffle."""
-    import ray.data
-
-    from fs_crawler_ray.ann import group_centroids
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
-    out = group_centroids(ds).to_pandas().sort_values(["label", "i"]).reset_index(drop=True)
-    return out[["label", "i", "centroid"]].astype({"label": np.int64, "i": np.int64})
-
-
-def _emb_quantized(sf_dir: str):
-    import ray.data
-
-    from fs_crawler_ray.ann import quantize_embeddings
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
-    out = quantize_embeddings(ds).to_pandas()
-    return out.astype({"vec_id": np.int64, "i": np.int64, "q": np.int64}).sort_values(
-        ["vec_id", "i"]).reset_index(drop=True)
-
-
-def _media_features(sf_dir: str):
-    from fs_crawler_ray.multimodal import media_feature_pipeline
-
-    return media_feature_pipeline(sf_dir)
-
-
-def _docs_dup_passages(sf_dir: str):
-    """Duplicate-passage detection: Horner-fingerprinted 16-token
-    chunks at stride 8, kept where a fingerprint spans ≥2 docs (the
-    passage-granular analog of exact substring dedup)."""
-    import ray.data
-
-    from fs_crawler_ray.text import dup_passages
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = dup_passages(ds, window=16, stride=8).to_pandas()
-    return out[["doc_id", "pos", "chunk_hash"]].astype(
-        {"doc_id": np.int64, "pos": np.int64, "chunk_hash": np.int64})
-
-
-def _docs_tfidf_top(sf_dir: str):
-    """Per-document top-3 TF-IDF terms (integer score = tf*1e6 // df,
-    so ranking is bit-identical to the SQL oracle)."""
-    import ray.data
-
-    from fs_crawler_ray.text import tfidf_top_terms
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = tfidf_top_terms(ds, top_n=3).to_pandas()
-    return out.astype({"doc_id": np.int64, "tf": np.int64, "df": np.int64, "score": np.int64})
-
-
-def _docs_stopword_filtered(sf_dir: str):
-    """Stopword-removal normalization pass (Arrow RE2 + is_in + one
-    binary_join per batch — no Python string loop)."""
-    import ray.data
-
-    from fs_crawler_ray.text import stopword_filter
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = stopword_filter(ds, lang="en").to_pandas()
-    return out.astype({"doc_id": np.int64, "n_removed": np.int64})
-
-
-def _docs_stratified_sample(sf_dir: str):
-    """Deterministic per-source sampling quota: smallest-5
-    md5-lower64(doc_id) rows per source."""
-    import ray.data
-
-    from fs_crawler_ray.text import stratified_sample
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = stratified_sample(ds, group_col="source", n=5).to_pandas()
-    return out[["doc_id", "source"]].astype({"doc_id": np.int64})
-
-
-def _media_frame_sample(sf_dir: str):
-    """Video frame-sampling plumbing (actor-pool flat-map over wide
-    binary rows); the sampled frame-index set is md5-derivable, so
-    strictly oracled."""
-    from fs_crawler_ray.multimodal import media_frame_sample_pipeline
-
-    return media_frame_sample_pipeline(sf_dir, stride=4)
-
-
-def _docs_simhash_pairs(sf_dir: str):
-    """SimHash near-dup pairs (Hamming ≤ 3) via pigeonhole 16-bit
-    quarter bucketing; oracled by all-pairs bit_count(xor) SQL over
-    the same fingerprints."""
-    import ray.data
-
-    from fs_crawler_ray.text import simhash_near_dups
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = simhash_near_dups(ds, max_hamming=3, shingle_k=2).to_pandas()
-    return out[["doc_a", "doc_b", "hamming"]].astype(
-        {"doc_a": np.int64, "doc_b": np.int64, "hamming": np.int64})
-
-
-def _docs_bigram_freq(sf_dir: str):
-    """Corpus-wide top-50 bigrams: per-batch packed-code np.unique
-    partials, O(distinct grams) shuffle."""
-    import ray.data
-
-    from fs_crawler_ray.text import ngram_frequency
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = ngram_frequency(ds, n=2, top_n=50).to_pandas()
-    return out.astype({"cnt": np.int64})
-
-
-def _ann_knn_join(sf_dir: str):
-    """KNN self-join (exact conformance mode; knn_join(exact=False) is
-    the IVF-bucketed scale path, recall-tested in pytest)."""
-    import ray.data
-
-    from fs_crawler_ray.ann import knn_join
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
-    out = knn_join(ds, k=3, exact=True).to_pandas()
-    return out.astype({"vec_id": np.int64, "neighbor_id": np.int64, "rank": np.int64})
-
-
-def _docs_decontaminated(sf_dir: str):
-    """Benchmark decontamination: eval-slice n-gram set broadcast once,
-    shuffle-free per-batch is_in over the corpus. n=3 keeps the check
-    non-vacuous on the synthetic corpus (n=8 standard yields 0 overlaps
-    there); the operator itself defaults to 8."""
-    import ray.data
-
-    from fs_crawler_ray.curation import decontaminate
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                               columns=["doc_id", "text"])
-    out = decontaminate(ds, n=3, eval_mod=53).to_pandas()
-    return out.astype({"doc_id": np.int64, "n_hits": np.int64})
-
-
-def _docs_repetition(sf_dir: str):
-    """Per-doc repetition stats (total vs distinct bigrams) — the
-    Gopher-style duplicate-gram quality signal, integer outputs."""
-    import ray.data
-
-    from fs_crawler_ray.curation import doc_ngram_stats
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                               columns=["doc_id", "text"])
-    out = doc_ngram_stats(ds, n=2).to_pandas()
-    return out.astype({"doc_id": np.int64, "n_grams": np.int64,
-                       "n_distinct": np.int64})
-
-
-def _docs_length_filtered(sf_dir: str):
-    """Global percentile length filter: exact quantile_disc bounds from
-    a value-histogram shuffle, then a shuffle-free mask."""
-    import ray.data
-
-    from fs_crawler_ray.curation import length_percentile_filter
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                               columns=["doc_id", "n_chars"])
-    out = length_percentile_filter(ds, lo=0.05, hi=0.95).to_pandas()
-    return out.astype({"doc_id": np.int64, "n_chars": np.int64})
-
-
 def _docs_curation_funnel(sf_dir: str):
-    """The end-to-end corpus-curation funnel a training pipeline runs
-    before tokenization, composed from already-verified operators:
-    fuzzy-dedup survivors ∩ global length filter ∖ eval slice ∖
-    contaminated docs. Each leg streams; set algebra is size-aware
-    semi/anti joins (broadcast while the id sets are small, bucketed
-    hash join beyond the limit)."""
-    import ray.data
-
+    """The corpus-curation funnel a training pipeline runs before
+    tokenization, composed from already-verified operators: fuzzy-dedup
+    survivors ∩ global length filter ∖ eval slice ∖ contaminated docs.
+    Each leg streams; the set algebra is size-aware semi/anti joins."""
     from fs_crawler_ray.components import near_dup_clusters, near_dup_survivors
     from fs_crawler_ray.curation import decontaminate, length_percentile_filter
     from fs_crawler_ray.relops import semi_anti_join
 
-    path = os.path.join(sf_dir, "documents.parquet")
-    docs = ray.data.read_parquet(path)
+    docs = _read(sf_dir, "documents")
     surv = near_dup_survivors(docs, near_dup_clusters(docs))
-    lenf = length_percentile_filter(
-        ray.data.read_parquet(path, columns=["doc_id", "n_chars"]),
-        lo=0.05, hi=0.95,
-    )
-    cont = decontaminate(
-        ray.data.read_parquet(path, columns=["doc_id", "text"]),
-        n=3, eval_mod=53,
-    )
+    lenf = length_percentile_filter(_read(sf_dir, "documents", ["doc_id", "n_chars"]),
+                                    lo=0.05, hi=0.95)
+    cont = decontaminate(_read(sf_dir, "documents", ["doc_id", "text"]), n=3, eval_mod=53)
 
     def drop_eval(t):
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
@@ -889,265 +185,54 @@ def _docs_curation_funnel(sf_dir: str):
         "doc_id").reset_index(drop=True)
 
 
-def _docs_token_ids(sf_dir: str):
-    """Vocabulary build (rank by global count DESC, token ASC) +
-    corpus encoding into (doc_id, pos, token_id) — the tokenizer
-    fit+transform step of a training pipeline."""
-    import ray.data
-
-    from fs_crawler_ray.text import vocab_encode
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = vocab_encode(ds).to_pandas()
-    return out.astype(
-        {"doc_id": np.int64, "pos": np.int64, "token_id": np.int64}
-    ).sort_values(["doc_id", "pos"]).reset_index(drop=True)
-
-
-def _events_user_paths(sf_dir: str):
-    """Per-user ordered event-type path — behavioral-sequence build
-    (string_agg ORDER BY ts, event_id), Arrow binary_join kernel."""
-    import ray.data
-
-    from fs_crawler_ray.windows import ordered_paths
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                               columns=["user_id", "ts", "event_id", "event_type"])
-    out = ordered_paths(ds, key="user_id", ts_col="ts",
-                        val_col="event_type", tiebreak="event_id").to_pandas()
-    return out.astype({"user_id": np.int64}).sort_values(
-        "user_id").reset_index(drop=True)
-
-
-def _docs_rarity(sf_dir: str):
-    """Integer token-rarity score (Σ frequency-rank of each doc's
-    tokens) — the rank-based, float-free stand-in for a perplexity
-    quality filter."""
-    import ray.data
-
-    from fs_crawler_ray.text import token_rarity
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = token_rarity(ds).to_pandas()
-    return out.astype(
-        {"doc_id": np.int64, "rarity_sum": np.int64, "n_tokens": np.int64}
-    ).sort_values("doc_id").reset_index(drop=True)
-
-
-def _docs_heavy_hitters(sf_dir: str):
-    """Exact heavy hitters (count·k > n) via bounded-memory Misra-Gries
-    candidates + exact recount — the sketch-then-verify scale pattern."""
-    import ray.data
-
-    from fs_crawler_ray.text import heavy_hitters
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = heavy_hitters(ds, k=40).to_pandas()
-    return out.astype({"cnt": np.int64}).reset_index(drop=True)
-
-
-def _docs_filter_reasons(sf_dir: str):
-    """Per-rejected-doc drop reason (first failing rule, fixed priority)
-    — the audit ledger of the curation funnel."""
-    import ray.data
-
-    from fs_crawler_ray.curation import filter_reasons
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = filter_reasons(ds).to_pandas()
-    return out.astype({"doc_id": np.int64}).sort_values(
-        "doc_id").reset_index(drop=True)
-
-
 def _docs_snapshot_diff(sf_dir: str):
     """Recrawl snapshot diff (added/removed/changed) between the corpus
     and a deterministically derived second snapshot: drop doc_id%7==0,
     rewrite text of doc_id%11==0, add doc_id%13==0 under id+1000000."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data
 
     from fs_crawler_ray.curation import snapshot_diff
-
-    a = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                              columns=["doc_id", "text"])
 
     def make_b(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
         kept = t.filter(pa.array(ids % 7 != 0))
         kids = kept["doc_id"].to_numpy(zero_copy_only=False)
-        txt = pc.if_else(pa.array(kids % 11 == 0),
-                         pc.binary_join_element_wise(
-                             kept["text"].combine_chunks()
-                             if isinstance(kept["text"], pa.ChunkedArray)
-                             else kept["text"],
-                             " v2", ""),
-                         kept["text"])
+        text = pc.if_else(pa.array(kids % 11 == 0),
+                          pc.binary_join_element_wise(kept["text"], " v2", ""),
+                          kept["text"])
         added = t.filter(pa.array(ids % 13 == 0))
-        return pa.table({
-            "doc_id": pa.concat_arrays([
-                kept["doc_id"].combine_chunks()
-                if isinstance(kept["doc_id"], pa.ChunkedArray) else kept["doc_id"],
-                pc.add(added["doc_id"].combine_chunks()
-                       if isinstance(added["doc_id"], pa.ChunkedArray)
-                       else added["doc_id"], 1000000)]),
-            "text": pa.concat_arrays([
-                txt.combine_chunks() if isinstance(txt, pa.ChunkedArray) else txt,
-                added["text"].combine_chunks()
-                if isinstance(added["text"], pa.ChunkedArray) else added["text"]]),
-        })
+        return pa.concat_tables([
+            pa.table({"doc_id": kept["doc_id"], "text": text}),
+            pa.table({"doc_id": pc.add(added["doc_id"], 1000000), "text": added["text"]}),
+        ])
 
-    b = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                              columns=["doc_id", "text"]).map_batches(
+    a = _read(sf_dir, "documents", ["doc_id", "text"])
+    b = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         make_b, batch_format="pyarrow")
     out = snapshot_diff(a, b).to_pandas()
     return out.astype({"doc_id": np.int64}).sort_values(
         "doc_id").reset_index(drop=True)
 
 
-def _docs_postings(sf_dir: str):
-    """Inverted-index build: (tok, df, comma-joined ascending doc-id
-    posting list), min_df=2."""
-    import ray.data
-
-    from fs_crawler_ray.text import inverted_index
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = inverted_index(ds, min_df=2).to_pandas()
-    return out.astype({"df": np.int64}).sort_values("tok").reset_index(drop=True)
-
-
-def _docs_quality_rank(sf_dir: str):
-    """Global 1-based rank by descending mean token rarity (integer
-    permille), ties by doc_id — distributed sort + zip-with-index."""
-    import ray.data
-
-    from fs_crawler_ray.text import quality_rank
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = quality_rank(ds).to_pandas()
-    return out.astype(
-        {"doc_id": np.int64, "mean_rarity_milli": np.int64, "qrank": np.int64}
-    ).sort_values("doc_id").reset_index(drop=True)
-
-
-def _span_mix_stats(sf_dir: str):
-    """Per-doc modality mix over the interleaved span table (the
-    input_hint's Lance shape): n_spans / n_media / text_chars /
-    media_permille. Map-only, shuffle-free."""
-    import ray.data
-
-    from fs_crawler_ray.corpus import corpus_for_sf
-    from fs_crawler_ray.multimodal import span_composition
-
-    info = corpus_for_sf(sf_dir)
-    ds = ray.data.read_parquet(info.documents_path)
-    out = span_composition(ds).to_pandas()
-    return out.astype({"n_spans": np.int64, "n_media": np.int64,
-                       "text_chars": np.int64, "media_permille": np.int64}
-                      ).sort_values("doc_id").reset_index(drop=True)
-
-
-def _span_kind_counts(sf_dir: str):
-    """Span-kind schema profile of the interleaved corpus:
-    (kind, n_spans, n_docs)."""
-    import ray.data
-
-    from fs_crawler_ray.corpus import corpus_for_sf
-    from fs_crawler_ray.multimodal import span_kind_counts
-
-    info = corpus_for_sf(sf_dir)
-    ds = ray.data.read_parquet(info.documents_path)
-    out = span_kind_counts(ds).to_pandas()
-    return out.astype({"n_spans": np.int64, "n_docs": np.int64}
-                      ).sort_values("kind").reset_index(drop=True)
-
-
-def _docs_dup_rate_by_source(sf_dir: str):
-    """Per-source dedup report: (source, n_docs, n_unique,
-    dup_permille)."""
-    import ray.data
-
-    from fs_crawler_ray.text import dup_rate_by_source
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = dup_rate_by_source(ds).to_pandas()
-    return out.astype({"n_docs": np.int64, "n_unique": np.int64,
-                       "dup_permille": np.int64}).sort_values(
-        "source").reset_index(drop=True)
-
-
-def _docs_lang_dist(sf_dir: str):
-    """Corpus language composition: (lang, n_docs, permille)."""
-    import ray.data
-
-    from fs_crawler_ray.text import lang_distribution
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = lang_distribution(ds).to_pandas()
-    return out.astype({"n_docs": np.int64, "permille": np.int64}
-                      ).sort_values("lang").reset_index(drop=True)
-
-
-def _docs_bpe_pairs(sf_dir: str):
-    """Top adjacent-char pair counts inside word tokens — the BPE
-    trainer's merge statistic (fixed 65536-bin per-batch partial)."""
-    import ray.data
-
-    from fs_crawler_ray.text import bpe_pair_counts
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    out = bpe_pair_counts(ds, top_n=50).to_pandas()
-    return out.astype({"cnt": np.int64}).reset_index(drop=True)
-
-
 def _events_kmv_overlap(sf_dir: str):
     """Cross-source user overlap WITHOUT a join (sketch.kmv_overlap):
     bottom-k md5 sketches of purchasers vs viewers, Jaccard from the
     union's bottom-k reference sample."""
-    import pyarrow.compute as _pc
-    import ray.data
+    import pyarrow.compute as pc
 
     from fs_crawler_ray.sketch import kmv_overlap
 
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                               columns=["event_type", "user_id"])
-    a = ds.map_batches(lambda t: t.filter(_pc.equal(t["event_type"], "purchase")),
+    ds = _read(sf_dir, "events", ["event_type", "user_id"])
+    a = ds.map_batches(lambda t: t.filter(pc.equal(t["event_type"], "purchase")),
                        batch_format="pyarrow")
-    b = ds.map_batches(lambda t: t.filter(_pc.equal(t["event_type"], "view")),
+    b = ds.map_batches(lambda t: t.filter(pc.equal(t["event_type"], "view")),
                        batch_format="pyarrow")
     return kmv_overlap(a, b, "user_id").to_pandas()
 
 
-def _events_hll_users_by_type(sf_dir: str):
-    """Per-event-type approximate distinct users (sketch.hll_distinct_by):
-    fixed 2^p-byte state per group, one bucketed shuffle of
-    O(groups × blocks) register rows."""
-    import ray.data
-
-    from fs_crawler_ray.sketch import hll_distinct_by
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                               columns=["event_type", "user_id"])
-    out = hll_distinct_by(ds, "user_id", "event_type").to_pandas()
-    return out.sort_values("event_type").reset_index(drop=True)
-
-
-def _events_hll_users(sf_dir: str):
-    """Approximate COUNT(DISTINCT user_id) via the SQL-replayable
-    HyperLogLog (sketch.hll_distinct): fixed 2^p-byte state regardless
-    of row count, register-for-register identical to the DuckDB
-    md5_number_lower oracle."""
-    import ray.data
-
-    from fs_crawler_ray.sketch import hll_distinct
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                               columns=["user_id"])
-    return hll_distinct(ds, "user_id").to_pandas()
-
-
 def queries() -> dict[str, Callable[[str], Any]]:
+    from fs_crawler_ray import ann, components, curation, multimodal, sketch, text, windows
     from fs_crawler_ray.pipelines import crawl_queries as cq
     from fs_crawler_ray.pipelines import relational as rel
 
@@ -1178,17 +263,27 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # --- r02's driver snapshot cut off at 50 queries, so the 11
         # registered-but-unchecked ones run EARLY this round (right
         # after the crawl block) to guarantee CORRECTNESS rows ---------
-        "docs_bigram_freq": _docs_bigram_freq,
-        "docs_dup_passages": _docs_dup_passages,
-        "docs_tfidf_top": _docs_tfidf_top,
-        "docs_stopword_filtered": _docs_stopword_filtered,
-        "docs_stratified_sample": _docs_stratified_sample,
+        "docs_bigram_freq": _frame("documents", text.ngram_frequency, n=2, top_n=50,
+                                   ints=("cnt",)),
+        "docs_dup_passages": _frame("documents", text.dup_passages, window=16, stride=8,
+                                    cols=["doc_id", "pos", "chunk_hash"]),
+        "docs_tfidf_top": _frame("documents", text.tfidf_top_terms, top_n=3,
+                                 ints=("doc_id", "tf", "df", "score")),
+        "docs_stopword_filtered": _frame("documents", text.stopword_filter, lang="en",
+                                         ints=("doc_id", "n_removed")),
+        "docs_stratified_sample": _frame("documents", text.stratified_sample,
+                                         group_col="source", n=5,
+                                         cols=["doc_id", "source"], ints=("doc_id",)),
         "q_events_lag": rel.q_events_lag,
         "ann_topk": _ann_topk,
-        "ann_knn_join": _ann_knn_join,
-        "embedding_near_dups": _embedding_near_dups,
-        "media_features": _media_features,
-        "media_frame_sample": _media_frame_sample,
+        # exact=True here and below is the conformance mode; exact=False
+        # is the IVF/LSH scale path, recall-tested in pytest
+        "ann_knn_join": _frame("embeddings", ann.knn_join, k=3, exact=True),
+        "embedding_near_dups": _frame("embeddings", ann.embedding_near_dups,
+                                      threshold=0.42, exact=True, cols=["vec_a", "vec_b"]),
+        "media_features": multimodal.media_feature_pipeline,
+        "media_frame_sample": functools.partial(multimodal.media_frame_sample_pipeline,
+                                                stride=4),
         # --- generic relational operators over testdata ---------------
         "q_pricing_summary": rel.q_pricing_summary,
         "q_orders_by_segment": rel.q_orders_by_segment,
@@ -1218,21 +313,36 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_events_daily_type_balance": rel.q_events_daily_type_balance,
         "q_events_retention": rel.q_events_retention,
         # --- training-data ops: dedup / text / ANN / multimodal -------
-        "docs_exact_dedup": _docs_exact_dedup,
-        "docs_token_counts": _docs_token_counts,
+        "docs_exact_dedup": _frame("documents", text.exact_dedup, num_buckets=32,
+                                   cols=["doc_id", "content_hash"], ints=("doc_id",)),
+        "docs_token_counts": _frame("documents", text.token_count),
         "docs_near_dup_pairs": _docs_near_dup_pairs,
-        "docs_dup_clusters": _docs_dup_clusters,
+        "docs_dup_clusters": _frame("documents", components.near_dup_clusters,
+                                    cols=["doc_id", "cluster_id"]),
         "docs_dedup_survivors": _docs_dedup_survivors,
-        "docs_hash_sample": _docs_hash_sample,
-        "docs_token_df": _docs_token_df,
+        "docs_hash_sample": _frame("documents", text.hash_sample, denom=20,
+                                   read_cols=["doc_id", "source"],
+                                   cols=["doc_id", "source"], ints=("doc_id",)),
+        "docs_token_df": _frame("documents", text.token_doc_frequency, top_n=100,
+                                cols=["tok", "df"], ints=("df",)),
         "q_lineitem_quantiles": rel.q_lineitem_quantiles,
-        "q_embedding_centroids": _embedding_centroids,
-        "docs_simhash": _docs_simhash,
-        "docs_analysis": _docs_analysis,
-        "docs_simhash_pairs": _docs_simhash_pairs,
-        "docs_decontaminated": _docs_decontaminated,
-        "docs_repetition": _docs_repetition,
-        "docs_length_filtered": _docs_length_filtered,
+        "q_embedding_centroids": _frame("embeddings", ann.group_centroids,
+                                        cols=["label", "i", "centroid"],
+                                        ints=("label", "i"), sort=["label", "i"]),
+        "docs_simhash": _frame("documents", text.simhash_fingerprints),
+        "docs_analysis": _frame("documents", text.analyze_text,
+                                cols=["doc_id", "lang_guess", "n_tokens", "quality",
+                                      "fingerprint"], ints=("doc_id",)),
+        "docs_simhash_pairs": _frame("documents", text.simhash_near_dups, max_hamming=3,
+                                     shingle_k=2, cols=["doc_a", "doc_b", "hamming"]),
+        # n=3, not the operator's standard n=8: n=8 finds no overlap in
+        # the synthetic corpus, which would leave the check vacuous
+        "docs_decontaminated": _frame("documents", curation.decontaminate, n=3, eval_mod=53,
+                                      read_cols=["doc_id", "text"]),
+        "docs_repetition": _frame("documents", curation.doc_ngram_stats, n=2,
+                                  read_cols=["doc_id", "text"]),
+        "docs_length_filtered": _frame("documents", curation.length_percentile_filter,
+                                       lo=0.05, hi=0.95, read_cols=["doc_id", "n_chars"]),
         # --- r3 wave 7: link analysis + behavioral windows -------------
         "graph_degree_hist": cq.graph_degree_hist,
         "graph_pagerank": cq.graph_pagerank,
@@ -1242,123 +352,165 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # --- r3 wave 8: wedge joins + sequence packing ------------------
         "graph_two_hop": cq.graph_two_hop,
         "graph_coparents": cq.graph_coparents,
-        "docs_pack_chunks": _docs_pack_chunks,
+        "docs_pack_chunks": _frame("documents", text.pack_chunk_assignments,
+                                   budget=PACK_BUDGET, sort="doc_id"),
         # --- r3 wave 9: data mixing + rank window -----------------------
-        "docs_mix_epochs": _docs_mix_epochs,
+        "docs_mix_epochs": _frame("documents", text.epoch_oversample, thresholds=(40, 80),
+                                  sort=["doc_id", "epoch"]),
         "q_events_value_rank": rel.q_events_value_rank,
-        "emb_quantized": _emb_quantized,
+        "emb_quantized": _frame("embeddings", ann.quantize_embeddings, sort=["vec_id", "i"]),
         "docs_curation_funnel": _docs_curation_funnel,
         "graph_families": cq.graph_families,
-        "docs_pack_greedy": _docs_pack_greedy,
+        "docs_pack_greedy": _frame("documents", text.pack_greedy_assignments, budget=256,
+                                   n_shards=8, sort="doc_id"),
         # --- r3 wave 12: tokenizer encode + behavioral paths ------------
-        "docs_token_ids": _docs_token_ids,
-        "q_events_user_paths": _events_user_paths,
+        "docs_token_ids": _frame("documents", text.vocab_encode, sort=["doc_id", "pos"]),
+        "q_events_user_paths": _frame("events", windows.ordered_paths, key="user_id",
+                                      ts_col="ts", val_col="event_type",
+                                      tiebreak="event_id",
+                                      read_cols=["user_id", "ts", "event_id", "event_type"],
+                                      ints=("user_id",), sort="user_id"),
         # --- r3 wave 13: rarity score + heavy hitters -------------------
-        "docs_rarity": _docs_rarity,
-        "docs_heavy_hitters": _docs_heavy_hitters,
+        "docs_rarity": _frame("documents", text.token_rarity, sort="doc_id"),
+        "docs_heavy_hitters": _frame("documents", text.heavy_hitters, k=40, ints=("cnt",)),
         # --- r3 wave 14: drop-reason ledger + snapshot diff -------------
-        "docs_filter_reasons": _docs_filter_reasons,
+        "docs_filter_reasons": _frame("documents", curation.filter_reasons,
+                                      ints=("doc_id",), sort="doc_id"),
         "docs_snapshot_diff": _docs_snapshot_diff,
         # --- r3 wave 15: inverted index + global quality rank -----------
-        "docs_postings": _docs_postings,
-        "docs_quality_rank": _docs_quality_rank,
+        "docs_postings": _frame("documents", text.inverted_index, min_df=2,
+                                ints=("df",), sort="tok"),
+        "docs_quality_rank": _frame("documents", text.quality_rank, sort="doc_id"),
         # --- r3 wave 16: interleaved-span composition profiling ---------
-        "span_mix_stats": _span_mix_stats,
-        "span_kind_counts": _span_kind_counts,
+        "span_mix_stats": _frame("corpus", multimodal.span_composition,
+                                 ints=("n_spans", "n_media", "text_chars", "media_permille"),
+                                 sort="doc_id"),
+        "span_kind_counts": _frame("corpus", multimodal.span_kind_counts,
+                                   ints=("n_spans", "n_docs"), sort="kind"),
         # --- r3 wave 17: provenance composition reports -----------------
-        "docs_dup_rate_by_source": _docs_dup_rate_by_source,
-        "docs_lang_dist": _docs_lang_dist,
+        "docs_dup_rate_by_source": _frame("documents", text.dup_rate_by_source,
+                                          ints=("n_docs", "n_unique", "dup_permille"),
+                                          sort="source"),
+        "docs_lang_dist": _frame("documents", text.lang_distribution,
+                                 ints=("n_docs", "permille"), sort="lang"),
         # --- r3 wave 18: BPE merge-pair statistic ------------------------
-        "docs_bpe_pairs": _docs_bpe_pairs,
+        "docs_bpe_pairs": _frame("documents", text.bpe_pair_counts, top_n=50, ints=("cnt",)),
         # --- r3 wave 19: chunking, transitions, dim stats, triangles,
         #     group-share window --------------------------------------
-        "docs_chunk_overlap": _docs_chunk_overlap,
+        "docs_chunk_overlap": _frame("documents", text.chunk_spans, size=64, stride=32,
+                                     sort=["doc_id", "chunk_id"]),
         "q_events_type_transitions": rel.q_events_type_transitions,
-        "emb_dim_stats": _emb_dim_stats,
+        "emb_dim_stats": _frame("embeddings", ann.dim_stats, sort="dim"),
         "graph_triangles": cq.graph_triangles,
         "q_orders_share_per_segment": rel.q_orders_share_per_segment,
         # --- r3 wave 20: interleave transitions, Jaccard join, robust
         #     outliers, star-join top-k ---------------------------------
-        "span_transitions": _span_transitions,
-        "docs_jaccard_pairs": _docs_jaccard_pairs,
+        "span_transitions": _frame("corpus", multimodal.span_transitions, ints=("cnt",),
+                                   sort=["prev_kind", "next_kind"]),
+        "docs_jaccard_pairs": _frame("documents", text.jaccard_pairs, min_permille=300,
+                                     max_df=100, sort=["doc_a", "doc_b"]),
         "q_events_outliers": rel.q_events_outliers,
         "q_top_suppliers_by_nation": rel.q_top_suppliers_by_nation,
         # --- r3 wave 21: winsorize, kNN label vote, cohort first-touch --
         "docs_winsorized": _docs_winsorized,
-        "emb_knn_label_vote": _emb_knn_label_vote,
+        "emb_knn_label_vote": _frame("embeddings", ann.knn_label_vote, k=5, exact=True,
+                                     sort="vec_id"),
         "q_events_daily_new_users": rel.q_events_daily_new_users,
         # --- r3 wave 22: cluster scatter, k-core peel, market basket ----
-        "emb_label_scatter": _emb_label_scatter,
+        "emb_label_scatter": _frame("embeddings", ann.label_scatter, sort="label"),
         "graph_kcore": cq.graph_kcore,
         "q_part_pairs": rel.q_part_pairs,
         # --- r3 wave 23: k-means E-step, quality tertiles, YoY growth ---
-        "emb_kmeans_assign": _emb_kmeans_assign,
-        "docs_rarity_tertiles": _docs_rarity_tiles,
+        "emb_kmeans_assign": _frame("embeddings", ann.kmeans_assign, k=8, sort="vec_id"),
+        "docs_rarity_tertiles": _frame("documents", text.rarity_tiles, n_tiles=3,
+                                       sort="doc_id"),
         "q_orders_yearly_growth": rel.q_orders_yearly_growth,
         # --- r3 wave 24: Gopher rules, media composition, centroid
         #     separation -------------------------------------------------
-        "docs_gopher_stats": _docs_gopher_stats,
-        "media_type_stats": _media_type_stats,
-        "emb_centroid_dists": _emb_centroid_dists,
+        "docs_gopher_stats": _frame("documents", text.gopher_stats, sort="doc_id"),
+        "media_type_stats": multimodal.media_type_stats,
+        "emb_centroid_dists": _frame("embeddings", ann.centroid_dists,
+                                     sort=["label_a", "label_b"]),
         # --- r3 wave 26: hash split, length buckets, edit-distance
         #     verify -----------------------------------------------------
-        "docs_split_assign": _docs_split_assign,
-        "docs_length_buckets": _docs_length_buckets,
-        "docs_edit_distance_pairs": _docs_edit_distance_pairs,
+        "docs_split_assign": _frame("documents", text.split_assign,
+                                    ints=("doc_id", "bucket"), sort="doc_id"),
+        "docs_length_buckets": _frame("documents", text.length_buckets, sort="bucket"),
+        "docs_edit_distance_pairs": _frame("documents", text.edit_distance_pairs,
+                                           threshold=0.8, shingle_k=3,
+                                           sort=["doc_a", "doc_b"]),
         # --- r3 wave 27: media layout, label deviation, weekday profile -
-        "span_media_position": _span_media_position,
-        "emb_label_deviation": _emb_label_deviation,
+        "span_media_position": _frame("corpus", multimodal.span_media_position,
+                                      sort="decile"),
+        "emb_label_deviation": _frame("embeddings", ann.label_deviation, sort="vec_id"),
         "q_events_weekday_profile": rel.q_events_weekday_profile,
         # --- r3 wave 28: dup-region merge, activity streaks, shard
         #     manifest ---------------------------------------------------
-        "docs_dup_spans_merged": _docs_dup_spans_merged,
-        "q_events_user_streaks": _events_user_streaks,
-        "docs_shard_manifest": _docs_shard_manifest,
+        "docs_dup_spans_merged": _frame("documents", text.dup_spans_merged, window=16,
+                                        stride=8, sort=["doc_id", "span_start"]),
+        "q_events_user_streaks": _frame("events", windows.user_streaks, sort="user_id"),
+        "docs_shard_manifest": _frame("documents", text.shard_manifest, num_shards=16,
+                                      sort="shard"),
         # --- r3 wave 30: forward as-of, skip-grams, norm histogram ------
         "q_events_asof_next_click": rel.q_events_asof_next_click,
-        "docs_skipgram_pairs": _docs_skipgram_pairs,
-        "emb_sqnorm_hist": _emb_sqnorm_hist,
+        "docs_skipgram_pairs": _frame("documents", text.skipgram_pairs, max_dist=3,
+                                      top_n=50, ints=("cnt",),
+                                      sort=["cnt", "tok_a", "tok_b"], descending=("cnt",)),
+        "emb_sqnorm_hist": _frame("embeddings", ann.sqnorm_hist, sort="bucket"),
         # --- r3 wave 31: lang confusion, label quality, assortativity ---
-        "docs_lang_confusion": _docs_lang_confusion,
+        "docs_lang_confusion": _frame("documents", text.lang_confusion, ints=("n_docs",),
+                                      sort=["lang", "lang_guess"]),
         "emb_label_rarity": _emb_label_rarity,
         "graph_assortativity": cq.graph_assortativity,
         # --- r3 wave 32: attribution window, cluster sizes, quant error -
         "q_events_conversions_1h": rel.q_events_conversions_1h,
         "docs_cluster_sizes": _docs_cluster_sizes,
-        "emb_quant_error": _emb_quant_error,
+        "emb_quant_error": _frame("embeddings", ann.quantization_error, sort="i"),
         # --- r3 wave 34: transitivity moments, conversion latency -------
         "graph_clustering": cq.graph_clustering,
         "q_events_ttc_quantiles": rel.q_events_ttc_quantiles,
         "q_customer_rfm": rel.q_customer_rfm,
-        "emb_pq_codes": _emb_pq_codes,
+        "emb_pq_codes": _frame("embeddings", ann.pq_assign, k=8, n_sub=2,
+                               sort=["vec_id", "sub"]),
         # --- r3 wave 36: session shapes, IVF balance --------------------
         "q_events_session_size_hist": rel.q_events_session_size_hist,
-        "emb_kmeans_sizes": _emb_kmeans_sizes,
+        "emb_kmeans_sizes": _frame("embeddings", ann.kmeans_cell_sizes, k=8,
+                                   sort="cluster"),
         # --- r3 wave 37: scored near-dups, keep-best dedup --------------
-        "docs_near_dup_scores": _docs_near_dup_scores,
-        "docs_dedup_keep_best": _docs_dedup_keep_best,
+        "docs_near_dup_scores": _frame("documents", text.near_dup_scores, threshold=0.8,
+                                       shingle_k=3, sort=["doc_a", "doc_b"]),
+        "docs_dedup_keep_best": _frame("documents", text.dedup_keep_best,
+                                       sort="cluster_id"),
         # --- r3 wave 38: fulfillment SLA, mixing matrix ------------------
         "q_ship_delay_hist": rel.q_ship_delay_hist,
-        "docs_source_quality": _docs_source_quality,
-        "docs_vocab_growth": _docs_vocab_growth,
+        "docs_source_quality": _frame("documents", text.source_quality_matrix, n_tiles=3,
+                                      ints=("tile", "n_docs"), sort=["source", "tile"]),
+        "docs_vocab_growth": _frame("documents", text.vocab_growth, n_points=10, sort="k"),
         "q_orders_ltv_triangle": rel.q_orders_ltv_triangle,
         # --- r3 wave 41: classifier eval, catalog pricing ---------------
-        "emb_vote_confusion": _emb_vote_confusion,
+        "emb_vote_confusion": _frame("embeddings", ann.vote_confusion, k=5, exact=True,
+                                     sort=["label", "voted_label"]),
         "q_part_price_stats": rel.q_part_price_stats,
         "q_events_anomaly_days": rel.q_events_anomaly_days,
-        "docs_dedup_savings": _docs_dedup_savings,
-        "docs_collocations": _docs_collocations,
+        "docs_dedup_savings": _frame("documents", text.dedup_savings),
+        "docs_collocations": _frame("documents", text.collocations, top_n=20, min_count=5,
+                                    ints=("cnt", "score")),
         # --- r3 wave 45: priority mix, token lengths ---------------------
         "q_orders_priority_matrix": rel.q_orders_priority_matrix,
-        "docs_token_len_hist": _docs_token_len_hist,
+        "docs_token_len_hist": _frame("documents", text.token_length_hist, sort="length"),
         # --- r3 wave 46: per-type value profile, feature covariance -----
         "q_events_type_value_stats": rel.q_events_type_value_stats,
-        "emb_dim_covariance": _emb_dim_covariance,
+        "emb_dim_covariance": _frame("embeddings", ann.dim_covariance,
+                                     sort=["dim_a", "dim_b"]),
         "graph_family_sizes": cq.graph_family_sizes,
         "q_events_hour_profile": rel.q_events_hour_profile,
         # --- r5: cardinality sketch (SQL-replayable HyperLogLog) --------
-        "events_hll_users": _events_hll_users,
-        "events_hll_users_by_type": _events_hll_users_by_type,
+        "events_hll_users": _frame("events", sketch.hll_distinct, col="user_id",
+                                   read_cols=["user_id"], ints=()),
+        "events_hll_users_by_type": _frame("events", sketch.hll_distinct_by, col="user_id",
+                                           by="event_type",
+                                           read_cols=["event_type", "user_id"], ints=(),
+                                           sort="event_type"),
         "events_kmv_overlap": _events_kmv_overlap,
     }
 

@@ -62,7 +62,7 @@ import ray.data
 from fs_crawler_ray.corpus import CorpusInfo
 from fs_crawler_ray.ids import as_key_array
 from fs_crawler_ray.model import EDGE_SCHEMA, FRONTIER_SCHEMA, VERTEX_SCHEMA, RelationshipType
-from fs_crawler_ray.relops import distinct
+from fs_crawler_ray.relops import hash_buckets, thin_boundaries
 from fs_crawler_ray.sources import storage as st
 from fs_crawler_ray.stages.fetch import PolitenessBudget
 from fs_crawler_ray.state.fetch_service import FetchPool, FetchStage
@@ -74,7 +74,7 @@ VISITED = "visited"
 PROCESSING = "processing"
 EDGES = "edges"
 
-#: task waves per hop for a seed frontier. Per-doc fan-out variance
+#: fetch-task waves per hop (``_fetch_rpb``). Per-doc fan-out variance
 #: skews task walls ~2.6x, so more/smaller blocks could in principle
 #: smooth the straggler tail before the shuffle barrier — measured,
 #: waves=2/4 and sink partitions 8/16/32 are indistinguishable inside
@@ -123,19 +123,15 @@ class CrawlResult:
     log: list[dict] = field(default_factory=list)
 
     def hop_dir(self, hop: int) -> str:
-        return st.join(self.out_dir, f"hop={hop}")
+        return _hop_dir(self.out_dir, hop)
 
     @staticmethod
     def load(out_dir: str) -> "CrawlResult":
         """Reattach to a completed crawl checkpoint on disk."""
-        hops, log = [], []
-        h = 0
-        while st.exists(st.join(out_dir, f"hop={h}", "log.json")):
-            log.append(st.read_json(st.join(out_dir, f"hop={h}", "log.json")))
-            hops.append(h)
-            h += 1
+        hops = _complete_hops(out_dir)
         if not hops:
             raise FileNotFoundError(f"no complete hops under {out_dir}")
+        log = [st.read_json(st.join(_hop_dir(out_dir, h), "log.json")) for h in hops]
         return CrawlResult(out_dir=out_dir, hops_run=hops, log=log)
 
     def _cat(self, name: str, columns: list[str] | None = None) -> ray.data.Dataset:
@@ -230,6 +226,35 @@ def _read_parts(files: list[str], **kwargs) -> ray.data.Dataset:
     return parts[0].union(*parts[1:])
 
 
+def _hop_dir(out_dir: str, hop: int) -> str:
+    return st.join(out_dir, f"hop={hop}")
+
+
+def _complete_hops(out_dir: str) -> list[int]:
+    """Hops 0, 1, ... of a crawl checkpoint up to the first one without
+    a ``log.json`` (a hop writes its log last)."""
+    hops = []
+    while st.exists(st.join(_hop_dir(out_dir, len(hops)), "log.json")):
+        hops.append(len(hops))
+    return hops
+
+
+def _cluster_cpus() -> int:
+    """CPUs of the connected Ray cluster; 8 before ``ray.init``."""
+    return int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+
+
+def _fetch_rpb(n: int, cpus: int, direct: bool) -> int:
+    """Ids per fetch block for a hop of ``n`` ids: at least 4k so a
+    block amortizes its task dispatch and membership RPC fan-out, about
+    FETCH_WAVES blocks per CPU when the hop is large enough (measured in
+    round 3: halving the block count at 32 CPUs beat doubling it). The
+    politeness-budget actor pool takes fixed 5k-id blocks."""
+    if not direct:
+        return 5_000
+    return min(32_768, max(4096, n // (FETCH_WAVES * cpus) + 1))
+
+
 def _read_sized(path: str, columns: list[str] | None = None,
                 rows_per_block: int | None = None, max_blocks: int = 512) -> ray.data.Dataset:
     """read_parquet with a block count proportional to the DATA (and,
@@ -241,8 +266,7 @@ def _read_sized(path: str, columns: list[str] | None = None,
     cluster."""
     rows = _parquet_rows(path)
     if rows_per_block is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        rows_per_block = int(min(20_000, max(4096, rows // (2 * cpus) + 1)))
+        rows_per_block = int(min(20_000, max(4096, rows // (2 * _cluster_cpus()) + 1)))
     blocks = int(min(max_blocks, max(1, rows // rows_per_block + 1)))
     return st.read_parquet(path, columns=columns, override_num_blocks=blocks)
 
@@ -390,16 +414,6 @@ def _tagged(n: int, bucket: np.ndarray, **cols) -> pa.Table:
     return pa.Table.from_arrays(arrays, schema=_TAGGED_SCHEMA)
 
 
-def _thin_boundaries(boundaries: np.ndarray | None, num_buckets: int) -> np.ndarray | None:
-    """Reduce sampled range cut points to the hop's (data-proportional)
-    bucket count — same rule as relops._add_range_bucket."""
-    if boundaries is None or len(boundaries) + 1 <= num_buckets or num_buckets < 1:
-        return boundaries
-    n = len(boundaries) + 1
-    cut = (np.arange(1, num_buckets) * n) // num_buckets
-    return boundaries[cut - 1]
-
-
 def _make_record_tagger(hop: int, n_cand_buckets: int, n_edge_buckets: int,
                         boundaries: np.ndarray | None):
     """1:1 batch stage: split a parsed record batch into its edge rows
@@ -410,10 +424,10 @@ def _make_record_tagger(hop: int, n_cand_buckets: int, n_edge_buckets: int,
     ``[0, n_cand_buckets)`` (range-clustered next frontier == next hop's
     fetch routing) and edges to hash buckets
     ``[n_cand_buckets, n_cand_buckets + n_edge_buckets)``."""
-    from fs_crawler_ray.ids import range_bucket_of, stable_hash64
+    from fs_crawler_ray.ids import range_bucket_of
     from fs_crawler_ray.relops import _keep_first_arrow
 
-    bnd = _thin_boundaries(boundaries, n_cand_buckets)
+    bnd = thin_boundaries(boundaries, n_cand_buckets)
 
     def tag(batch: pa.Table) -> pa.Table:
         parts = []
@@ -422,11 +436,7 @@ def _make_record_tagger(hop: int, n_cand_buckets: int, n_edge_buckets: int,
         )
         if len(e):
             e = _keep_first_arrow(e, ["source", "destination"], ["hop", "src_doc", "offset"])
-            h = np.zeros(len(e), dtype=np.uint64)
-            with np.errstate(over="ignore"):
-                for i, c in enumerate(["source", "destination"]):
-                    h = h * np.uint64(0x9E3779B97F4A7C15) + stable_hash64(e[c], seed=31 + i)
-            b = (h % np.uint64(n_edge_buckets)).astype(np.int64) + n_cand_buckets
+            b = hash_buckets([e["source"], e["destination"]], n_edge_buckets) + n_cand_buckets
             parts.append(_tagged(
                 len(e), b, source=e["source"], destination=e["destination"],
                 rel_id=e["rel_id"], src_doc=e["src_doc"], offset=e["offset"],
@@ -453,17 +463,12 @@ def _make_classify_tagger(n_cand_buckets: int, n_edge_buckets: int):
     registration of the hop (the groupby barrier is the ordering), and
     the final edge-classification pass stops being its own streaming
     execution (VERDICT r4 item 1: one fewer per-hop floor)."""
-    from fs_crawler_ray.ids import stable_hash64
 
     def tag(batch: pa.Table) -> pa.Table:
         if len(batch) == 0:
             return _TAGGED_SCHEMA.empty_table()
-        h = np.zeros(len(batch), dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            for i, c in enumerate(["source", "destination"]):
-                h = h * np.uint64(0x9E3779B97F4A7C15) + stable_hash64(batch[c], seed=31 + i)
-        b = (h % np.uint64(n_edge_buckets)).astype(np.int64) \
-            + n_cand_buckets + n_edge_buckets
+        b = (hash_buckets([batch["source"], batch["destination"]], n_edge_buckets)
+             + n_cand_buckets + n_edge_buckets)
         return _tagged(len(batch), b, source=batch["source"],
                        destination=batch["destination"])
 
@@ -475,7 +480,7 @@ def _make_carryover_tagger(n_cand_buckets: int, boundaries: np.ndarray | None):
     rows carrying their ORIGINAL priority."""
     from fs_crawler_ray.ids import range_bucket_of
 
-    bnd = _thin_boundaries(boundaries, n_cand_buckets)
+    bnd = thin_boundaries(boundaries, n_cand_buckets)
 
     def tag(batch: pa.Table) -> pa.Table:
         if len(batch) == 0:
@@ -654,8 +659,8 @@ class Crawler:
             num_shards=self.config.num_shards,
             capacity_per_shard=self.config.shard_capacity,
             mode=self.config.membership_mode,
-            boundaries=_thin_boundaries(self.range_boundaries,
-                                        self.config.num_shards),
+            boundaries=thin_boundaries(self.range_boundaries,
+                                       self.config.num_shards),
             range_names=(VISITED, PROCESSING),
         )
         # Two fetch modes: with a politeness budget the token buckets
@@ -732,15 +737,7 @@ class Crawler:
 
     # -- checkpoint helpers -------------------------------------------
     def _hop_dir(self, hop: int) -> str:
-        return st.join(self.out_dir, f"hop={hop}")
-
-    def _complete_hops(self) -> list[int]:
-        hops = []
-        h = 0
-        while st.exists(st.join(self._hop_dir(h), "log.json")):
-            hops.append(h)
-            h += 1
-        return hops
+        return _hop_dir(self.out_dir, hop)
 
     def _write_settings(self, seeds: list[str]) -> None:
         # run-config dump (reference crawler.py:107-122 settings writer).
@@ -758,7 +755,7 @@ class Crawler:
     def _resume_state(self) -> tuple[int, str | None, list[dict]]:
         """Rebuild shard state from checkpointed tables (SURVEY §7.5:
         filter state must be reconstructable, never snapshotted ad hoc)."""
-        done = self._complete_hops()
+        done = _complete_hops(self.out_dir)
         if not done:
             return 0, None, []
         log = []
@@ -827,9 +824,7 @@ class Crawler:
             # fetch block sizing so the fused execution's fetch tasks
             # are the same granularity as re-read frontiers get.
             n_frontier_est = len(seed_tbl)
-            _cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-            chunk = (min(32_768, max(4096, n_frontier_est // (FETCH_WAVES * _cpus) + 1))
-                     if self.direct else 5_000)
+            chunk = _fetch_rpb(n_frontier_est, _cluster_cpus(), self.direct)
             # from_blocks, not from_arrow: both slice and put the table
             # on the driver, but from_arrow then waits on a remote task
             # for each block's metadata, which in a fresh session waits
@@ -882,7 +877,7 @@ class Crawler:
             vert_path = st.join(hop_dir, "vertices.parquet")
             st.makedirs(proc_path)
             st.makedirs(vert_path)
-            cpus = int(ray.cluster_resources().get("CPU", 8))
+            cpus = _cluster_cpus()
             # The visited-filter is REDUNDANT for frontiers produced by
             # a completed previous hop of this run: _branch_frontier
             # already filtered the candidates against the same VISITED
@@ -891,15 +886,6 @@ class Crawler:
             # remains. The first hop of a run (seeds, or a resumed
             # checkpoint) keeps the full filter.
             prefiltered = hop > start_hop
-
-            # fetch blocks sized to amortize per-block fixed costs (task
-            # dispatch + membership-shard RPC fan-out): ≥4k ids per
-            # fetch task, ~2 tasks/CPU when the hop is large enough.
-            # Measured on this VM: halving block count at 32 CPUs beat
-            # doubling it (per-block overhead, not compute, bounds small
-            # hops — see BASELINE.md).
-            def _fetch_rpb(n: int) -> int:
-                return min(32_768, max(4096, n // (2 * cpus) + 1)) if self.direct else 5_000
 
             # the stage chain downstream of the eligible frontier:
             # fetch → parse → vertex checkpoint (VISITED registration
@@ -932,7 +918,8 @@ class Crawler:
             if cfg.frontier_budget is None:
                 if frontier_path is not None:
                     n_frontier_est = _parquet_rows(frontier_path)
-                    src = _read_sized(frontier_path, rows_per_block=_fetch_rpb(n_frontier_est))
+                    src = _read_sized(frontier_path, rows_per_block=_fetch_rpb(
+                        n_frontier_est, cpus, self.direct))
                 else:
                     src = seed_frontier
                 stage = MembershipStage(self.sm, "id", register=PROCESSING,
@@ -963,7 +950,8 @@ class Crawler:
                 _safe_write(eligible, proc_path, FRONTIER_SCHEMA)
                 n_proc = _parquet_rows(proc_path)
                 records = _fetch_parse_chain(
-                    _read_sized(proc_path, columns=["id"], rows_per_block=_fetch_rpb(n_proc))
+                    _read_sized(proc_path, columns=["id"],
+                                rows_per_block=_fetch_rpb(n_proc, cpus, self.direct))
                 )
                 n_src_est = n_proc
                 if remainder.count() > 0:
@@ -1042,8 +1030,7 @@ class Crawler:
             # 8-slot cluster is ~3 s of pure orchestration for <0.3 s of
             # work (measured, BASELINE.md r3). Groups stay intact at any
             # partition count; the sink splits multi-bucket partitions.
-            _cl_cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-            n_parts = max(4, min(2 * eff_buckets, 2 * _cl_cpus))
+            n_parts = max(4, min(2 * eff_buckets, 2 * cpus))
             grouped = tagged.groupby("__bucket", num_partitions=n_parts).map_groups(
                 hop_sink, batch_format="pyarrow"
             )

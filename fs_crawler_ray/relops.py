@@ -57,13 +57,33 @@ def project(ds: ray.data.Dataset, columns: list[str]) -> ray.data.Dataset:
     return ds.select_columns(columns)
 
 
+def hash_buckets(key_arrays: list, num_buckets: int) -> np.ndarray:
+    """int64 bucket in ``[0, num_buckets)`` of each row of a key given
+    as one array per key column: the columns' seeded ``stable_hash64``
+    mixed in order. Every hash-bucketed shuffle routes through this, so
+    a key lands in the same bucket in each of them."""
+    h = np.zeros(len(key_arrays[0]), dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for i, a in enumerate(key_arrays):
+            h = h * np.uint64(0x9E3779B97F4A7C15) + stable_hash64(a, seed=31 + i)
+    return (h % np.uint64(num_buckets)).astype(np.int64)
+
+
+def thin_boundaries(boundaries: np.ndarray | None, num_buckets: int) -> np.ndarray | None:
+    """Reduce sorted range cut points to ``num_buckets`` ranges by
+    keeping ``num_buckets - 1`` evenly spaced ones, so a small shuffle
+    does not pay for the sampled bucket count."""
+    if boundaries is None or len(boundaries) + 1 <= num_buckets or num_buckets < 1:
+        return boundaries
+    n = len(boundaries) + 1
+    cut = (np.arange(1, num_buckets) * n) // num_buckets
+    return boundaries[cut - 1]
+
+
 def _add_bucket(ds: ray.data.Dataset, key_cols: list[str], num_buckets: int) -> ray.data.Dataset:
     def add(batch: pa.Table) -> pa.Table:
-        h = np.zeros(len(batch), dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            for i, c in enumerate(key_cols):
-                h = h * np.uint64(0x9E3779B97F4A7C15) + stable_hash64(batch[c], seed=31 + i)
-        return batch.append_column(_BUCKET_COL, pa.array((h % np.uint64(num_buckets)).astype(np.int64)))
+        b = hash_buckets([batch[c] for c in key_cols], num_buckets)
+        return batch.append_column(_BUCKET_COL, pa.array(b))
 
     return ds.map_batches(add, batch_format="pyarrow")
 
@@ -281,16 +301,11 @@ def hash_join(
     def add_bucket(t: pa.Table) -> pa.Table:
         if len(t) == 0:
             return t.append_column(_BUCKET_COL, pa.array([], pa.int64()))
-        h = np.zeros(len(t), dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            for i, (lc, rc) in enumerate(zip(lo, ro)):
-                # the union schema null-fills the other side's key
-                # column, so coalescing yields each row's own key
-                merged = t[lc] if lc == rc else pc.coalesce(
-                    t[lc], t[rc].cast(fields[lc]))
-                h = h * np.uint64(0x9E3779B97F4A7C15) + stable_hash64(
-                    merged, seed=31 + i)
-        return t.append_column(_BUCKET_COL, pa.array((h % np.uint64(num_buckets)).astype(np.int64)))
+        # the union schema null-fills the other side's key column, so
+        # coalescing yields each row's own key
+        keys = [t[lc] if lc == rc else pc.coalesce(t[lc], t[rc].cast(fields[lc]))
+                for lc, rc in zip(lo, ro)]
+        return t.append_column(_BUCKET_COL, pa.array(hash_buckets(keys, num_buckets)))
 
     arrow_how = {"inner": "inner", "left_outer": "left outer",
                  "right_outer": "right outer", "full_outer": "full outer",
@@ -366,13 +381,7 @@ def _add_range_bucket(ds: ray.data.Dataset, key_col: str, num_buckets: int,
     available."""
     from fs_crawler_ray.ids import range_bucket_of
 
-    if boundaries is not None and len(boundaries) + 1 > num_buckets >= 1:
-        # honor the caller's (data-proportional) bucket count: keep
-        # every num_buckets-th cut point so small hops don't pay a
-        # 64-group shuffle
-        n = len(boundaries) + 1
-        cut = (np.arange(1, num_buckets) * n) // num_buckets
-        boundaries = boundaries[cut - 1]
+    boundaries = thin_boundaries(boundaries, num_buckets)
 
     def add(batch: pa.Table) -> pa.Table:
         from fs_crawler_ray.ids import as_key_array
@@ -632,7 +641,3 @@ def unique_lookup(
                         how="inner" if how == "inner" else "left_outer",
                         num_buckets=num_partitions, right_unique=True)
     return out
-
-
-def count_rows(ds: ray.data.Dataset) -> int:
-    return ds.count()

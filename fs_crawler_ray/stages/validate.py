@@ -274,7 +274,7 @@ def save_valid_graph(
     vpath = os.path.join(out_dir, "validated.vertices.parquet")
     numbered.write_parquet(vpath)
 
-    from fs_crawler_ray.relops import lookup_join, semi_anti_join
+    from fs_crawler_ray.relops import semi_anti_join, unique_lookup
 
     invalid = classified.map_batches(
         lambda t: t.filter(pc.equal(t["invalid"], True)), batch_format="pyarrow"
@@ -283,10 +283,11 @@ def save_valid_graph(
     num = numbered.select_columns(["id", "vertex_number"])
     e = semi_anti_join(edges, invalid, "source", "source", anti=True,
                        num_partitions=num_partitions)
-    e = lookup_join(e, num.rename_columns({"id": "__s", "vertex_number": "src_n"}),
-                    on="source", right_on="__s", how="inner", num_partitions=num_partitions)
-    e = lookup_join(e, num.rename_columns({"id": "__d", "vertex_number": "dst_n"}),
-                    on="destination", right_on="__d", how="inner", num_partitions=num_partitions)
+    # both endpoints probe one broadcast of the numbering; a duplicate
+    # vertex id raises instead of multiplying edges
+    e = unique_lookup(e, num, ["id"], [(["source"], {"vertex_number": "src_n"}),
+                                       (["destination"], {"vertex_number": "dst_n"})],
+                      how="inner", num_partitions=num_partitions)
     epath = os.path.join(out_dir, "validated.edges.parquet")
     e.select_columns(["src_n", "dst_n"]).write_parquet(epath)
 

@@ -59,3 +59,9 @@ def test_no_duplicate_query_keys():
 
 def test_query_count_does_not_shrink():
     assert len(_registered_keys("queries")) >= 164
+
+
+def test_every_query_has_an_oracle():
+    # test_entry.py and tools/driver_check.py compare only the keys both
+    # functions define, so a key missing on either side goes unchecked
+    assert set(_registered_keys("queries")) == set(_registered_keys("oracle_sql"))

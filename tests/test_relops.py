@@ -7,8 +7,10 @@ from fs_crawler_ray.relops import (
     broadcast_semi_join,
     dedup_keep_first,
     distinct,
+    hash_buckets,
     lookup_join,
     semi_anti_join,
+    thin_boundaries,
 )
 
 
@@ -248,3 +250,23 @@ def test_semi_anti_join_distributed_fallback_matches_broadcast(monkeypatch):
         relops.semi_anti_join(left, right, "a", "b", anti=True).to_pandas()["a"])
     assert got_semi == want_semi and len(want_semi) == 14
     assert got_anti == want_anti and len(want_anti) == 26
+
+
+def test_hash_buckets_pins_bucket_ids():
+    # the hop shuffle and every bucketed join and dedup route rows by
+    # these ids (and so decide which checkpoint part a row lands in):
+    # pin them so a change to the mix is a deliberate one
+    src = pa.array(["KWCB-1AA", "L2Q4-XYZ", "", "KWCB-1AA", "ZZZZ-999"])
+    dst = pa.array([3, 1, 4, 1, 5], pa.int64())
+    assert hash_buckets([src], 64).tolist() == [61, 15, 41, 61, 54]
+    assert hash_buckets([src, dst], 1000).tolist() == [644, 464, 806, 510, 825]
+    assert hash_buckets([pa.chunked_array([src[:2], src[2:]])], 64).tolist() == [
+        61, 15, 41, 61, 54]
+
+
+def test_thin_boundaries_keeps_every_nth_cut():
+    cuts = np.arange(63)  # 64 sampled ranges
+    assert thin_boundaries(cuts, 8).tolist() == [7, 15, 23, 31, 39, 47, 55]
+    assert thin_boundaries(cuts, 64) is cuts
+    assert thin_boundaries(cuts, 0) is cuts
+    assert thin_boundaries(None, 8) is None
