@@ -137,7 +137,7 @@ class CrawlResult:
     def _cat(self, name: str, columns: list[str] | None = None) -> ray.data.Dataset:
         paths = [st.join(self.hop_dir(h), name) for h in self.hops_run]
         paths = _expand_parquet([p for p in paths if st.exists(p)])
-        return st.read_parquet(paths, columns=columns)
+        return st.read_parquet(paths, columns=columns, override_num_blocks=_sized_blocks(paths))
 
     def vertices(self, columns: list[str] | None = None) -> ray.data.Dataset:
         """The vertex table of every hop run, as one read; ``columns``
@@ -255,20 +255,33 @@ def _fetch_rpb(n: int, cpus: int, direct: bool) -> int:
     return min(32_768, max(4096, n // (FETCH_WAVES * cpus) + 1))
 
 
-def _read_sized(path: str, columns: list[str] | None = None,
-                rows_per_block: int | None = None, max_blocks: int = 512) -> ray.data.Dataset:
-    """read_parquet with a block count proportional to the DATA (and,
-    when auto, to the cluster): Ray's default targets ~2×cores blocks,
-    which turns a few-thousand-row frontier into hundreds of micro-tasks
-    that each pay task launch + membership/fetch RPC fan-out (observed
-    6× slowdown at 32 CPUs). The auto mode aims for ~3 blocks per CPU
-    with at least 500 rows per block, so big hops still saturate the
-    cluster."""
-    rows = _parquet_rows(path)
+def _sized_blocks(paths: str | list[str], rows_per_block: int | None = None,
+                  max_blocks: int = 512) -> int:
+    """Block count for a read of a parquet directory or a list of part
+    files, proportional to its rows (summed from the part-file footers)
+    and, when ``rows_per_block`` is None, to the cluster. Ray's default
+    targets ~2×cores blocks whatever the size, which turns a
+    few-thousand-row frontier into hundreds of micro-tasks that each
+    pay task launch + membership/fetch RPC fan-out (observed 6×
+    slowdown at 32 CPUs), and a few-thousand-row checkpoint table into
+    one block per part file or more, each a map task and a reducer in
+    every sort-based shuffle after the read. The auto mode puts
+    rows / (2 × CPUs) rows in a block, at least 4,096 and at most
+    20,000: about 2 blocks per CPU between 8,192 and 40,000 rows per
+    CPU, fewer below, more above."""
+    rows = (_parquet_rows(paths) if isinstance(paths, str)
+            else sum(st.file_rows(f) for f in paths))
     if rows_per_block is None:
         rows_per_block = int(min(20_000, max(4096, rows // (2 * _cluster_cpus()) + 1)))
-    blocks = int(min(max_blocks, max(1, rows // rows_per_block + 1)))
-    return st.read_parquet(path, columns=columns, override_num_blocks=blocks)
+    return int(min(max_blocks, max(1, rows // rows_per_block + 1)))
+
+
+def _read_sized(path: str, columns: list[str] | None = None,
+                rows_per_block: int | None = None, max_blocks: int = 512) -> ray.data.Dataset:
+    """read_parquet of a checkpoint directory in :func:`_sized_blocks`
+    blocks."""
+    return st.read_parquet(path, columns=columns,
+                           override_num_blocks=_sized_blocks(path, rows_per_block, max_blocks))
 
 
 def _parquet_rows(dir_path: str) -> int:

@@ -19,19 +19,22 @@ The reference's post-crawl pass (``fsapi.py:224-235``):
    BiologicalParent} stay in the primary edges output, the rest move to
    aux edges.
 
-Ray mapping: the pass reads the edges once and materializes them; the
-candidates and both type overrides run over those blocks. Every vertex
-or type lookup is :func:`fs_crawler_ray.relops.unique_lookup`: the
-unique right side (vertex ``(id, color)``, the classification, the
-deduped updates) is collected as Arrow, ``ray.put`` once and probed per
-edge batch with ``index_in`` + ``take`` — both candidate endpoints in
-one pass, no shuffle, no pandas — and only above
-``relops.BROADCAST_LIMIT`` rows becomes a bucketed hash join. The
-per-source classification shuffles by a HASH BUCKET of source (all rows
-of a source land in one bucket; vectorized Arrow/numpy inside — no
-per-group Python call), and the resolve fetch resolves in-task against
-the row-group range store (partition-local — the relationship table is
-never broadcast).
+Ray mapping: one execution over the edges. One map probes both
+endpoints' colour against one broadcast of the vertex ``(id, color)``
+table (:func:`fs_crawler_ray.relops.unique_lookup`, ``how="left"``: an
+Arrow ``ray.put`` probed per batch with ``index_in`` + ``take``, a
+bucketed hash join above ``relops.BROADCAST_LIMIT``). One shuffle by a
+hash bucket of ``source`` then puts every edge of a source in one
+bucket, and each bucket runs steps 1-3 in Arrow/numpy: candidates, the
+classification kernel, the rel-id type override, a fetch of the
+bucket's Resolve rel ids from the row-group range store (the
+relationship table is never broadcast or loaded whole), keep-max-rel
+dedup and the ``(source, destination)`` update override. The fusion is
+exact because every step is local to one source: classification is
+per (source, gender), a rel id belongs to one child, and updates are
+keyed (child, parent) = (source, destination). A fetched rel whose
+child is not a source of its bucket breaks that and raises
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ import pyarrow.compute as pc
 import ray.data
 
 from fs_crawler_ray.model import PRIMARY_EDGE_TYPES, RelationshipType
-from fs_crawler_ray.relops import _BUCKET_COL, _add_bucket, project, unique_lookup
+from fs_crawler_ray.relops import (_BUCKET_COL, _add_bucket, _keep_first_arrow, _probe_key,
+                                   project, unique_lookup)
 
 
 ASSUMED = RelationshipType.ASSUMED_BIOLOGICAL.value
@@ -52,183 +56,132 @@ UNSPECIFIED = RelationshipType.UNSPECIFIED_PARENT.value
 #: the vertex columns the resolve reads: pass ``vertices`` as
 #: ``CrawlResult.vertices(columns=VERTEX_LOOKUP_COLUMNS)`` to read no others
 VERTEX_LOOKUP_COLUMNS = ["id", "color"]
+#: the endpoint colours the probe appends to each edge (null: not a vertex)
+_SRC_COLOR, _DST_COLOR = "__src_color", "__dest_color"
+
+
+def _probe_colors(edges: ray.data.Dataset, vertices: ray.data.Dataset,
+                  num_partitions: int) -> ray.data.Dataset:
+    """Every edge with both endpoints' colour, null where the endpoint
+    is not a vertex: one pass probing one broadcast of the vertex
+    ``(id, color)`` table (vertex ids are unique)."""
+    return unique_lookup(
+        edges, project(vertices, VERTEX_LOOKUP_COLUMNS), ["id"],
+        [(["source"], {"color": _SRC_COLOR}), (["destination"], {"color": _DST_COLOR})],
+        how="left", num_partitions=num_partitions,
+    )
+
+
+def _candidates(t: pa.Table) -> pa.Table:
+    """J2 on probed edges: untyped edges whose BOTH endpoints are
+    vertices → (source, rel_id, dest_color)."""
+    both = pc.and_(pc.is_valid(t[_SRC_COLOR]), pc.is_valid(t[_DST_COLOR]))
+    c = t.filter(pc.and_(pc.equal(t["type"], UNTYPED), both))
+    return pa.table({"source": c["source"], "rel_id": c["id"], "dest_color": c[_DST_COLOR]})
+
+
+def _classify(t: pa.Table) -> pa.Table:
+    """A1 over the candidates of whole sources → (rel_id, rtype), one
+    row per rel id. Arrow/numpy across all sources of the table:
+    distinct (source, rel_id, dest_color) rows, then per-(source,
+    color) set sizes and per-source totals via bincount over dictionary
+    codes — no pandas groupby, no per-source Python call."""
+    t = _keep_first_arrow(t, ["source", "rel_id", "dest_color"],
+                          ["source", "rel_id", "dest_color"]).combine_chunks()
+    if len(t) == 0:
+        return pa.table({"rel_id": pa.array([], pa.string()),
+                         "rtype": pa.array([], pa.string())})
+    src = pc.dictionary_encode(t["source"].combine_chunks()).indices.to_numpy(
+        zero_copy_only=False).astype(np.int64)
+    color = t["dest_color"].to_numpy(zero_copy_only=False).astype(np.int64) + 1  # {-1,0,1}→{0,1,2}
+    pair = src * 3 + color
+    set_size = np.bincount(pair)[pair]
+    total = np.bincount(src)[src]
+    rtype = np.where((set_size == 1) & (total < 3), ASSUMED, RESOLVE)
+    rel = pc.dictionary_encode(t["rel_id"].combine_chunks()).indices.to_numpy(
+        zero_copy_only=False)
+    first = np.sort(np.unique(rel, return_index=True)[1])
+    return pa.table({"rel_id": t["rel_id"].take(pa.array(first)),
+                     "rtype": pa.array(rtype[first].astype("U"))})
 
 
 def candidate_relationships(
     edges: ray.data.Dataset, vertices: ray.data.Dataset, num_partitions: int = 16
 ) -> ray.data.Dataset:
-    """J2: untyped edges ⨝ vertices(source) ⨝ vertices(destination→color)
-    → (source, rel_id, dest_color). One pass over the edges: both
-    endpoints probe one broadcast of the vertex ``(id, color)`` table
-    (:func:`unique_lookup`; vertex ids are unique)."""
-
-    def untyped(t: pa.Table) -> pa.Table:
-        return t.filter(pc.equal(t["type"], UNTYPED)).select(["source", "destination", "id"])
-
-    unt = edges.map_batches(untyped, batch_format="pyarrow")
-    j = unique_lookup(
-        unt, project(vertices, VERTEX_LOOKUP_COLUMNS), ["id"],
-        [(["source"], {}), (["destination"], {"color": "dest_color"})],
-        num_partitions=num_partitions,
-    )
-    return j.map_batches(
-        lambda t: pa.table({"source": t["source"], "rel_id": t["id"],
-                            "dest_color": t["dest_color"]}),
-        batch_format="pyarrow",
-    )
+    """J2 as a Dataset: untyped edges ⨝ vertices(source) ⨝
+    vertices(destination→color) → (source, rel_id, dest_color)."""
+    return _probe_colors(edges, vertices, num_partitions).map_batches(
+        _candidates, batch_format="pyarrow")
 
 
 def classify_resolution(candidates: ray.data.Dataset, num_buckets: int = 64) -> ray.data.Dataset:
-    """A1 → Dataset[rel_id, rtype]. Vectorized within source-hash buckets."""
-
-    def per_bucket(t: pa.Table) -> pa.Table:
-        # Arrow/numpy across all sources in the bucket: distinct
-        # (source, rel_id, dest_color) rows, then per-(source, color)
-        # set sizes and per-source totals via bincount over dictionary
-        # codes — no pandas groupby.transform (Python-object strings).
-        from fs_crawler_ray.relops import _keep_first_arrow
-
-        t = _keep_first_arrow(t, ["source", "rel_id", "dest_color"],
-                              ["source", "rel_id", "dest_color"]).combine_chunks()
-        n = len(t)
-        if n == 0:
-            return pa.table({"rel_id": pa.array([], pa.string()),
-                             "rtype": pa.array([], pa.string())})
-        src = pc.dictionary_encode(t["source"].combine_chunks()).indices.to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        color = t["dest_color"].to_numpy(zero_copy_only=False).astype(np.int64) + 1  # {-1,0,1}→{0,1,2}
-        pair = src * 3 + color
-        set_size = np.bincount(pair)[pair]
-        total = np.bincount(src)[src]
-        rtype = np.where((set_size == 1) & (total < 3), ASSUMED, RESOLVE)
-        rel = pc.dictionary_encode(t["rel_id"].combine_chunks()).indices.to_numpy(
-            zero_copy_only=False)
-        first = np.sort(np.unique(rel, return_index=True)[1])
-        return pa.table({"rel_id": t["rel_id"].take(pa.array(first)),
-                         "rtype": pa.array(rtype[first].astype("U"))})
-
+    """A1 as a Dataset → (rel_id, rtype): the classification kernel per
+    source-hash bucket."""
     return _add_bucket(candidates, ["source"], num_buckets).groupby(
         _BUCKET_COL, num_partitions=num_buckets
     ).map_groups(
-        lambda g: per_bucket(g.drop_columns([_BUCKET_COL])), batch_format="pyarrow"
+        lambda g: _classify(g.drop_columns([_BUCKET_COL])), batch_format="pyarrow"
     )
 
 
-def _left_join_type_override(
-    edges: ray.data.Dataset,
-    right: ray.data.Dataset,
-    on: tuple[str, ...],
-    right_on: tuple[str, ...],
-    value_col: str,
-    num_partitions: int,
-) -> ray.data.Dataset:
-    """edges ⟕ right; type := coalesce(right.value_col, type). Both call
-    sites guarantee UNIQUE right keys (classification is one row per rel
-    id; updates are deduped keep-max-rel on the endpoint pair first), so
-    this is a :func:`unique_lookup`: a broadcast Arrow probe below
-    ``relops.BROADCAST_LIMIT``, a bucketed hash join above it."""
-    right = right.materialize()  # sized AND reused — never execute twice
-    if right.count() == 0:
-        return edges  # nothing overrides; an empty side may carry no dtypes
-    j = unique_lookup(edges, right, list(right_on), [(list(on), {value_col: value_col})],
-                      how="left", num_partitions=num_partitions)
-
-    def coalesce(t: pa.Table) -> pa.Table:
-        new_type = pc.coalesce(t[value_col], t["type"])
-        t = t.drop_columns([value_col])
-        return t.set_column(t.column_names.index("type"), "type", new_type)
-
-    return j.map_batches(coalesce, batch_format="pyarrow")
+def _override(values: pa.ChunkedArray, keys: pa.Array, right_keys: pa.Array,
+              right_values: pa.Array) -> pa.ChunkedArray:
+    """``coalesce(right_values[key], values)`` per row; ``right_keys``
+    is unique and a null key never matches."""
+    idx = pc.index_in(keys, value_set=right_keys, skip_nulls=True)
+    return pc.coalesce(right_values.cast(values.type).take(idx), values)
 
 
-def apply_classification(
-    edges: ray.data.Dataset, classification: ray.data.Dataset, num_partitions: int = 16
-) -> ray.data.Dataset:
-    """Left join edges ⟕ classification on rel id; coalesce type."""
-    return _left_join_type_override(
-        edges, classification, ("id",), ("rel_id",), "rtype", num_partitions
-    )
+def _fetch_updates(rel_ids: pa.Array, relationships_path: str,
+                   sources: pa.Array) -> pa.Table:
+    """M5: Resolve rel ids → relationship store → one update
+    (__us, __ud, new_type) per (child, parent), the max rel id winning.
+
+    Only the row groups owning the ids are read (``open_range_store``).
+    Per parent slot, rows with both endpoints present are kept
+    (``fsapi.py:108-110`` warns and skips) and a missing fact type
+    defaults to UnspecifiedParentType (``fsapi.py:87-97``); missing
+    rels are skipped. Two Resolve rels can cover the same (child,
+    parent); the reference applies them in rel-id order, so the LAST
+    (max) rel id wins (``fsapi.py:224-235``). A rel whose child is not
+    in ``sources`` raises ``ValueError``: its update would belong to
+    another bucket."""
+    from fs_crawler_ray.ids import as_key_array
+    from fs_crawler_ray.sources.doc_table import open_range_store
+
+    if len(rel_ids) == 0:  # the store is not opened unless a rel is fetched
+        return pa.table({c: pa.array([], pa.string()) for c in ("__us", "__ud", "new_type")})
+    rels, _found = open_range_store(relationships_path, "rel_id").fetch(as_key_array(rel_ids))
+    child = rels["child"].cast(pa.string())
+    stray = pc.and_(pc.is_valid(child), pc.invert(pc.is_in(child, value_set=sources)))
+    if pc.any(stray).as_py():
+        bad = rels.filter(stray)["rel_id"][0]
+        raise ValueError(f"relationship {bad}: child {child.filter(stray)[0]} "
+                         "is not a source of its edge bucket")
+    parts = []
+    for pk, tk in (("parent1", "parent1_type"), ("parent2", "parent2_type")):
+        sub = rels.filter(pc.and_(pc.is_valid(rels["child"]), pc.is_valid(rels[pk])))
+        parts.append(pa.table({
+            "__us": sub["child"].cast(pa.string()),
+            "__ud": sub[pk].cast(pa.string()),
+            "new_type": pc.fill_null(sub[tk].cast(pa.string()), UNSPECIFIED),
+            "__ur": sub["rel_id"].cast(pa.string()),
+        }))
+    return _keep_first_arrow(pa.concat_tables(parts), ["__us", "__ud"],
+                             [("__ur", "descending")], drop=["__ur"])
 
 
-def fetch_resolve_updates(
-    classification: ray.data.Dataset,
-    relationships_path: str,
-    fetch_concurrency: int = 2,
-) -> ray.data.Dataset:
-    """Distinct Resolve rel ids → relationship store → update rows
-    (source, destination, new_type).
-
-    The rel-id set is sorted before the fetch so each lookup task hits a
-    contiguous range of the (rel_id-sorted) relationship store — the
-    same partition-local shape as the corpus fetch; the store is NEVER
-    broadcast or loaded whole (``open_range_store`` reads only the row
-    groups owning each batch's ids). ``fetch_concurrency`` does nothing:
-    the lookup tasks are plain ``map_batches`` tasks that Ray schedules
-    by free CPUs; it stays in the signature for existing callers."""
-
-    def _resolve_ids(t: pa.Table) -> pa.Table:
-        # filter+project in one Arrow batch fn (select/rename Project
-        # ops break on the pandas blocks classification arrives in)
-        return pa.table({"id": t.filter(pc.equal(t["rtype"], RESOLVE))["rel_id"]})
-
-    to_resolve = classification.map_batches(_resolve_ids, batch_format="pyarrow").sort("id")
-
-    def rel_fetch_fn(batch: pa.Table) -> pa.Table:
-        from fs_crawler_ray.ids import as_key_array
-        from fs_crawler_ray.sources.doc_table import open_range_store
-
-        store = open_range_store(relationships_path, "rel_id")
-        tbl, _found = store.fetch(as_key_array(batch["id"]))
-        return tbl
-
-    rel_docs = to_resolve.map_batches(rel_fetch_fn, batch_format="pyarrow", batch_size=4096)
-
-    def expand(t: pa.Table) -> pa.Table:
-        # vectorized: per parent slot, keep rows with both endpoints
-        # present (fsapi.py:108-110 warns and skips) and default the
-        # missing fact type (fsapi.py:87-97) — no per-row Python
-        parts = []
-        for pk, tk in (("parent1", "parent1_type"), ("parent2", "parent2_type")):
-            mask = pc.and_(pc.is_valid(t["child"]), pc.is_valid(t[pk]))
-            sub = t.filter(mask)
-            parts.append(
-                pa.table(
-                    {
-                        "__us": sub["child"].cast(pa.string()),
-                        "__ud": sub[pk].cast(pa.string()),
-                        "new_type": pc.fill_null(sub[tk].cast(pa.string()), UNSPECIFIED),
-                        "__ur": sub["rel_id"].cast(pa.string()),
-                    }
-                )
-            )
-        return pa.concat_tables(parts)
-
-    updates = rel_docs.map_batches(expand, batch_format="pyarrow")
-
-    # Two Resolve rels can cover the same (child, parent); the reference
-    # applies updates sequentially over rel ids in iteration order, so
-    # the LAST (max) rel_id wins (fsapi.py:224-235 loop order). Dedup
-    # here so the left join below cannot multiply edge rows.
-    def keep_max_rel(t: pa.Table) -> pa.Table:
-        from fs_crawler_ray.relops import _keep_first_arrow
-
-        return _keep_first_arrow(t, ["__us", "__ud"], [("__ur", "descending")])
-
-    from fs_crawler_ray.relops import _BUCKET_COL as _B, _add_bucket as _ab
-
-    return _ab(updates, ["__us", "__ud"], 32).groupby(_B, num_partitions=32).map_groups(
-        lambda g: keep_max_rel(g.drop_columns([_B])), batch_format="pyarrow"
-    ).drop_columns(["__ur"])
-
-
-def apply_updates(
-    edges: ray.data.Dataset, updates: ray.data.Dataset, num_partitions: int = 16
-) -> ray.data.Dataset:
-    """Left join on (source, destination); coalesce type
-    (``update_relationship`` keyed by endpoints, ``fsapi.py:104-110``)."""
-    return _left_join_type_override(
-        edges, updates, ("source", "destination"), ("__us", "__ud"), "new_type", num_partitions
-    )
+def _resolve_bucket(t: pa.Table, relationships_path: str) -> pa.Table:
+    """Steps 1-3 on every edge of a set of sources (probed edges in,
+    edges with their final type out)."""
+    cls = _classify(_candidates(t))
+    edges = t.drop_columns([_SRC_COLOR, _DST_COLOR])
+    types = _override(edges["type"], _probe_key(edges, ["id"]), cls["rel_id"], cls["rtype"])
+    to_fetch = cls.filter(pc.equal(cls["rtype"], RESOLVE))["rel_id"]
+    upd = _fetch_updates(to_fetch, relationships_path, pc.unique(edges["source"]))
+    types = _override(types, _probe_key(edges, ["source", "destination"]),
+                      _probe_key(upd, ["__us", "__ud"]), upd["new_type"])
+    return edges.set_column(edges.column_names.index("type"), "type", types)
 
 
 def split_primary_aux(edges: ray.data.Dataset) -> tuple[ray.data.Dataset, ray.data.Dataset]:
@@ -252,13 +205,21 @@ def resolve_relationships(
     num_buckets: int = 64,
     fetch_concurrency: int = 2,
 ) -> ray.data.Dataset:
-    """Full lazy-resolution pass → edges with final types. The edges are
-    read once: the candidates and the two type overrides all run over
-    the same materialized edge blocks. ``fetch_concurrency`` does
-    nothing (see :func:`fetch_resolve_updates`)."""
-    edges = edges.materialize()
-    cands = candidate_relationships(edges, vertices, num_partitions)
-    classification = classify_resolution(cands, num_buckets).materialize()
-    typed = apply_classification(edges, classification, num_partitions)
-    updates = fetch_resolve_updates(classification, relationships_path, fetch_concurrency)
-    return apply_updates(typed, updates, num_partitions)
+    """Full lazy-resolution pass → edges with final types, materialized
+    by one execution over the edges (after the vertex broadcast's own):
+    the colour probe, then ``num_partitions`` source-hash buckets that
+    each run the whole resolution (module docstring). A shuffle of zero
+    rows yields no schema, so the result is materialized here and an
+    empty one carries the edge schema.
+    ``num_buckets`` and ``fetch_concurrency`` are unused; they stay in
+    the signature for existing callers."""
+    probed = _probe_colors(edges, vertices, num_partitions)
+    out = _add_bucket(probed, ["source"], num_partitions).groupby(
+        _BUCKET_COL, num_partitions=num_partitions
+    ).map_groups(
+        lambda g: _resolve_bucket(g.drop_columns([_BUCKET_COL]), relationships_path),
+        batch_format="pyarrow",
+    ).materialize()
+    if out.count() == 0 and (schema := edges.schema()) is not None:
+        return ray.data.from_arrow(schema.base_schema.empty_table())
+    return out

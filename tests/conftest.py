@@ -55,6 +55,23 @@ def pytest_configure(config):
 
 
 @pytest.fixture
+def count_executions(monkeypatch):
+    """Ray Data executions started from here on, one list entry per
+    ``StreamingExecutor.execute`` call."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    runs = []
+    execute = StreamingExecutor.execute
+
+    def counting(self, *args, **kwargs):
+        runs.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    return runs
+
+
+@pytest.fixture
 def empty_free_lists(ray_session):
     """Kill the session's idle state actors and forget the free-list
     bounds, so a test sees exactly the reuse it causes itself."""

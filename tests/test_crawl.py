@@ -212,6 +212,29 @@ def test_branch_checkpoint_retry_idempotent(tmp_path):
     assert pads.dataset(d).to_table().num_rows == 4
 
 
+def test_sized_blocks_directory_or_files(tmp_path):
+    """One row-sizing rule for a checkpoint directory and for a list of
+    its part files: rows / (2 × CPUs) per block, at least 4,096; the
+    crawl result's table reads use it."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from fs_crawler_ray.crawl import CrawlResult, _sized_blocks
+
+    d = tmp_path / "hop=0" / "vertices.parquet"
+    d.mkdir(parents=True)
+    files = []
+    for i in range(6):
+        files.append(str(d / f"part-{i}.parquet"))
+        pq.write_table(pa.table({"id": [f"V{i}-{j}" for j in range(2500)]}), files[-1])
+    assert _sized_blocks(str(d)) == _sized_blocks(files) == 15_000 // 4096 + 1
+    assert _sized_blocks(files, rows_per_block=1000) == 16
+    assert _sized_blocks(files, rows_per_block=1000, max_blocks=5) == 5
+    assert _sized_blocks(files * 8) == 8  # 120k rows: 2 blocks per CPU of the 4-CPU session
+    res = CrawlResult(out_dir=str(tmp_path), hops_run=[0])
+    assert res.vertices().materialize().num_blocks() == 4
+
+
 @pytest.mark.parametrize("n_files", [3, 30, 49])
 def test_read_parts_equals_one_read(tmp_path, n_files):
     """A checkpoint read of more part files than Ray fetches footers for

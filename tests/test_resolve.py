@@ -130,3 +130,69 @@ def test_full_resolution_distributed_join_path(crawled, resolve_corpus, monkeypa
     cls = oracle_resolution(oracle)
     expected = oracle_resolve_fetch(oracle, cls, resolve_corpus.relationships_path)
     assert got == expected
+
+
+def test_resolve_and_export_run_four_executions(crawled, resolve_corpus, tmp_path,
+                                                count_executions):
+    """The graph build: vertex broadcast read, the fused resolve pass,
+    the numbering sort, entries → sort → write."""
+    from fs_crawler_ray.stages.export import write_adjacency_shards
+
+    result, _ = crawled
+    start = len(count_executions)
+    final = resolve_relationships(
+        result.edges(), result.vertices(), resolve_corpus.relationships_path,
+        num_partitions=4, num_buckets=8,
+    ).materialize()
+    write_adjacency_shards(result.vertices(), final, str(tmp_path / "adj"), num_partitions=4)
+    assert len(count_executions) - start <= 4
+
+
+def test_empty_edges_keep_the_edge_schema(crawled, resolve_corpus, tmp_path):
+    from fs_crawler_ray.stages.export import write_adjacency_shards
+
+    result, _ = crawled
+    none = result.edges().map_batches(lambda t: t.slice(0, 0), batch_format="pyarrow")
+    final = resolve_relationships(none, result.vertices(), resolve_corpus.relationships_path,
+                                  num_partitions=4, num_buckets=8)
+    assert final.count() == 0
+    assert final.schema().names == ["source", "destination", "type", "id", "hop"]
+    assert final.select_columns(["source", "destination", "type"]).take_all() == []
+    out = write_adjacency_shards(result.vertices(), final, str(tmp_path / "adj"),
+                                 num_partitions=4)
+    # every vertex still gets its diagonal entry; no edge entry
+    ent = pd.read_parquet(out)
+    assert len(ent) == result.vertices().count()
+    assert (ent["diag"] == 0).all()
+
+
+def test_stray_relationship_child_raises(tmp_path):
+    """A fetched Resolve rel whose child is not a source of its edge
+    bucket would update edges the bucket does not hold: it must raise,
+    naming the rel, not skip its update."""
+    import pyarrow.parquet as pq
+
+    # A's two parents have one gender, so both rels classify Resolve
+    edges = ray.data.from_arrow(pa.table({
+        "source": ["A", "A"], "destination": ["P1", "P2"],
+        "type": ["UntypedParent"] * 2, "id": ["R1", "R2"],
+        "hop": pa.array([0, 0], pa.int32()),
+    }))
+    vertices = ray.data.from_arrow(pa.table({
+        "id": ["A", "P1", "P2"], "color": pa.array([1, -1, -1], pa.int8())}))
+    rels = pa.table({
+        "rel_id": ["R1", "R2"], "child": ["X", "A"], "parent1": ["P1", "P2"],
+        "parent2": pa.array([None, None], pa.string()),
+        "parent1_type": ["BiologicalParent"] * 2,
+        "parent2_type": pa.array([None, None], pa.string()),
+    })
+    stray, owned = str(tmp_path / "stray.parquet"), str(tmp_path / "owned.parquet")
+    pq.write_table(rels, stray)
+    with pytest.raises(ValueError, match="relationship R1"):
+        resolve_relationships(edges, vertices, stray, num_partitions=2)
+
+    # the same rels with the child that owns the edges resolve
+    pq.write_table(rels.set_column(1, "child", pa.array(["A", "A"])), owned)
+    final = resolve_relationships(edges, vertices, owned, num_partitions=2)
+    assert {(r["destination"], r["type"]) for r in final.take_all()} == {
+        ("P1", "BiologicalParent"), ("P2", "BiologicalParent")}

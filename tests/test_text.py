@@ -300,26 +300,17 @@ def test_pack_chunk_assignments_straddles_boundaries():
     assert out["seq_last"].tolist() == [0, 1, 1, 1]
 
 
-def test_pack_chunk_assignments_sorts_once(monkeypatch):
+def test_pack_chunk_assignments_sorts_once(count_executions):
     """One Ray Data execution per call: the sort runs once, not a second
     time for the schema ``to_arrow_refs`` needs."""
     import pandas as pd
     import ray.data
-    from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
     from fs_crawler_ray.text import pack_chunk_assignments
 
-    runs = []
-    execute = StreamingExecutor.execute
-
-    def counting(self, *args, **kwargs):
-        runs.append(1)
-        return execute(self, *args, **kwargs)
-
-    monkeypatch.setattr(StreamingExecutor, "execute", counting)
     df = pd.DataFrame({"doc_id": list(range(50)), "text": ["a b c"] * 50})
     pack_chunk_assignments(ray.data.from_pandas(df), budget=5)
-    assert len(runs) == 1
+    assert len(count_executions) == 1
 
 
 def test_epoch_oversample_repeats_by_token_thresholds():
