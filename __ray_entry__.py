@@ -165,7 +165,7 @@ def _docs_curation_funnel(sf_dir: str):
     Each leg streams; the set algebra is size-aware semi/anti joins."""
     from fs_crawler_ray.components import near_dup_clusters, near_dup_survivors
     from fs_crawler_ray.curation import decontaminate, length_percentile_filter
-    from fs_crawler_ray.relops import semi_anti_join
+    from fs_crawler_ray.relops import join
 
     docs = _read(sf_dir, "documents")
     surv = near_dup_survivors(docs, near_dup_clusters(docs))
@@ -178,8 +178,8 @@ def _docs_curation_funnel(sf_dir: str):
         return t.filter(ids % 53 != 0)
 
     base = surv.map_batches(drop_eval, batch_format="pyarrow")
-    kept = semi_anti_join(base, lenf, on="doc_id", right_on="doc_id")
-    kept = semi_anti_join(kept, cont, on="doc_id", right_on="doc_id", anti=True)
+    kept = join(base, lenf, "doc_id", how="semi")
+    kept = join(kept, cont, "doc_id", how="anti")
     out = kept.to_pandas()
     return out[["doc_id"]].astype({"doc_id": np.int64}).sort_values(
         "doc_id").reset_index(drop=True)

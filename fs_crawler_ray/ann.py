@@ -754,11 +754,11 @@ def knn_label_vote(
 
     Composition of verified pieces: :func:`knn_join` (exact mode for
     conformance, IVF mode for scale) → neighbor labels via a size-aware
-    :func:`relops.lookup_join` (the id→label table broadcasts below the
+    :func:`relops.join` (the id→label table broadcasts below the
     limit, shuffles above) → per-(vec, label) counts through one
     bucketed Arrow aggregation → ``windows.topk_per_group(k=1)`` for
     the argmax. Emits ``(vec_id, voted_label, cnt)``."""
-    from fs_crawler_ray.relops import bucketed_agg, lookup_join
+    from fs_crawler_ray.relops import bucketed_agg, join
     from fs_crawler_ray.windows import topk_per_group
 
     nn = knn_join(ds, k=k, id_col=id_col, vec_col=vec_col, exact=exact)
@@ -766,8 +766,7 @@ def knn_label_vote(
         lambda t: pa.table({"nbr": t[id_col],
                             label_col: pc.cast(t[label_col], pa.int64())}),
         batch_format="pyarrow")
-    j = lookup_join(nn, labels, on="neighbor_id", right_on="nbr",
-                    how="inner")
+    j = join(nn, labels, "neighbor_id", "nbr")
     votes = bucketed_agg(
         j.select_columns([id_col, label_col]),
         [id_col, label_col], [(label_col, "count", "cnt")], num_buckets)
@@ -1180,7 +1179,7 @@ def label_rarity(
     low-quality one?" question a curation run asks before dropping a
     cluster wholesale. One size-aware join + one label-cardinality
     aggregation; integers end-to-end."""
-    from fs_crawler_ray.relops import bucketed_agg, lookup_join
+    from fs_crawler_ray.relops import bucketed_agg, join
     from fs_crawler_ray.text import token_rarity
 
     scores = token_rarity(docs)
@@ -1188,7 +1187,7 @@ def label_rarity(
         lambda t: pa.table({"vec_id": t["vec_id"],
                             "label": pc.cast(t["label"], pa.int64())}),
         batch_format="pyarrow")
-    j = lookup_join(lab, scores, on="vec_id", right_on="doc_id", how="inner")
+    j = join(lab, scores, "vec_id", "doc_id")
     return bucketed_agg(
         j, ["label"],
         [("vec_id", "count", "n_docs"), ("rarity_sum", "sum", "rarity_sum"),
@@ -1343,14 +1342,14 @@ def vote_confusion(
     embedding-quality sanity check: a clean embedding space is
     near-diagonal). One size-aware join of the O(rows) vote table onto
     the label column + a (labels²)-cardinality count shuffle."""
-    from fs_crawler_ray.relops import bucketed_agg, lookup_join
+    from fs_crawler_ray.relops import bucketed_agg, join
 
     votes = knn_label_vote(ds, k=k, exact=exact)
     truth = ds.select_columns(["vec_id", "label"]).map_batches(
         lambda t: pa.table({"__vid": t["vec_id"],
                             "label": pc.cast(t["label"], pa.int64())}),
         batch_format="pyarrow")
-    j = lookup_join(votes, truth, on="vec_id", right_on="__vid", how="inner")
+    j = join(votes, truth, "vec_id", "__vid")
     return bucketed_agg(
         j.map_batches(lambda t: pa.table({
             "label": t["label"],

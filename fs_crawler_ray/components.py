@@ -9,8 +9,8 @@ Ray Data primitives:
 - the pair list is symmetrized and materialized ONCE (it is re-read
   every iteration, never recomputed);
 - labels start as ``label(v) = v`` and per iteration every vertex takes
-  ``min(own label, neighbours' labels)`` — one size-aware join
-  (broadcast while the label table is small, hash shuffle beyond
+  ``min(own label, neighbours' labels)`` — one size-aware
+  :func:`relops.join` (broadcast while the label table is small, hash shuffle beyond
   ``relops.BROADCAST_LIMIT``) + one ``groupby().min()``;
 - convergence is detected by the LABEL-SUM invariant: min-propagation
   only ever decreases labels, so an unchanged ``sum(label)`` IS the
@@ -35,7 +35,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
-from fs_crawler_ray.relops import bucketed_agg, distinct, lookup_join, semi_anti_join
+from fs_crawler_ray.relops import bucketed_agg, distinct, join
 
 
 def connected_components(
@@ -92,7 +92,7 @@ def connected_components(
         return labels
 
     for _ in range(max_iters):
-        msgs = lookup_join(edges, labels, on="s", right_on="v", how="inner")
+        msgs = join(edges, labels, "s", "v")
         msgs = msgs.map_batches(
             lambda t: pa.table({"v": t["d"], "component": t["component"]}),
             batch_format="pyarrow",
@@ -155,6 +155,4 @@ def near_dup_survivors(
         ),
         batch_format="pyarrow",
     )
-    return semi_anti_join(
-        docs.select_columns([id_col]), losers, on=id_col, right_on="doc_id", anti=True
-    )
+    return join(docs.select_columns([id_col]), losers, id_col, "doc_id", how="anti")

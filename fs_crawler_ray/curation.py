@@ -367,7 +367,7 @@ def filter_reasons(
     pass over ``(doc_id, n_chars)``.
     """
     from fs_crawler_ray.components import near_dup_clusters
-    from fs_crawler_ray.relops import lookup_join
+    from fs_crawler_ray.relops import join
 
     lo_v, hi_v = global_quantiles_disc(
         ds.select_columns(["doc_id", "n_chars"]), "n_chars", [lo, hi])
@@ -387,12 +387,10 @@ def filter_reasons(
         dup_fn, batch_format="pyarrow")
 
     base = ds.select_columns(["doc_id", "n_chars"])
-    j = lookup_join(base, cont, on="doc_id", right_on="__cid", how="left",
-                    right_schema=pa.schema([("__cid", pa.int64()),
-                                            ("__c", pa.int8())]))
-    j = lookup_join(j, dup, on="doc_id", right_on="__did", how="left",
-                    right_schema=pa.schema([("__did", pa.int64()),
-                                            ("__d", pa.int8())]))
+    j = join(base, cont, "doc_id", "__cid", how="left",
+             right_schema=pa.schema([("__cid", pa.int64()), ("__c", pa.int8())]))
+    j = join(j, dup, "doc_id", "__did", how="left",
+             right_schema=pa.schema([("__did", pa.int64()), ("__d", pa.int8())]))
 
     def classify(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)

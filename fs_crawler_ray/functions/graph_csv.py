@@ -28,7 +28,6 @@ import os
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 import ray.data
 
 RELATIONSHIP_HEADER = ["#source_vertex", "destination_vertex", "relationship_type", "relationship_id"]
@@ -36,82 +35,52 @@ VERTEX_HEADER = ["#external_id", "color", "name", "iteration", "lifespan"]
 LOG_HEADER = ["#iteration", "duration", "vertices", "frontier", "edges", "spanning_edges", "frontier_edges"]
 
 
+def tag_edge_categories(
+    edges: ray.data.Dataset,
+    vertices: ray.data.Dataset,
+    num_partitions: int = 16,
+) -> ray.data.Dataset:
+    """J1: ``edges`` with a ``category`` column from endpoint membership
+    in the resolved vertex set (``graph_writer.py:100-114`` /
+    ``graph_memory_impl.py:106-120``): ``within`` (both endpoints are
+    vertices), ``spanning`` (one) or ``frontier`` (neither). Both flags
+    come from one :func:`~fs_crawler_ray.relops.unique_lookup` of the
+    endpoints against the vertex ids (unique by construction): one
+    broadcast below ``relops.BROADCAST_LIMIT``, bucketed hash joins
+    above it, so nothing vertex-sized is materialized driver-side."""
+    from fs_crawler_ray import relops
+
+    ids = relops.project(vertices, ["id"]).map_batches(
+        lambda t: t.append_column("__in", pa.array(np.ones(len(t), dtype=bool))),
+        batch_format="pyarrow").materialize()
+    flagged = relops.unique_lookup(
+        edges, ids, ["id"],
+        [(["source"], {"__in": "__src_in"}), (["destination"], {"__in": "__dst_in"})],
+        how="left", num_partitions=num_partitions)
+
+    def add_cat(t: pa.Table) -> pa.Table:
+        src_in = pc.is_valid(t["__src_in"]).to_numpy(zero_copy_only=False)
+        dst_in = pc.is_valid(t["__dst_in"]).to_numpy(zero_copy_only=False)
+        cat = np.select([src_in & dst_in, ~src_in & ~dst_in], ["within", "frontier"], "spanning")
+        return t.drop_columns(["__src_in", "__dst_in"]).append_column(
+            "category", pa.array(cat, pa.string()))
+
+    tagged = flagged.map_batches(add_cat, batch_format="pyarrow")
+    if ids.count() > relops.BROADCAST_LIMIT:
+        # each consumer would re-run both shuffle joins; a broadcast
+        # probe is one cheap map, so that path stays lazy
+        tagged = tagged.materialize()
+    return tagged
+
+
 def classify_edge_tables(
     edges: ray.data.Dataset,
     vertices: ray.data.Dataset,
-    broadcast_limit: int | None = None,
     num_partitions: int = 16,
 ) -> dict:
-    """J1 as TABLES: each edge classified by endpoint membership in the
-    resolved vertex set → ``{"within": ds, "spanning": ds, "frontier":
-    ds}`` (``graph_writer.py:100-114`` / ``graph_memory_impl.py:106-120``).
-    Size-aware: small vertex sets are broadcast once (Arrow array +
-    ``pc.is_in``); above ``broadcast_limit`` each endpoint membership
-    flag comes from a distributed left join against the vertex-id table,
-    so nothing is ever materialized driver-side."""
-    from fs_crawler_ray.relops import BROADCAST_LIMIT
-
-    limit = BROADCAST_LIMIT if broadcast_limit is None else broadcast_limit
-    vert_ids = vertices.select_columns(["id"]).materialize()
-    n_verts = vert_ids.count()
-
-    def finish_cat(src_in: np.ndarray, dst_in: np.ndarray) -> pa.Array:
-        cat = np.select([src_in & dst_in, ~src_in & ~dst_in], ["within", "frontier"], "spanning")
-        return pa.array(cat.tolist(), pa.string())
-
-    if n_verts <= limit:
-        ref = ray.put(pa.array([r["id"] for r in vert_ids.take_all()]))
-
-        def add_cat(t: pa.Table) -> pa.Table:
-            ids = ray.get(ref)
-            src_in = pc.is_in(t["source"], value_set=ids).to_numpy(zero_copy_only=False)
-            dst_in = pc.is_in(t["destination"], value_set=ids).to_numpy(zero_copy_only=False)
-            return t.append_column("category", finish_cat(src_in, dst_in))
-
-        tagged = edges.map_batches(add_cat, batch_format="pyarrow")
-    else:
-        # distributed path: flag each endpoint via a left join with the
-        # vertex-id table (flag column non-null => endpoint resolved).
-        # Distinct right-side key names avoid colliding with the edge
-        # table's own `id` (relationship id) column.
-        def flag_tbl(col: str):
-            def f(t: pa.Table) -> pa.Table:
-                return pa.table({f"__{col}_key": t["id"],
-                                 f"__{col}_in": pa.array(np.ones(len(t), dtype=bool))})
-            return vert_ids.map_batches(f, batch_format="pyarrow")
-
-        # relops.hash_join, not Dataset.join: vertex-id keys can be
-        # sparse/skewed relative to the partition count, the regime
-        # where the built-in KeyErrors on one-sided shuffle partitions
-        # (relops.py:160). Explicit schemas: .schema() on a shuffle
-        # output would execute the first join once just to learn types.
-        from fs_crawler_ray.relops import hash_join
-
-        e_sch = edges.schema().base_schema
-        flag_sch = lambda col: pa.schema(  # noqa: E731
-            [(f"__{col}_key", e_sch.field("source").type),
-             (f"__{col}_in", pa.bool_())])
-        j = hash_join(edges, flag_tbl("src"), on=["source"],
-                      right_on=["__src_key"], how="left_outer",
-                      num_buckets=num_partitions, left_schema=e_sch,
-                      right_schema=flag_sch("src"))
-        j = hash_join(j, flag_tbl("dst"), on=["destination"],
-                      right_on=["__dst_key"], how="left_outer",
-                      num_buckets=num_partitions,
-                      left_schema=pa.schema(
-                          list(e_sch) + [pa.field("__src_in", pa.bool_())]),
-                      right_schema=flag_sch("dst"))
-
-        def add_cat_joined(t: pa.Table) -> pa.Table:
-            src_in = pc.is_valid(t["__src_in"]).to_numpy(zero_copy_only=False)
-            dst_in = pc.is_valid(t["__dst_in"]).to_numpy(zero_copy_only=False)
-            keep = [c for c in t.column_names if not c.startswith("__")]
-            return t.select(keep).append_column("category", finish_cat(src_in, dst_in))
-
-        # materialize once: the three per-category consumers would each
-        # re-execute BOTH shuffle joins otherwise (6 joins instead of 2);
-        # the broadcast path stays lazy — its re-run is one cheap is_in map
-        tagged = j.map_batches(add_cat_joined, batch_format="pyarrow").materialize()
+    """J1 as TABLES: ``{"within": ds, "spanning": ds, "frontier": ds}``,
+    each edge in the table of its :func:`tag_edge_categories` category."""
+    tagged = tag_edge_categories(edges, vertices, num_partitions)
 
     def only(cat: str):
         return tagged.map_batches(

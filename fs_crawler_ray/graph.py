@@ -19,7 +19,7 @@ Design notes for the 100 TB case:
   never be hash-compared across engines; the quantization error vs
   float PageRank is < V/scale per vertex per iteration).
 - The per-iteration rank table is O(V) — tiny next to the edges — so
-  the edges×shares join goes through :func:`relops.lookup_join`, which
+  the edges×shares join goes through :func:`relops.join`, which
   broadcasts the rank side below ``BROADCAST_LIMIT`` and degrades to
   the bucketed shuffle join above it (the standard scale path).
 """
@@ -31,7 +31,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from fs_crawler_ray.relops import bucketed_agg, distinct, lookup_join
+from fs_crawler_ray.relops import bucketed_agg, distinct, join
 
 
 @ray.remote(num_cpus=1)
@@ -135,7 +135,7 @@ def two_hop_counts(
     """Per-vertex count of DISTINCT 2-hop successors (``id → mid →
     anc``): the classic wedge self-join (friends-of-friends /
     grandparent reach). One self-join on the mid vertex — size-aware
-    via :func:`relops.lookup_join`, so below ``BROADCAST_LIMIT`` the
+    via :func:`relops.join`, so below ``BROADCAST_LIMIT`` the
     edge table broadcasts once and above it the join degrades to the
     bucketed hash shuffle — then a distinct + count, each one bucketed
     shuffle over a table no larger than the wedge set. All-integer
@@ -145,7 +145,7 @@ def two_hop_counts(
         lambda t: pa.table({"id": t[src], "mid": t[dst]}), batch_format="pyarrow")
     right = e.map_batches(
         lambda t: pa.table({"mid2": t[src], "anc": t[dst]}), batch_format="pyarrow")
-    j = lookup_join(left, right, on="mid", right_on="mid2", how="inner")
+    j = join(left, right, "mid", "mid2")
     pairs = distinct(
         j.map_batches(lambda t: pa.table({"id": t["id"], "anc": t["anc"]}),
                       batch_format="pyarrow"),
@@ -170,7 +170,7 @@ def coparent_pairs(
         lambda t: pa.table({"child": t[src], "p1": t[dst]}), batch_format="pyarrow")
     right = e.map_batches(
         lambda t: pa.table({"child2": t[src], "p2": t[dst]}), batch_format="pyarrow")
-    j = lookup_join(left, right, on="child", right_on="child2", how="inner")
+    j = join(left, right, "child", "child2")
     canon = j.map_batches(
         lambda t: t.filter(pc.less(t["p1"], t["p2"])).select(["child", "p1", "p2"]),
         batch_format="pyarrow")
@@ -221,7 +221,7 @@ def family_components(
             "h": pa.chunked_array([t["h1"].combine_chunks(), t["h2"].combine_chunks()]),
         }), batch_format="pyarrow"),
         ["id", "h"], num_buckets)
-    out = lookup_join(pmap, comp, on="h", right_on="v", how="inner")
+    out = join(pmap, comp, "h", "v")
     return out.map_batches(
         lambda t: pa.table({"id": t["id"], "family": pc.cast(t["component"], pa.int64())}),
         batch_format="pyarrow")
@@ -339,10 +339,10 @@ def pagerank_scaled(
             })
 
         shares = state.map_batches(shares_fn, batch_format="pyarrow")
-        contrib = lookup_join(e, shares, on=src, right_on="id", how="inner")
+        contrib = join(e, shares, src, "id")
         sums = bucketed_agg(contrib, [dst], [("share", "sum", "s")], num_buckets)
-        joined = lookup_join(state.select_columns(["id", "outdeg"]), sums,
-                             on="id", right_on=dst, how="left")
+        joined = join(state.select_columns(["id", "outdeg"]), sums, "id", dst,
+                      how="left")
 
         def update(t: pa.Table) -> pa.Table:
             s = pc.coalesce(t["s"], pa.scalar(0, pa.int64())).cast(pa.int64())
@@ -375,11 +375,9 @@ def coparent_triangles(
     middle vertex to enumerate wedges ``u < v < w`` (ordering is free:
     both legs are already canonical), then keep the wedges whose
     closing edge ``(u, w)`` exists — a semi join against the edge set,
-    size-aware via :func:`relops.semi_anti_join` (broadcast below
+    size-aware via :func:`relops.join` (broadcast below
     ``BROADCAST_LIMIT``, bucketed hash shuffle above). Work is
     O(wedges), the proven bound for distributed triangle listing."""
-    from fs_crawler_ray.relops import semi_anti_join
-
     cp = coparent_pairs(edges, src, dst, num_buckets).map_batches(
         lambda t: pa.table({"u": t["p1"], "v": t["p2"]}),
         batch_format="pyarrow").materialize()
@@ -387,7 +385,7 @@ def coparent_triangles(
                           batch_format="pyarrow")
     right = cp.map_batches(lambda t: pa.table({"v2": t["u"], "w": t["v"]}),
                            batch_format="pyarrow")
-    wedges = lookup_join(left, right, on="v", right_on="v2", how="inner")
+    wedges = join(left, right, "v", "v2")
 
     def wedge_key(t: pa.Table) -> pa.Table:
         uw = pc.binary_join_element_wise(
@@ -398,10 +396,10 @@ def coparent_triangles(
         return pa.table({"uw": pc.binary_join_element_wise(
             pc.cast(t["u"], pa.string()), pc.cast(t["v"], pa.string()), "|")})
 
-    closed = semi_anti_join(
+    closed = join(
         wedges.map_batches(wedge_key, batch_format="pyarrow"),
         cp.map_batches(edge_key, batch_format="pyarrow"),
-        on="uw", right_on="uw", num_partitions=num_buckets)
+        "uw", how="semi", num_partitions=num_buckets)
     return closed.map_batches(
         lambda t: pa.table({"u": t["u"], "v": t["v"], "w": t["w"]}),
         batch_format="pyarrow")
@@ -429,8 +427,6 @@ def kcore_peel(
     surviving vertex set (broadcast below ``BROADCAST_LIMIT``, bucketed
     shuffle above). Each round's edge set is materialized — it only
     ever shrinks, and the next round reads it twice."""
-    from fs_crawler_ray.relops import semi_anti_join
-
     e = coparent_pairs(edges, src, dst, num_buckets).map_batches(
         lambda t: pa.table({"u": t["p1"], "v": t["p2"]}),
         batch_format="pyarrow").materialize()
@@ -447,10 +443,8 @@ def kcore_peel(
             lambda t: pa.table(
                 {"w": t["w"].filter(pc.greater_equal(t["deg"], k))}),
             batch_format="pyarrow")
-        e = semi_anti_join(e, keep, on="u", right_on="w",
-                           num_partitions=num_buckets)
-        e = semi_anti_join(e, keep, on="v", right_on="w",
-                           num_partitions=num_buckets).materialize()
+        e = join(e, keep, "u", "w", how="semi", num_partitions=num_buckets)
+        e = join(e, keep, "v", "w", how="semi", num_partitions=num_buckets).materialize()
 
     out = bucketed_agg(
         e.map_batches(ends, batch_format="pyarrow"),
@@ -481,11 +475,11 @@ def assortativity_sum(
     deg = state.map_batches(
         lambda t: pa.table({"id": t["id"], "deg": t["deg"].cast(pa.int64())}),
         batch_format="pyarrow")
-    j = lookup_join(e, deg, on=src, right_on="id", how="inner")
+    j = join(e, deg, src, "id")
     j = j.map_batches(
         lambda t: pa.table({dst: t[dst], "sdeg": t["deg"]}),
         batch_format="pyarrow")
-    j2 = lookup_join(j, deg, on=dst, right_on="id", how="inner")
+    j2 = join(j, deg, dst, "id")
 
     def partial(t: pa.Table) -> pa.Table:
         s = t["sdeg"].to_numpy(zero_copy_only=False)

@@ -21,6 +21,7 @@ import ray.data
 
 from fs_crawler_ray.corpus import CorpusInfo, corpus_for_sf
 from fs_crawler_ray.crawl import CrawlConfig, CrawlResult, crawl
+from fs_crawler_ray.relops import arrow_dtype
 from fs_crawler_ray.stages.export import build_csr, position_columns, vertex_key
 from fs_crawler_ray.stages.resolve import (
     VERTEX_LOOKUP_COLUMNS,
@@ -71,6 +72,21 @@ def corpus_and_crawl(sf_dir: str) -> tuple[CorpusInfo, CrawlResult]:
     return info, result
 
 
+def _columns(ds: ray.data.Dataset, cols: list[str],
+             rename: dict[str, str] | None = None) -> pd.DataFrame:
+    """``ds``'s ``cols`` as a DataFrame, then renamed by ``rename``. An
+    empty ``ds`` gives zero rows with the schema's columns and dtypes:
+    Ray 2.49's ``to_pandas()`` of an empty Dataset is a 0×0 frame even
+    when the Dataset has a schema."""
+    df = ds.to_pandas()
+    if df.columns.empty:
+        schema = ds.schema()
+        df = (pd.DataFrame(columns=cols) if schema is None else
+              pa.schema([(n, arrow_dtype(t)) for n, t in zip(schema.names, schema.types)])
+              .empty_table().to_pandas())
+    return df[cols].rename(columns=rename or {})
+
+
 def _resolved_edges(sf_dir: str) -> tuple[CorpusInfo, CrawlResult, ray.data.Dataset]:
     info, result = corpus_and_crawl(sf_dir)
     final = resolve_relationships(
@@ -82,20 +98,18 @@ def _resolved_edges(sf_dir: str) -> tuple[CorpusInfo, CrawlResult, ray.data.Data
 
 def crawl_vertices(sf_dir: str) -> pd.DataFrame:
     _, result = corpus_and_crawl(sf_dir)
-    return result.vertices().to_pandas()[
-        ["id", "color", "surname", "given_name", "iteration", "lifespan", "living"]
-    ]
+    return _columns(result.vertices(),
+                    ["id", "color", "surname", "given_name", "iteration", "lifespan", "living"])
 
 
 def crawl_edges(sf_dir: str) -> pd.DataFrame:
     _, result = corpus_and_crawl(sf_dir)
-    df = result.edges().to_pandas().rename(columns={"id": "rel_id"})
-    return df[["source", "destination", "rel_id", "hop"]]
+    return _columns(result.edges(), ["source", "destination", "id", "hop"], {"id": "rel_id"})
 
 
 def crawl_frontier(sf_dir: str) -> pd.DataFrame:
     _, result = corpus_and_crawl(sf_dir)
-    return result.frontier().to_pandas()[["id"]]
+    return _columns(result.frontier(), ["id"])
 
 
 def crawl_log(sf_dir: str) -> pd.DataFrame:
@@ -109,13 +123,12 @@ def resolution_classification(sf_dir: str) -> pd.DataFrame:
     _, result = corpus_and_crawl(sf_dir)
     cands = candidate_relationships(
         result.edges(), result.vertices(columns=VERTEX_LOOKUP_COLUMNS), 8)
-    return classify_resolution(cands, 32).to_pandas()[["rel_id", "rtype"]]
+    return _columns(classify_resolution(cands, 32), ["rel_id", "rtype"])
 
 
 def resolved_edge_types(sf_dir: str) -> pd.DataFrame:
     _, _, final = _resolved_edges(sf_dir)
-    df = final.to_pandas().rename(columns={"type": "final_type"})
-    return df[["source", "destination", "final_type"]]
+    return _columns(final, ["source", "destination", "type"], {"type": "final_type"})
 
 
 def adjacency_triples(sf_dir: str) -> pd.DataFrame:
@@ -132,7 +145,7 @@ def adjacency_triples(sf_dir: str) -> pd.DataFrame:
 
 def vertex_key_table(sf_dir: str) -> pd.DataFrame:
     _, result = corpus_and_crawl(sf_dir)
-    return vertex_key(result.vertices()).to_pandas()[["position", "external_id", "designation"]]
+    return _columns(vertex_key(result.vertices()), ["position", "external_id", "designation"])
 
 
 def hop_filtered_vertices(sf_dir: str, hops: int = 3) -> pd.DataFrame:
@@ -140,38 +153,23 @@ def hop_filtered_vertices(sf_dir: str, hops: int = 3) -> pd.DataFrame:
     out = result.vertices().map_batches(
         lambda t: t.filter(pc.less(t["iteration"], hops)), batch_format="pyarrow"
     )
-    return out.to_pandas()[["id", "color", "iteration"]]
+    return _columns(out, ["id", "color", "iteration"])
 
 
 def edge_classification_counts(sf_dir: str) -> pd.DataFrame:
     """J1/A2 over the final graph: every edge × endpoint membership."""
+    from fs_crawler_ray.functions.graph_csv import tag_edge_categories
+
     _, result = corpus_and_crawl(sf_dir)
-    import ray as _ray
-
-    # vertex-id set broadcast once as an Arrow array; membership via the
-    # pc.is_in kernel (one call per endpoint column, no Python row loop).
-    # For sets too big to broadcast, use the membership shard actors
-    # (crawl.MembershipStage) instead.
-    vert_ids = result.vertices().select_columns(["id"]).to_pandas()["id"]
-    ref = _ray.put(pa.array(vert_ids.to_numpy()))
-
-    def classify(t: pa.Table) -> pa.Table:
-        ids = _ray.get(ref)
-        src_in = pc.is_in(t["source"], value_set=ids).to_numpy(zero_copy_only=False)
-        dst_in = pc.is_in(t["destination"], value_set=ids).to_numpy(zero_copy_only=False)
-        cat = np.select([src_in & dst_in, ~src_in & ~dst_in], ["within", "frontier"], "spanning")
-        return pa.table({"category": pa.array(cat.tolist(), pa.string())})
-
-    out = (
-        result.edges().map_batches(classify, batch_format="pyarrow")
-        .groupby("category").count().to_pandas()
-    )
+    tagged = tag_edge_categories(result.edges().select_columns(["source", "destination"]),
+                                 result.vertices(columns=["id"]))
+    out = tagged.select_columns(["category"]).groupby("category").count().to_pandas()
     return out.rename(columns={"count()": "n"})
 
 
 def lifespan_birth_years(sf_dir: str) -> pd.DataFrame:
     _, result = corpus_and_crawl(sf_dir)
-    df = result.vertices().select_columns(["id", "lifespan"]).to_pandas()
+    df = _columns(result.vertices(columns=["id", "lifespan"]), ["id", "lifespan"])
     df["birth_year"] = birth_year_from_lifespan(df["lifespan"].to_numpy())
     return df[["id", "birth_year"]]
 
@@ -181,10 +179,9 @@ def validator_children(sf_dir: str) -> pd.DataFrame:
     resolved graph (A6)."""
     _, result, final = _resolved_edges(sf_dir)
     _, classified = validate(result.vertices(), final.materialize(), result.frontier(), 8)
-    df = classified.to_pandas()
-    out = df[["source", "vm", "vf", "vu", "rm", "rf", "ru"]].copy()
-    out["invalid"] = df["invalid"].astype(bool)
-    out["category"] = df["category"]
+    out = _columns(classified,
+                   ["source", "vm", "vf", "vu", "rm", "rf", "ru", "invalid", "category"])
+    out["invalid"] = out["invalid"].astype(bool)
     return out.sort_values("source").reset_index(drop=True)
 
 
@@ -195,7 +192,7 @@ def living_filtered_vertices(sf_dir: str) -> pd.DataFrame:
     out = result.vertices().map_batches(
         lambda t: t.filter(pc.equal(t["living"], False)), batch_format="pyarrow"
     )
-    return out.to_pandas()[["id", "color", "iteration", "lifespan"]]
+    return _columns(out, ["id", "color", "iteration", "lifespan"])
 
 
 def primary_edges(sf_dir: str) -> pd.DataFrame:
@@ -205,8 +202,7 @@ def primary_edges(sf_dir: str) -> pd.DataFrame:
 
     _, _, final = _resolved_edges(sf_dir)
     primary, _aux = split_primary_aux(final.materialize())
-    df = primary.to_pandas().rename(columns={"type": "final_type"})
-    return df[["source", "destination", "final_type"]]
+    return _columns(primary, ["source", "destination", "type"], {"type": "final_type"})
 
 
 def rels_to_resolve(sf_dir: str) -> pd.DataFrame:
@@ -247,7 +243,7 @@ def span_vertices(sf_dir: str) -> pd.DataFrame:
     verts = rec.map_batches(
         lambda t: t.filter(pc.equal(t["rec_kind"], "vertex")), batch_format="pyarrow"
     )
-    return verts.to_pandas()[["id", "color", "surname", "given_name", "lifespan", "living"]]
+    return _columns(verts, ["id", "color", "surname", "given_name", "lifespan", "living"])
 
 
 def span_edges(sf_dir: str) -> pd.DataFrame:
@@ -259,10 +255,8 @@ def span_edges(sf_dir: str) -> pd.DataFrame:
     edges = rec.map_batches(
         lambda t: t.filter(pc.equal(t["rec_kind"], "edge")), batch_format="pyarrow"
     )
-    df = edges.to_pandas()
-    return df[["src_doc", "source", "destination", "rel_id", "offset"]].rename(
-        columns={"src_doc": "doc_id"}
-    )
+    return _columns(edges, ["src_doc", "source", "destination", "rel_id", "offset"],
+                    {"src_doc": "doc_id"})
 
 
 def _span_edges_ds(sf_dir: str) -> ray.data.Dataset:
@@ -344,7 +338,7 @@ def span_media(sf_dir: str) -> pd.DataFrame:
     media = rec.map_batches(
         lambda t: t.filter(pc.equal(t["rec_kind"], "media")), batch_format="pyarrow"
     )
-    return media.to_pandas()[["id", "media_ref", "offset"]].rename(columns={"id": "doc_id"})
+    return _columns(media, ["id", "media_ref", "offset"], {"id": "doc_id"})
 
 
 def _edge_category_table(sf_dir: str, category: str) -> pd.DataFrame:
@@ -352,8 +346,7 @@ def _edge_category_table(sf_dir: str, category: str) -> pd.DataFrame:
 
     _, result = corpus_and_crawl(sf_dir)
     ds = classify_edge_tables(result.edges(), result.vertices())[category]
-    df = ds.to_pandas().rename(columns={"id": "rel_id"})
-    return df[["source", "destination", "rel_id"]]
+    return _columns(ds, ["source", "destination", "id"], {"id": "rel_id"})
 
 
 def spanning_edges(sf_dir: str) -> pd.DataFrame:

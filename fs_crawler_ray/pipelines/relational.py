@@ -22,12 +22,7 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Count, Max, Sum
 
-from fs_crawler_ray.relops import (
-    broadcast_lookup_join,
-    dedup_keep_first,
-    distinct,
-    hash_join,
-)
+from fs_crawler_ray.relops import dedup_keep_first, distinct, join
 
 
 def _t(sf_dir: str, name: str, **kw) -> ray.data.Dataset:
@@ -87,9 +82,9 @@ def q_pricing_summary(sf_dir: str):
 
 def q_orders_by_segment(sf_dir: str):
     """Broadcast dimension join (customer → orders) + grouped aggregate."""
-    cust = _t(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"]).to_pandas()
+    cust = _t(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
     orders = _t(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
-    joined = broadcast_lookup_join(orders, cust, on="o_custkey", right_on="c_custkey")
+    joined = join(orders, cust, "o_custkey", "c_custkey", how="left")
     out = (
         joined.groupby("c_mktsegment")
         .aggregate(Count(alias_name="n_orders"), Sum("o_totalprice", alias_name="total_value"))
@@ -107,10 +102,8 @@ def q_customers_without_orders(sf_dir: str):
     okeys = _t(sf_dir, "orders", columns=["o_custkey", "o_totalprice"]).map_batches(
         lambda t: t.filter(_pc.greater(t["o_totalprice"], 250000.0)), batch_format="pyarrow"
     ).select_columns(["o_custkey"])
-    from fs_crawler_ray.relops import semi_anti_join
-
-    out = semi_anti_join(cust, distinct(okeys, ["o_custkey"], 16),
-                         on="c_custkey", right_on="o_custkey", anti=True)
+    out = join(cust, distinct(okeys, ["o_custkey"], 16), "c_custkey", "o_custkey",
+               how="anti")
     df = out.to_pandas()
     if df.empty:
         df = pd.DataFrame({"c_custkey": pd.Series(dtype=np.int64), "c_name": pd.Series(dtype=str)})
@@ -138,8 +131,8 @@ def q_top_customers(sf_dir: str, k: int = 10):
 def q_nation_region(sf_dir: str):
     """Small-dim chain join + count (nation ⨝ region)."""
     nation = _t(sf_dir, "nation")
-    region = _t(sf_dir, "region").to_pandas()
-    j = broadcast_lookup_join(nation, region, on="n_regionkey", right_on="r_regionkey")
+    region = _t(sf_dir, "region")
+    j = join(nation, region, "n_regionkey", "r_regionkey", how="left")
     return (
         j.groupby("r_name").aggregate(Count(alias_name="n_nations")).to_pandas()
     )
@@ -299,9 +292,9 @@ def q_top_orders_per_segment(sf_dir: str, k: int = 3):
     pre-pruning before the shuffle (windows.topk_per_group)."""
     from fs_crawler_ray.windows import topk_per_group
 
-    cust = _t(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"]).to_pandas()
+    cust = _t(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
     orders = _t(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_totalprice"])
-    joined = broadcast_lookup_join(orders, cust, on="o_custkey", right_on="c_custkey")
+    joined = join(orders, cust, "o_custkey", "c_custkey", how="left")
     out = topk_per_group(
         joined, group_col="c_mktsegment",
         order_cols=["o_totalprice", "o_orderkey"], descending=[True, False], k=k,
@@ -313,8 +306,9 @@ def q_top_orders_per_segment(sf_dir: str, k: int = 3):
 
 
 def q_orders_lineitem_join(sf_dir: str):
-    """Large-large shuffle hash join (relops.hash_join) + aggregate:
-    revenue per order status."""
+    """Line items joined to their order (relops.join: the orders side
+    broadcasts below ``BROADCAST_LIMIT`` rows and shuffle-joins above
+    it) + aggregate: revenue per order status."""
     orders = _t(sf_dir, "orders", columns=["o_orderkey", "o_orderstatus"])
     li = _t(sf_dir, "lineitem", columns=["l_orderkey", "l_extendedprice", "l_discount"])
 
@@ -323,10 +317,7 @@ def q_orders_lineitem_join(sf_dir: str):
         return t.append_column("revenue", r).select(["l_orderkey", "revenue"])
 
     li = li.map_batches(rev, batch_format="pyarrow")
-    # relops.hash_join, not Dataset.join: the built-in KeyErrors on
-    # one-sided shuffle partitions (sparse/skewed keys; relops.py:160)
-    j = hash_join(li, orders, on=["l_orderkey"], right_on=["o_orderkey"],
-                  how="inner", num_buckets=16)
+    j = join(li, orders, "l_orderkey", "o_orderkey")
     out = j.groupby("o_orderstatus").aggregate(
         Sum("revenue", alias_name="revenue"), Count(alias_name="n_items")
     ).to_pandas()
@@ -472,11 +463,9 @@ def q_customer_order_counts(sf_dir: str):
     """LEFT OUTER join surface: every customer with their order count
     and spend, zero-filled for customers with no orders (the rows an
     inner join drops). The fact side is pre-aggregated to O(customers)
-    rows BEFORE the distributed left_outer hash join, so the exchange
-    is keys, not orders. Uses relops.hash_join (not Dataset.join): the
-    built-in's aggregator breaks on any one-sided shuffle partition —
-    see the hash_join docstring."""
-    from fs_crawler_ray.relops import bucketed_agg, hash_join
+    rows BEFORE the left join (relops.join), so a join that shuffles
+    exchanges keys, not orders."""
+    from fs_crawler_ray.relops import bucketed_agg
 
     cust = _t(sf_dir, "customer", columns=["c_custkey", "c_name"])
     orders = _t(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
@@ -485,14 +474,10 @@ def q_customer_order_counts(sf_dir: str):
         [("o_totalprice", "count", "n_orders"), ("o_totalprice", "sum", "total_spent")],
         num_buckets=16,
     )
-    j = hash_join(
-        cust, per_cust, on=["c_custkey"], right_on=["o_custkey"],
-        how="left_outer", num_buckets=16,
-        # explicit: schema() on the shuffle output would run the agg twice
-        right_schema=pa.schema([("o_custkey", pa.int64()),
-                                ("n_orders", pa.int64()),
-                                ("total_spent", pa.float64())]),
-    )
+    j = join(cust, per_cust, "c_custkey", "o_custkey", how="left",
+             right_schema=pa.schema([("o_custkey", pa.int64()),
+                                     ("n_orders", pa.int64()),
+                                     ("total_spent", pa.float64())]))
     out = j.to_pandas()
     out["n_orders"] = out["n_orders"].fillna(0).astype("int64")
     out["total_spent"] = out["total_spent"].fillna(0.0).round(2)
@@ -549,14 +534,12 @@ def q_customers_with_big_orders(sf_dir: str):
     query)."""
     import pyarrow.compute as _pc
 
-    from fs_crawler_ray.relops import semi_anti_join
-
     cust = _t(sf_dir, "customer", columns=["c_custkey", "c_name"])
     okeys = _t(sf_dir, "orders", columns=["o_custkey", "o_totalprice"]).map_batches(
         lambda t: t.filter(_pc.greater(t["o_totalprice"], 250000.0)), batch_format="pyarrow"
     ).select_columns(["o_custkey"])
-    out = semi_anti_join(cust, distinct(okeys, ["o_custkey"], 16),
-                         on="c_custkey", right_on="o_custkey", anti=False)
+    out = join(cust, distinct(okeys, ["o_custkey"], 16), "c_custkey", "o_custkey",
+               how="semi")
     return out.to_pandas().sort_values("c_custkey").reset_index(drop=True)
 
 
@@ -606,13 +589,13 @@ def q_events_retention(sf_dir: str):
     """Cohort retention: users bucketed into weekly cohorts by their
     FIRST active week, counted in every later week they return — the
     classic engagement matrix. Shape: per-batch (user, week) pair dedup
-    → bucketed distinct → per-user min-week (cohort) → hash_join of the
+    → bucketed distinct → per-user min-week (cohort) → join of the
     O(users×weeks) pair set against the O(users) cohort table → tiny
     (cohort, week) count. Nothing bigger than the distinct pair set
     ever shuffles. Restricted to the conversion event (purchases) so
     the sf0.01 cohort matrix is non-degenerate (2 cohorts × weeks, not
     one everyone-active-week-0 row)."""
-    from fs_crawler_ray.relops import bucketed_agg, distinct, hash_join
+    from fs_crawler_ray.relops import bucketed_agg
 
     ev = _t(sf_dir, "events", columns=["ts", "user_id", "event_type"])
 
@@ -633,11 +616,8 @@ def q_events_retention(sf_dir: str):
                      ["user_id", "week"], 16)
     cohort = bucketed_agg(pairs, ["user_id"], [("week", "min", "cohort")],
                           num_buckets=16)
-    j = hash_join(
-        pairs, cohort, on=["user_id"], how="inner", num_buckets=16,
-        left_schema=pa.schema([("user_id", pa.int64()), ("week", pa.int64())]),
-        right_schema=pa.schema([("user_id", pa.int64()), ("cohort", pa.int64())]),
-    )
+    j = join(pairs, cohort, "user_id",
+             right_schema=pa.schema([("user_id", pa.int64()), ("cohort", pa.int64())]))
     out = bucketed_agg(j, ["cohort", "week"], [("week", "count", "n_users")],
                        num_buckets=8).to_pandas()
     return out.astype({"cohort": "int64", "week": "int64", "n_users": "int64"}
@@ -755,13 +735,12 @@ def q_orders_share_per_segment(sf_dir: str):
     floor-divide — no row-sized shuffle anywhere. Integer ppm (cents ×
     1e6 // segment cents) keeps the oracle hash exact where a float
     ratio could not be."""
-    from fs_crawler_ray.relops import bucketed_agg, lookup_join
+    from fs_crawler_ray.relops import bucketed_agg
 
     cust = _t(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
     orders = _t(sf_dir, "orders",
                 columns=["o_orderkey", "o_custkey", "o_totalprice"])
-    oc = lookup_join(orders, cust, on="o_custkey", right_on="c_custkey",
-                     how="inner").map_batches(
+    oc = join(orders, cust, "o_custkey", "c_custkey").map_batches(
         lambda t: pa.table({
             "o_orderkey": t["o_orderkey"],
             "segment": t["c_mktsegment"],
@@ -813,7 +792,6 @@ def q_events_outliers(sf_dir: str):
     MAD of |cents−median|), each an O(users)-row table that rides a
     size-aware lookup join back onto the stream; the event table itself
     is never shuffled twice."""
-    from fs_crawler_ray.relops import lookup_join
     from fs_crawler_ray.windows import group_quantiles
 
     ev = _t(sf_dir, "events",
@@ -827,8 +805,7 @@ def q_events_outliers(sf_dir: str):
     ).materialize()
     med = group_quantiles(ev, "user_id", "cents", {"med": 0.5})
     med_schema = pa.schema([("user_id", pa.int64()), ("med", pa.int64())])
-    with_med = lookup_join(ev, med, on="user_id", right_on="user_id",
-                           how="inner", right_schema=med_schema)
+    with_med = join(ev, med, "user_id", right_schema=med_schema)
     dev = with_med.map_batches(
         lambda t: pa.table({
             "user_id": t["user_id"], "event_id": t["event_id"],
@@ -839,8 +816,7 @@ def q_events_outliers(sf_dir: str):
     ).materialize()
     mad = group_quantiles(dev, "user_id", "adev", {"mad": 0.5})
     mad_schema = pa.schema([("user_id", pa.int64()), ("mad", pa.int64())])
-    out = lookup_join(dev, mad, on="user_id", right_on="user_id",
-                      how="inner", right_schema=mad_schema).map_batches(
+    out = join(dev, mad, "user_id", right_schema=mad_schema).map_batches(
         lambda t: t.filter(pc.greater(
             t["adev"], pc.multiply(t["mad"], pa.scalar(3, pa.int64())))),
         batch_format="pyarrow",
@@ -859,7 +835,7 @@ def q_top_suppliers_by_nation(sf_dir: str):
     deterministic (revenue DESC, suppkey ASC) tiebreak. Revenue is
     integer cents of extendedprice·(1−discount), same expression both
     sides."""
-    from fs_crawler_ray.relops import bucketed_agg, lookup_join
+    from fs_crawler_ray.relops import bucketed_agg
     from fs_crawler_ray.windows import topk_per_group
 
     def partial(t: pa.Table) -> pa.Table:
@@ -881,10 +857,8 @@ def q_top_suppliers_by_nation(sf_dir: str):
                             [("rev_cents", "sum", "rev_cents")], 16)
     supp = _t(sf_dir, "supplier", columns=["s_suppkey", "s_nationkey"])
     nation = _t(sf_dir, "nation", columns=["n_nationkey", "n_name"])
-    j = lookup_join(per_supp, supp, on="l_suppkey", right_on="s_suppkey",
-                    how="inner")
-    j = lookup_join(j, nation, on="s_nationkey", right_on="n_nationkey",
-                    how="inner").map_batches(
+    j = join(per_supp, supp, "l_suppkey", "s_suppkey")
+    j = join(j, nation, "s_nationkey", "n_nationkey").map_batches(
         lambda t: pa.table({"nation": t["n_name"], "suppkey": t["l_suppkey"],
                             "rev_cents": t["rev_cents"]}),
         batch_format="pyarrow")
@@ -927,7 +901,7 @@ def q_part_pairs(sf_dir: str, k: int = 20):
     canonicalize ``p1 < p2``, count per pair, then a distributed
     (cnt DESC, p1, p2) sort + limit. Work is O(Σ per-order items²) —
     basket-bounded, not corpus-bounded."""
-    from fs_crawler_ray.relops import bucketed_agg, distinct, lookup_join
+    from fs_crawler_ray.relops import bucketed_agg
 
     li = _t(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
     op = distinct(li, ["l_orderkey", "l_partkey"], 16).materialize()
@@ -937,7 +911,7 @@ def q_part_pairs(sf_dir: str, k: int = 20):
     right = op.map_batches(
         lambda t: pa.table({"o2": t["l_orderkey"], "p2": t["l_partkey"]}),
         batch_format="pyarrow")
-    j = lookup_join(left, right, on="o", right_on="o2", how="inner")
+    j = join(left, right, "o", "o2")
     canon = j.map_batches(
         lambda t: t.filter(pc.less(t["p1"], t["p2"])).select(["o", "p1", "p2"]),
         batch_format="pyarrow")
@@ -1169,12 +1143,11 @@ def q_ship_delay_hist(sf_dir: str):
     (size-aware join; orders is the smaller side), delay in whole days
     via integer epoch-day subtraction, one delay-cardinality count
     shuffle."""
-    from fs_crawler_ray.relops import bucketed_agg, lookup_join
+    from fs_crawler_ray.relops import bucketed_agg
 
     li = _t(sf_dir, "lineitem", columns=["l_orderkey", "l_shipdate"])
     orders = _t(sf_dir, "orders", columns=["o_orderkey", "o_orderdate"])
-    j = lookup_join(li, orders, on="l_orderkey", right_on="o_orderkey",
-                    how="inner")
+    j = join(li, orders, "l_orderkey", "o_orderkey")
 
     def delay(t: pa.Table) -> pa.Table:
         s = t["l_shipdate"].cast(pa.int64()).to_numpy(zero_copy_only=False)
@@ -1199,7 +1172,7 @@ def q_orders_ltv_triangle(sf_dir: str):
     (cohorts×offsets)-cardinality sum of integer cents. Months are
     linearized as ``year·12 + month`` so the offset is a plain integer
     subtraction on both engines."""
-    from fs_crawler_ray.relops import bucketed_agg, lookup_join
+    from fs_crawler_ray.relops import bucketed_agg
 
     orders = _t(sf_dir, "orders",
                 columns=["o_custkey", "o_orderdate", "o_totalprice"])
@@ -1224,8 +1197,7 @@ def q_orders_ltv_triangle(sf_dir: str):
             pc.cast(t["o_totalprice"], pa.float64()), 100.0), 0.5)), pa.int64())
         return pa.table({"ck": t["o_custkey"], "m": m, "cents": cents})
 
-    j = lookup_join(orders.map_batches(row_fn, batch_format="pyarrow"),
-                    first, on="ck", right_on="custkey", how="inner")
+    j = join(orders.map_batches(row_fn, batch_format="pyarrow"), first, "ck", "custkey")
     cells = j.map_batches(
         lambda t: pa.table({
             "cohort_month": t["cohort_m"],
@@ -1306,13 +1278,12 @@ def q_orders_priority_matrix(sf_dir: str):
     n_orders)`` — the two-dimensional composition table (are urgent
     orders concentrated in one segment?). One size-aware dim join +
     a (segments×priorities)-cardinality count shuffle."""
-    from fs_crawler_ray.relops import bucketed_agg, lookup_join
+    from fs_crawler_ray.relops import bucketed_agg
 
     orders = _t(sf_dir, "orders", columns=["o_custkey", "o_orderpriority",
                                            "o_orderkey"])
     cust = _t(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
-    j = lookup_join(orders, cust, on="o_custkey", right_on="c_custkey",
-                    how="inner")
+    j = join(orders, cust, "o_custkey", "c_custkey")
     out = bucketed_agg(
         j.map_batches(lambda t: pa.table({
             "segment": t["c_mktsegment"], "priority": t["o_orderpriority"],

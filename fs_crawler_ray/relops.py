@@ -1,24 +1,29 @@
 """Generic, scale-aware relational operators over ``ray.data.Dataset``.
 
 These are the reusable building blocks the crawl engine and the
-``queries()`` surface share. Design rules (SURVEY §4):
+``queries()`` surface share. Every per-batch and per-bucket body is an
+Arrow/numpy kernel over ``batch_format="pyarrow"`` blocks; this module
+never converts a block to pandas. Design rules (SURVEY §4):
 
-- dedup/distinct shuffle by a HASH BUCKET of the key, not the raw key:
-  ``groupby(bucket).map_groups`` gives one map_groups call per bucket
+- dedup/distinct/aggregate shuffle by a HASH BUCKET of the key, not the
+  raw key: ``groupby(bucket).map_groups`` gives one call per bucket
   (``num_buckets`` ≈ a few × cores, scales with cluster size), and the
-  per-bucket body is vectorized pandas — avoiding one Python call per
-  distinct key;
-- small-side joins broadcast via ``ray.put`` and merge inside
-  ``map_batches`` (no shuffle);
+  bucket body runs one Arrow kernel across all of its keys, avoiding
+  one Python call per distinct key;
+- :func:`join` is the one join entry point (inner / left / semi /
+  anti). A right side at or below :data:`BROADCAST_LIMIT` rows is
+  collected as Arrow, built into one sorted hash side and ``ray.put``
+  once; each left batch probes it with ``index_in``/``is_in`` inside
+  ``map_batches`` (no shuffle). A larger right side goes through one
+  bucketed :func:`hash_join`, which also serves the full/right outer
+  joins. :func:`unique_lookup` is the variant for a right side unique
+  on its key, with several probes sharing one broadcast;
 - pre-aggregation happens inside ``map_batches`` before any groupby.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
@@ -421,154 +426,135 @@ def distinct(ds: ray.data.Dataset, key_cols: list[str], num_buckets: int = 64,
         per_bucket, batch_format="pyarrow")
 
 
-def broadcast_semi_join(
-    ds: ray.data.Dataset,
-    keys: Iterable[str] | np.ndarray,
-    column: str,
-    anti: bool = False,
-) -> ray.data.Dataset:
-    """Semi/anti join against a small key set: ``ray.put`` the set once,
-    filter inside map_batches (no shuffle). For key sets too big to
-    broadcast use the membership shard actors instead
-    (:class:`fs_crawler_ray.crawl.MembershipStage`). A null key never
-    matches (SQL semi-join semantics): nulls leave the broadcast set."""
-    # stateless task + ray.get of the broadcast set: the object is
-    # plasma-local after first access, and stateless tasks avoid
-    # per-execution actor-pool startup/teardown churn (measured: actor
-    # pools made small executions 2-3× slower on wide clusters)
-    if isinstance(keys, (pa.Array, pa.ChunkedArray)):
-        # zero-copy path (semi_anti_join): broadcast the key column in
-        # its ORIGINAL Arrow dtype — no Python key list, no string
-        # coercion, so is_in needs no value_set cast at probe time
-        ka = keys.combine_chunks() if isinstance(keys, pa.ChunkedArray) else keys
-        ref = ray.put(pc.unique(ka).drop_null())
-    else:
-        arr = np.asarray(list(keys) if not isinstance(keys, np.ndarray) else keys)
-        if arr.dtype.kind == "S":
-            arr = arr.astype("U")
-        ref = ray.put(pa.array(np.unique(arr).astype("U")))
-
-    def filt(batch: pa.Table) -> pa.Table:
-        value_set = ray.get(ref)  # plasma-local after first access
-        mask = pc.is_in(batch[column], value_set=value_set)
-        return batch.filter(pc.invert(mask) if anti else mask)
-
-    return ds.map_batches(filt, batch_format="pyarrow")
-
-
-def broadcast_lookup_join(
-    ds: ray.data.Dataset,
-    lookup_df: pd.DataFrame,
-    on: str,
-    right_on: str | None = None,
-    how: str = "left",
-) -> ray.data.Dataset:
-    """Broadcast hash join with a small dimension table: the table is put
-    in the object store once and merged per batch (SURVEY §2.4 J2/J3/J5
-    small-side pattern)."""
-    ref = ray.put(lookup_df)
-    r_on = right_on or on
-
-    def join_fn(batch: pd.DataFrame) -> pa.Table:
-        small: pd.DataFrame = ray.get(ref)  # plasma-local after first access
-        m = batch.merge(small, how=how, left_on=on, right_on=r_on)
-        # emit Arrow: downstream Project (select/rename) operators
-        # assume Arrow blocks in this Ray version
-        return pa.Table.from_pandas(m, preserve_index=False)
-
-    # batch_format="pandas" is deliberate here (pandas-merge semantics):
-    # merge's left-row-order + right-duplicate expansion contract is what
-    # the conformance oracles pin, and pyarrow Table.join guarantees no
-    # output order. The per-batch pandas round-trip is bounded by the
-    # batch, and the small side is already a DataFrame in plasma.
-    return ds.map_batches(join_fn, batch_format="pandas")
-
-
 #: Right sides at or below this row count are broadcast instead of
-#: shuffle-joined — faster, and it sidesteps a Ray 2.49 Dataset.join
+#: shuffle-joined: faster, and it sidesteps a Ray 2.49 Dataset.join
 #: failure when a hash partition of the right side is empty (pyarrow
-#: acero receives a schema-less empty table).
+#: acero receives a schema-less empty table). Read at call time, so
+#: patching it to 0 drives every size-aware join down its shuffle path.
 BROADCAST_LIMIT = 2_000_000
 
+_HASH_HOW = {"inner": "inner", "left": "left_outer",
+             "semi": "left_semi", "anti": "left_anti"}
 
-def semi_anti_join(
-    ds: ray.data.Dataset,
+
+def _collect_right(right: ray.data.Dataset, cols: list[str] | None = None,
+                   schema: pa.Schema | None = None) -> pa.Table:
+    """A materialized right side as one Arrow table of ``cols`` (every
+    column when None). Empty shuffle partitions yield schema-less empty
+    blocks: they are skipped, so a right side with no typed block is an
+    empty table typed by ``schema``, or null-typed without one."""
+    blocks = [b if cols is None else b.select(cols)
+              for b in ray.get(right.to_arrow_refs()) if b.num_columns]
+    if blocks:
+        return pa.concat_tables(blocks, promote_options="default")
+    if schema is not None:
+        return schema.empty_table()
+    return pa.schema([(c, pa.null()) for c in cols or []]).empty_table()
+
+
+def _as_cols(key: str | list[str]) -> list[str]:
+    return [key] if isinstance(key, str) else list(key)
+
+
+def join(
+    left: ray.data.Dataset,
     right: ray.data.Dataset,
-    on: str,
-    right_on: str,
-    anti: bool = False,
-    num_partitions: int = 16,
-) -> ray.data.Dataset:
-    """Semi/anti join, broadcasting the right key set when it is small
-    (the common case for filter sets like invalid children, frontier
-    ids), shuffle-joining otherwise."""
-    right = right.materialize()  # sized AND reused — never execute twice
-    n = right.count()
-    if n == 0:
-        # before collecting: an empty right side's blocks may all be
-        # schema-less, which would leave nothing to concatenate
-        return ds if anti else ds.map_batches(lambda t: t.slice(0, 0), batch_format="pyarrow")
-    if n <= BROADCAST_LIMIT:
-        # collect the key COLUMN as Arrow (concat of block refs — no
-        # per-row Python comprehension over up to 2M keys, VERDICT r4
-        # item 4) and broadcast it in its original dtype
-        # to_arrow_refs can hand back the UN-projected materialized
-        # blocks (the lazy select_columns is not reliably applied):
-        # materialize the projection so only the key column crosses to
-        # the driver, and select per block as belt-and-braces
-        blocks = ray.get(
-            right.select_columns([right_on]).materialize().to_arrow_refs())
-        # empty shuffle partitions yield schema-LESS empty blocks —
-        # skip them (select would KeyError); n > 0 so at least one block
-        # carries the column
-        keys = pa.concat_tables(
-            b.select([right_on]) for b in blocks
-            if right_on in b.schema.names).column(right_on)
-        return broadcast_semi_join(ds, keys, on, anti=anti)
-    # large-key-set fallback: our bucketed hash_join, NOT Dataset.join —
-    # the built-in's aggregator KeyErrors on one-sided shuffle
-    # partitions (see hash_join's docstring), which a filtered left vs
-    # a >BROADCAST_LIMIT right key set can easily produce
-    return hash_join(
-        ds, right.select_columns([right_on]),
-        on=[on], right_on=[right_on],
-        how="left_anti" if anti else "left_semi",
-        num_buckets=num_partitions,
-    )
-
-
-def lookup_join(
-    ds: ray.data.Dataset,
-    right: ray.data.Dataset,
-    on: str,
-    right_on: str,
+    on: str | list[str],
+    right_on: str | list[str] | None = None,
     how: str = "inner",
     num_partitions: int = 16,
     right_schema: pa.Schema | None = None,
 ) -> ray.data.Dataset:
-    """Hash join that broadcasts a small right side (pandas merge per
-    batch; duplicate right keys multiply left rows) and falls back to
-    the bucketed :func:`hash_join` for large ones. For a right side
-    that is unique on its key use :func:`unique_lookup` (Arrow, no
-    pandas).
+    """Join ``left`` to ``right`` on ``on`` = ``right_on`` (one column or
+    a list, matched by position). ``how``: ``inner``; ``left`` (a left
+    row without a match is kept once, its right columns null);
+    ``semi`` / ``anti`` (left rows with / without a match, left columns
+    only). A null key never matches (SQL semantics), and a duplicate
+    right key repeats its left row once per match.
 
-    ``right_schema``: static schema hint for the right side — REQUIRED
-    when the right side can be EMPTY (a zero-row Dataset loses its
-    schema entirely, so the per-batch merge would KeyError on the join
-    column; the hint reconstructs a typed empty frame instead)."""
+    Output columns are the same on both paths: the left columns, then
+    the right's non-key columns (the right key is not emitted; it equals
+    the left key on every matched row). A right non-key column named
+    like a left column raises ``ValueError``.
+
+    At or below :data:`BROADCAST_LIMIT` right rows the right side is
+    collected as Arrow once, null keys dropped and stable-sorted by key;
+    its unique keys, each key's first row and run length are ``ray.put``
+    once. Each left batch then takes one ``is_in`` (semi/anti) or one
+    ``index_in`` plus a ``np.repeat`` expansion (inner/left): no shuffle
+    and no pandas. Output order is left rows in order, a key's right
+    rows in right order. Above the limit it is one bucketed
+    :func:`hash_join`, which keeps no row order.
+
+    ``right_schema``: the right side's schema, for a right side that can
+    be empty (an empty Dataset may carry no column types at all)."""
+    on = _as_cols(on)
+    right_on = on if right_on is None else _as_cols(right_on)
+    if how not in _HASH_HOW:
+        raise ValueError(f"join: how must be one of {sorted(_HASH_HOW)}, got {how!r}")
+    filter_only = how in ("semi", "anti")
+    if filter_only:
+        right, right_schema = project(right, right_on), None
     right = right.materialize()  # sized AND reused — never execute twice
-    n = right.count()
-    if n <= BROADCAST_LIMIT:
-        rdf = right.to_pandas()
-        if right_on not in rdf.columns and right_schema is not None:
-            rdf = right_schema.empty_table().to_pandas()
-        out = broadcast_lookup_join(ds, rdf, on=on, right_on=right_on, how="left" if how != "inner" else "inner")
+    if right.count() > BROADCAST_LIMIT:
+        return hash_join(left, right, on=on, right_on=right_on, how=_HASH_HOW[how],
+                         num_buckets=num_partitions, right_schema=right_schema)
+
+    rtbl = _collect_right(right, right_on if filter_only else
+                          (right_schema.names if right_schema is not None else None),
+                          right_schema)
+    if rtbl.num_columns == 0:  # no typed block and no hint: null-typed keys
+        rtbl = pa.schema([(c, pa.null()) for c in right_on]).empty_table()
+    rtbl = rtbl.filter(pc.is_valid(_probe_key(rtbl, right_on)))
+    payload = [c for c in rtbl.column_names if c not in right_on]
+    if filter_only:
+        ref = ray.put(pc.unique(_probe_key(rtbl, right_on)))
+
+        def keep(t: pa.Table) -> pa.Table:
+            keys = ray.get(ref)  # plasma-local after first access
+            if len(keys) == 0:
+                return t if how == "anti" else t.slice(0, 0)
+            hit = pc.is_in(_probe_key(t, on), value_set=keys, skip_nulls=True)
+            return t.filter(pc.invert(hit) if how == "anti" else hit)
+
+        return left.map_batches(keep, batch_format="pyarrow")
+
+    rkeys = _probe_key(rtbl, right_on)
+    order = pc.sort_indices(rkeys)  # stable: a key's rows stay in right order
+    sk = rkeys.take(order)
+    first = np.ones(len(sk), dtype=bool)
+    if len(sk) > 1:
+        first[1:] = pc.not_equal(sk[1:], sk[:-1]).to_numpy(zero_copy_only=False)
+    starts = np.flatnonzero(first)
+    lengths = np.diff(np.append(starts, len(sk)))
+    vals = rtbl.select(payload).take(order).combine_chunks()
+    ref = ray.put((sk.filter(pa.array(first)), starts, lengths, vals))
+
+    def probe(t: pa.Table) -> pa.Table:
+        keys, starts, lengths, vals = ray.get(ref)  # plasma-local after first access
+        clash = set(payload) & set(t.column_names)
+        if clash:
+            raise ValueError(f"join: non-key columns must be disjoint, got {sorted(clash)}")
+        run = (pc.index_in(_probe_key(t, on), value_set=keys, skip_nulls=True)
+               if len(keys) else pa.nulls(len(t), pa.int32()))
+        run = pc.fill_null(run, -1).to_numpy(zero_copy_only=False)
+        hit = run >= 0
+        cnt = np.full(len(t), 1 if how == "left" else 0, dtype=np.int64)
+        cnt[hit] = lengths[run[hit]]
+        base = np.zeros(len(t), dtype=np.int64)
+        base[hit] = starts[run[hit]]
+        ends = np.cumsum(cnt)
+        rows = np.repeat(base - (ends - cnt), cnt) + np.arange(ends[-1] if len(t) else 0)
+        matched = np.repeat(hit, cnt)
+        out = t.take(pa.array(np.repeat(np.arange(len(t)), cnt)))
+        idx = pa.array(rows, mask=~matched)
+        for c in payload:
+            col = vals[c]
+            out = out.append_column(c, col.take(idx) if len(col) else
+                                    pa.nulls(len(out), col.type))
         return out
-    # same fallback rationale as semi_anti_join: the bucketed hash_join
-    # survives one-sided shuffle partitions where Dataset.join raises
-    return hash_join(ds, right, on=[on], right_on=[right_on],
-                     how="inner" if how == "inner" else "left_outer",
-                     num_buckets=num_partitions)
+
+    return left.map_batches(probe, batch_format="pyarrow")
 
 
 def unique_lookup(
@@ -600,13 +586,7 @@ def unique_lookup(
     n = right.count()
     value_cols = list(dict.fromkeys(c for _, cols in probes for c in cols))
     if n <= BROADCAST_LIMIT:
-        # empty shuffle partitions yield schema-less empty blocks — skip
-        # them; an empty right side keeps its column types when it has any
-        blocks = [b.select(right_on + value_cols)
-                  for b in ray.get(right.to_arrow_refs()) if b.num_columns]
-        schema = pa.schema([(c, pa.null()) for c in right_on + value_cols])
-        rtbl = (pa.concat_tables(blocks, promote_options="default") if blocks
-                else schema.empty_table())
+        rtbl = _collect_right(right, right_on + value_cols)
         rtbl = rtbl.filter(pc.is_valid(_probe_key(rtbl, right_on)))
         rkeys = _probe_key(rtbl, right_on)
         if len(pc.unique(rkeys)) != len(rkeys):

@@ -288,15 +288,28 @@ def _is_jsonl(path: str) -> bool:
     return path.rstrip("/").endswith((".jsonl", ".json"))
 
 
-@lru_cache(maxsize=8)
 def open_range_store(path: str, key_col: str):
     """Worker-global store cache: stateless map tasks share one range
-    index + row-group LRU per (path, key) per worker process — the
-    setup-once property of an actor pool without pinning the stage to
-    actors. ``*.lance`` paths get the Lance fragment-take backend."""
+    index + row-group LRU per (path, key, file identity) per worker
+    process — the setup-once property of an actor pool without pinning
+    the stage to actors. The identity (size and mtime of every part
+    file) makes a table rewritten at the same path open afresh instead
+    of being served from the old file's index and row groups.
+    ``*.lance`` paths get the Lance fragment-take backend."""
+    from fs_crawler_ray.sources import storage as st
+
+    parts = [path] if _is_lance(path) else _parquet_parts(path)
+    return _open_store(path, key_col, tuple(st.file_identity(p) for p in parts))
+
+
+@lru_cache(maxsize=8)
+def _open_store(path: str, key_col: str, identity: tuple):
     if _is_lance(path):
         return LanceRangeStore(path, key_col)
     return RangeStore(path, key_col)
+
+
+open_range_store.cache_clear = _open_store.cache_clear
 
 
 class DocStore:

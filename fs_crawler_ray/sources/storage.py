@@ -101,6 +101,18 @@ def remove(path: str) -> None:
     os.remove(path)
 
 
+def file_identity(path: str) -> tuple:
+    """(size, modification time) of a file or directory: a file
+    rewritten at the same path gets a new identity."""
+    if is_uri(path):
+        fs, p = fs_path(path)
+        info = fs.info(p)
+        mtime = [info[k] for k in ("mtime", "LastModified", "updated", "created") if k in info]
+        return info.get("size"), str(mtime[:1])
+    st = os.stat(path)
+    return st.st_size, st.st_mtime_ns
+
+
 def open_file(path: str, mode: str = "rb"):
     if is_uri(path):
         fs, p = fs_path(path)

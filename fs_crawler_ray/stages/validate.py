@@ -88,13 +88,11 @@ def _per_child_table(
 ) -> ray.data.Dataset:
     """Edges ⟕ vertices(destination→parent gender) → per-child gender
     counts for validation and resolution type families."""
-    from fs_crawler_ray.relops import lookup_join
+    from fs_crawler_ray.relops import join
 
     vg = vertices.select_columns(["id", "color"]).rename_columns({"id": "__p", "color": "pg"})
-    j = lookup_join(
-        edges.select_columns(["source", "destination", "type"]), vg,
-        on="destination", right_on="__p", how="left", num_partitions=num_partitions,
-    )
+    j = join(edges.select_columns(["source", "destination", "type"]), vg,
+             "destination", "__p", how="left", num_partitions=num_partitions)
 
     def partial(t: pa.Table) -> pa.Table:
         df = t.to_pandas()
@@ -216,14 +214,12 @@ def validate(
 
     # unknown vertices: edge destinations outside vertices ∪ frontier —
     # distinct-then-count stays distributed (no driver key list)
-    from fs_crawler_ray.relops import distinct, semi_anti_join
+    from fs_crawler_ray.relops import distinct, join
 
-    unknown = semi_anti_join(
-        edges.select_columns(["destination"]), vertices, "destination", "id",
-        anti=True, num_partitions=num_partitions,
-    )
-    unknown = semi_anti_join(unknown, frontier, "destination", "id",
-                             anti=True, num_partitions=num_partitions)
+    unknown = join(edges.select_columns(["destination"]), vertices, "destination", "id",
+                   how="anti", num_partitions=num_partitions)
+    unknown = join(unknown, frontier, "destination", "id", how="anti",
+                   num_partitions=num_partitions)
     stats.unknown_vertex_count = distinct(
         unknown.select_columns(["destination"]), ["destination"], num_partitions
     ).count()
@@ -235,10 +231,8 @@ def validate(
         inv_ds = classified_ds.map_batches(
             lambda t: t.filter(pc.cast(t["invalid"], pa.bool_())), batch_format="pyarrow"
         ).select_columns(["source"])
-        vmeta = semi_anti_join(
-            vertices.select_columns(["id", "iteration", "lifespan"]),
-            inv_ds, "id", "source", num_partitions=num_partitions,
-        )
+        vmeta = join(vertices.select_columns(["id", "iteration", "lifespan"]),
+                     inv_ds, "id", "source", how="semi", num_partitions=num_partitions)
 
         def hist_partial(t: pa.Table) -> pa.Table:
             by = birth_year_from_lifespan(t["lifespan"].to_numpy(zero_copy_only=False))
@@ -274,15 +268,14 @@ def save_valid_graph(
     vpath = os.path.join(out_dir, "validated.vertices.parquet")
     numbered.write_parquet(vpath)
 
-    from fs_crawler_ray.relops import semi_anti_join, unique_lookup
+    from fs_crawler_ray.relops import join, unique_lookup
 
     invalid = classified.map_batches(
         lambda t: t.filter(pc.equal(t["invalid"], True)), batch_format="pyarrow"
     ).select_columns(["source"]).materialize()
 
     num = numbered.select_columns(["id", "vertex_number"])
-    e = semi_anti_join(edges, invalid, "source", "source", anti=True,
-                       num_partitions=num_partitions)
+    e = join(edges, invalid, "source", how="anti", num_partitions=num_partitions)
     # both endpoints probe one broadcast of the numbering; a duplicate
     # vertex id raises instead of multiplying edges
     e = unique_lookup(e, num, ["id"], [(["source"], {"vertex_number": "src_n"}),
@@ -291,8 +284,8 @@ def save_valid_graph(
     epath = os.path.join(out_dir, "validated.edges.parquet")
     e.select_columns(["src_n", "dst_n"]).write_parquet(epath)
 
-    inv_rel = semi_anti_join(edges, invalid, "source", "source", anti=False,
-                             num_partitions=num_partitions).select_columns(["source", "id"])
+    inv_rel = join(edges, invalid, "source", how="semi",
+                   num_partitions=num_partitions).select_columns(["source", "id"])
     # the reference emits a deduplicated (child, rel) set via its
     # child_to_rel dict (graph_validator.py:220-225) — a two-parent
     # relationship must not produce duplicate rows

@@ -328,26 +328,24 @@ def ngram_jaccard_verify(
     shingle_k: int = 3,
 ) -> ray.data.Dataset:
     """Verify candidate pairs by true shingle Jaccard, with the text
-    JOINED onto the pairs by doc id (two size-aware lookup joins —
-    broadcast below :data:`fs_crawler_ray.relops.BROADCAST_LIMIT`,
-    shuffle join above it). The corpus is never collected into a
+    JOINED onto the pairs by doc id (two size-aware
+    :func:`fs_crawler_ray.relops.join` calls — broadcast below
+    :data:`fs_crawler_ray.relops.BROADCAST_LIMIT`, shuffle join above
+    it). The corpus is never collected into a
     driver-side dict; verification runs per pair batch with both texts
     in-row."""
-    from fs_crawler_ray.relops import lookup_join
+    from fs_crawler_ray.relops import join
 
     def _project(key: str, val: str):
         # select+rename via an Arrow batch fn (Dataset.rename_columns'
         # Project op assumes Arrow blocks and breaks on pandas blocks)
         return lambda t: pa.table({key: t["doc_id"], val: t["text"]})
 
-    j1 = lookup_join(
-        candidates, docs.map_batches(_project("__ta", "text_a"), batch_format="pyarrow"),
-        on="doc_a", right_on="__ta", how="inner",
-    )
-    j2 = lookup_join(
-        j1, docs.map_batches(_project("__tb", "text_b"), batch_format="pyarrow"),
-        on="doc_b", right_on="__tb", how="inner",
-    )
+    j1 = join(candidates,
+              docs.map_batches(_project("__ta", "text_a"), batch_format="pyarrow"),
+              "doc_a", "__ta")
+    j2 = join(j1, docs.map_batches(_project("__tb", "text_b"), batch_format="pyarrow"),
+              "doc_b", "__tb")
 
     def verify_fn(t: pa.Table) -> pa.Table:
         jac = np.empty(len(t), dtype=np.float64)
@@ -951,7 +949,6 @@ def tfidf_top_terms(
     ds: ray.data.Dataset,
     top_n: int = 3,
     id_col: str = "doc_id",
-    broadcast_limit: int | None = None,
 ) -> ray.data.Dataset:
     """Per-document top-``top_n`` TF-IDF terms — the salient-term
     extraction pass of a corpus pipeline. Two stages:
@@ -974,16 +971,14 @@ def tfidf_top_terms(
        ``(score DESC, tok)``.
 
     Both paths produce identical ``(doc_id, tok, tf, df, score)`` rows
-    (pinned by test); pass ``broadcast_limit=0`` to force the
-    distributed path.
+    (pinned by test).
     """
     import pyarrow.compute as pc
 
     from fs_crawler_ray.relops import BROADCAST_LIMIT, hash_join
 
-    limit = BROADCAST_LIMIT if broadcast_limit is None else broadcast_limit
     df_ds = token_doc_frequency(ds, top_n=None).materialize()
-    if df_ds.count() > limit:
+    if df_ds.count() > BROADCAST_LIMIT:
         id_t = _id_dtype(ds, id_col)
         tf_ds = ds.select_columns([id_col, "text"]).map_batches(
             lambda t: _tf_explode(t, id_col), batch_format="pyarrow")
@@ -1280,7 +1275,6 @@ def vocab_encode(
     id_col: str = "doc_id",
     min_count: int = 1,
     agg_partitions: int = 8,
-    broadcast_limit: int | None = None,
 ) -> ray.data.Dataset:
     """Vocabulary build + corpus encoding — the tokenizer-fit +
     tokenize step of a training-data pipeline: rank every token by
@@ -1300,8 +1294,7 @@ def vocab_encode(
          vocabulary stays distributed (rank via sort + zip-with-index,
          attach via token-hash ``hash_join``) — nothing
          vocabulary-sized ever reaches the driver. Both paths are
-         pinned equal by test; ``broadcast_limit=0`` forces the
-         distributed one.
+         pinned equal by test.
       2. encode — each batch tokenizes vectorized (Arrow RE2) and maps
          token → id with ONE Arrow ``index_in`` kernel against the
          broadcast vocabulary; no Python dict lookups.
@@ -1334,8 +1327,7 @@ def vocab_encode(
     agg = agg.materialize()
     from fs_crawler_ray.relops import BROADCAST_LIMIT, hash_join
 
-    limit = BROADCAST_LIMIT if broadcast_limit is None else broadcast_limit
-    if agg.count() > limit:
+    if agg.count() > BROADCAST_LIMIT:
         # Distributed path: the vocabulary never reaches the driver.
         # Rank it with one distributed sort + zip-with-index, explode
         # the corpus to (doc_id, pos, tok), and attach token_id with a
@@ -1411,7 +1403,6 @@ def token_rarity(
     ds: ray.data.Dataset,
     id_col: str = "doc_id",
     agg_partitions: int = 8,
-    broadcast_limit: int | None = None,
 ) -> ray.data.Dataset:
     """Integer token-rarity quality score — the rank-based stand-in for
     the perplexity filter of a curation pipeline (CCNet-style): each
@@ -1450,8 +1441,7 @@ def token_rarity(
     ).materialize()
     from fs_crawler_ray.relops import BROADCAST_LIMIT, bucketed_agg as _bagg, hash_join
 
-    limit = BROADCAST_LIMIT if broadcast_limit is None else broadcast_limit
-    if agg.count() > limit:
+    if agg.count() > BROADCAST_LIMIT:
         # Distributed path (vocabulary > broadcast limit): rank the
         # vocabulary on-cluster, join ranks onto the per-doc token
         # counts by token hash, then one doc-bucket aggregation —
@@ -1737,7 +1727,7 @@ def dup_rate_by_source(
     pre-combined count."""
     import pyarrow.compute as pc
 
-    from fs_crawler_ray.relops import bucketed_agg, distinct, lookup_join
+    from fs_crawler_ray.relops import bucketed_agg, distinct, join
 
     hashed = add_content_hash(ds.select_columns([group_col, "text"]))
 
@@ -1754,9 +1744,9 @@ def dup_rate_by_source(
     n_uniq = bucketed_agg(
         uniq.map_batches(cnt_partial, batch_format="pyarrow"),
         [group_col], [("c", "sum", "n_unique")], 8)
-    j = lookup_join(n_docs, n_uniq.map_batches(
+    j = join(n_docs, n_uniq.map_batches(
         lambda t: pa.table({"__g": t[group_col], "n_unique": t["n_unique"]}),
-        batch_format="pyarrow"), on=group_col, right_on="__g", how="inner")
+        batch_format="pyarrow"), group_col, "__g")
 
     def finish(t: pa.Table) -> pa.Table:
         nd = t["n_docs"].cast(pa.int64()).to_numpy(zero_copy_only=False)
@@ -1933,7 +1923,7 @@ def jaccard_pairs(
     jacc_permille)`` with ``doc_a < doc_b``."""
     import pyarrow.compute as pc
 
-    from fs_crawler_ray.relops import _BUCKET_COL, _add_bucket, bucketed_agg, lookup_join
+    from fs_crawler_ray.relops import _BUCKET_COL, _add_bucket, bucketed_agg, join
     from fs_crawler_ray.windows import _key_codes
 
     def pairs(t: pa.Table) -> pa.Table:
@@ -2011,13 +2001,11 @@ def jaccard_pairs(
         ["doc_a", "doc_b"], [("doc_a", "count", "inter")], num_buckets)
 
     size_schema = pa.schema([("doc_id", pa.int64()), ("n_tok", pa.int64())])
-    j = lookup_join(inter, sizes, on="doc_a", right_on="doc_id",
-                    how="inner", right_schema=size_schema)
+    j = join(inter, sizes, "doc_a", "doc_id", right_schema=size_schema)
     j = j.map_batches(lambda t: pa.table({
         "doc_a": t["doc_a"], "doc_b": t["doc_b"], "inter": t["inter"],
         "na": t["n_tok"]}), batch_format="pyarrow")
-    j = lookup_join(j, sizes, on="doc_b", right_on="doc_id",
-                    how="inner", right_schema=size_schema)
+    j = join(j, sizes, "doc_b", "doc_id", right_schema=size_schema)
 
     def finish(t: pa.Table) -> pa.Table:
         inter_ = t["inter"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -2221,7 +2209,7 @@ def edit_distance_pairs(
     vectorized two-row DP. The DP's per-pair Python loop runs ONLY on
     the verified pair set — bounded like ``ngram_jaccard_verify``'s,
     never corpus-scale. Output: ``(doc_a, doc_b, edit_dist)``."""
-    from fs_crawler_ray.relops import lookup_join
+    from fs_crawler_ray.relops import join
 
     cand = minhash_lsh_candidates(ds, num_perm=num_perm, bands=bands,
                                   shingle_k=shingle_k)
@@ -2231,12 +2219,10 @@ def edit_distance_pairs(
     def _project(key: str, val: str):
         return lambda t: pa.table({key: t["doc_id"], val: t["text"]})
 
-    j1 = lookup_join(
-        pairs, ds.map_batches(_project("__ta", "text_a"), batch_format="pyarrow"),
-        on="doc_a", right_on="__ta", how="inner")
-    j2 = lookup_join(
-        j1, ds.map_batches(_project("__tb", "text_b"), batch_format="pyarrow"),
-        on="doc_b", right_on="__tb", how="inner")
+    j1 = join(pairs, ds.map_batches(_project("__ta", "text_a"), batch_format="pyarrow"),
+              "doc_a", "__ta")
+    j2 = join(j1, ds.map_batches(_project("__tb", "text_b"), batch_format="pyarrow"),
+              "doc_b", "__tb")
 
     def dist_fn(t: pa.Table) -> pa.Table:
         ta = t["text_a"].to_pylist()
@@ -2432,7 +2418,7 @@ def lang_confusion(ds: ray.data.Dataset, num_buckets: int = 4) -> ray.data.Datas
     analyzer (:func:`analyze_text`, stopword-profile language ID) with
     a size-aware join back onto the metadata column and one
     (langs×guesses)-cardinality count shuffle."""
-    from fs_crawler_ray.relops import bucketed_agg, lookup_join
+    from fs_crawler_ray.relops import bucketed_agg, join
 
     guessed = analyze_text(ds.select_columns(["doc_id", "text"])).map_batches(
         lambda t: pa.table({"doc_id": t["doc_id"],
@@ -2441,7 +2427,7 @@ def lang_confusion(ds: ray.data.Dataset, num_buckets: int = 4) -> ray.data.Datas
     meta = ds.select_columns(["doc_id", "lang"]).map_batches(
         lambda t: pa.table({"__id": t["doc_id"], "lang": t["lang"]}),
         batch_format="pyarrow")
-    j = lookup_join(guessed, meta, on="doc_id", right_on="__id", how="inner")
+    j = join(guessed, meta, "doc_id", "__id")
     return bucketed_agg(
         j.map_batches(lambda t: pa.table({"lang": t["lang"],
                                           "lang_guess": t["lang_guess"],
@@ -2465,7 +2451,7 @@ def near_dup_scores(
     arithmetic so the table hash-matches the SQL cross-multiplication
     exactly (the float `jaccard` column of ngram_jaccard_verify never
     could)."""
-    from fs_crawler_ray.relops import lookup_join
+    from fs_crawler_ray.relops import join
 
     cand = minhash_lsh_candidates(ds, num_perm=num_perm, bands=bands,
                                   shingle_k=shingle_k)
@@ -2473,12 +2459,10 @@ def near_dup_scores(
     def _project(key: str, val: str):
         return lambda t: pa.table({key: t["doc_id"], val: t["text"]})
 
-    j1 = lookup_join(
-        cand, ds.map_batches(_project("__ta", "text_a"), batch_format="pyarrow"),
-        on="doc_a", right_on="__ta", how="inner")
-    j2 = lookup_join(
-        j1, ds.map_batches(_project("__tb", "text_b"), batch_format="pyarrow"),
-        on="doc_b", right_on="__tb", how="inner")
+    j1 = join(cand, ds.map_batches(_project("__ta", "text_a"), batch_format="pyarrow"),
+              "doc_a", "__ta")
+    j2 = join(j1, ds.map_batches(_project("__tb", "text_b"), batch_format="pyarrow"),
+              "doc_b", "__tb")
 
     thr_num = int(round(threshold * 100))
 
@@ -2514,7 +2498,7 @@ def dedup_keep_best(
     near-dup clustering, :func:`token_rarity`, and
     ``windows.topk_per_group`` with k=1."""
     from fs_crawler_ray.components import near_dup_clusters
-    from fs_crawler_ray.relops import lookup_join
+    from fs_crawler_ray.relops import join
     from fs_crawler_ray.windows import topk_per_group
 
     clusters = near_dup_clusters(ds)
@@ -2526,9 +2510,7 @@ def dedup_keep_best(
         return pa.table({"__sid": t[id_col],
                          "mean_rarity_milli": rs * 1000 // nt})
 
-    j = lookup_join(clusters,
-                    scores.map_batches(derive, batch_format="pyarrow"),
-                    on=id_col, right_on="__sid", how="inner")
+    j = join(clusters, scores.map_batches(derive, batch_format="pyarrow"), id_col, "__sid")
     best = topk_per_group(
         j.map_batches(lambda t: pa.table({
             "cluster_id": t["cluster_id"], id_col: t[id_col],
@@ -2553,13 +2535,13 @@ def source_quality_matrix(
     training run is configured from). One size-aware join of the
     O(docs) tile table onto the metadata column + a (sources×tiles)
     count shuffle."""
-    from fs_crawler_ray.relops import bucketed_agg, lookup_join
+    from fs_crawler_ray.relops import bucketed_agg, join
 
     tiles = rarity_tiles(ds, n_tiles=n_tiles)
     meta = ds.select_columns(["doc_id", "source"]).map_batches(
         lambda t: pa.table({"__id": t["doc_id"], "source": t["source"]}),
         batch_format="pyarrow")
-    j = lookup_join(tiles, meta, on="doc_id", right_on="__id", how="inner")
+    j = join(tiles, meta, "doc_id", "__id")
     return bucketed_agg(
         j.map_batches(lambda t: pa.table({
             "source": t["source"], "tile": t["tile"], "d": t["doc_id"]}),

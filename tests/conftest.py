@@ -99,3 +99,14 @@ def kill_shard(ray_session):
         raise AssertionError("host still answers 10 s after ray.kill")
 
     return kill
+
+
+@pytest.fixture
+def shuffle_joins(monkeypatch):
+    """Every size-aware join takes its shuffle path: with
+    ``relops.BROADCAST_LIMIT`` at 0 only an empty right side is still
+    broadcast, so ``join``, ``unique_lookup`` and the vocabulary and
+    graph operators go through the bucketed ``hash_join``."""
+    from fs_crawler_ray import relops
+
+    monkeypatch.setattr(relops, "BROADCAST_LIMIT", 0)

@@ -324,13 +324,10 @@ def test_ordering_round_trip_and_cache(golden, tmp_path):
     assert b.builds == builds_before + 3
 
 
-def test_golden_csr_hash_join_path(golden, tmp_path, monkeypatch):
+def test_golden_csr_hash_join_path(golden, tmp_path, shuffle_joins):
     """relops.BROADCAST_LIMIT=0 sends the endpoint lookups through the
     bucketed hash_join (the path for vertex tables too large to
     broadcast); the CSR must still equal the golden triple."""
-    import fs_crawler_ray.relops as relops
-
-    monkeypatch.setattr(relops, "BROADCAST_LIMIT", 0)
     verts, edges = golden
     rows, cols, vals = build_csr(verts, edges, hops=4, order_cols=["id"], num_partitions=4)
     r = -1

@@ -109,12 +109,10 @@ def test_coparent_pairs_canonical_and_counted():
     assert out["n_children"].tolist() == [2, 1]
 
 
-def test_pagerank_large_state_path_matches_fast_path(monkeypatch):
-    import fs_crawler_ray.relops as relops
-
+def test_pagerank_large_state_path_matches_fast_path(request):
     fast = (pagerank_scaled(_ds(), iters=5)
             .to_pandas().sort_values("id").reset_index(drop=True))
-    monkeypatch.setattr(relops, "BROADCAST_LIMIT", 0)
+    request.getfixturevalue("shuffle_joins")
     big = (pagerank_scaled(_ds(), iters=5)
            .to_pandas().sort_values("id").reset_index(drop=True))
     assert fast["id"].tolist() == big["id"].tolist()

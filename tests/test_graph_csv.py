@@ -67,13 +67,13 @@ def test_edge_tables_partition_the_edge_set(small_crawl):
     assert counts["frontier"] == last["frontier_edges"]
 
 
-def test_edge_classification_join_path_matches_broadcast(small_crawl):
-    """broadcast_limit=0 forces the distributed flag-join path; its
+def test_edge_classification_join_path_matches_broadcast(small_crawl, request):
+    """BROADCAST_LIMIT=0 forces the distributed flag-join path; its
     per-category tables must equal the broadcast path's exactly."""
     _, result, _ = small_crawl
     bcast = classify_edge_tables(result.edges(), result.vertices())
-    joined = classify_edge_tables(result.edges(), result.vertices(),
-                                  broadcast_limit=0, num_partitions=4)
+    request.getfixturevalue("shuffle_joins")
+    joined = classify_edge_tables(result.edges(), result.vertices(), num_partitions=4)
     for cat in ("within", "spanning", "frontier"):
         b = {(r["source"], r["destination"], r["type"], r["id"]) for r in bcast[cat].take_all()}
         j = {(r["source"], r["destination"], r["type"], r["id"]) for r in joined[cat].take_all()}

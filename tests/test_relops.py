@@ -4,12 +4,10 @@ import pyarrow as pa
 import ray.data
 
 from fs_crawler_ray.relops import (
-    broadcast_semi_join,
     dedup_keep_first,
     distinct,
     hash_buckets,
-    lookup_join,
-    semi_anti_join,
+    join,
     thin_boundaries,
 )
 
@@ -40,35 +38,29 @@ def test_distinct_representative_is_min_row():
     assert out["p"].tolist() == [3, 1]  # smallest full row per key
 
 
-def test_semi_anti_join_broadcast():
+def test_join_semi_anti_broadcast():
     left = _ds(pd.DataFrame({"a": [1, 2, 3, 4, 5]}))
     right = _ds(pd.DataFrame({"b": [2, 4]}))
-    semi = semi_anti_join(left, right, "a", "b", anti=False).to_pandas()
-    anti = semi_anti_join(left, right, "a", "b", anti=True).to_pandas()
+    semi = join(left, right, "a", "b", how="semi").to_pandas()
+    anti = join(left, right, "a", "b", how="anti").to_pandas()
     assert sorted(semi["a"]) == [2, 4]
     assert sorted(anti["a"]) == [1, 3, 5]
 
 
-def test_semi_anti_join_empty_right():
+def test_join_semi_anti_empty_right():
     left = _ds(pd.DataFrame({"a": [1, 2]}))
     right = _ds(pd.DataFrame({"b": pd.Series(dtype=np.int64)}))
-    assert semi_anti_join(left, right, "a", "b", anti=True).count() == 2
-    assert semi_anti_join(left, right, "a", "b", anti=False).count() == 0
+    assert join(left, right, "a", "b", how="anti").count() == 2
+    assert join(left, right, "a", "b", how="semi").count() == 0
 
 
-def test_lookup_join_inner_and_left():
+def test_join_inner_and_left():
     left = _ds(pd.DataFrame({"a": [1, 2, 3], "x": ["p", "q", "r"]}))
     right = _ds(pd.DataFrame({"b": [1, 3], "y": ["Y1", "Y3"]}))
-    inner = lookup_join(left, right, "a", "b", how="inner").to_pandas().sort_values("a")
+    inner = join(left, right, "a", "b", how="inner").to_pandas().sort_values("a")
     assert inner["y"].tolist() == ["Y1", "Y3"]
-    left_j = lookup_join(left, right, "a", "b", how="left").to_pandas().sort_values("a")
+    left_j = join(left, right, "a", "b", how="left").to_pandas().sort_values("a")
     assert left_j["y"].fillna("-").tolist() == ["Y1", "-", "Y3"]
-
-
-def test_broadcast_semi_join_strings():
-    left = _ds(pd.DataFrame({"id": ["A", "B", "C"]}))
-    out = broadcast_semi_join(left, ["B", "C"], "id").to_pandas()
-    assert sorted(out["id"]) == ["B", "C"]
 
 
 def test_distinct_range_boundaries_balanced_and_exact(tmp_path):
@@ -228,26 +220,20 @@ def test_hash_join_rejects_wrong_schema_hint():
                   right_schema=bad).to_pandas()
 
 
-def test_semi_anti_join_distributed_fallback_matches_broadcast(monkeypatch):
-    """BROADCAST_LIMIT=0 forces semi_anti_join's bucketed hash_join
-    fallback (the >2M-key scale path) — it must agree exactly with the
-    broadcast path, for semi AND anti, including a one-sided bucket
+def test_join_semi_anti_hash_path_matches_broadcast(request):
+    """With BROADCAST_LIMIT at 0 a semi/anti join takes its bucketed
+    hash_join path (the >2M-key scale path): it must agree exactly with
+    the broadcast path, for semi AND anti, including a one-sided bucket
     (keys the left never has)."""
-    import fs_crawler_ray.relops as relops
-
     left = ray.data.from_pandas(pd.DataFrame(
         {"a": [f"k{i}" for i in range(40)], "v": list(range(40))}))
     right = ray.data.from_pandas(pd.DataFrame(
         {"b": [f"k{i}" for i in range(0, 60, 3)]}))  # some keys not in left
-    want_semi = sorted(
-        relops.semi_anti_join(left, right, "a", "b").to_pandas()["a"])
-    want_anti = sorted(
-        relops.semi_anti_join(left, right, "a", "b", anti=True).to_pandas()["a"])
-    monkeypatch.setattr(relops, "BROADCAST_LIMIT", 0)
-    got_semi = sorted(
-        relops.semi_anti_join(left, right, "a", "b").to_pandas()["a"])
-    got_anti = sorted(
-        relops.semi_anti_join(left, right, "a", "b", anti=True).to_pandas()["a"])
+    want_semi = sorted(join(left, right, "a", "b", how="semi").to_pandas()["a"])
+    want_anti = sorted(join(left, right, "a", "b", how="anti").to_pandas()["a"])
+    request.getfixturevalue("shuffle_joins")
+    got_semi = sorted(join(left, right, "a", "b", how="semi").to_pandas()["a"])
+    got_anti = sorted(join(left, right, "a", "b", how="anti").to_pandas()["a"])
     assert got_semi == want_semi and len(want_semi) == 14
     assert got_anti == want_anti and len(want_anti) == 26
 

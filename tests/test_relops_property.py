@@ -1,10 +1,11 @@
-"""Property tests: relops.hash_join vs the pandas merge oracle.
+"""Property tests: relops.join and relops.hash_join vs the pandas
+merge oracle.
 
-The bucketed hash_join is the engine's scale-path join (it backs
-semi/anti fallbacks, resolve, vocab, daily-balance, retention…), so it
-gets an adversarial oracle: random small frames — string AND int keys,
-skew, missing keys, empty sides, pandas- and arrow-backed inputs — must
-match ``pd.merge`` row-multisets for every join type.
+``join`` is the engine's one join entry point and the bucketed
+``hash_join`` its scale path (and the full/right outer join), so both
+get an adversarial oracle: random small frames — string AND int keys,
+null keys, skew, missing keys, empty sides, pandas- and arrow-backed
+inputs — must match ``pd.merge`` for every join type.
 """
 
 import numpy as np
@@ -158,42 +159,150 @@ if __name__ == "__main__":
     rk=st.lists(st.one_of(st.none(), st.sampled_from(KEYS)), min_size=0, max_size=10),
     anti=st.booleans(),
 )
-def test_broadcast_semi_join_null_keys_never_match(lk, rk, anti):
+def test_join_semi_anti_null_keys_never_match(lk, rk, anti):
     """SQL semi-join semantics: a null key matches nothing, whether the
     null is on the left, the right or both — semi drops null-key rows,
     anti keeps them."""
     import pyarrow as pa
 
-    from fs_crawler_ray.relops import broadcast_semi_join
+    from fs_crawler_ray.relops import join
 
     right = {k for k in rk if k is not None}
     left = pa.table({"k": pa.array(lk, pa.string()),
                      "x": pa.array(range(len(lk)), pa.int64())})
+    got = join(ray.data.from_arrow(left),
+               ray.data.from_arrow(pa.table({"id": pa.array(rk, pa.string())})),
+               "k", "id", how="anti" if anti else "semi").take_all()
     want = [(k, x) for x, k in enumerate(lk) if (k in right) != anti]
-    got = broadcast_semi_join(ray.data.from_arrow(left), pa.array(rk, pa.string()),
-                              "k", anti=anti).take_all()
     assert sorted(((r["k"], r["x"]) for r in got), key=repr) == sorted(want, key=repr), (
         lk, rk, anti)
 
 
-@pytest.mark.parametrize("anti", [False, True])
-@pytest.mark.parametrize("empty_right", ["no_blocks", "schemaless_blocks"])
-def test_semi_anti_join_empty_right_side(anti, empty_right):
-    """An empty right side — no blocks at all, or only schema-less empty
-    blocks (what an empty shuffle partition yields) — is a valid filter
-    set: semi keeps no row, anti keeps every row."""
+def _empty_right(kind: str) -> ray.data.Dataset:
+    """An empty right side with no column types: no blocks at all, or
+    only schema-less empty blocks (what an empty shuffle partition
+    yields)."""
     import pyarrow as pa
 
-    from fs_crawler_ray.relops import semi_anti_join
+    if kind == "no_blocks":
+        return ray.data.from_items([])
+    return ray.data.from_arrow(pa.table({"id": ["x"], "y": [1]})).map_batches(
+        lambda t: pa.table({}), batch_format="pyarrow")
 
-    if empty_right == "no_blocks":
-        right = ray.data.from_items([])
-    else:
-        right = ray.data.from_arrow(pa.table({"id": ["x"]})).map_batches(
-            lambda t: pa.table({}), batch_format="pyarrow")
+
+@pytest.mark.parametrize("anti", [False, True])
+@pytest.mark.parametrize("empty_right", ["no_blocks", "schemaless_blocks"])
+def test_join_semi_anti_empty_right_side(anti, empty_right):
+    """An empty right side without column types is a valid filter set:
+    semi keeps no row, anti keeps every row."""
+    import pyarrow as pa
+
+    from fs_crawler_ray.relops import join
+
     left = ray.data.from_arrow(pa.table({"k": ["a", "b"]}))
-    got = sorted(r["k"] for r in semi_anti_join(left, right, "k", "id", anti=anti).take_all())
+    got = sorted(r["k"] for r in join(left, _empty_right(empty_right), "k", "id",
+                                      how="anti" if anti else "semi").take_all())
     assert got == (["a", "b"] if anti else [])
+
+
+_JOIN_KEY = st.one_of(st.none(), st.sampled_from(KEYS[:3]))
+
+
+def _rows_and_columns(ds: ray.data.Dataset) -> tuple[list[tuple], list[str] | None]:
+    """A join result's rows in output order, and its column list (None
+    when no block carries a schema: an all-empty shuffle result)."""
+    blocks = [b for b in ray.get(ds.to_arrow_refs()) if b.num_columns]
+    cols = [b.column_names for b in blocks]
+    assert all(c == cols[0] for c in cols), cols
+    return ([tuple(r.values()) for b in blocks for r in b.to_pylist()],
+            cols[0] if cols else None)
+
+
+def _merge_reference(ldf: pd.DataFrame, rdf: pd.DataFrame, on: list[str],
+                     right_on: list[str], how: str) -> tuple[list[tuple], list[str]]:
+    """pandas merge with the right side's null-key rows removed first:
+    a null key then matches nothing, the SQL semantics join keeps."""
+    rdf = rdf.dropna(subset=right_on)
+    if how in ("semi", "anti"):
+        keys = set(rdf[right_on].itertuples(index=False, name=None))
+        hit = np.array([k in keys for k in ldf[on].itertuples(index=False, name=None)],
+                       dtype=bool)
+        out = ldf[hit if how == "semi" else ~hit]
+    else:
+        out = ldf.merge(rdf, how=how, left_on=on, right_on=right_on).drop(columns=right_on)
+    rows = [tuple(None if v is None or (isinstance(v, float) and np.isnan(v)) else v
+                  for v in r) for r in out.itertuples(index=False, name=None)]
+    return rows, list(out.columns)
+
+
+@pytest.mark.parametrize("path", ["broadcast", "hash"])
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(
+    lk=st.lists(st.tuples(_JOIN_KEY, _JOIN_KEY), max_size=10),
+    rk=st.lists(st.tuples(_JOIN_KEY, _JOIN_KEY), max_size=8),
+    right_kind=st.sampled_from(["rows", "no_blocks", "schemaless_blocks"]),
+    how=st.sampled_from(["inner", "left", "semi", "anti"]),
+    two_col=st.booleans(),
+)
+def test_join_matches_pandas_merge(request, path, lk, rk, right_kind, how, two_col):
+    """``relops.join`` against pandas merge with null right keys removed,
+    for every ``how``: null keys on both sides, duplicate right keys, an
+    empty right side (typed, no blocks, schema-less blocks) and a
+    two-column key. The broadcast path equals the reference row for row
+    and in order; the hash path equals it as a row multiset. Both give
+    the reference's column list."""
+    import pyarrow as pa
+
+    from fs_crawler_ray.relops import join
+
+    if path == "hash":
+        request.getfixturevalue("shuffle_joins")
+    left = pa.table({"k1": pa.array([a for a, _ in lk], pa.string()),
+                     "k2": pa.array([b for _, b in lk], pa.string()),
+                     "x": pa.array(range(len(lk)), pa.int64())})
+    rtbl = pa.table({"rk1": pa.array([a for a, _ in rk], pa.string()),
+                     "rk2": pa.array([b for _, b in rk], pa.string()),
+                     "y": pa.array(range(100, 100 + len(rk)), pa.int64())})
+    if right_kind == "rows":
+        right = ray.data.from_arrow(rtbl)
+    else:
+        rtbl = rtbl.slice(0, 0)
+        right = _empty_right(right_kind)
+    on, right_on = (["k1", "k2"], ["rk1", "rk2"]) if two_col else (["k1"], ["rk1"])
+    want, want_cols = _merge_reference(left.to_pandas(), rtbl.to_pandas(), on, right_on, how)
+    got, cols = _rows_and_columns(join(ray.data.from_arrow(left), right, on, right_on,
+                                       how=how, num_partitions=3, right_schema=rtbl.schema))
+    assert cols == want_cols or (cols is None and not got), cols
+    if path == "hash":
+        got, want = sorted(got, key=repr), sorted(want, key=repr)
+    assert got == want, (lk, rk, right_kind, how, two_col)
+
+
+@pytest.mark.parametrize("path", ["broadcast", "hash"])
+def test_join_null_key_never_matches_null_key(request, path):
+    """A null left key does not match a null right key (pandas merge
+    matches them); a left join keeps the null-key row once, unmatched."""
+    import pyarrow as pa
+
+    from fs_crawler_ray.relops import join
+
+    if path == "hash":
+        request.getfixturevalue("shuffle_joins")
+    left = ray.data.from_arrow(pa.table({"k": pa.array(["a", None], pa.string()),
+                                         "x": [0, 1]}))
+    right = ray.data.from_arrow(pa.table({"rk": pa.array([None, "a"], pa.string()),
+                                          "y": [10, 11]}))
+
+    def rows(how):
+        return sorted((tuple(r.values()) for r in join(left, right, "k", "rk", how=how,
+                                                         num_partitions=3).take_all()),
+                      key=repr)
+
+    assert rows("inner") == [("a", 0, 11)]
+    assert rows("left") == sorted([("a", 0, 11), (None, 1, None)], key=repr)
+    assert rows("semi") == [("a", 0)]
+    assert rows("anti") == [(None, 1)]
 
 
 def _null_star_schema(sf) -> None:
@@ -305,7 +414,7 @@ def test_unique_lookup_null_keys_never_match(lk, rk, r_nulls, how, broadcast):
 
 
 @pytest.mark.parametrize("broadcast", [True, False])
-def test_unique_lookup_duplicate_right_key_raises(broadcast, monkeypatch):
+def test_unique_lookup_duplicate_right_key_raises(broadcast, request):
     """A lookup never multiplies left rows: a right side with a repeated
     key raises on both the broadcast and the hash_join path."""
     import pyarrow as pa
@@ -313,7 +422,7 @@ def test_unique_lookup_duplicate_right_key_raises(broadcast, monkeypatch):
     import fs_crawler_ray.relops as relops
 
     if not broadcast:
-        monkeypatch.setattr(relops, "BROADCAST_LIMIT", 0)
+        request.getfixturevalue("shuffle_joins")
     left = ray.data.from_arrow(pa.table({"k": ["a", "b"]}))
     right = ray.data.from_arrow(pa.table({"id": ["a", "a", "b"], "y": [1, 2, 3]}))
     with pytest.raises(Exception, match="not unique"):
@@ -345,12 +454,7 @@ def test_unique_lookup_empty_right_side(how, empty_right):
 
     from fs_crawler_ray.relops import unique_lookup
 
-    if empty_right == "no_blocks":
-        right = ray.data.from_items([])
-    else:
-        right = ray.data.from_arrow(pa.table({"id": ["x"], "y": [1]})).map_batches(
-            lambda t: pa.table({}), batch_format="pyarrow")
     left = ray.data.from_arrow(pa.table({"k": ["a", "b"]}))
-    got = unique_lookup(left, right, ["id"], [(["k"], {"y": "y"})], how=how).take_all()
+    got = unique_lookup(left, _empty_right(empty_right), ["id"], [(["k"], {"y": "y"})], how=how).take_all()
     assert sorted((r["k"], r["y"]) for r in got) == ([] if how == "inner" else
                                                      [("a", None), ("b", None)])

@@ -112,15 +112,12 @@ def test_split_primary_aux(crawled, resolve_corpus):
     assert all(r["type"] not in ("UntypedParent", "UnspecifiedParentType", "BiologicalParent") for r in a)
 
 
-def test_full_resolution_distributed_join_path(crawled, resolve_corpus, monkeypatch):
+def test_full_resolution_distributed_join_path(crawled, resolve_corpus, shuffle_joins):
     """relops.BROADCAST_LIMIT=0 forces the hash_join fallback of every
     lookup in the pass (the candidates' vertex lookups and both type
     overrides — the 100-TB path); it must agree with the broadcast path
     / oracle exactly — including on the sparse rel-id key space that
     breaks Dataset.join (relops.py:160)."""
-    import fs_crawler_ray.relops as relops
-
-    monkeypatch.setattr(relops, "BROADCAST_LIMIT", 0)
     result, oracle = crawled
     final = resolve_relationships(
         result.edges(), result.vertices(), resolve_corpus.relationships_path,
@@ -196,3 +193,53 @@ def test_stray_relationship_child_raises(tmp_path):
     final = resolve_relationships(edges, vertices, owned, num_partitions=2)
     assert {(r["destination"], r["type"]) for r in final.take_all()} == {
         ("P1", "BiologicalParent"), ("P2", "BiologicalParent")}
+
+
+def test_rewritten_relationships_file_is_read_afresh(tmp_path):
+    """A relationships file rewritten at the same path in one session is
+    read again: the worker-global range store is keyed by the file's
+    size and mtime, not by its path alone."""
+    import pyarrow.parquet as pq
+
+    from fs_crawler_ray.ids import as_key_array
+    from fs_crawler_ray.sources.doc_table import open_range_store
+
+    edges = ray.data.from_arrow(pa.table({
+        "source": ["A", "A"], "destination": ["P1", "P2"],
+        "type": ["UntypedParent"] * 2, "id": ["R1", "R2"],
+        "hop": pa.array([0, 0], pa.int32()),
+    }))
+    vertices = ray.data.from_arrow(pa.table({
+        "id": ["A", "P1", "P2"], "color": pa.array([1, -1, -1], pa.int8())}))
+
+    def rels(fact: str) -> pa.Table:
+        return pa.table({
+            "rel_id": ["R1", "R2"], "child": ["A", "A"], "parent1": ["P1", "P2"],
+            "parent2": pa.array([None, None], pa.string()),
+            "parent1_type": [fact] * 2, "parent2_type": pa.array([None, None], pa.string()),
+        })
+
+    path = str(tmp_path / "rels.parquet")
+    types = []
+    for fact in ("BiologicalParent", "StepParent"):
+        pq.write_table(rels(fact), path)
+        final = resolve_relationships(edges, vertices, path, num_partitions=2)
+        types.append({(r["destination"], r["type"]) for r in final.take_all()})
+        store = open_range_store(path, "rel_id")
+        assert store.fetch(as_key_array(pa.array(["R1"])))[0]["parent1_type"].to_pylist() == [fact]
+    assert types == [{("P1", "BiologicalParent"), ("P2", "BiologicalParent")},
+                     {("P1", "StepParent"), ("P2", "StepParent")}]
+
+
+def test_empty_resolved_edges_give_a_typed_empty_frame(monkeypatch):
+    """A query over an empty resolved-edge Dataset returns zero rows
+    with its columns and dtypes, not a ``KeyError`` from selecting
+    columns of the 0×0 frame ``to_pandas()`` gives for it."""
+    from fs_crawler_ray.model import EDGE_SCHEMA
+    from fs_crawler_ray.pipelines import crawl_queries
+
+    empty = ray.data.from_arrow(EDGE_SCHEMA.empty_table())
+    monkeypatch.setattr(crawl_queries, "_resolved_edges", lambda sf_dir: (None, None, empty))
+    df = crawl_queries.resolved_edge_types("unused")
+    assert list(df.columns) == ["source", "destination", "final_type"]
+    assert len(df) == 0 and (df.dtypes == object).all()
