@@ -48,14 +48,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import shutil
 import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 import ray
 import ray.data
 
@@ -136,8 +134,8 @@ class CrawlResult:
 
     def _cat(self, name: str, columns: list[str] | None = None) -> ray.data.Dataset:
         paths = [st.join(self.hop_dir(h), name) for h in self.hops_run]
-        paths = _expand_parquet([p for p in paths if st.exists(p)])
-        return st.read_parquet(paths, columns=columns, override_num_blocks=_sized_blocks(paths))
+        return st.read_parts(_expand_parquet([p for p in paths if st.exists(p)]), columns,
+                             _sized_blocks)
 
     def vertices(self, columns: list[str] | None = None) -> ray.data.Dataset:
         """The vertex table of every hop run, as one read; ``columns``
@@ -148,10 +146,10 @@ class CrawlResult:
         return self._cat("edges.parquet")
 
     def frontier(self) -> ray.data.Dataset:
-        return st.read_parquet(st.join(self.hop_dir(self.hops_run[-1]), "frontier.parquet"))
+        return _read_sized(st.join(self.hop_dir(self.hops_run[-1]), "frontier.parquet"))
 
     def processing(self, hop: int) -> ray.data.Dataset:
-        return st.read_parquet(st.join(self.hop_dir(hop), "processing.parquet"))
+        return _read_sized(st.join(self.hop_dir(hop), "processing.parquet"))
 
 
 # ----------------------------------------------------------------------
@@ -184,8 +182,8 @@ class MembershipStage:
 
 
 def _expand_parquet(paths: list[str]) -> list[str]:
-    """ray.data.read_parquet does not expand directories when given a
-    LIST of paths — glob the part files explicitly."""
+    """The part files of checkpoint directories (a plain file path is
+    kept), in directory order."""
     files = []
     for p in paths:
         if st.isdir(p):
@@ -193,37 +191,6 @@ def _expand_parquet(paths: list[str]) -> list[str]:
         else:
             files.append(p)
     return files
-
-
-#: Ray Data fetches the footers of a read of more than this many files
-#: in tasks of 0.5 CPU (``PARALLELIZE_META_FETCH_THRESHOLD`` in
-#: ``ray.data.datasource.parquet_meta_provider``), two to a CPU
-FOOTER_TASKS_ABOVE = 24
-
-
-def _read_parts(files: list[str], **kwargs) -> ray.data.Dataset:
-    """read_parquet of checkpoint part files as a union of reads of at
-    most FOOTER_TASKS_ABOVE files, whose footers the driver reads itself.
-    The crawl builds its reads across hops (30 files for a 5-hop crawl)
-    right after another execution. Ray's half-CPU footer tasks then find
-    that execution's workers not yet returned and start ~3 more (~1
-    CPU-s each), which Ray kills about a second after they go idle, so
-    whether a crawl or resume pays for them would depend on how soon
-    after the previous crawl it runs. ``CrawlResult`` keeps one read: a
-    union does not fuse with the map stages after it (about 1.3x the
-    graph-build CPU on the wide_wave benchmark), and a graph build on
-    its own starts no workers for the footer tasks."""
-    if len(files) <= FOOTER_TASKS_ABOVE:
-        return st.read_parquet(files, **kwargs)
-    n_blocks = kwargs.pop("override_num_blocks", None)
-    parts = []
-    for i in range(0, len(files), FOOTER_TASKS_ABOVE):
-        chunk = files[i:i + FOOTER_TASKS_ABOVE]
-        if n_blocks is not None:  # split pro rata, cumulative so they add up
-            kwargs["override_num_blocks"] = max(
-                1, n_blocks * (i + len(chunk)) // len(files) - n_blocks * i // len(files))
-        parts.append(st.read_parquet(chunk, **kwargs))
-    return parts[0].union(*parts[1:])
 
 
 def _hop_dir(out_dir: str, hop: int) -> str:
@@ -255,33 +222,35 @@ def _fetch_rpb(n: int, cpus: int, direct: bool) -> int:
     return min(32_768, max(4096, n // (FETCH_WAVES * cpus) + 1))
 
 
-def _sized_blocks(paths: str | list[str], rows_per_block: int | None = None,
+def _sized_blocks(rows: int | str | list[str], rows_per_block: int | None = None,
                   max_blocks: int = 512) -> int:
-    """Block count for a read of a parquet directory or a list of part
-    files, proportional to its rows (summed from the part-file footers)
-    and, when ``rows_per_block`` is None, to the cluster. Ray's default
-    targets ~2×cores blocks whatever the size, which turns a
-    few-thousand-row frontier into hundreds of micro-tasks that each
-    pay task launch + membership/fetch RPC fan-out (observed 6×
-    slowdown at 32 CPUs), and a few-thousand-row checkpoint table into
-    one block per part file or more, each a map task and a reducer in
-    every sort-based shuffle after the read. The auto mode puts
+    """Block count for a read of ``rows`` rows (or of a parquet
+    directory or a list of part files, their rows summed from the
+    footers), proportional to the rows and, when ``rows_per_block`` is
+    None, to the cluster. Ray's default targets ~2×cores blocks
+    whatever the size, which turns a few-thousand-row frontier into
+    hundreds of micro-tasks that each pay task launch + membership/fetch
+    RPC fan-out (observed 6× slowdown at 32 CPUs), and a
+    few-thousand-row checkpoint table into one block per part file or
+    more, each a map task and a reducer in every sort-based shuffle
+    after the read. The auto mode puts
     rows / (2 × CPUs) rows in a block, at least 4,096 and at most
     20,000: about 2 blocks per CPU between 8,192 and 40,000 rows per
     CPU, fewer below, more above."""
-    rows = (_parquet_rows(paths) if isinstance(paths, str)
-            else sum(st.file_rows(f) for f in paths))
+    if isinstance(rows, str):
+        rows = _parquet_rows(rows)
+    elif not isinstance(rows, int):
+        rows = sum(st.file_rows(f) for f in rows)
     if rows_per_block is None:
         rows_per_block = int(min(20_000, max(4096, rows // (2 * _cluster_cpus()) + 1)))
     return int(min(max_blocks, max(1, rows // rows_per_block + 1)))
 
 
 def _read_sized(path: str, columns: list[str] | None = None,
-                rows_per_block: int | None = None, max_blocks: int = 512) -> ray.data.Dataset:
-    """read_parquet of a checkpoint directory in :func:`_sized_blocks`
-    blocks."""
-    return st.read_parquet(path, columns=columns,
-                           override_num_blocks=_sized_blocks(path, rows_per_block, max_blocks))
+                rows_per_block: int | None = None) -> ray.data.Dataset:
+    """A checkpoint directory's rows in :func:`_sized_blocks` blocks."""
+    return st.read_parts(_expand_parquet([path]), columns,
+                         lambda rows: _sized_blocks(rows, rows_per_block))
 
 
 def _parquet_rows(dir_path: str) -> int:
@@ -776,12 +745,12 @@ class Crawler:
             log.append(st.read_json(st.join(self._hop_dir(h), "log.json")))
         # batched filter-state rebuild: one pass over all hops' tables
         v_paths = _expand_parquet([st.join(self._hop_dir(h), "vertices.parquet") for h in done])
-        _read_parts(v_paths, columns=["id"]).map_batches(
+        st.read_parts(v_paths, ["id"], _sized_blocks).map_batches(
             MembershipStage(self.sm, "id", register=VISITED),
             batch_format="pyarrow", batch_size=8192
         ).count()
         e_paths = _expand_parquet([st.join(self._hop_dir(h), "edges.parquet") for h in done])
-        _read_parts(e_paths, columns=["source", "destination"]).map_batches(
+        st.read_parts(e_paths, ["source", "destination"], _sized_blocks).map_batches(
             _edge_key, batch_format="pyarrow"
         ).map_batches(
             MembershipStage(self.sm, "edge_key", register=EDGES),
@@ -1014,9 +983,8 @@ class Crawler:
             tagged = records.map_batches(tagger, batch_format="pyarrow")
             if fuse_classify and prev_edge_paths:
                 n_prev_blocks = int(min(64, max(1, n_prev // 65_536 + 1)))
-                prev_edges = _read_parts(
-                    prev_edge_paths, columns=["source", "destination"],
-                    override_num_blocks=n_prev_blocks)
+                prev_edges = st.read_parts(
+                    prev_edge_paths, ["source", "destination"], n_prev_blocks)
                 tagged = tagged.union(prev_edges.map_batches(
                     _make_classify_tagger(eff_buckets, eff_buckets),
                     batch_format="pyarrow"))
@@ -1122,7 +1090,7 @@ class Crawler:
         paths = _expand_parquet([p for p in paths if st.exists(p)])
         if not paths:
             return {"within": 0, "spanning": 0, "frontier": 0}
-        ds = _read_parts(paths, columns=["source", "destination"])
+        ds = st.read_parts(paths, ["source", "destination"], _sized_blocks)
         sm = self.sm
 
         def classify(batch: pa.Table) -> pa.Table:

@@ -15,9 +15,9 @@ the row groups owning its ids — the 10^10-doc analog is a Lance
 fragment ``take``; nothing ever broadcasts or loads the whole corpus
 (the round-1 design did, which was the #1 scale defect).
 
-``DocStore``/``RelStore`` are the sandbox stand-ins for the crawl's
-remote fetch (reference ``fscrawler/controller/session.py:109-132``
-HTTP GETs / ``fsapi.py:99-101`` relationship requests): batched point
+``DocStore`` and ``open_range_store`` are the sandbox stand-ins for
+the crawl's remote fetch (reference ``fscrawler/controller/session.py:
+109-132`` HTTP GETs / ``fsapi.py:99-101`` relationship requests): batched point
 lookups of ids against the corpus. Route sorted id batches at them
 (the crawl writes its processing set id-sorted) and each batch resolves
 against 1-2 row groups.
@@ -324,16 +324,3 @@ class DocStore:
 
     def fetch(self, ids: np.ndarray) -> tuple[pa.Table, np.ndarray]:
         return self.store.fetch(ids)
-
-
-class RelStore:
-    """Point-lookup of childAndParents relationship docs by rel_id (the
-    resolve-phase "API", reference ``fsapi.py:99-101``)."""
-
-    def __init__(self, relationships_path: str):
-        self.store = (LanceRangeStore(relationships_path, "rel_id")
-                      if _is_lance(relationships_path) else RangeStore(relationships_path, "rel_id"))
-
-    def fetch(self, rel_ids: np.ndarray) -> pa.Table:
-        tbl, _found = self.store.fetch(np.asarray(rel_ids))
-        return tbl

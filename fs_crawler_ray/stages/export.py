@@ -42,11 +42,6 @@ from fs_crawler_ray.sources import storage as st
 
 
 @ray.remote
-def _nrows(t: pa.Table) -> int:
-    return len(t)
-
-
-@ray.remote
 def _add_index(t: pa.Table, offset: int, col: str, keep: list[str] | None) -> pa.Table:
     if keep is not None:
         t = t.select(keep)
@@ -58,13 +53,13 @@ def zip_with_index(
     keep: list[str] | None = None,
 ) -> ray.data.Dataset:
     """Global sort + dense sequential index. Distributed: per-block row
-    counts → cumulative offsets → per-block index columns. ``keep``
-    narrows the output to those columns (plus the index) in the same
-    per-block task, so a projection costs no extra execution."""
-    # materialized, so to_arrow_refs needs no second run of the sort to
-    # learn the schema
-    refs = ds.sort(sort_keys).materialize().to_arrow_refs()
-    counts = ray.get([_nrows.remote(r) for r in refs])
+    counts (from the materialized sort's block metadata) → cumulative
+    offsets → per-block index columns. ``keep`` narrows the output to
+    those columns (plus the index) in the same per-block task, so a
+    projection costs no extra execution."""
+    blocks = [b for bundle in ds.sort(sort_keys).materialize().iter_internal_ref_bundles()
+              for b in bundle.blocks]
+    refs, counts = [r for r, _ in blocks], [m.num_rows for _, m in blocks]
     if not sum(counts):
         # the sort of an all-empty input leaves schema-less blocks; keep
         # the input's columns so lookups against the index find them

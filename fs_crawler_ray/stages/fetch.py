@@ -1,35 +1,17 @@
-"""Politeness-budgeted fetcher actor pool.
+"""The politeness budget of the fetch stage.
 
 The reference crawls with a fixed load-governance budget
 (``fscrawler/controller/fsapi.py:23-34``): 200 ids per request
 (MAX_PERSONS), ≤40 concurrent person requests, 2 s sleep between waves.
-Here the same budget becomes per-actor state in a ``map_batches`` actor
-pool: one batch == one "request" of ≤``batch_size`` ids, pool size ==
-the concurrency budget, and the wave delay becomes a per-host token
-bucket (politeness is per host at web scale, which the reference's
-single-host API never needed).
-
-Robots gating (north rule; no reference implementation — designed
-fresh, see :mod:`fs_crawler_ray.state.robots`) drops disallowed ids
-before any fetch.
-
-The "fetch" itself is a batched point-lookup into the synthetic corpus
-(:class:`fs_crawler_ray.sources.doc_table.DocStore`), loaded ONCE per
-actor in ``__init__`` — at deployment scale this is the HTTP client +
-retry loop of ``session.py:109-152``.
+Here the wave delay becomes a per-host token bucket (politeness is per
+host at web scale, which the reference's single-host API never needed),
+held by the fetch actors of :mod:`fs_crawler_ray.state.fetch_service`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-
-import numpy as np
-import pyarrow as pa
-
-from fs_crawler_ray.ids import stable_hash64
-from fs_crawler_ray.sources.doc_table import DocStore
-from fs_crawler_ray.state.robots import RobotsPolicy
 
 
 @dataclass(frozen=True)
@@ -66,78 +48,3 @@ class TokenBuckets:
         self.tokens[host] = tok - n
         self.last[host] = time.monotonic()
         return waited
-
-
-class Fetcher:
-    """Actor-pool stage: ids batch → documents batch (+hop column).
-
-    Use as ``ds.map_batches(Fetcher, fn_constructor_kwargs=dict(...),
-    concurrency=N, batch_size=200, batch_format="pyarrow")``.
-    """
-
-    def __init__(
-        self,
-        documents_path: str,
-        hop: int,
-        politeness: PolitenessBudget | None = None,
-        robots: RobotsPolicy | None = None,
-        metrics=None,
-        id_column: str = "id",
-    ):
-        self.store = DocStore(documents_path)
-        self.hop = hop
-        self.politeness = politeness or PolitenessBudget()
-        self.robots = robots
-        self.buckets = TokenBuckets(self.politeness)
-        self.metrics = metrics
-        self.id_column = id_column
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch[self.id_column].to_numpy(zero_copy_only=False)
-        n_in = len(ids)
-        robots_blocked = 0
-        if self.robots is not None:
-            allowed = self.robots.allowed_mask(ids)
-            robots_blocked = int((~allowed).sum())
-            ids = ids[allowed]
-        waited = 0.0
-        if self.politeness.rate_per_host > 0 and len(ids):
-            host_ids = (stable_hash64(ids, seed=self.politeness.seed)
-                        % np.uint64(self.politeness.n_hosts)).astype(np.int64)
-            hosts = (np.bincount(host_ids, minlength=self.politeness.n_hosts) > 0).nonzero()[0]
-            for h in hosts:
-                waited += self.buckets.acquire(int(h), 1)
-        docs, found = self.store.fetch(ids)
-        out = docs.append_column("hop", pa.array(np.full(len(docs), self.hop, dtype=np.int32)))
-        if self.metrics is not None:
-            self.metrics.increment.remote(
-                {
-                    "requests": max(1, int(np.ceil(n_in / 200))),
-                    "ids_attempted": n_in,
-                    "robots_blocked": robots_blocked,
-                    "fetched": len(docs),
-                    "missing": int((~found).sum()),
-                    "politeness_wait_s": waited,
-                }
-            )
-        return out
-
-
-class RelFetcher:
-    """Resolve-phase fetcher: rel_id batch → relationship docs
-    (reference ``fsapi.py:99-101,177-192`` — 1 id per request, ≤200
-    concurrent; errors tolerated → missing rels are simply absent)."""
-
-    def __init__(self, relationships_path: str, metrics=None, rel_column: str = "id"):
-        from fs_crawler_ray.sources.doc_table import RelStore
-
-        self.store = RelStore(relationships_path)
-        self.metrics = metrics
-        self.rel_column = rel_column
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rel_ids = batch[self.rel_column].to_numpy(zero_copy_only=False)
-        out = self.store.fetch(rel_ids)
-        if self.metrics is not None:
-            self.metrics.increment.remote({"resolve_requests": len(rel_ids), "resolved": len(out)})
-        return out

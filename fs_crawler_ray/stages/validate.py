@@ -95,16 +95,15 @@ def _per_child_table(
              "destination", "__p", how="left", num_partitions=num_partitions)
 
     def partial(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        known = df["pg"].notna()
-        out = pd.DataFrame({"source": df["source"]})
-        pg = df["pg"].fillna(99).astype(int)
+        known = pc.is_valid(t["pg"]).to_numpy()
+        pg = pc.fill_null(t["pg"], 99).to_numpy()
+        out = {"source": t["source"]}
         for fam, types in (("v", VALIDATION_TYPES), ("r", RESOLUTION_TYPES)):
-            in_fam = df["type"].isin(types) & known
+            in_fam = pc.is_in(t["type"], value_set=pa.array(types)).to_numpy() & known
             for g, tag in ((-1, "m"), (1, "f"), (0, "u")):
                 out[f"{fam}{tag}"] = (in_fam & (pg == g)).astype(np.int64)
             out[f"{fam}_any"] = in_fam.astype(np.int64)
-        return pa.Table.from_pandas(out, preserve_index=False)
+        return pa.table(out)
 
     counted = j.map_batches(partial, batch_format="pyarrow")
 

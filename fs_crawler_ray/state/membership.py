@@ -102,12 +102,6 @@ class BloomFilter:
     #: warm; chunking also keeps sort working sets cache-sized)
     ADD_CHUNK = 1 << 17
 
-    def _positions(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
-        # double hashing: pos_i = h1 + i*h2 (Kirsch–Mitzenmacher)
-        i = np.arange(self.k, dtype=np.uint64)[:, None]
-        with np.errstate(over="ignore"):
-            return (h1[None, :] + i * h2[None, :]) & self._bitmask
-
     def add(self, h1: np.ndarray, h2: np.ndarray) -> None:
         for lo in range(0, len(h1), self.ADD_CHUNK):
             self._add_chunk(h1[lo:lo + self.ADD_CHUNK], h2[lo:lo + self.ADD_CHUNK])

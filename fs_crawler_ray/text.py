@@ -975,7 +975,7 @@ def tfidf_top_terms(
     """
     import pyarrow.compute as pc
 
-    from fs_crawler_ray.relops import BROADCAST_LIMIT, hash_join
+    from fs_crawler_ray.relops import BROADCAST_LIMIT, _collect_right, hash_join
 
     df_ds = token_doc_frequency(ds, top_n=None).materialize()
     if df_ds.count() > BROADCAST_LIMIT:
@@ -995,11 +995,12 @@ def tfidf_top_terms(
         return _per_doc_top_n(scored, id_col, top_n).select_columns(
             [id_col, "tok", "tf", "df", "score"])
 
-    df_tbl = df_ds.to_pandas()
+    df_tbl = _collect_right(df_ds, ["tok", "df"],
+                            pa.schema([("tok", pa.string()), ("df", pa.int64())]))
     # Broadcast the DF table as (Arrow token array, int64 values): per
     # batch it is consulted with ONE C++ hash lookup (pc.index_in) over
     # the batch's dictionary — no per-pair Python dict probes.
-    df_ref = ray.put((pa.array(df_tbl["tok"], type=pa.string()),
+    df_ref = ray.put((df_tbl["tok"].combine_chunks().cast(pa.string()),
                       df_tbl["df"].to_numpy().astype(np.int64)))
 
     empty = pa.table({id_col: pa.array([], _id_dtype(ds, id_col)),
@@ -1270,6 +1271,10 @@ def ngram_frequency(
     return out.sort(["cnt", "gram"], descending=[True, False]).limit(top_n)
 
 
+#: the token-count table ``vocab_encode`` and ``token_rarity`` collect
+_VOCAB_COUNTS = pa.schema([("tok", pa.string()), ("sum(cnt_part)", pa.int64())])
+
+
 def vocab_encode(
     ds: ray.data.Dataset,
     id_col: str = "doc_id",
@@ -1325,7 +1330,7 @@ def vocab_encode(
             lambda t: t.filter(pc.greater_equal(t["sum(cnt_part)"], min_count)),
             batch_format="pyarrow")
     agg = agg.materialize()
-    from fs_crawler_ray.relops import BROADCAST_LIMIT, hash_join
+    from fs_crawler_ray.relops import BROADCAST_LIMIT, _collect_right, hash_join
 
     if agg.count() > BROADCAST_LIMIT:
         # Distributed path: the vocabulary never reaches the driver.
@@ -1361,7 +1366,7 @@ def vocab_encode(
             right_schema=pa.schema([("tok", pa.string()), ("token_id", pa.int64())]))
         return joined.select_columns([id_col, "pos", "token_id"])
 
-    vocab_tbl = pa.Table.from_pandas(agg.to_pandas())
+    vocab_tbl = _collect_right(agg, ["tok", "sum(cnt_part)"], _VOCAB_COUNTS)
     order = pc.sort_indices(vocab_tbl, sort_keys=[("sum(cnt_part)", "descending"),
                                                   ("tok", "ascending")])
     ranked = vocab_tbl["tok"].take(order).combine_chunks()
@@ -1439,7 +1444,8 @@ def token_rarity(
         ["tok"], [("cnt_part", "sum", "sum(cnt_part)")],
         num_buckets=agg_partitions,
     ).materialize()
-    from fs_crawler_ray.relops import BROADCAST_LIMIT, bucketed_agg as _bagg, hash_join
+    from fs_crawler_ray.relops import BROADCAST_LIMIT, _collect_right, hash_join
+    from fs_crawler_ray.relops import bucketed_agg as _bagg
 
     if agg.count() > BROADCAST_LIMIT:
         # Distributed path (vocabulary > broadcast limit): rank the
@@ -1466,7 +1472,7 @@ def token_rarity(
                     num_buckets=agg_partitions)
         return out.select_columns([id_col, "rarity_sum", "n_tokens"])
 
-    vocab_tbl = pa.Table.from_pandas(agg.to_pandas())
+    vocab_tbl = _collect_right(agg, ["tok", "sum(cnt_part)"], _VOCAB_COUNTS)
     order = pc.sort_indices(vocab_tbl, sort_keys=[("sum(cnt_part)", "descending"),
                                                   ("tok", "ascending")])
     ranked = vocab_tbl["tok"].take(order)

@@ -72,6 +72,25 @@ def count_executions(monkeypatch):
 
 
 @pytest.fixture
+def remote_tasks(monkeypatch):
+    """Remote tasks launched from here on, counted by function name
+    (one per ``RemoteFunction._remote`` call; actor calls not counted)."""
+    from collections import Counter
+
+    from ray.remote_function import RemoteFunction
+
+    launched = Counter()
+    launch = RemoteFunction._remote
+
+    def counting(self, *args, **kwargs):
+        launched[self._function.__name__] += 1
+        return launch(self, *args, **kwargs)
+
+    monkeypatch.setattr(RemoteFunction, "_remote", counting)
+    return launched
+
+
+@pytest.fixture
 def empty_free_lists(ray_session):
     """Kill the session's idle state actors and forget the free-list
     bounds, so a test sees exactly the reuse it causes itself."""

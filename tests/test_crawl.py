@@ -6,6 +6,7 @@ import json
 import os
 
 import pytest
+import ray
 
 from fs_crawler_ray.crawl import CrawlConfig, Crawler, crawl
 from fs_crawler_ray.oracle import oracle_crawl
@@ -236,31 +237,85 @@ def test_sized_blocks_directory_or_files(tmp_path):
 
 
 @pytest.mark.parametrize("n_files", [3, 30, 49])
-def test_read_parts_equals_one_read(tmp_path, n_files):
-    """A checkpoint read of more part files than Ray fetches footers for
-    in the driver is a union of smaller reads: same rows, same columns,
-    the requested block count kept (at least one block per read)."""
+def test_read_parts_equals_one_read(tmp_path, n_files, monkeypatch, remote_tasks):
+    """``storage.read_parts`` of checkpoint part files: their rows in file
+    order, the ``columns`` projection, the requested block count, an
+    ``empty.parquet``-only directory that keeps its schema, and fsspec
+    URIs; building a read launches no remote task."""
     import pyarrow as pa
     import pyarrow.parquet as pq
-    from ray.data.datasource.parquet_meta_provider import PARALLELIZE_META_FETCH_THRESHOLD
+    from ray.data import DataContext
 
-    from fs_crawler_ray.crawl import FOOTER_TASKS_ABOVE, _read_parts
+    from fs_crawler_ray.crawl import _expand_parquet
+    from fs_crawler_ray.model import FRONTIER_SCHEMA
+    from fs_crawler_ray.sources import storage as st
 
-    assert FOOTER_TASKS_ABOVE == PARALLELIZE_META_FETCH_THRESHOLD
+    monkeypatch.setattr(DataContext.get_current().execution_options, "preserve_order", True)
     files = []
     for i in range(n_files):
         files.append(str(tmp_path / f"part-{i}.parquet"))
         pq.write_table(pa.table({"source": [f"S{i}-{j}" for j in range(3)],
                                  "destination": [f"D{i}"] * 3,
-                                 "hop": [i] * 3}), files[-1])
-    want = sorted((f"S{i}-{j}", f"D{i}") for i in range(n_files) for j in range(3))
-    ds = _read_parts(files, columns=["source", "destination"])
+                                 "hop": [i] * 3}), files[-1], row_group_size=2)
+    want = [(f"S{i}-{j}", f"D{i}") for i in range(n_files) for j in range(3)]
+    ds = st.read_parts(files, columns=["source", "destination"])
     assert ds.columns() == ["source", "destination"]
-    assert sorted((r["source"], r["destination"]) for r in ds.take_all()) == want
-    n_reads = -(-n_files // FOOTER_TASKS_ABOVE)
-    ds = _read_parts(files, override_num_blocks=2 * n_reads).materialize()
-    assert ds.count() == 3 * n_files
-    assert ds.num_blocks() == 2 * n_reads
+    assert [(r["source"], r["destination"]) for r in ds.take_all()] == want
+    for n_blocks in (1, 7, lambda rows: rows // 2):
+        ds = st.read_parts(files, num_blocks=n_blocks).materialize()
+        assert ds.num_blocks() == (n_blocks(3 * n_files) if callable(n_blocks) else n_blocks)
+        assert [(r["source"], r["destination"], r["hop"]) for r in ds.take_all()] == [
+            (s, d, int(d[1:])) for s, d in want]
+    uri = st.read_parts(["file://" + f for f in files], ["source"], 2)
+    assert [r["source"] for r in uri.take_all()] == [s for s, _ in want]
+
+    empty = tmp_path / "frontier.parquet"
+    empty.mkdir()
+    pq.write_table(FRONTIER_SCHEMA.empty_table(), str(empty / "empty.parquet"))
+    remote_tasks.clear()
+    ds = st.read_parts(_expand_parquet([str(empty)]), num_blocks=8)
+    assert ds.schema().base_schema.names == FRONTIER_SCHEMA.names
+    assert ds.schema().base_schema.types == FRONTIER_SCHEMA.types
+    assert not remote_tasks  # the schema and count come from the footers
+    ds = ds.materialize()
+    assert ds.count() == 0 and ds.num_blocks() == 1
+    assert ray.get(ds.to_arrow_refs())[0].schema.equals(FRONTIER_SCHEMA)
+
+
+def test_checkpoint_reads_launch_no_task(crawled, remote_tasks):
+    """Building every read of a crawl checkpoint launches no remote
+    task, and the vertex table carries the vertex schema's columns (no
+    hive ``hop`` column from the ``hop=N`` directories)."""
+    from fs_crawler_ray.model import VERTEX_SCHEMA
+
+    result, _ = crawled
+    reads = [result.vertices(), result.vertices(columns=["id", "color"]), result.edges(),
+             result.frontier(), result.processing(0)]
+    assert [ds.schema() is not None for ds in reads] == [True] * len(reads)
+    assert reads[0].schema().names == VERTEX_SCHEMA.names
+    assert reads[1].columns() == ["id", "color"]
+    assert not remote_tasks
+
+
+def test_crawl_resume_and_graph_build_sample_no_footers(small_corpus, tmp_path_factory,
+                                                        remote_tasks):
+    """A crawl, a resume and a graph build read their checkpoints without
+    Ray's parquet fragment-sampling or footer-fetching tasks."""
+    from fs_crawler_ray.stages.export import write_adjacency_shards
+    from fs_crawler_ray.stages.resolve import resolve_relationships
+
+    out = str(tmp_path_factory.mktemp("no_read_tasks"))
+    cfg = CrawlConfig(hops=HOPS, num_shards=4, num_buckets=8, log_edge_classification="final")
+    crawl(small_corpus, small_corpus.seeds, out, cfg)
+    os.remove(os.path.join(out, f"hop={HOPS - 1}", "log.json"))
+    result = crawl(small_corpus, small_corpus.seeds, out, cfg, resume=True)
+    final = resolve_relationships(result.edges(), result.vertices(),
+                                  small_corpus.relationships_path,
+                                  num_partitions=4, num_buckets=8)
+    write_adjacency_shards(result.vertices(), final,
+                           str(tmp_path_factory.mktemp("no_read_tasks_adj")))
+    assert remote_tasks["_sample_fragment"] == remote_tasks["fetch_func"] == 0
+    assert remote_tasks  # the counter saw the build's own tasks
 
 
 def test_crawl_configures_data_context(crawled):
