@@ -78,6 +78,10 @@ EDGES = "edges"
 #: waves=2/4 and sink partitions 8/16/32 are indistinguishable inside
 #: the ±30% run-to-run drift, so it stays at the benchmarked shape
 FETCH_WAVES = 2
+#: fewest and most rows in a checkpoint-read block in ``_sized_blocks``'
+#: auto mode (the floor is measured, see there)
+ROWS_PER_TASK = 32_768
+MAX_ROWS_PER_TASK = 131_072
 #: edge rows up to which the last hop's "final" edge classification
 #: rides the hop's own shuffle; past it the separate map-only pass
 #: (membership RPCs, no shuffle of the edge set) is the scale path
@@ -226,23 +230,25 @@ def _sized_blocks(rows: int | str | list[str], rows_per_block: int | None = None
                   max_blocks: int = 512) -> int:
     """Block count for a read of ``rows`` rows (or of a parquet
     directory or a list of part files, their rows summed from the
-    footers), proportional to the rows and, when ``rows_per_block`` is
-    None, to the cluster. Ray's default targets ~2×cores blocks
-    whatever the size, which turns a few-thousand-row frontier into
-    hundreds of micro-tasks that each pay task launch + membership/fetch
-    RPC fan-out (observed 6× slowdown at 32 CPUs), and a
-    few-thousand-row checkpoint table into one block per part file or
-    more, each a map task and a reducer in every sort-based shuffle
-    after the read. The auto mode puts
-    rows / (2 × CPUs) rows in a block, at least 4,096 and at most
-    20,000: about 2 blocks per CPU between 8,192 and 40,000 rows per
-    CPU, fewer below, more above."""
+    footers), proportional to the rows. Every block of a checkpoint read
+    becomes a map task, plus a sample, a sort-map and a reduce task in
+    each sort-based shuffle after the read. A remote task costs ~8 ms of
+    session CPU whatever it carries (4 vCPUs: a deep_crawl graph build
+    of 30k edges fell 0.86 CPU-s going from 128 tasks to 21; BASELINE.md).
+    So the auto mode (``rows_per_block`` None) sizes by rows per task,
+    not by CPU count: rows / (2 × CPUs) rows in a block, at least
+    :data:`ROWS_PER_TASK` and at most :data:`MAX_ROWS_PER_TASK`. A
+    table below the floor reads as one block, and a large one as about
+    2 blocks per CPU. The floor is the smallest of 16k/32k/64k that
+    kept the graph-build saving (16k kept 87-92 % of it but only ~60 %
+    of the resume and peak-memory savings; 64k did no better than 32k)."""
     if isinstance(rows, str):
         rows = _parquet_rows(rows)
     elif not isinstance(rows, int):
         rows = sum(st.file_rows(f) for f in rows)
     if rows_per_block is None:
-        rows_per_block = int(min(20_000, max(4096, rows // (2 * _cluster_cpus()) + 1)))
+        rows_per_block = int(min(MAX_ROWS_PER_TASK,
+                                 max(ROWS_PER_TASK, rows // (2 * _cluster_cpus()) + 1)))
     return int(min(max_blocks, max(1, rows // rows_per_block + 1)))
 
 
@@ -982,9 +988,8 @@ class Crawler:
             tagger = _make_record_tagger(hop, eff_buckets, eff_buckets, self.range_boundaries)
             tagged = records.map_batches(tagger, batch_format="pyarrow")
             if fuse_classify and prev_edge_paths:
-                n_prev_blocks = int(min(64, max(1, n_prev // 65_536 + 1)))
                 prev_edges = st.read_parts(
-                    prev_edge_paths, ["source", "destination"], n_prev_blocks)
+                    prev_edge_paths, ["source", "destination"], _sized_blocks(n_prev))
                 tagged = tagged.union(prev_edges.map_batches(
                     _make_classify_tagger(eff_buckets, eff_buckets),
                     batch_format="pyarrow"))
@@ -1005,16 +1010,12 @@ class Crawler:
             def hop_sink(t: pa.Table) -> pa.Table:  # map_groups wants a function
                 return sink(t)
 
-            # shuffle PARTITION count follows the cluster, not the bucket
-            # count: each sort-shuffle reduce task costs ~20-30 ms of
-            # scheduling regardless of size, so 128 partitions on an
-            # 8-slot cluster is ~3 s of pure orchestration for <0.3 s of
-            # work (measured, BASELINE.md r3). Groups stay intact at any
-            # partition count; the sink splits multi-bucket partitions.
-            n_parts = max(4, min(2 * eff_buckets, 2 * cpus))
-            grouped = tagged.groupby("__bucket", num_partitions=n_parts).map_groups(
-                hop_sink, batch_format="pyarrow"
-            )
+            # Under Ray's default sort shuffle a groupby ignores any
+            # num_partitions: the shuffle runs one reduce task per input
+            # block, so the fetch blocks (``_fetch_rpb``) and the
+            # classify read's blocks set its width. Groups stay intact
+            # at any width; the sink splits multi-bucket partitions.
+            grouped = tagged.groupby("__bucket").map_groups(hop_sink, batch_format="pyarrow")
             _mark("hop_plan", tick)  # lazy graph construction + seed prep
             sink_counts = grouped.take_all()
             if os.environ.get("FSRAY_HOP_STATS") == "1":  # perf diagnostics

@@ -244,8 +244,14 @@ def hash_join(
     right_on = right_on or on
     semi_anti = how in ("left_semi", "left_anti")
     if semi_anti:
+        # key-only side: the key types come from a schema the caller or
+        # the unprojected plan already holds, as the projection's own
+        # schema() would run the right plan once more to learn them
+        known = right_schema if right_schema is not None else right.schema(
+            fetch_if_missing=False)
         right = right.select_columns(list(right_on))
-        right_schema = None  # key-only side: derive from the projection
+        right_schema = None if known is None else pa.schema(
+            [(c, arrow_dtype(known.types[known.names.index(c)])) for c in right_on])
     l_sch = left_schema if left_schema is not None else left.schema()
     r_sch = right_schema if right_schema is not None else right.schema()
     l_names = list(l_sch.names)

@@ -35,6 +35,13 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
+from ray.data._internal.logical.interfaces import LogicalPlan
+from ray.data._internal.logical.operators.from_operators import FromArrow
+from ray.data._internal.plan import ExecutionPlan
+from ray.data._internal.stats import DatasetStats
+from ray.data.block import BlockMetadata, BlockMetadataWithSchema
+from ray.data.context import DataContext
+from ray.data.dataset import MaterializedDataset
 
 from fs_crawler_ray.model import ADJACENCY_EDGE_TYPES
 from fs_crawler_ray.relops import project, unique_lookup
@@ -56,20 +63,40 @@ def zip_with_index(
     counts (from the materialized sort's block metadata) → cumulative
     offsets → per-block index columns. ``keep`` narrows the output to
     those columns (plus the index) in the same per-block task, so a
-    projection costs no extra execution."""
-    blocks = [b for bundle in ds.sort(sort_keys).materialize().iter_internal_ref_bundles()
-              for b in bundle.blocks]
-    refs, counts = [r for r, _ in blocks], [m.num_rows for _, m in blocks]
-    if not sum(counts):
+    projection costs no extra execution. The numbered blocks' metadata
+    comes from the sort's (row counts, schema plus the index column), so
+    building the result launches no task beyond the ``_add_index`` ones."""
+    ordered = ds.sort(sort_keys).materialize()
+    blocks = [b for bundle in ordered.iter_internal_ref_bundles()
+              for b in bundle.blocks if b[1].num_rows]
+    if not blocks:
         # the sort of an all-empty input leaves schema-less blocks; keep
         # the input's columns so lookups against the index find them
         empty = ds.schema().base_schema.empty_table()
         return ray.data.from_arrow(
             empty.select(keep or empty.column_names).append_column(
                 index_col, pa.array([], pa.int64())))
+    in_schema = ordered.schema().base_schema
+    schema = (in_schema if keep is None else pa.schema([in_schema.field(c) for c in keep])
+              ).append(pa.field(index_col, pa.int64()))
+    counts = [m.num_rows for _, m in blocks]
     offsets = start + np.concatenate([[0], np.cumsum(counts)[:-1]])
-    out_refs = [_add_index.remote(r, int(off), index_col, keep) for r, off in zip(refs, offsets)]
-    return ray.data.from_arrow_refs(out_refs)
+    refs = [_add_index.remote(r, int(off), index_col, keep)
+            for (r, _), off in zip(blocks, offsets)]
+    # size_bytes: the input block's plus the index column, an upper
+    # bound when ``keep`` drops columns
+    return _from_refs(refs, [BlockMetadataWithSchema(
+        BlockMetadata(num_rows=m.num_rows, size_bytes=m.size_bytes + 8 * m.num_rows,
+                      input_files=None, exec_stats=None), schema) for _, m in blocks])
+
+
+def _from_refs(refs: list, metadata: list) -> ray.data.Dataset:
+    """``ray.data.from_arrow_refs`` with the blocks' metadata given, so no
+    ``get_table_block_metadata_schema`` task runs (the same construction
+    as ``ray.data.from_blocks``)."""
+    plan = ExecutionPlan(DatasetStats(metadata={"FromArrow": metadata}, parent=None),
+                         DataContext.get_current().copy())
+    return MaterializedDataset(plan, LogicalPlan(FromArrow(refs, metadata), plan._context))
 
 
 def hop_filter_vertices(vertices: ray.data.Dataset, hops: int | None) -> ray.data.Dataset:

@@ -129,3 +129,20 @@ def shuffle_joins(monkeypatch):
     from fs_crawler_ray import relops
 
     monkeypatch.setattr(relops, "BROADCAST_LIMIT", 0)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Checkpoint reads at an explicit 16 rows per block, so a small
+    crawl's tables still span several blocks and every shuffle after a
+    read runs several reducers (the auto rule reads them as one block).
+    Reads given their own ``rows_per_block`` (the hop's fetch blocks)
+    keep it."""
+    from fs_crawler_ray import crawl
+
+    sized = crawl._sized_blocks
+
+    def small(rows, rows_per_block=None, max_blocks=512):
+        return sized(rows, rows_per_block or 16, max_blocks)
+
+    monkeypatch.setattr(crawl, "_sized_blocks", small)

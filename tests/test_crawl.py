@@ -82,8 +82,10 @@ def test_crawl_deterministic(small_corpus, tmp_path_factory, crawled):
     assert f1 == f2
 
 
-def test_resume_is_identical(small_corpus, tmp_path_factory, crawled):
-    """Kill after hop 2, resume → byte-identical final tables."""
+def test_resume_is_identical(small_corpus, tmp_path_factory, crawled, small_blocks):
+    """Kill after hop 2, resume → byte-identical final tables. The
+    checkpoint reads go at 16 rows per block, so the resume rebuild and
+    the shuffles after it run over several blocks."""
     full, _ = crawled
     out = str(tmp_path_factory.mktemp("crawl_resume"))
     cfg2 = CrawlConfig(hops=2, num_shards=4, num_buckets=8)
@@ -94,6 +96,7 @@ def test_resume_is_identical(small_corpus, tmp_path_factory, crawled):
     cfg4 = CrawlConfig(hops=HOPS, num_shards=4, num_buckets=8)
     resumed = crawl(small_corpus, small_corpus.seeds, out, cfg4, resume=True)
     assert resumed.hops_run == list(range(HOPS))
+    assert resumed.vertices().materialize().num_blocks() > 1
     vf, ef, ff = _ray_tables(full)
     vr, er, fr = _ray_tables(resumed)
     assert vf == vr
@@ -215,12 +218,13 @@ def test_branch_checkpoint_retry_idempotent(tmp_path):
 
 def test_sized_blocks_directory_or_files(tmp_path):
     """One row-sizing rule for a checkpoint directory and for a list of
-    its part files: rows / (2 × CPUs) per block, at least 4,096; the
-    crawl result's table reads use it."""
+    its part files: rows / (2 × CPUs) per block, at least
+    ``ROWS_PER_TASK`` and at most ``MAX_ROWS_PER_TASK``; the crawl
+    result's table reads use it."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from fs_crawler_ray.crawl import CrawlResult, _sized_blocks
+    from fs_crawler_ray.crawl import MAX_ROWS_PER_TASK, ROWS_PER_TASK, CrawlResult, _sized_blocks
 
     d = tmp_path / "hop=0" / "vertices.parquet"
     d.mkdir(parents=True)
@@ -228,12 +232,15 @@ def test_sized_blocks_directory_or_files(tmp_path):
     for i in range(6):
         files.append(str(d / f"part-{i}.parquet"))
         pq.write_table(pa.table({"id": [f"V{i}-{j}" for j in range(2500)]}), files[-1])
-    assert _sized_blocks(str(d)) == _sized_blocks(files) == 15_000 // 4096 + 1
+    assert _sized_blocks(str(d)) == _sized_blocks(files) == 1  # 15k rows: below the floor
     assert _sized_blocks(files, rows_per_block=1000) == 16
     assert _sized_blocks(files, rows_per_block=1000, max_blocks=5) == 5
-    assert _sized_blocks(files * 8) == 8  # 120k rows: 2 blocks per CPU of the 4-CPU session
+    # 360k rows: 2 blocks per CPU of the 4-CPU session
+    assert _sized_blocks(files * 24) == 8
+    assert _sized_blocks(2 * ROWS_PER_TASK) == 3  # past the floor, below 2 per CPU
+    assert _sized_blocks(64 * MAX_ROWS_PER_TASK) == 65  # past the cap
     res = CrawlResult(out_dir=str(tmp_path), hops_run=[0])
-    assert res.vertices().materialize().num_blocks() == 4
+    assert res.vertices().materialize().num_blocks() == 1
 
 
 @pytest.mark.parametrize("n_files", [3, 30, 49])
@@ -316,6 +323,31 @@ def test_crawl_resume_and_graph_build_sample_no_footers(small_corpus, tmp_path_f
                            str(tmp_path_factory.mktemp("no_read_tasks_adj")))
     assert remote_tasks["_sample_fragment"] == remote_tasks["fetch_func"] == 0
     assert remote_tasks  # the counter saw the build's own tasks
+
+
+def test_graph_build_tasks_follow_rows(crawled, small_corpus, tmp_path, remote_tasks):
+    """A checkpoint table below ``ROWS_PER_TASK`` reads as one block, so
+    each sort of the graph build samples one block per input: the
+    resolve's and the numbering's one, the adjacency sort's two (vertex
+    and edge entries). The numbered blocks' Dataset is built from
+    metadata the driver holds: no ``get_table_block_metadata_schema``
+    task."""
+    from fs_crawler_ray.stages.export import write_adjacency_shards
+    from fs_crawler_ray.stages.resolve import resolve_relationships
+
+    result, _ = crawled
+    assert [result.vertices().materialize().num_blocks(),
+            result.edges().materialize().num_blocks(),
+            result.frontier().materialize().num_blocks()] == [1, 1, 1]
+    remote_tasks.clear()
+    final = resolve_relationships(result.edges(), result.vertices(),
+                                  small_corpus.relationships_path,
+                                  num_partitions=4, num_buckets=8).materialize()
+    write_adjacency_shards(result.vertices(), final, str(tmp_path / "adj"))
+    assert remote_tasks["_sample_block"] == 4
+    assert remote_tasks["reduce"] == 4
+    assert remote_tasks["_add_index"] == 1
+    assert remote_tasks["get_table_block_metadata_schema"] == 0
 
 
 def test_crawl_configures_data_context(crawled):

@@ -121,6 +121,24 @@ def test_zip_with_index_dense_and_ordered():
     assert [by_pos[i] for i in range(1, 1001)] == ks
 
 
+@pytest.mark.parametrize("mod", [7, 1])
+def test_zip_with_index_metadata_from_the_driver(remote_tasks, mod):
+    """The numbered Dataset's row counts and schema come from the sort's
+    metadata (no ``get_table_block_metadata_schema`` task) and match
+    its blocks; the empty partitions a one-key sort leaves are dropped."""
+    ds = ray.data.range(1000, override_num_blocks=4).map_batches(
+        lambda b: {"k": b["id"] % mod, "v": b["id"].astype("float64")}, batch_format="numpy")
+    out = zip_with_index(ds, ["k"], "pos", keep=["v"])
+    assert remote_tasks["get_table_block_metadata_schema"] == 0
+    assert out.count() == 1000
+    want = pa.schema([("v", pa.float64()), ("pos", pa.int64())])
+    assert out.schema().base_schema == want
+    blocks = ray.get(out.to_arrow_refs())
+    assert all(b.schema == want and len(b) for b in blocks)
+    assert mod != 1 or len(blocks) == 1  # one key: one non-empty partition
+    assert sorted(pa.concat_tables(blocks)["pos"].to_pylist()) == list(range(1, 1001))
+
+
 def test_compute_positions_canonical_order(golden):
     verts, _ = golden
     pos = {r["id"]: r["position"] for r in compute_positions(verts).take_all()}

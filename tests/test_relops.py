@@ -1,6 +1,7 @@
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 import ray.data
 
 from fs_crawler_ray.relops import (
@@ -236,6 +237,27 @@ def test_join_semi_anti_hash_path_matches_broadcast(request):
     got_anti = sorted(join(left, right, "a", "b", how="anti").to_pandas()["a"])
     assert got_semi == want_semi and len(want_semi) == 14
     assert got_anti == want_anti and len(want_anti) == 26
+
+
+@pytest.mark.parametrize("how,executions", [("inner", 1), ("left", 1), ("semi", 2), ("anti", 2)])
+def test_hash_join_runs_no_plan_for_schemas(tmp_path, shuffle_joins, count_executions,
+                                             how, executions):
+    """On the hash path a join over a ``read_parts`` left side learns both
+    sides' schemas from their plans: the join runs once, and a semi/anti
+    join once more only to materialize its key-only right side."""
+    import pyarrow.parquet as pq
+
+    from fs_crawler_ray.sources import storage as st
+
+    files = []
+    for i in range(3):
+        files.append(str(tmp_path / f"part-{i}.parquet"))
+        pq.write_table(pa.table({"k": list(range(10 * i, 10 * i + 10)),
+                                 "v": [f"v{j}" for j in range(10)]}), files[-1])
+    right = ray.data.from_arrow(pa.table({"rk": list(range(0, 30, 3)), "w": list(range(10))}))
+    out = join(st.read_parts(files, num_blocks=2), right, "k", "rk", how=how)
+    assert out.count() == {"inner": 10, "left": 30, "semi": 10, "anti": 20}[how]
+    assert len(count_executions) == executions
 
 
 def test_hash_buckets_pins_bucket_ids():

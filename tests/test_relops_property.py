@@ -229,6 +229,12 @@ def _merge_reference(ldf: pd.DataFrame, rdf: pd.DataFrame, on: list[str],
                        dtype=bool)
         out = ldf[hit if how == "semi" else ~hit]
     else:
+        if how == "inner":
+            # left null keys match nothing here; dropped first, because
+            # pandas 2.2's inner merge can break left order when left
+            # keys are null (left keys [None] * 4 + ["a", "a"] against
+            # right "a" rows 100, 101, 102 came back starting (x=4, 102))
+            ldf = ldf.dropna(subset=on)
         out = ldf.merge(rdf, how=how, left_on=on, right_on=right_on).drop(columns=right_on)
     rows = [tuple(None if v is None or (isinstance(v, float) and np.isnan(v)) else v
                   for v in r) for r in out.itertuples(index=False, name=None)]

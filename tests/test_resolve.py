@@ -84,8 +84,11 @@ def test_candidates_and_classification_match_oracle(crawled):
     assert got_cls == oracle_resolution(oracle)
 
 
-def test_full_resolution_matches_oracle(crawled, resolve_corpus):
+def test_full_resolution_matches_oracle(crawled, resolve_corpus, small_blocks):
+    """At 16 rows per checkpoint-read block, so the resolve shuffle runs
+    over several blocks."""
     result, oracle = crawled
+    assert result.edges().materialize().num_blocks() > 1
     final = resolve_relationships(
         result.edges(), result.vertices(), resolve_corpus.relationships_path,
         num_partitions=4, num_buckets=8,
@@ -130,12 +133,18 @@ def test_full_resolution_distributed_join_path(crawled, resolve_corpus, shuffle_
 
 
 def test_resolve_and_export_run_four_executions(crawled, resolve_corpus, tmp_path,
-                                                count_executions):
+                                                count_executions, small_blocks):
     """The graph build: vertex broadcast read, the fused resolve pass,
-    the numbering sort, entries → sort → write."""
+    the numbering sort, entries → sort → write; with the checkpoint
+    tables read at 16 rows per block, every sort runs over several
+    blocks and the numbering stays dense."""
+    import pyarrow.compute as pc
+    import pyarrow.dataset as pads
+
     from fs_crawler_ray.stages.export import write_adjacency_shards
 
     result, _ = crawled
+    assert result.vertices().materialize().num_blocks() > 1
     start = len(count_executions)
     final = resolve_relationships(
         result.edges(), result.vertices(), resolve_corpus.relationships_path,
@@ -143,6 +152,9 @@ def test_resolve_and_export_run_four_executions(crawled, resolve_corpus, tmp_pat
     ).materialize()
     write_adjacency_shards(result.vertices(), final, str(tmp_path / "adj"), num_partitions=4)
     assert len(count_executions) - start <= 4
+    ent = pads.dataset(str(tmp_path / "adj"), format="parquet", partitioning="hive").to_table()
+    diag = ent.filter(pc.equal(ent["diag"], 0))
+    assert sorted(diag["row"].to_pylist()) == list(range(result.vertices().count()))
 
 
 def test_empty_edges_keep_the_edge_schema(crawled, resolve_corpus, tmp_path):

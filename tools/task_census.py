@@ -1,0 +1,108 @@
+"""Remote tasks and Ray Data executions per phase of a perfbench workload.
+
+Sets up the way ``perfbench/run.py`` does (its corpus, seeds, crawl
+config and Ray session, then one cold crawl and one cold graph build),
+then runs one warm crawl, one resume (the last hop's ``log.json``
+removed) and one graph build (resolve + adjacency export). For each of
+the three phases it prints the remote tasks launched, counted by
+function name (each ``RemoteFunction._remote`` call; actor method calls
+are not counted), and the Ray Data executions started (each
+``StreamingExecutor.execute`` call). Run from the root of a checkout::
+
+    python3 tools/task_census.py --workload deep_crawl --seed 71
+
+The last line of stdout is one JSON object, ``{phase: {"tasks",
+"by_function", "executions"}}``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+from collections import Counter
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [ROOT, os.path.join(ROOT, "perfbench")]
+
+from gate import complete_hops  # noqa: E402
+from workloads import NAMES  # noqa: E402
+
+
+class Census:
+    """Counts remote-task launches by function name and Ray Data
+    executions while :attr:`phase` is set."""
+
+    def __init__(self):
+        from ray.data._internal.execution.streaming_executor import StreamingExecutor
+        from ray.remote_function import RemoteFunction
+
+        self.phase: str | None = None
+        self.tasks: dict[str, Counter] = {}
+        self.executions: Counter = Counter()
+        launch, execute = RemoteFunction._remote, StreamingExecutor.execute
+        census = self
+
+        def counting_launch(fn, *args, **kwargs):
+            if census.phase is not None:
+                census.tasks[census.phase][fn._function.__name__] += 1
+            return launch(fn, *args, **kwargs)
+
+        def counting_execute(executor, *args, **kwargs):
+            if census.phase is not None:
+                census.executions[census.phase] += 1
+            return execute(executor, *args, **kwargs)
+
+        RemoteFunction._remote = counting_launch
+        StreamingExecutor.execute = counting_execute
+
+    def run(self, phase: str, fn, *args):
+        self.phase = phase
+        self.tasks[phase] = Counter()
+        try:
+            return fn(*args)
+        finally:
+            self.phase = None
+
+    def report(self) -> dict:
+        return {p: {"tasks": sum(c.values()), "by_function": dict(c.most_common()),
+                    "executions": self.executions[p]}
+                for p, c in self.tasks.items()}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", required=True, choices=NAMES)
+    ap.add_argument("--seed", type=int, required=True)
+    a = ap.parse_args(argv)
+    os.chdir(ROOT)  # Ray workers import the package from the driver's cwd
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (ROOT, os.environ.get("PYTHONPATH")) if p)
+
+    from run import Run, parse_args
+
+    bench = Run(parse_args(["--workload", a.workload, "--seed", str(a.seed),
+                            "--seconds", "0"]), ROOT)
+    bench.prepare_inputs()
+    try:
+        bench.setup()
+        census = Census()
+        census.run("crawl", bench._crawl, bench.rep_out)
+        hops = complete_hops(bench.rep_out)
+        os.remove(os.path.join(bench.rep_out, f"hop={hops[-1]}", "log.json"))
+        census.run("resume", bench._crawl, bench.rep_out, True)
+        census.run("graph_build", bench._graph_build)
+    finally:
+        bench.shutdown()
+    report = census.report()
+    for phase, r in report.items():
+        print(f"{phase}: {r['tasks']} remote tasks, {r['executions']} executions")
+        for name, n in r["by_function"].items():
+            print(f"  {n:5d}  {name}")
+    print(json.dumps(report))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
