@@ -151,8 +151,6 @@ def embedding_near_dups(
         empty = pa.table({"vec_a": pa.array([], pa.int64()),
                           "vec_b": pa.array([], pa.int64()),
                           "cosine": pa.array([], pa.float64())})
-        if len(t) == 0:
-            return empty
         t = t.combine_chunks()
         tbl_c = t["tbl"].to_numpy(zero_copy_only=False).astype(np.int64)
         sig = t["sig"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -189,13 +187,9 @@ def embedding_near_dups(
             "cosine": pa.array(np.round(np.concatenate(out_c), 6)),
         })
 
-    from fs_crawler_ray.relops import _BUCKET_COL, _add_bucket, distinct
+    from fs_crawler_ray.relops import distinct, shuffle_apply
 
-    cells = _add_bucket(exploded, ["tbl", "sig"], num_buckets).groupby(
-        _BUCKET_COL, num_partitions=num_buckets
-    ).map_groups(
-        lambda g: cell_pairs(g.drop_columns([_BUCKET_COL])), batch_format="pyarrow"
-    )
+    cells = shuffle_apply(exploded, cell_pairs, key_cols=["tbl", "sig"], num_buckets=num_buckets)
     parts = distinct(cells, ["vec_a", "vec_b"], max(8, num_buckets // 4)).to_pandas()
     if parts.empty:
         return pd.DataFrame({"vec_a": pd.Series(dtype=np.int64),
@@ -593,7 +587,6 @@ def knn_join(
         # branch below
         return ds.map_batches(score_fn, batch_format="pandas", batch_size=4096)
 
-    from fs_crawler_ray.relops import _BUCKET_COL
     from fs_crawler_ray.windows import topk_per_group
 
     sample = np.stack(
@@ -644,8 +637,6 @@ def knn_join(
         # per-cell loop is over coarse quantizer cells — at most
         # n_centroids iterations across the whole job, each one a
         # single vectorized matmul)
-        if len(t) == 0:
-            return _PARTIAL_SCHEMA.empty_table()
         t = t.combine_chunks()
         cell = t["cell"].to_numpy(zero_copy_only=False)
         role = t["role"].to_numpy(zero_copy_only=False)
@@ -681,12 +672,9 @@ def knn_join(
                          "score": pa.array(np.concatenate(outs_s))},
                         schema=_PARTIAL_SCHEMA)
 
-    from fs_crawler_ray.relops import _add_bucket
+    from fs_crawler_ray.relops import shuffle_apply
 
-    partials = _add_bucket(exploded, ["cell"], 64).groupby(
-        _BUCKET_COL, num_partitions=64
-    ).map_groups(
-        lambda g: cell_topk(g.drop_columns([_BUCKET_COL])), batch_format="pyarrow")
+    partials = shuffle_apply(exploded, cell_topk, key_cols=["cell"], num_buckets=64)
     ranked = topk_per_group(partials, id_col, ["score", "neighbor_id"],
                             descending=[True, False], k=k)
     return ranked.map_batches(

@@ -12,7 +12,7 @@ span parser → vertices checkpoint side-write + ``visited`` registration
 (safe: this hop's vertices ⊆ processing, which the candidate filter
 also checks) → record tagger (per-batch pre-combine of edge rows and
 frontier-candidate rows; disjoint bucket-id ranges) → ONE combined
-groupby shuffle → per-group ``_HopSink``:
+bucket shuffle (``relops.shuffle_apply``) → per-bucket ``_HopSink``:
 
 - edge buckets: in-hop keep-first dedup (``(hop, src_doc, offset)``
   under the canonical visit order = sorted id per hop) → cross-hop
@@ -23,7 +23,7 @@ groupby shuffle → per-group ``_HopSink``:
   ``graph_memory_impl.py:60-63``), unioned with any budget remainder →
   range-clustered ``frontier.parquet`` part side-write.
 
-The groupby is an all-to-all barrier, so every membership registration
+The shuffle is an all-to-all barrier, so every membership registration
 upstream completes before any sink group consults the shards — the same
 ordering guarantee the round-2 shape bought with a per-hop
 ``materialize()`` and two extra Dataset executions. An optional
@@ -60,7 +60,7 @@ import ray.data
 from fs_crawler_ray.corpus import CorpusInfo
 from fs_crawler_ray.ids import as_key_array
 from fs_crawler_ray.model import EDGE_SCHEMA, FRONTIER_SCHEMA, VERTEX_SCHEMA, RelationshipType
-from fs_crawler_ray.relops import hash_buckets, thin_boundaries
+from fs_crawler_ray.relops import hash_buckets, shuffle_apply, thin_boundaries
 from fs_crawler_ray.sources import storage as st
 from fs_crawler_ray.stages.fetch import PolitenessBudget
 from fs_crawler_ray.state.fetch_service import FetchPool, FetchStage
@@ -448,7 +448,7 @@ def _make_classify_tagger(n_cand_buckets: int, n_edge_buckets: int):
     classify-only rows routed to buckets
     ``[n_cand+n_edge, n_cand+2·n_edge)`` — they ride the last hop's
     existing shuffle so the sink classifies them AFTER every VISITED
-    registration of the hop (the groupby barrier is the ordering), and
+    registration of the hop (the shuffle barrier is the ordering), and
     the final edge-classification pass stops being its own streaming
     execution (VERDICT r4 item 1: one fewer per-hop floor)."""
 
@@ -491,7 +491,7 @@ class _HopSink:
     row — the hop's frontier AND edges land on disk in the SAME
     execution that fetched and parsed the records.
 
-    Correctness of the fusion: the groupby upstream is an all-to-all
+    Correctness of the fusion: the shuffle upstream is an all-to-all
     barrier, so every PROCESSING/VISITED registration (they happen in
     the pre-fetch and post-parse stages of this same execution) has
     completed before any sink group runs — identical visibility to the
@@ -515,7 +515,7 @@ class _HopSink:
     def _classify(self, src, dst) -> tuple[int, int, int]:
         """J1 within/spanning/frontier partial for one edge group — ONE
         concatenated VISITED scatter for both endpoints (same RPC-halving
-        as _classify_edges). Safe here: the groupby barrier guarantees
+        as _classify_edges). Safe here: the shuffle barrier guarantees
         every VISITED registration of this hop completed first."""
         n = len(src)
         if n == 0:
@@ -530,8 +530,6 @@ class _HopSink:
     def __call__(self, t: pa.Table) -> pa.Table:
         from fs_crawler_ray.relops import _keep_first_arrow
 
-        if len(t) == 0:
-            return _SINK_COUNT_SCHEMA.empty_table()
         bucket = t["__bucket"][0].as_py()
         n_in = len(t)
         wsf = (0, 0, 0)
@@ -958,19 +956,19 @@ class Crawler:
             # candidates to range buckets [0, eff) — so the next
             # frontier lands range-clustered, which IS the next hop's
             # fetch routing — and edges to hash buckets [eff, 2·eff);
-            # the per-group _HopSink dedups, membership-filters
+            # the per-bucket _HopSink dedups, membership-filters
             # (visited ∪ processing for candidates — the add_to_frontier
             # guard, graph_memory_impl.py:60-63 — and the deferred
             # cross-hop edge-seen check for edges) and side-writes each
             # group's output parquet part. One execution per hop where
-            # round 2 paid three: the groupby barrier provides the same
+            # round 2 paid three: the shuffle barrier provides the same
             # ordering guarantees the old materialize() did.
             # Fused final edge classification (VERDICT r4 item 1): on
             # the LAST hop in "final" mode, previous hops' edges ride
             # THIS hop's shuffle as classify-only rows and this hop's
             # own edges are classified at the sink — the J1
             # classification stops being its own streaming execution
-            # (one fewer ~0.5-1 s per-crawl floor). The groupby barrier
+            # (one fewer ~0.5-1 s per-crawl floor). The shuffle barrier
             # provides the ordering (all VISITED registrations complete
             # before any sink group). Volume-gated by CLASSIFY_FUSE_MAX.
             fuse_classify = (cfg.log_edge_classification == "final"
@@ -1007,15 +1005,12 @@ class Crawler:
                             n_edge_buckets=eff_buckets,
                             classify_edges=fuse_classify)
 
-            def hop_sink(t: pa.Table) -> pa.Table:  # map_groups wants a function
-                return sink(t)
-
-            # Under Ray's default sort shuffle a groupby ignores any
-            # num_partitions: the shuffle runs one reduce task per input
-            # block, so the fetch blocks (``_fetch_rpb``) and the
-            # classify read's blocks set its width. Groups stay intact
-            # at any width; the sink splits multi-bucket partitions.
-            grouped = tagged.groupby("__bucket").map_groups(hop_sink, batch_format="pyarrow")
+            # the tagger's buckets: candidates, edges, then (fused final
+            # classification only) classify rows; shuffle_apply sizes the
+            # shuffle by the fetch blocks (``_fetch_rpb``) and the classify
+            # read's blocks, and the sink sees one bucket per call
+            n_tagged = (3 if fuse_classify else 2) * eff_buckets
+            grouped = shuffle_apply(tagged, sink, bucket="__bucket", num_buckets=n_tagged)
             _mark("hop_plan", tick)  # lazy graph construction + seed prep
             sink_counts = grouped.take_all()
             if os.environ.get("FSRAY_HOP_STATS") == "1":  # perf diagnostics

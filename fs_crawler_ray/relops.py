@@ -5,11 +5,14 @@ These are the reusable building blocks the crawl engine and the
 Arrow/numpy kernel over ``batch_format="pyarrow"`` blocks; this module
 never converts a block to pandas. Design rules (SURVEY §4):
 
-- dedup/distinct/aggregate shuffle by a HASH BUCKET of the key, not the
-  raw key: ``groupby(bucket).map_groups`` gives one call per bucket
-  (``num_buckets`` ≈ a few × cores, scales with cluster size), and the
-  bucket body runs one Arrow kernel across all of its keys, avoiding
-  one Python call per distinct key;
+- every key-bucketed shuffle is one :func:`shuffle_apply`: rows go to
+  an integer bucket in a known range ``[0, num_buckets)`` (a HASH
+  BUCKET of the key through :func:`hash_buckets`, or the caller's own
+  bucket column), the rows move on cut points computed from that range
+  (no sampled boundaries), and the body runs once per bucket as one
+  Arrow kernel across all of the bucket's keys, avoiding one Python
+  call per distinct key. This module owns the shuffle backend and the
+  partition count; no other module groups by a bucket;
 - :func:`join` is the one join entry point (inner / left / semi /
   anti). A right side at or below :data:`BROADCAST_LIMIT` rows is
   collected as Arrow, built into one sorted hash side and ``ray.put``
@@ -18,7 +21,7 @@ never converts a block to pandas. Design rules (SURVEY §4):
   bucketed :func:`hash_join`, which also serves the full/right outer
   joins. :func:`unique_lookup` is the variant for a right side unique
   on its key, with several probes sharing one broadcast;
-- pre-aggregation happens inside ``map_batches`` before any groupby.
+- pre-aggregation happens inside ``map_batches`` before any shuffle.
 """
 
 from __future__ import annotations
@@ -85,16 +88,79 @@ def thin_boundaries(boundaries: np.ndarray | None, num_buckets: int) -> np.ndarr
     return boundaries[cut - 1]
 
 
-def _add_bucket(ds: ray.data.Dataset, key_cols: list[str], num_buckets: int) -> ray.data.Dataset:
-    def add(batch: pa.Table) -> pa.Table:
-        b = hash_buckets([batch[c] for c in key_cols], num_buckets)
-        return batch.append_column(_BUCKET_COL, pa.array(b))
+def even_cuts(parts: int, span: int) -> list[int]:
+    """The ``parts - 1`` cut points that split the integers
+    ``[0, span)`` into ``parts`` even ranges (Python ints, as
+    ``Dataset.sort(boundaries=...)`` requires)."""
+    return [int(i * span // parts) for i in range(1, parts)]
 
-    return ds.map_batches(add, batch_format="pyarrow")
+
+def sort_by_range(ds: ray.data.Dataset, keys: list[str], span: int, parts: int,
+                  descending: bool = False) -> ray.data.Dataset:
+    """``ds`` sorted by ``keys`` into ``parts`` blocks, in order, for a
+    first key whose values are integers in ``[0, span)``. The blocks
+    are cut at :func:`even_cuts`, so no boundary is sampled. One part is
+    one ``repartition(1)`` and an in-block sort: ``sort`` given no cut
+    point would sample boundaries again, one task per input block."""
+    if parts > 1:
+        return ds.sort(keys, descending=descending,
+                       boundaries=even_cuts(parts, span))
+    order = [(k, "descending" if descending else "ascending") for k in keys]
+
+    def sort_block(t: pa.Table) -> pa.Table:
+        return t.sort_by(order)
+
+    return ds.repartition(1).map_batches(
+        sort_block, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
 
 
-def _keep_first_arrow(t: pa.Table, key_cols: list[str], order_cols: list,
-                      drop: list[str] | None = None) -> pa.Table:
+def shuffle_apply(ds: ray.data.Dataset, fn, *, key_cols: list[str] | None = None,
+                  bucket: str | None = None, num_buckets: int) -> ray.data.Dataset:
+    """``fn`` applied once per non-empty bucket, on an Arrow table
+    holding every row of that bucket; the result is ``fn``'s outputs.
+
+    With ``key_cols``, a row's bucket is :func:`hash_buckets` of those
+    columns, so all rows of a key meet in one call; the bucket column
+    is dropped before ``fn`` runs. With ``bucket``, it is the caller's
+    int64 column, holding values in ``[0, num_buckets)``, and it stays
+    in the rows.
+
+    The rows move through :func:`sort_by_range` into ``P = min(
+    num_buckets, input blocks)`` partitions of whole buckets, the input
+    block count being the one the plan knows before it runs (checkpoint
+    reads size it by rows). A fixed count instead gave a 1-2 block hop
+    8 reducers and cost deep_crawl ~30 % of its URLs per CPU-s. One
+    map task per partition then calls ``fn`` on each bucket run. The
+    cuts ignore row counts, and a hot key's bucket lands whole in one
+    partition."""
+    if (key_cols is None) == (bucket is None):
+        raise ValueError("shuffle_apply: pass exactly one of key_cols and bucket")
+    col = _BUCKET_COL if bucket is None else bucket
+    if key_cols is not None:
+        key_cols = list(key_cols)
+
+        def add(t: pa.Table) -> pa.Table:
+            return t.append_column(
+                col, pa.array(hash_buckets([t[c] for c in key_cols], num_buckets)))
+
+        ds = ds.map_batches(add, batch_format="pyarrow")
+    parts = min(num_buckets, ds._plan.initial_num_blocks() or 1)
+
+    def per_partition(t: pa.Table):
+        b = t[col].to_numpy()
+        if key_cols is not None:
+            t = t.drop_columns([col])
+        ends = np.append(np.flatnonzero(b[1:] != b[:-1]) + 1, len(b))
+        start = 0
+        for end in ends:
+            yield fn(t.slice(start, end - start))
+            start = end
+
+    return sort_by_range(ds, [col], num_buckets, parts).map_batches(
+        per_partition, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
+
+
+def _keep_first_arrow(t: pa.Table, key_cols: list[str], order_cols: list) -> pa.Table:
     """Arrow-native keep-first: sort by ``order_cols`` (Arrow's sort is
     stable; entries are column names or ``(name, "descending")``
     tuples), keep the first occurrence of each key via
@@ -102,8 +168,6 @@ def _keep_first_arrow(t: pa.Table, key_cols: list[str], order_cols: list,
     per-hop hot dedup path. Deterministic whenever the order tuple is
     unique per key occurrence (true for every caller: edge
     (hop, src_doc, offset), event (ts, event_id), full-row distinct)."""
-    if drop and len(t) == 0:
-        return t.drop_columns([c for c in drop if c in t.column_names])
     if len(t) == 0:
         return t
     idx = pc.sort_indices(
@@ -121,10 +185,7 @@ def _keep_first_arrow(t: pa.Table, key_cols: list[str], order_cols: list,
         key = key.combine_chunks()
     codes = pc.dictionary_encode(key).indices.to_numpy(zero_copy_only=False)
     first = np.sort(np.unique(codes, return_index=True)[1])
-    out = t2.take(pa.array(first))
-    if drop:
-        out = out.drop_columns([c for c in drop if c in out.column_names])
-    return out
+    return t2.take(pa.array(first))
 
 
 def _probe_key(t: pa.Table, cols: list[str]) -> pa.Array:
@@ -156,18 +217,11 @@ def dedup_keep_first(
     skew-mitigation for hot lineages (keep-first is associative:
     min-of-mins == global min). Both passes are Arrow kernels."""
 
-    def pre(t: pa.Table) -> pa.Table:
+    def keep_first(t: pa.Table) -> pa.Table:
         return _keep_first_arrow(t, key_cols, order_cols)
 
-    def per_bucket(t: pa.Table) -> pa.Table:
-        return _keep_first_arrow(t, key_cols, order_cols, drop=[_BUCKET_COL])
-
-    pre_ds = ds.map_batches(pre, batch_format="pyarrow")
-    return _add_bucket(pre_ds, key_cols, num_buckets).groupby(
-        _BUCKET_COL, num_partitions=num_buckets
-    ).map_groups(
-        per_bucket, batch_format="pyarrow"
-    )
+    return shuffle_apply(ds.map_batches(keep_first, batch_format="pyarrow"), keep_first,
+                         key_cols=key_cols, num_buckets=num_buckets)
 
 
 def bucketed_agg(
@@ -192,7 +246,6 @@ def bucketed_agg(
     stay drop-in."""
 
     def per_bucket(t: pa.Table) -> pa.Table:
-        t = t.drop_columns([_BUCKET_COL])
         res = t.group_by(key_cols, use_threads=False).aggregate(
             [(c, fn) for c, fn, _ in aggs])
         cols = {k: res[k] for k in key_cols}
@@ -200,9 +253,7 @@ def bucketed_agg(
             cols[out] = res[f"{c}_{fn}"]
         return pa.table(cols)
 
-    return _add_bucket(ds, key_cols, num_buckets).groupby(
-        _BUCKET_COL, num_partitions=num_buckets
-    ).map_groups(per_bucket, batch_format="pyarrow")
+    return shuffle_apply(ds, per_bucket, key_cols=key_cols, num_buckets=num_buckets)
 
 
 def hash_join(
@@ -235,7 +286,7 @@ def hash_join(
     Non-key output columns must be disjoint between the sides (rename
     before joining); key columns are merged (coalesced for
     ``full_outer``). Pass ``left_schema``/``right_schema`` when a side
-    comes out of a shuffle (groupby/map_groups): ``Dataset.schema()``
+    comes out of a shuffle (:func:`shuffle_apply`): ``Dataset.schema()``
     on such a side executes its whole upstream plan just to learn the
     column types — at scale that is a full extra pass.
     ``right_unique=True`` raises ``ValueError`` when a non-null right
@@ -324,8 +375,6 @@ def hash_join(
     keep_l = [c for c in l_names]
     keep_r = [] if semi_anti else r_payload
 
-    out_schema = pa.schema([(c, fields[c]) for c in keep_l + keep_r])
-
     # an ALL-empty side without a schema hint reports Arrow `null` for
     # its columns (empty pandas/arrow blocks carry no type) — acero
     # rejects null-typed non-key join fields, so those columns sit the
@@ -337,9 +386,6 @@ def hash_join(
                     and pa.types.is_null(fields[c])]
 
     def per_bucket(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            # empty shuffle partitions arrive as zero-column bundles
-            return out_schema.empty_table()
         t = t.drop_columns([_BUCKET_COL])
         # re-align dtypes: the sort shuffle can round-trip blocks
         # through pandas, which rewrites an ALL-null typed column (one
@@ -375,61 +421,21 @@ def hash_join(
         # stable column order regardless of join type
         return joined.select(keep_l + keep_r)
 
-    return both.map_batches(add_bucket, batch_format="pyarrow").groupby(
-        _BUCKET_COL, num_partitions=num_buckets
-    ).map_groups(per_bucket, batch_format="pyarrow")
+    return shuffle_apply(both.map_batches(add_bucket, batch_format="pyarrow"), per_bucket,
+                         bucket=_BUCKET_COL, num_buckets=num_buckets)
 
 
-def _add_range_bucket(ds: ray.data.Dataset, key_col: str, num_buckets: int,
-                      boundaries: np.ndarray | None = None) -> ray.data.Dataset:
-    """Bucket by key RANGE instead of hash — output buckets are
-    contiguous key ranges, so a downstream consumer that wants
-    range-clustered blocks (e.g. the partition-local fetch) gets them
-    from THIS shuffle for free. ``boundaries``: sorted cut points
-    sampled from the real key distribution (corpus row-group stats);
-    without them a first-two-chars prefix heuristic is used, which
-    degenerates for dense sequential ids — pass boundaries whenever
-    available."""
-    from fs_crawler_ray.ids import range_bucket_of
-
-    boundaries = thin_boundaries(boundaries, num_buckets)
-
-    def add(batch: pa.Table) -> pa.Table:
-        from fs_crawler_ray.ids import as_key_array
-
-        # boundaries is ≤ num_buckets-1 short byte strings — closure
-        # capture (task-spec inline), no object-store round trip
-        b = range_bucket_of(as_key_array(batch[key_col]), num_buckets,
-                            boundaries=boundaries)
-        return batch.append_column(_BUCKET_COL, pa.array(b))
-
-    return ds.map_batches(add, batch_format="pyarrow")
-
-
-def distinct(ds: ray.data.Dataset, key_cols: list[str], num_buckets: int = 64,
-             range_bucket: bool = False,
-             range_boundaries: np.ndarray | None = None) -> ray.data.Dataset:
+def distinct(ds: ray.data.Dataset, key_cols: list[str], num_buckets: int = 64) -> ray.data.Dataset:
     """Distinct rows by key (deterministic representative: smallest full
     row). Per-batch pre-dedup before the shuffle (hot-key mitigation,
-    same argument as :func:`dedup_keep_first`). ``range_bucket=True``
-    buckets by the first key column's RANGE, emitting range-clustered,
-    internally-sorted blocks. Both passes are Arrow kernels."""
+    same argument as :func:`dedup_keep_first`). Both passes are Arrow
+    kernels."""
 
-    def pre(t: pa.Table) -> pa.Table:
+    def keep_first(t: pa.Table) -> pa.Table:
         return _keep_first_arrow(t, key_cols, list(t.column_names))
 
-    def per_bucket(t: pa.Table) -> pa.Table:
-        order = [c for c in t.column_names if c != _BUCKET_COL]
-        return _keep_first_arrow(t, key_cols, order, drop=[_BUCKET_COL])
-
-    pre_ds = ds.map_batches(pre, batch_format="pyarrow")
-    if range_bucket:
-        bucketed = _add_range_bucket(pre_ds, key_cols[0], num_buckets,
-                                     boundaries=range_boundaries)
-    else:
-        bucketed = _add_bucket(pre_ds, key_cols, num_buckets)
-    return bucketed.groupby(_BUCKET_COL, num_partitions=num_buckets).map_groups(
-        per_bucket, batch_format="pyarrow")
+    return shuffle_apply(ds.map_batches(keep_first, batch_format="pyarrow"), keep_first,
+                         key_cols=key_cols, num_buckets=num_buckets)
 
 
 #: Right sides at or below this row count are broadcast instead of

@@ -151,7 +151,7 @@ def hll_distinct_by(ds: ray.data.Dataset, col: str, by: str,
     does."""
     import pyarrow.compute as pc
 
-    from fs_crawler_ray.relops import _BUCKET_COL, _add_bucket
+    from fs_crawler_ray.relops import shuffle_apply
 
     def _encode(by_a) -> tuple[pa.Array, np.ndarray]:
         """(dictionary, per-row codes); a null key is a dictionary entry."""
@@ -178,7 +178,6 @@ def hll_distinct_by(ds: ray.data.Dataset, col: str, by: str,
     def per_group(t: pa.Table) -> pa.Table:
         # one shuffle bucket may hold SEVERAL `by` keys — merge and
         # estimate per key within the group
-        t = t.drop_columns([_BUCKET_COL])
         dictionary, codes = _encode(t[by])
         bufs = t["regs"].to_pylist()
         out = {by: [], "m": [], "n_zero": [], "z_scaled": [], "est": []}
@@ -198,9 +197,7 @@ def hll_distinct_by(ds: ray.data.Dataset, col: str, by: str,
             "est": pa.array(out["est"], pa.float64()),
         })
 
-    return _add_bucket(parts, [by], num_partitions).groupby(
-        _BUCKET_COL, num_partitions=num_partitions
-    ).map_groups(per_group, batch_format="pyarrow")
+    return shuffle_apply(parts, per_group, key_cols=[by], num_buckets=num_partitions)
 
 
 # ---------------------------------------------------------------------

@@ -44,7 +44,7 @@ from ray.data.context import DataContext
 from ray.data.dataset import MaterializedDataset
 
 from fs_crawler_ray.model import ADJACENCY_EDGE_TYPES
-from fs_crawler_ray.relops import project, unique_lookup
+from fs_crawler_ray.relops import project, sort_by_range, unique_lookup
 from fs_crawler_ray.sources import storage as st
 
 
@@ -67,8 +67,7 @@ def zip_with_index(
     comes from the sort's (row counts, schema plus the index column), so
     building the result launches no task beyond the ``_add_index`` ones."""
     ordered = ds.sort(sort_keys).materialize()
-    blocks = [b for bundle in ordered.iter_internal_ref_bundles()
-              for b in bundle.blocks if b[1].num_rows]
+    blocks = _blocks_with_rows(ordered)
     if not blocks:
         # the sort of an all-empty input leaves schema-less blocks; keep
         # the input's columns so lookups against the index find them
@@ -83,17 +82,25 @@ def zip_with_index(
     offsets = start + np.concatenate([[0], np.cumsum(counts)[:-1]])
     refs = [_add_index.remote(r, int(off), index_col, keep)
             for (r, _), off in zip(blocks, offsets)]
-    # size_bytes: the input block's plus the index column, an upper
-    # bound when ``keep`` drops columns
-    return _from_refs(refs, [BlockMetadataWithSchema(
-        BlockMetadata(num_rows=m.num_rows, size_bytes=m.size_bytes + 8 * m.num_rows,
-                      input_files=None, exec_stats=None), schema) for _, m in blocks])
+    # size_bytes: an upper bound when ``keep`` drops columns
+    return _from_refs(refs, blocks, schema, 8)
 
 
-def _from_refs(refs: list, metadata: list) -> ray.data.Dataset:
-    """``ray.data.from_arrow_refs`` with the blocks' metadata given, so no
+def _blocks_with_rows(ds: ray.data.MaterializedDataset) -> list:
+    """The ``(ref, metadata)`` of each non-empty block of ``ds``, in order."""
+    return [b for bundle in ds.iter_internal_ref_bundles()
+            for b in bundle.blocks if b[1].num_rows]
+
+
+def _from_refs(refs: list, blocks: list, schema: pa.Schema, row_bytes: int) -> ray.data.Dataset:
+    """``ray.data.from_arrow_refs`` of ``refs``, one per input block of
+    ``blocks`` with the same row count, with the metadata given, so no
     ``get_table_block_metadata_schema`` task runs (the same construction
-    as ``ray.data.from_blocks``)."""
+    as ``ray.data.from_blocks``): ``schema``, and the input block's size
+    plus ``row_bytes`` a row."""
+    metadata = [BlockMetadataWithSchema(
+        BlockMetadata(num_rows=m.num_rows, size_bytes=m.size_bytes + row_bytes * m.num_rows,
+                      input_files=None, exec_stats=None), schema) for _, m in blocks]
     plan = ExecutionPlan(DatasetStats(metadata={"FromArrow": metadata}, parent=None),
                          DataContext.get_current().copy())
     return MaterializedDataset(plan, LogicalPlan(FromArrow(refs, metadata), plan._context))
@@ -141,16 +148,21 @@ def compute_positions(
                           keep=["id", "color"])
 
 
-def adjacency_entries(
+def sorted_adjacency_entries(
     vertices: ray.data.Dataset,
     edges: ray.data.Dataset,
     hops: int | None = None,
     order_cols: list[str] | None = None,
     num_partitions: int = 16,
     ordering: ray.data.Dataset | None = None,
+    descending: bool = False,
 ) -> ray.data.Dataset:
     """→ Dataset[row:int64, col:int64, val:int8, diag:int8] of CSR
-    triples (0-based), unsorted; sort/shard downstream."""
+    triples (0-based) in canonical ``(row, diag, col)`` order (or its
+    reverse), block after block. Rows lie in ``[0, N)`` for the N
+    numbered vertices, so the sort cuts them at known row boundaries
+    (``relops.sort_by_range``), into as many parts as the larger of the
+    vertex and edge inputs has blocks (each a read sized by rows)."""
     pos = compute_positions(vertices, hops, order_cols, ordering).materialize()
 
     def vert_entries(t: pa.Table) -> pa.Table:
@@ -190,7 +202,10 @@ def adjacency_entries(
             }
         )
 
-    return diag.union(e.map_batches(edge_entries, batch_format="pyarrow"))
+    n = pos.count()
+    parts = min(n, max(pos.num_blocks(), e._plan.initial_num_blocks() or 1))
+    return sort_by_range(diag.union(e.map_batches(edge_entries, batch_format="pyarrow")),
+                         ["row", "diag", "col"], n, parts, descending)
 
 
 def build_csr(
@@ -204,8 +219,7 @@ def build_csr(
     order — the exact layout of the reference's golden CSR test
     (``tests/util/test_db_reader.py:62-70``). Use
     :func:`write_adjacency_shards` at scale."""
-    ent = adjacency_entries(vertices, edges, hops, order_cols, num_partitions)
-    out = ent.sort(["row", "diag", "col"]).take_all()
+    out = sorted_adjacency_entries(vertices, edges, hops, order_cols, num_partitions).take_all()
     return [r["row"] for r in out], [r["col"] for r in out], [r["val"] for r in out]
 
 
@@ -222,8 +236,7 @@ def write_adjacency_shards(
     shards ``shard = row // shard_size`` — contiguous row ranges per
     shard so a RedBlackGraph builder can consume shards independently
     and a failed export run can skip completed shards."""
-    ent = adjacency_entries(vertices, edges, hops, order_cols, num_partitions)
-    ent = ent.sort(["row", "diag", "col"])
+    ent = sorted_adjacency_entries(vertices, edges, hops, order_cols, num_partitions)
 
     def add_shard(t: pa.Table) -> pa.Table:
         shard = pc.divide(t["row"], shard_size)
@@ -322,9 +335,9 @@ def build_with_builder(
     (S9/O4): genders first (ascending), then the merge-interleave of
     edges and vertices in descending canonical order. Driver-side
     iteration over the sorted entry stream — at scale, run one builder
-    per contiguous shard inside ``map_groups`` instead."""
-    ent = adjacency_entries(vertices, edges, hops, order_cols, num_partitions, ordering)
-    ordered = ent.sort(["row", "diag", "col"], descending=True).materialize()
+    per contiguous shard inside ``relops.shuffle_apply`` instead."""
+    ordered = sorted_adjacency_entries(vertices, edges, hops, order_cols, num_partitions,
+                                       ordering, descending=True).materialize()
     nv = int(hop_filter_vertices(vertices, hops).count())
     ne = ordered.count() - nv
     builder.init_builder(nv, ne)

@@ -45,8 +45,8 @@ import pyarrow.compute as pc
 import ray.data
 
 from fs_crawler_ray.model import PRIMARY_EDGE_TYPES, RelationshipType
-from fs_crawler_ray.relops import (_BUCKET_COL, _add_bucket, _keep_first_arrow, _probe_key,
-                                   project, unique_lookup)
+from fs_crawler_ray.relops import (_keep_first_arrow, _probe_key, project, shuffle_apply,
+                                   unique_lookup)
 
 
 ASSUMED = RelationshipType.ASSUMED_BIOLOGICAL.value
@@ -117,11 +117,7 @@ def candidate_relationships(
 def classify_resolution(candidates: ray.data.Dataset, num_buckets: int = 64) -> ray.data.Dataset:
     """A1 as a Dataset → (rel_id, rtype): the classification kernel per
     source-hash bucket."""
-    return _add_bucket(candidates, ["source"], num_buckets).groupby(
-        _BUCKET_COL, num_partitions=num_buckets
-    ).map_groups(
-        lambda g: _classify(g.drop_columns([_BUCKET_COL])), batch_format="pyarrow"
-    )
+    return shuffle_apply(candidates, _classify, key_cols=["source"], num_buckets=num_buckets)
 
 
 def _override(values: pa.ChunkedArray, keys: pa.Array, right_keys: pa.Array,
@@ -168,7 +164,7 @@ def _fetch_updates(rel_ids: pa.Array, relationships_path: str,
             "__ur": sub["rel_id"].cast(pa.string()),
         }))
     return _keep_first_arrow(pa.concat_tables(parts), ["__us", "__ud"],
-                             [("__ur", "descending")], drop=["__ur"])
+                             [("__ur", "descending")]).drop_columns(["__ur"])
 
 
 def _resolve_bucket(t: pa.Table, relationships_path: str) -> pa.Table:
@@ -214,12 +210,8 @@ def resolve_relationships(
     ``num_buckets`` and ``fetch_concurrency`` are unused; they stay in
     the signature for existing callers."""
     probed = _probe_colors(edges, vertices, num_partitions)
-    out = _add_bucket(probed, ["source"], num_partitions).groupby(
-        _BUCKET_COL, num_partitions=num_partitions
-    ).map_groups(
-        lambda g: _resolve_bucket(g.drop_columns([_BUCKET_COL]), relationships_path),
-        batch_format="pyarrow",
-    ).materialize()
+    out = shuffle_apply(probed, lambda t: _resolve_bucket(t, relationships_path),
+                        key_cols=["source"], num_buckets=num_partitions).materialize()
     if out.count() == 0 and (schema := edges.schema()) is not None:
         return ray.data.from_arrow(schema.base_schema.empty_table())
     return out

@@ -36,7 +36,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from fs_crawler_ray.relops import _BUCKET_COL, _add_bucket
+from fs_crawler_ray.relops import bucketed_agg
 from fs_crawler_ray.stages.export import zip_with_index
 
 VALIDATION_TYPES = ["BiologicalParent", "UnspecifiedParentType"]
@@ -105,22 +105,9 @@ def _per_child_table(
             out[f"{fam}_any"] = in_fam.astype(np.int64)
         return pa.table(out)
 
-    counted = j.map_batches(partial, batch_format="pyarrow")
-
-    def per_bucket(g: pa.Table) -> pa.Table:
-        # Arrow-native grouped sum (C++ hash aggregation) — no pandas
-        # object round-trip on the per-child hot path
-        cols = [c for c in g.column_names if c not in ("source", _BUCKET_COL)]
-        agg = g.drop_columns([_BUCKET_COL]).group_by("source").aggregate(
-            [(c, "sum") for c in cols]
-        )
-        return agg.rename_columns(["source"] + cols)
-
-    return _add_bucket(counted, ["source"], 64).groupby(
-        _BUCKET_COL, num_partitions=64
-    ).map_groups(
-        per_bucket, batch_format="pyarrow"
-    )
+    cols = [f"{fam}{tag}" for fam in ("v", "r") for tag in ("m", "f", "u", "_any")]
+    return bucketed_agg(j.map_batches(partial, batch_format="pyarrow"), ["source"],
+                        [(c, "sum", c) for c in cols], 64)
 
 
 def classify_children(per_child: pa.Table) -> pa.Table:

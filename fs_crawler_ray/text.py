@@ -29,7 +29,7 @@ import pyarrow as pa
 import ray.data
 
 from fs_crawler_ray.ids import stable_hash64
-from fs_crawler_ray.relops import _BUCKET_COL, _add_bucket
+from fs_crawler_ray.relops import shuffle_apply
 
 #: per-byte popcount lookup table (vectorized 64-bit popcount = LUT over
 #: the uint8 view + row sum)
@@ -261,8 +261,6 @@ def minhash_lsh_candidates(
         id_type = t["doc_id"].type
         empty = pa.table({"doc_a": pa.array([], id_type),
                           "doc_b": pa.array([], id_type)})
-        if len(t) == 0:
-            return empty
         band = t["band"].to_numpy(zero_copy_only=False).astype(np.int64)
         bh = t["bh"].to_numpy(zero_copy_only=False).astype(np.int64)
         docs = _sortable_ids(t["doc_id"])
@@ -311,11 +309,7 @@ def minhash_lsh_candidates(
         return pa.table({"doc_a": t["doc_id"].take(pa.array(rows[a_idx])),
                          "doc_b": t["doc_id"].take(pa.array(rows[b_idx]))})
 
-    cand = _add_bucket(exploded, ["band", "bh"], 64).groupby(
-        _BUCKET_COL, num_partitions=64
-    ).map_groups(
-        lambda g: pairs(g.drop_columns([_BUCKET_COL])), batch_format="pyarrow"
-    )
+    cand = shuffle_apply(exploded, pairs, key_cols=["band", "bh"], num_buckets=64)
     from fs_crawler_ray.relops import distinct
 
     return distinct(cand, ["doc_a", "doc_b"], 32)
@@ -518,11 +512,7 @@ def simhash_near_dups(ds: ray.data.Dataset, max_hamming: int = 3, shingle_k: int
 
     from fs_crawler_ray.relops import distinct
 
-    cand = _add_bucket(ex, ["q", "qv"], 32).groupby(
-        _BUCKET_COL, num_partitions=32
-    ).map_groups(
-        lambda g: pairs(g.drop_columns([_BUCKET_COL])), batch_format="pyarrow"
-    )
+    cand = shuffle_apply(ex, pairs, key_cols=["q", "qv"], num_buckets=32)
     return distinct(cand, ["doc_a", "doc_b"], 16)
 
 
@@ -701,14 +691,20 @@ def pack_chunk_assignments(ds: ray.data.Dataset, budget: int = 512) -> ray.data.
     :func:`token_count`'s ``[A-Za-z0-9]+`` runs, so the DuckDB window
     oracle (``SUM OVER ... ROWS UNBOUNDED PRECEDING AND 1 PRECEDING``)
     reproduces the assignment bit-for-bit — integers end to end."""
-    # materialized, so to_arrow_refs needs no second run of the sort to
-    # learn the schema
-    refs = token_count(ds).sort("doc_id").materialize().to_arrow_refs()
-    sums = ray.get([_block_token_sum.remote(r) for r in refs])
-    offs = np.concatenate([[0], np.cumsum(sums)[:-1]]) if len(sums) else []
-    out_refs = [_assign_packs.remote(r, int(o), int(budget))
-                for r, o in zip(refs, offs)]
-    return ray.data.from_arrow_refs(out_refs)
+    from fs_crawler_ray.stages.export import _blocks_with_rows, _from_refs
+
+    ordered = token_count(ds).sort("doc_id").materialize()
+    blocks = _blocks_with_rows(ordered)
+    # the sort of an all-empty input leaves schema-less blocks
+    sch = (ordered if blocks else ds).schema().base_schema
+    schema = pa.schema([sch.field("doc_id")] + [
+        (c, pa.int64()) for c in ("n_tokens", "seq_first", "seq_last")])
+    if not blocks:
+        return ray.data.from_arrow(schema.empty_table())
+    sums = ray.get([_block_token_sum.remote(r) for r, _ in blocks])
+    offs = np.concatenate([[0], np.cumsum(sums)[:-1]])
+    refs = [_assign_packs.remote(r, int(o), int(budget)) for (r, _), o in zip(blocks, offs)]
+    return _from_refs(refs, blocks, schema, 16)
 
 
 def pack_greedy_assignments(
@@ -761,8 +757,7 @@ def pack_greedy_assignments(
 
     sharded = ds.select_columns(["doc_id", "text"]).map_batches(
         add_shard, batch_format="pyarrow")
-    return sharded.groupby("shard", num_partitions=n_shards).map_groups(
-        per_shard, batch_format="pyarrow")
+    return shuffle_apply(sharded, per_shard, bucket="shard", num_buckets=n_shards)
 
 
 def epoch_oversample(
@@ -922,12 +917,7 @@ def _per_doc_top_n(scored: ray.data.Dataset, id_col: str, top_n: int,
     bucket (vectorized ACROSS documents, no per-group Python)."""
     import pyarrow.compute as pc
 
-    from fs_crawler_ray.relops import _BUCKET_COL, _add_bucket
-
     def per_bucket(t: pa.Table) -> pa.Table:
-        t = t.drop_columns([_BUCKET_COL])
-        if len(t) == 0:
-            return t
         idx = pc.sort_indices(t, sort_keys=[(id_col, "ascending"),
                                             ("score", "descending"),
                                             ("tok", "ascending")])
@@ -940,9 +930,7 @@ def _per_doc_top_n(scored: ray.data.Dataset, id_col: str, top_n: int,
         np.maximum.accumulate(run_start, out=run_start)
         return t2.filter(pa.array((np.arange(n) - run_start) < top_n))
 
-    return _add_bucket(scored, [id_col], num_buckets).groupby(
-        _BUCKET_COL, num_partitions=num_buckets
-    ).map_groups(per_bucket, batch_format="pyarrow")
+    return shuffle_apply(scored, per_bucket, key_cols=[id_col], num_buckets=num_buckets)
 
 
 def tfidf_top_terms(
@@ -1076,8 +1064,6 @@ def dup_passages(
     one 24-byte row per chunk — O(token stream / stride), never the
     text itself.
     """
-    from fs_crawler_ray.relops import _BUCKET_COL, _add_bucket
-
     w, s = int(window), int(stride)
     pw = _FP_PRIME ** np.arange(w - 1, -1, -1, dtype=np.uint64)  # P^(w-1) .. P^0
 
@@ -1125,13 +1111,9 @@ def dup_passages(
         multi = uh[docs_per > 1]
         keep = multi[np.searchsorted(multi, h).clip(max=len(multi) - 1)] == h \
             if len(multi) else np.zeros(len(h), dtype=bool)
-        return g.drop_columns([_BUCKET_COL]).filter(pa.array(keep))
+        return g.filter(pa.array(keep))
 
-    return _add_bucket(chunks, ["chunk_hash"], num_buckets).groupby(
-        _BUCKET_COL, num_partitions=num_buckets
-    ).map_groups(
-        multi_doc, batch_format="pyarrow"
-    )
+    return shuffle_apply(chunks, multi_doc, key_cols=["chunk_hash"], num_buckets=num_buckets)
 
 
 def stopword_filter(
@@ -1626,8 +1608,6 @@ def inverted_index(
     """
     import pyarrow.compute as pc
 
-    from fs_crawler_ray.relops import _BUCKET_COL, _add_bucket
-
     def pairs(t: pa.Table) -> pa.Table:
         flat, parent, _ = _tokenize_batch(t["text"])
         ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1647,10 +1627,6 @@ def inverted_index(
         pairs, batch_format="pyarrow")
 
     def per_bucket(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table({"tok": pa.array([], pa.string()),
-                             "df": pa.array([], pa.int64()),
-                             "postings": pa.array([], pa.string())})
         t = t.take(pc.sort_indices(t, sort_keys=[("tok", "ascending"),
                                                  (id_col, "ascending")]))
         t = t.combine_chunks()
@@ -1674,11 +1650,7 @@ def inverted_index(
                          "df": pa.array(lens[keep]),
                          "postings": postings.filter(mask)})
 
-    return _add_bucket(pair_ds, ["tok"], num_buckets).groupby(
-        _BUCKET_COL, num_partitions=num_buckets
-    ).map_groups(
-        lambda g: per_bucket(g.drop_columns([_BUCKET_COL])),
-        batch_format="pyarrow")
+    return shuffle_apply(pair_ds, per_bucket, key_cols=["tok"], num_buckets=num_buckets)
 
 
 def quality_rank(
@@ -1929,7 +1901,7 @@ def jaccard_pairs(
     jacc_permille)`` with ``doc_a < doc_b``."""
     import pyarrow.compute as pc
 
-    from fs_crawler_ray.relops import _BUCKET_COL, _add_bucket, bucketed_agg, join
+    from fs_crawler_ray.relops import bucketed_agg, join
     from fs_crawler_ray.windows import _key_codes
 
     def pairs(t: pa.Table) -> pa.Table:
@@ -1950,21 +1922,15 @@ def jaccard_pairs(
     pair_ds = ds.select_columns(["doc_id", "text"]).map_batches(
         pairs, batch_format="pyarrow")
 
-    kept_empty = pa.table({"doc_id": pa.array([], pa.int64()),
-                           "tok": pa.array([], pa.string())})
-
     def keep_rare(t: pa.Table) -> pa.Table:
         """All rows of a token land in one bucket: df is exact here."""
-        if t.num_columns == 0 or len(t) == 0:
-            return kept_empty
-        t = t.drop_columns([_BUCKET_COL]).combine_chunks()
+        t = t.combine_chunks()
         codes = _key_codes(t["tok"])
         df_per_tok = np.bincount(codes)
         return t.filter(pa.array(df_per_tok[codes] <= max_df))
 
-    kept = _add_bucket(pair_ds, ["tok"], num_buckets).groupby(
-        _BUCKET_COL, num_partitions=num_buckets
-    ).map_groups(keep_rare, batch_format="pyarrow").materialize()
+    kept = shuffle_apply(pair_ds, keep_rare, key_cols=["tok"],
+                         num_buckets=num_buckets).materialize()
 
     sizes = bucketed_agg(kept, ["doc_id"], [("tok", "count", "n_tok")],
                          num_buckets)
@@ -1974,9 +1940,6 @@ def jaccard_pairs(
 
     def wedges(t: pa.Table) -> pa.Table:
         """Per-token doc-pair explode (a < b), vectorized across tokens."""
-        if t.num_columns == 0 or len(t) == 0:
-            return wedge_empty
-        t = t.drop_columns([_BUCKET_COL])
         t = t.take(pc.sort_indices(t, sort_keys=[("tok", "ascending"),
                                                  ("doc_id", "ascending")]))
         docs = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -2001,9 +1964,7 @@ def jaccard_pairs(
         return pa.table({"doc_a": docs[base + i], "doc_b": docs[base + j]})
 
     inter = bucketed_agg(
-        _add_bucket(kept, ["tok"], num_buckets).groupby(
-            _BUCKET_COL, num_partitions=num_buckets
-        ).map_groups(wedges, batch_format="pyarrow"),
+        shuffle_apply(kept, wedges, key_cols=["tok"], num_buckets=num_buckets),
         ["doc_a", "doc_b"], [("doc_a", "count", "inter")], num_buckets)
 
     size_schema = pa.schema([("doc_id", pa.int64()), ("n_tok", pa.int64())])
@@ -2260,16 +2221,10 @@ def dup_spans_merged(
     O(duplicate chunks) pair table, per bucket one sort + a running-max
     of interval ends (reset at doc boundaries via the add-a-large-
     offset trick) + ``bincount``/``maximum.at`` per island."""
-    from fs_crawler_ray.windows import _bucketed
-
     dp = dup_passages(ds, window=window, stride=stride, id_col=id_col,
                       num_buckets=num_buckets)
 
     def per_bucket(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table({id_col: pa.array([], t.schema.field(id_col).type),
-                             "span_start": pa.array([], pa.int64()),
-                             "span_end": pa.array([], pa.int64())})
         import pyarrow.compute as pc
 
         t = t.take(pc.sort_indices(
@@ -2304,7 +2259,7 @@ def dup_spans_merged(
 
     dedup = dp.map_batches(
         lambda t: t.select([id_col, "pos"]), batch_format="pyarrow")
-    return _bucketed(dedup, id_col, num_buckets, per_bucket)
+    return shuffle_apply(dedup, per_bucket, key_cols=[id_col], num_buckets=num_buckets)
 
 
 def shard_manifest(

@@ -3,7 +3,7 @@ compositions (brief: "custom operators" — as-of join, windowed
 aggregate, sessionization, per-group top-k).
 
 Shape shared by all of them: ONE hash shuffle into key-hash BUCKETS
-(``relops._add_bucket`` — all rows of a key land in one bucket, many
+(``relops.shuffle_apply`` — all rows of a key land in one bucket, many
 keys per bucket) followed by a per-bucket kernel that is vectorized
 ACROSS keys (numpy sort/searchsorted/cumsum over the whole bucket —
 no per-key Python call, unlike a naive ``groupby(key).map_groups``
@@ -39,15 +39,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from fs_crawler_ray.relops import _BUCKET_COL, _add_bucket
-
-
-def _bucketed(ds: ray.data.Dataset, key: str, num_buckets: int, fn) -> ray.data.Dataset:
-    return _add_bucket(ds, [key], num_buckets).groupby(
-        _BUCKET_COL, num_partitions=num_buckets
-    ).map_groups(
-        lambda g: fn(g.drop_columns([_BUCKET_COL])), batch_format="pyarrow"
-    )
+from fs_crawler_ray.relops import shuffle_apply
 
 
 def _sorted_table(t: pa.Table, sort_keys: list[tuple[str, str]]) -> pa.Table:
@@ -119,7 +111,7 @@ def sessionize(
             cols["sum_value"] = pa.array(csum[ends] - csum[starts])
         return pa.table(cols)
 
-    return _bucketed(ds, key, num_buckets, per_bucket)
+    return shuffle_apply(ds, per_bucket, key_cols=[key], num_buckets=num_buckets)
 
 
 def _as_f64(col) -> np.ndarray:
@@ -260,11 +252,7 @@ def asof_join(
             cols[oc] = t[c].take(rt)
         return pa.table(cols)
 
-    return _add_bucket(both, [key], num_buckets).groupby(
-        _BUCKET_COL, num_partitions=num_buckets
-    ).map_groups(
-        lambda g: per_bucket(g.drop_columns([_BUCKET_COL])), batch_format="pyarrow"
-    )
+    return shuffle_apply(both, per_bucket, key_cols=[key], num_buckets=num_buckets)
 
 
 def rolling_time_window(
@@ -316,7 +304,7 @@ def rolling_time_window(
         return t.append_column(count_name, pa.array((hi - lo).astype(np.int64))).append_column(
             sum_name, pa.array(csum[hi] - csum[lo]))
 
-    return _bucketed(ds, key, num_buckets, per_bucket)
+    return shuffle_apply(ds, per_bucket, key_cols=[key], num_buckets=num_buckets)
 
 
 def range_join(
@@ -407,11 +395,7 @@ def range_join(
             cols[c] = t[c].take(rt)
         return pa.table({c: cols[c] for c in out_cols})
 
-    return _add_bucket(both, [key], num_buckets).groupby(
-        _BUCKET_COL, num_partitions=num_buckets
-    ).map_groups(
-        lambda g: per_bucket(g.drop_columns([_BUCKET_COL])), batch_format="pyarrow"
-    )
+    return shuffle_apply(both, per_bucket, key_cols=[key], num_buckets=num_buckets)
 
 
 def topk_per_group(
@@ -458,7 +442,7 @@ def topk_per_group(
         return _rank_filter(t, rank_name)
 
     pruned = ds.map_batches(local_prune, batch_format="pyarrow")
-    return _bucketed(pruned, group_col, num_buckets, per_bucket)
+    return shuffle_apply(pruned, per_bucket, key_cols=[group_col], num_buckets=num_buckets)
 
 
 def group_quantiles(
@@ -499,7 +483,7 @@ def group_quantiles(
             cols[name] = t[value_col].take(pa.array(starts + np.clip(idx, 0, counts - 1)))
         return pa.table(cols)
 
-    return _bucketed(ds, group_col, num_buckets, per_bucket)
+    return shuffle_apply(ds, per_bucket, key_cols=[group_col], num_buckets=num_buckets)
 
 
 def running_total(
@@ -552,7 +536,7 @@ def running_total(
         cols[out_name] = pa.array(cum)
         return pa.table(cols)
 
-    return _bucketed(ds, key, num_buckets, per_bucket)
+    return shuffle_apply(ds, per_bucket, key_cols=[key], num_buckets=num_buckets)
 
 
 def moving_sum(
@@ -614,7 +598,7 @@ def moving_sum(
         cols[out_name] = pa.array(out)
         return pa.table(cols)
 
-    return _bucketed(ds, key, num_buckets, per_bucket)
+    return shuffle_apply(ds, per_bucket, key_cols=[key], num_buckets=num_buckets)
 
 
 def mode_per_key(
@@ -663,7 +647,7 @@ def mode_per_key(
                          cnt_name: res[cnt_name].take(sel)})
 
     pre_ds = ds.select_columns([key, cat_col]).map_batches(pre, batch_format="pyarrow")
-    return _bucketed(pre_ds, key, num_buckets, per_bucket)
+    return shuffle_apply(pre_ds, per_bucket, key_cols=[key], num_buckets=num_buckets)
 
 
 def rank_per_key(
@@ -715,7 +699,7 @@ def rank_per_key(
         cols[out_name] = pa.array(rnk)
         return pa.table(cols)
 
-    return _bucketed(ds, key, num_buckets, per_bucket)
+    return shuffle_apply(ds, per_bucket, key_cols=[key], num_buckets=num_buckets)
 
 
 def funnel(
@@ -791,7 +775,7 @@ def funnel(
             depth_name: pa.array(depth),
         })
 
-    return _bucketed(ds, key, num_buckets, per_bucket)
+    return shuffle_apply(ds, per_bucket, key_cols=[key], num_buckets=num_buckets)
 
 
 def ntile(
@@ -841,7 +825,7 @@ def ntile(
         ) + 1
         return t.append_column(out_name, pa.array(tile.astype(np.int64)))
 
-    return _bucketed(ds, key, num_buckets, per_bucket)
+    return shuffle_apply(ds, per_bucket, key_cols=[key], num_buckets=num_buckets)
 
 
 def lag_deltas(
@@ -885,7 +869,7 @@ def lag_deltas(
         cols["delta_us"] = pa.array(delta)
         return pa.table(cols)
 
-    return _bucketed(ds, key, num_buckets, per_bucket)
+    return shuffle_apply(ds, per_bucket, key_cols=[key], num_buckets=num_buckets)
 
 
 def ordered_paths(
@@ -913,9 +897,6 @@ def ordered_paths(
     """
 
     def per_bucket(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) == 0:
-            return pa.table({key: pa.array([], pa.int64()),
-                             out_name: pa.array([], pa.string())})
         t = _sorted_table(
             t, [(key, "ascending"), (ts_col, "ascending"), (tiebreak, "ascending")]
         ).combine_chunks()
@@ -934,8 +915,8 @@ def ordered_paths(
         sel = pa.array(starts)
         return pa.table({key: t[key].take(sel), out_name: path})
 
-    return _bucketed(ds.select_columns([key, ts_col, tiebreak, val_col]),
-                     key, num_buckets, per_bucket)
+    return shuffle_apply(ds.select_columns([key, ts_col, tiebreak, val_col]), per_bucket,
+                         key_cols=[key], num_buckets=num_buckets)
 
 
 def transition_counts(
@@ -963,7 +944,7 @@ def transition_counts(
                       "cnt": pa.array([], pa.int64())})
 
     def per_bucket(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or len(t) < 2:
+        if len(t) < 2:
             return empty
         t = _sorted_table(
             t, [(key, "ascending"), (ts_col, "ascending"), (tiebreak, "ascending")]
@@ -987,8 +968,8 @@ def transition_counts(
 
     from fs_crawler_ray.relops import bucketed_agg
 
-    partials = _bucketed(ds.select_columns([key, ts_col, tiebreak, type_col]),
-                         key, num_buckets, per_bucket)
+    partials = shuffle_apply(ds.select_columns([key, ts_col, tiebreak, type_col]), per_bucket,
+                             key_cols=[key], num_buckets=num_buckets)
     return bucketed_agg(partials, ["prev_type", "next_type"],
                         [("cnt", "sum", "cnt")], num_buckets=8)
 
@@ -1058,4 +1039,4 @@ def user_streaks(
         return pa.table({key: kcol.take(pa.array(rep)),
                          "max_streak": mx})
 
-    return _bucketed(pairs, key, num_buckets, per_bucket)
+    return shuffle_apply(pairs, per_bucket, key_cols=[key], num_buckets=num_buckets)

@@ -307,7 +307,9 @@ def test_checkpoint_reads_launch_no_task(crawled, remote_tasks):
 def test_crawl_resume_and_graph_build_sample_no_footers(small_corpus, tmp_path_factory,
                                                         remote_tasks):
     """A crawl, a resume and a graph build read their checkpoints without
-    Ray's parquet fragment-sampling or footer-fetching tasks."""
+    Ray's parquet fragment-sampling or footer-fetching tasks, and a crawl
+    and a resume shuffle on known bucket boundaries: no ``_sample_block``
+    task."""
     from fs_crawler_ray.stages.export import write_adjacency_shards
     from fs_crawler_ray.stages.resolve import resolve_relationships
 
@@ -316,6 +318,8 @@ def test_crawl_resume_and_graph_build_sample_no_footers(small_corpus, tmp_path_f
     crawl(small_corpus, small_corpus.seeds, out, cfg)
     os.remove(os.path.join(out, f"hop={HOPS - 1}", "log.json"))
     result = crawl(small_corpus, small_corpus.seeds, out, cfg, resume=True)
+    assert remote_tasks["_sample_block"] == 0
+    assert remote_tasks["reduce"] > 0  # the hop shuffles ran
     final = resolve_relationships(result.edges(), result.vertices(),
                                   small_corpus.relationships_path,
                                   num_partitions=4, num_buckets=8)
@@ -327,11 +331,12 @@ def test_crawl_resume_and_graph_build_sample_no_footers(small_corpus, tmp_path_f
 
 def test_graph_build_tasks_follow_rows(crawled, small_corpus, tmp_path, remote_tasks):
     """A checkpoint table below ``ROWS_PER_TASK`` reads as one block, so
-    each sort of the graph build samples one block per input: the
-    resolve's and the numbering's one, the adjacency sort's two (vertex
-    and edge entries). The numbered blocks' Dataset is built from
-    metadata the driver holds: no ``get_table_block_metadata_schema``
-    task."""
+    each shuffle of the graph build runs one reducer: the resolve's, the
+    numbering sort's and the adjacency sort's (its vertex and edge
+    entries are one block each). Only the numbering sort, whose key is a
+    string id, samples boundaries. The numbered blocks' Dataset is built
+    from metadata the driver holds: no
+    ``get_table_block_metadata_schema`` task."""
     from fs_crawler_ray.stages.export import write_adjacency_shards
     from fs_crawler_ray.stages.resolve import resolve_relationships
 
@@ -344,8 +349,8 @@ def test_graph_build_tasks_follow_rows(crawled, small_corpus, tmp_path, remote_t
                                   small_corpus.relationships_path,
                                   num_partitions=4, num_buckets=8).materialize()
     write_adjacency_shards(result.vertices(), final, str(tmp_path / "adj"))
-    assert remote_tasks["_sample_block"] == 4
-    assert remote_tasks["reduce"] == 4
+    assert remote_tasks["_sample_block"] == 1
+    assert remote_tasks["reduce"] == 3
     assert remote_tasks["_add_index"] == 1
     assert remote_tasks["get_table_block_metadata_schema"] == 0
 

@@ -7,8 +7,10 @@ import ray.data
 from fs_crawler_ray.relops import (
     dedup_keep_first,
     distinct,
+    even_cuts,
     hash_buckets,
     join,
+    shuffle_apply,
     thin_boundaries,
 )
 
@@ -67,8 +69,8 @@ def test_join_inner_and_left():
 def test_distinct_range_boundaries_balanced_and_exact(tmp_path):
     """Dense sequential ids (all sharing a '00..' prefix) must spread
     across range buckets when sampled boundaries are supplied — the
-    prefix fallback degenerates to one bucket — and distinct stays
-    exact and range-clustered."""
+    prefix fallback degenerates to one bucket — and distinct over them
+    stays exact."""
     import pyarrow.parquet as pq
 
     from fs_crawler_ray.ids import indices_to_pids, range_bucket_of
@@ -91,8 +93,7 @@ def test_distinct_range_boundaries_balanced_and_exact(tmp_path):
     rng = np.random.RandomState(1)
     mentions = rng.choice(ids, 60_000)                # duplicated candidates
     df = pd.DataFrame({"cand_id": mentions, "priority": np.int64(1)})
-    out = distinct(_ds(df), ["cand_id"], 8, range_bucket=True,
-                   range_boundaries=bounds).to_pandas()
+    out = distinct(_ds(df), ["cand_id"], 8).to_pandas()
     assert sorted(out["cand_id"]) == sorted(set(mentions))
 
 
@@ -278,3 +279,90 @@ def test_thin_boundaries_keeps_every_nth_cut():
     assert thin_boundaries(cuts, 64) is cuts
     assert thin_boundaries(cuts, 0) is cuts
     assert thin_boundaries(None, 8) is None
+
+
+def _bucket_summary():
+    """A per-bucket function returning one row per call: the bucket it
+    saw, its rows, its distinct bucket ids and its columns. (A closure:
+    Ray workers cannot import a test module's top-level functions.)"""
+
+    def summary(t: pa.Table) -> pa.Table:
+        return pa.table({"bucket": [t["b"][0].as_py()], "rows": [len(t)],
+                         "buckets_seen": [len(set(t["b"].to_pylist()))],
+                         "cols": [",".join(t.column_names)]})
+
+    return summary
+
+
+@pytest.mark.parametrize("blocks", [1, 4])
+def test_shuffle_apply_calls_fn_once_per_bucket(blocks, remote_tasks):
+    """Bucket 0 has rows in every input block; buckets 5-7 have none.
+    Each non-empty bucket reaches ``fn`` whole, in one call, over
+    ``min(num_buckets, blocks)`` reducers and no sampled boundary."""
+    b = np.array([0, 1, 2, 3, 4] * 8)
+    t = pa.table({"b": b, "v": np.arange(len(b))})
+    n = len(t) // blocks
+    ds = ray.data.from_arrow([t.slice(i * n, n) for i in range(blocks)])
+    remote_tasks.clear()
+    out = shuffle_apply(ds, _bucket_summary(), bucket="b", num_buckets=8).to_pandas()
+    assert sorted(out["bucket"]) == [0, 1, 2, 3, 4]  # one call per bucket
+    assert set(out["rows"]) == {8} and set(out["buckets_seen"]) == {1}
+    assert set(out["cols"]) == {"b,v"}  # the caller's column stays
+    assert remote_tasks["reduce"] == min(8, blocks)
+    assert remote_tasks["_sample_block"] == 0
+
+
+@pytest.mark.parametrize("blocks", [1, 4])
+def test_shuffle_apply_key_cols_meets_keys_and_drops_bucket(blocks, remote_tasks):
+    keys = np.arange(40) % 10
+    t = pa.table({"k": keys, "v": np.arange(40)})
+    ds = ray.data.from_arrow([t.slice(i * (40 // blocks), 40 // blocks) for i in range(blocks)])
+    remote_tasks.clear()
+
+    def per_bucket(g: pa.Table) -> pa.Table:
+        assert g.column_names == ["k", "v"]
+        res = g.group_by("k").aggregate([("v", "count")])
+        return res.append_column("calls", pa.array([1] * len(res)))
+
+    out = shuffle_apply(ds, per_bucket, key_cols=["k"], num_buckets=8).to_pandas()
+    assert sorted(out["k"]) == list(range(10))  # every key met all its rows
+    assert set(out["v_count"]) == {4}
+    assert remote_tasks["reduce"] == min(8, blocks)
+    assert remote_tasks["_sample_block"] == 0
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_shuffle_apply_empty_input(blocks):
+    empty = pa.table({"b": pa.array([], pa.int64()), "v": pa.array([], pa.int64())})
+    ds = ray.data.from_arrow([empty] * blocks)
+    assert shuffle_apply(ds, _bucket_summary(), bucket="b", num_buckets=8).take_all() == []
+    assert shuffle_apply(ds, _bucket_summary(), key_cols=["v"], num_buckets=8).take_all() == []
+
+
+def test_shuffle_apply_takes_one_bucket_mode():
+    ds = ray.data.from_arrow(pa.table({"b": [0]}))
+    with pytest.raises(ValueError):
+        shuffle_apply(ds, _bucket_summary(), num_buckets=2)
+    with pytest.raises(ValueError):
+        shuffle_apply(ds, _bucket_summary(), key_cols=["b"], bucket="b", num_buckets=2)
+
+
+def test_even_cuts_split_the_range_evenly():
+    assert even_cuts(4, 8) == [2, 4, 6]
+    assert even_cuts(3, 10) == [3, 6]
+    assert even_cuts(1, 8) == []
+    assert all(type(c) is int for c in even_cuts(4, np.int64(8)))
+
+
+def test_no_bucket_shuffle_outside_relops():
+    """``relops.shuffle_apply`` is the one bucketed shuffle: no other
+    package module groups by a bucket or imports the bucket helpers."""
+    import pathlib
+    import re
+
+    pkg = pathlib.Path(__file__).resolve().parent.parent / "fs_crawler_ray"
+    banned = re.compile(r"\.map_groups\(|groupby\(\s*[\"']__bucket|_add_bucket|_BUCKET_COL")
+    hits = [f"{f.relative_to(pkg)}:{i}"
+            for f in sorted(pkg.rglob("*.py")) if f.name != "relops.py" or f.parent != pkg
+            for i, line in enumerate(f.read_text().splitlines(), 1) if banned.search(line)]
+    assert hits == []

@@ -300,17 +300,37 @@ def test_pack_chunk_assignments_straddles_boundaries():
     assert out["seq_last"].tolist() == [0, 1, 1, 1]
 
 
-def test_pack_chunk_assignments_sorts_once(count_executions):
+def test_pack_chunk_assignments_sorts_once(count_executions, remote_tasks):
     """One Ray Data execution per call: the sort runs once, not a second
-    time for the schema ``to_arrow_refs`` needs."""
+    time for the schema ``to_arrow_refs`` needs, and the result is built
+    from the sorted blocks' metadata: no metadata task."""
     import pandas as pd
     import ray.data
 
     from fs_crawler_ray.text import pack_chunk_assignments
 
-    df = pd.DataFrame({"doc_id": list(range(50)), "text": ["a b c"] * 50})
-    pack_chunk_assignments(ray.data.from_pandas(df), budget=5)
+    ds = ray.data.from_pandas(
+        pd.DataFrame({"doc_id": list(range(50)), "text": ["a b c"] * 50}))
+    remote_tasks.clear()
+    out = pack_chunk_assignments(ds, budget=5)
     assert len(count_executions) == 1
+    assert remote_tasks["get_table_block_metadata_schema"] == 0
+    assert out.count() == 50
+    assert out.schema().names == ["doc_id", "n_tokens", "seq_first", "seq_last"]
+
+
+def test_pack_chunk_assignments_empty_input():
+    import pyarrow as pa
+    import ray.data
+
+    from fs_crawler_ray.text import pack_chunk_assignments
+
+    empty = pa.table({"doc_id": pa.array([], pa.int64()), "text": pa.array([], pa.string())})
+    out = pack_chunk_assignments(ray.data.from_arrow(empty))
+    assert out.count() == 0
+    assert out.schema().base_schema == pa.schema(
+        [("doc_id", pa.int64()), ("n_tokens", pa.int64()),
+         ("seq_first", pa.int64()), ("seq_last", pa.int64())])
 
 
 def test_epoch_oversample_repeats_by_token_thresholds():
