@@ -11,7 +11,7 @@ host; or partition-local row-group lookup in direct mode) → vectorized
 span parser → vertices checkpoint side-write + ``visited`` registration
 (safe: this hop's vertices ⊆ processing, which the candidate filter
 also checks) → record tagger (per-batch pre-combine of edge rows and
-frontier-candidate rows; disjoint bucket-id ranges) → ONE combined
+frontier-candidate rows; each kind in its own buckets) → ONE combined
 bucket shuffle (``relops.shuffle_apply``) → per-bucket ``_HopSink``:
 
 - edge buckets: in-hop keep-first dedup (``(hop, src_doc, offset)``
@@ -350,9 +350,9 @@ def _edge_key(batch: pa.Table) -> pa.Table:
 
 
 # Unified row layout for the hop's single combined shuffle: edge rows and
-# frontier-candidate rows ride the SAME exchange (disjoint bucket-id
-# ranges route each kind to its own sink groups), so a hop pays ONE
-# all-to-all instead of two sequential Dataset executions.
+# frontier-candidate rows ride the SAME exchange (each kind has its own
+# buckets, so its own sink groups), so a hop pays ONE all-to-all instead
+# of two sequential Dataset executions.
 _TAGGED_SCHEMA = pa.schema(
     [
         ("source", pa.string()),
@@ -402,20 +402,38 @@ def _tagged(n: int, bucket: np.ndarray, **cols) -> pa.Table:
     return pa.Table.from_arrays(arrays, schema=_TAGGED_SCHEMA)
 
 
-def _make_record_tagger(hop: int, n_cand_buckets: int, n_edge_buckets: int,
+# Bucket layout of the hop shuffle, for ``n`` buckets of each row kind.
+# A hop has candidate and edge rows (``n_kinds`` 2); the fused final
+# classification adds classify-only rows (``n_kinds`` 3). Candidate range
+# bucket j is ``__bucket`` j; hash bucket j of the other kinds follows at
+# ``n + (n_kinds - 1)·j + kind - 1``, edge and classify buckets
+# interleaved, so the shuffle's even cut points give each partition a
+# like share of both. Placed after the edges, the classify rows filled
+# the top partition (BASELINE.md, skew table).
+_CAND, _EDGE, _CLASSIFY = range(3)
+
+
+def _hop_bucket(kind: int, j, n: int, n_kinds: int):
+    return j if kind == _CAND else n + (n_kinds - 1) * j + kind - 1
+
+
+def _hop_kind(bucket: int, n: int, n_kinds: int) -> int:
+    return _CAND if bucket < n else 1 + (bucket - n) % (n_kinds - 1)
+
+
+def _make_record_tagger(hop: int, n_buckets: int, n_kinds: int,
                         boundaries: np.ndarray | None):
     """1:1 batch stage: split a parsed record batch into its edge rows
     and frontier-candidate rows, pre-combine each (the same per-batch
     keep-first that dedup_keep_first/distinct ran before their separate
     shuffles — hot-key mitigation is preserved), and emit ONE tagged
-    table whose ``__bucket`` routes candidates to range buckets
-    ``[0, n_cand_buckets)`` (range-clustered next frontier == next hop's
-    fetch routing) and edges to hash buckets
-    ``[n_cand_buckets, n_cand_buckets + n_edge_buckets)``."""
+    table whose ``__bucket`` routes candidates to ``n_buckets`` range
+    buckets (range-clustered next frontier == next hop's fetch routing)
+    and edges to ``n_buckets`` hash buckets."""
     from fs_crawler_ray.ids import range_bucket_of
     from fs_crawler_ray.relops import _keep_first_arrow
 
-    bnd = thin_boundaries(boundaries, n_cand_buckets)
+    bnd = thin_boundaries(boundaries, n_buckets)
 
     def tag(batch: pa.Table) -> pa.Table:
         parts = []
@@ -424,7 +442,8 @@ def _make_record_tagger(hop: int, n_cand_buckets: int, n_edge_buckets: int,
         )
         if len(e):
             e = _keep_first_arrow(e, ["source", "destination"], ["hop", "src_doc", "offset"])
-            b = hash_buckets([e["source"], e["destination"]], n_edge_buckets) + n_cand_buckets
+            b = _hop_bucket(_EDGE, hash_buckets([e["source"], e["destination"]], n_buckets),
+                            n_buckets, n_kinds)
             parts.append(_tagged(
                 len(e), b, source=e["source"], destination=e["destination"],
                 rel_id=e["rel_id"], src_doc=e["src_doc"], offset=e["offset"],
@@ -434,7 +453,7 @@ def _make_record_tagger(hop: int, n_cand_buckets: int, n_edge_buckets: int,
         if len(c):
             c = _keep_first_arrow(c, ["cand_id"], ["cand_id"])
             prio = pa.array(np.full(len(c), hop + 1, dtype=np.int64))
-            b = range_bucket_of(as_key_array(c["cand_id"]), n_cand_buckets, boundaries=bnd)
+            b = range_bucket_of(as_key_array(c["cand_id"]), n_buckets, boundaries=bnd)
             parts.append(_tagged(len(c), b, cand_id=c["cand_id"], priority=prio))
         if not parts:
             return _TAGGED_SCHEMA.empty_table()
@@ -443,37 +462,37 @@ def _make_record_tagger(hop: int, n_cand_buckets: int, n_edge_buckets: int,
     return tag
 
 
-def _make_classify_tagger(n_cand_buckets: int, n_edge_buckets: int):
+def _make_classify_tagger(n_buckets: int):
     """Tag PREVIOUS hops' (source, destination) edge rows as
-    classify-only rows routed to buckets
-    ``[n_cand+n_edge, n_cand+2·n_edge)`` — they ride the last hop's
-    existing shuffle so the sink classifies them AFTER every VISITED
-    registration of the hop (the shuffle barrier is the ordering), and
-    the final edge-classification pass stops being its own streaming
-    execution (VERDICT r4 item 1: one fewer per-hop floor)."""
+    classify-only rows routed to ``n_buckets`` hash buckets — they ride
+    the last hop's existing shuffle so the sink classifies them AFTER
+    every VISITED registration of the hop (the shuffle barrier is the
+    ordering), and the final edge-classification pass stops being its
+    own streaming execution (VERDICT r4 item 1: one fewer per-hop
+    floor)."""
 
     def tag(batch: pa.Table) -> pa.Table:
         if len(batch) == 0:
             return _TAGGED_SCHEMA.empty_table()
-        b = (hash_buckets([batch["source"], batch["destination"]], n_edge_buckets)
-             + n_cand_buckets + n_edge_buckets)
+        b = _hop_bucket(_CLASSIFY, hash_buckets([batch["source"], batch["destination"]],
+                                                 n_buckets), n_buckets, 3)
         return _tagged(len(batch), b, source=batch["source"],
                        destination=batch["destination"])
 
     return tag
 
 
-def _make_carryover_tagger(n_cand_buckets: int, boundaries: np.ndarray | None):
+def _make_carryover_tagger(n_buckets: int, boundaries: np.ndarray | None):
     """Tag a budget-remainder frontier batch (id, priority) as candidate
     rows carrying their ORIGINAL priority."""
     from fs_crawler_ray.ids import range_bucket_of
 
-    bnd = thin_boundaries(boundaries, n_cand_buckets)
+    bnd = thin_boundaries(boundaries, n_buckets)
 
     def tag(batch: pa.Table) -> pa.Table:
         if len(batch) == 0:
             return _TAGGED_SCHEMA.empty_table()
-        b = range_bucket_of(as_key_array(batch["id"]), n_cand_buckets, boundaries=bnd)
+        b = range_bucket_of(as_key_array(batch["id"]), n_buckets, boundaries=bnd)
         return _tagged(len(batch), b, cand_id=batch["id"],
                        priority=pc.cast(batch["priority"], pa.int64()))
 
@@ -482,7 +501,7 @@ def _make_carryover_tagger(n_cand_buckets: int, boundaries: np.ndarray | None):
 
 class _HopSink:
     """Per-bucket terminal of the hop's combined shuffle. Each group is
-    purely one kind (bucket-id ranges are disjoint): candidate buckets
+    purely one kind (see :func:`_hop_bucket`): candidate buckets
     run distinct-keep-first → ``visited ∪ processing`` membership filter
     → frontier rows; edge buckets run keep-first dedup → cross-hop
     edge-seen filter (deferred adds) → edge rows. Both side-write their
@@ -497,14 +516,11 @@ class _HopSink:
     completed before any sink group runs — identical visibility to the
     old 3-execution shape."""
 
-    def __init__(self, sm: ShardedMembership, n_cand_buckets: int,
-                 frontier_path: str, edges_path: str,
-                 n_edge_buckets: int | None = None,
-                 classify_edges: bool = False):
+    def __init__(self, sm: ShardedMembership, n_buckets: int, frontier_path: str,
+                 edges_path: str, classify_edges: bool = False):
         self.sm = sm
-        self.n_cand_buckets = n_cand_buckets
-        self.n_edge_buckets = (n_cand_buckets if n_edge_buckets is None
-                               else n_edge_buckets)
+        self.n_buckets = n_buckets
+        self.n_kinds = 3 if classify_edges else 2
         self.classify_edges = classify_edges
         self.frontier_path = frontier_path
         self.edges_path = edges_path
@@ -533,7 +549,8 @@ class _HopSink:
         bucket = t["__bucket"][0].as_py()
         n_in = len(t)
         wsf = (0, 0, 0)
-        if bucket >= self.n_cand_buckets + self.n_edge_buckets:
+        kind = _hop_kind(bucket, self.n_buckets, self.n_kinds)
+        if kind == _CLASSIFY:
             # classify-only rows (previous hops' edges, fused final
             # classification): count, write nothing
             wsf = self._classify(t["source"], t["destination"])
@@ -549,7 +566,7 @@ class _HopSink:
                 },
                 schema=_SINK_COUNT_SCHEMA,
             )
-        if bucket < self.n_cand_buckets:
+        if kind == _CAND:
             c = t.select(["cand_id", "priority"])
             c = _keep_first_arrow(c, ["cand_id"], ["cand_id", "priority"])
             present = self.sm.contains_any([VISITED, PROCESSING], as_key_array(c["cand_id"]))
@@ -953,9 +970,9 @@ class Crawler:
             # SAME streaming execution as filter/fetch/parse: the tagger
             # pre-combines each kind per batch (hot-key mitigation, same
             # as the old dedup_keep_first/distinct pre-passes), routes
-            # candidates to range buckets [0, eff) — so the next
-            # frontier lands range-clustered, which IS the next hop's
-            # fetch routing — and edges to hash buckets [eff, 2·eff);
+            # candidates to eff range buckets — so the next frontier
+            # lands range-clustered, which IS the next hop's fetch
+            # routing — and edges to eff hash buckets;
             # the per-bucket _HopSink dedups, membership-filters
             # (visited ∪ processing for candidates — the add_to_frontier
             # guard, graph_memory_impl.py:60-63 — and the deferred
@@ -983,13 +1000,14 @@ class Crawler:
                 if n_prev > CLASSIFY_FUSE_MAX:
                     fuse_classify = False
 
-            tagger = _make_record_tagger(hop, eff_buckets, eff_buckets, self.range_boundaries)
+            n_kinds = 3 if fuse_classify else 2
+            tagger = _make_record_tagger(hop, eff_buckets, n_kinds, self.range_boundaries)
             tagged = records.map_batches(tagger, batch_format="pyarrow")
             if fuse_classify and prev_edge_paths:
                 prev_edges = st.read_parts(
                     prev_edge_paths, ["source", "destination"], _sized_blocks(n_prev))
                 tagged = tagged.union(prev_edges.map_batches(
-                    _make_classify_tagger(eff_buckets, eff_buckets),
+                    _make_classify_tagger(eff_buckets),
                     batch_format="pyarrow"))
             if carryover is not None:
                 # unprocessed budget remainder carries over with its
@@ -1002,15 +1020,13 @@ class Crawler:
                     )
                 )
             sink = _HopSink(self.sm, eff_buckets, frontier_out, edges_out,
-                            n_edge_buckets=eff_buckets,
                             classify_edges=fuse_classify)
 
-            # the tagger's buckets: candidates, edges, then (fused final
-            # classification only) classify rows; shuffle_apply sizes the
-            # shuffle by the fetch blocks (``_fetch_rpb``) and the classify
-            # read's blocks, and the sink sees one bucket per call
-            n_tagged = (3 if fuse_classify else 2) * eff_buckets
-            grouped = shuffle_apply(tagged, sink, bucket="__bucket", num_buckets=n_tagged)
+            # shuffle_apply sizes the shuffle by the fetch blocks
+            # (``_fetch_rpb``) and the classify read's blocks, and the
+            # sink sees one bucket per call
+            grouped = shuffle_apply(tagged, sink, bucket="__bucket",
+                                    num_buckets=n_kinds * eff_buckets)
             _mark("hop_plan", tick)  # lazy graph construction + seed prep
             sink_counts = grouped.take_all()
             if os.environ.get("FSRAY_HOP_STATS") == "1":  # perf diagnostics

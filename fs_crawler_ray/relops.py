@@ -31,6 +31,13 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
+from ray.data._internal.logical.interfaces import LogicalPlan
+from ray.data._internal.logical.operators.from_operators import FromArrow
+from ray.data._internal.plan import ExecutionPlan
+from ray.data._internal.stats import DatasetStats
+from ray.data.block import BlockMetadata, BlockMetadataWithSchema
+from ray.data.context import DataContext
+from ray.data.dataset import MaterializedDataset
 
 from fs_crawler_ray.ids import stable_hash64
 
@@ -65,6 +72,31 @@ def project(ds: ray.data.Dataset, columns: list[str]) -> ray.data.Dataset:
     return ds.select_columns(columns)
 
 
+def blocks_with_rows(ds: ray.data.MaterializedDataset) -> list:
+    """The ``(ref, metadata)`` of each non-empty block of ``ds``, in order."""
+    return [b for bundle in ds.iter_internal_ref_bundles()
+            for b in bundle.blocks if b[1].num_rows]
+
+
+def from_block_refs(refs: list, blocks: list, schema: pa.Schema,
+                    base: pa.Schema) -> ray.data.Dataset:
+    """The Dataset of ``refs``, one Arrow block per block of ``blocks``
+    (see :func:`blocks_with_rows`) with the same row count, whose
+    schema is ``schema``: a per-block task's output over a materialized
+    Dataset of schema ``base``. The metadata is built on the driver, so
+    no ``get_table_block_metadata_schema`` task runs (the same
+    construction as ``ray.data.from_blocks``); a block's size is its
+    input's plus the fixed width of each column ``schema`` adds to
+    ``base``."""
+    row_bytes = sum(f.type.byte_width for f in schema if f.name not in base.names)
+    metadata = [BlockMetadataWithSchema(
+        BlockMetadata(num_rows=m.num_rows, size_bytes=m.size_bytes + row_bytes * m.num_rows,
+                      input_files=None, exec_stats=None), schema) for _, m in blocks]
+    plan = ExecutionPlan(DatasetStats(metadata={"FromArrow": metadata}, parent=None),
+                         DataContext.get_current().copy())
+    return MaterializedDataset(plan, LogicalPlan(FromArrow(refs, metadata), plan._context))
+
+
 def hash_buckets(key_arrays: list, num_buckets: int) -> np.ndarray:
     """int64 bucket in ``[0, num_buckets)`` of each row of a key given
     as one array per key column: the columns' seeded ``stable_hash64``
@@ -95,23 +127,33 @@ def even_cuts(parts: int, span: int) -> list[int]:
     return [int(i * span // parts) for i in range(1, parts)]
 
 
-def sort_by_range(ds: ray.data.Dataset, keys: list[str], span: int, parts: int,
-                  descending: bool = False) -> ray.data.Dataset:
-    """``ds`` sorted by ``keys`` into ``parts`` blocks, in order, for a
-    first key whose values are integers in ``[0, span)``. The blocks
-    are cut at :func:`even_cuts`, so no boundary is sampled. One part is
-    one ``repartition(1)`` and an in-block sort: ``sort`` given no cut
-    point would sample boundaries again, one task per input block."""
+def _range_partition(ds: ray.data.Dataset, keys: list[str], span: int,
+                     descending: bool = False) -> tuple[ray.data.Dataset, bool]:
+    """``ds`` moved into ``P = min(span, input blocks)`` blocks of whole
+    ranges of a first key whose values are integers in ``[0, span)``,
+    and whether each block is sorted by ``keys``. The input block count
+    is the one the plan knows before it runs (checkpoint reads size it
+    by rows). P > 1 is a sort cut at :func:`even_cuts`, so no boundary is
+    sampled. One part is a ``repartition(1)`` left unsorted: ``sort``
+    given no cut point would sample boundaries again, one task per
+    input block, and the caller sorts the one block in its own task."""
+    parts = min(span, ds._plan.initial_num_blocks() or 1)
     if parts > 1:
-        return ds.sort(keys, descending=descending,
-                       boundaries=even_cuts(parts, span))
+        return ds.sort(keys, descending=descending, boundaries=even_cuts(parts, span)), True
+    return ds.repartition(1), False
+
+
+def sort_by_range(ds: ray.data.Dataset, keys: list[str], span: int,
+                  descending: bool = False) -> ray.data.Dataset:
+    """``ds`` sorted by ``keys``, block after block, for a first key
+    whose values are integers in ``[0, span)``; partitioned as
+    :func:`_range_partition` does."""
+    moved, is_sorted = _range_partition(ds, keys, span, descending)
+    if is_sorted:
+        return moved
     order = [(k, "descending" if descending else "ascending") for k in keys]
-
-    def sort_block(t: pa.Table) -> pa.Table:
-        return t.sort_by(order)
-
-    return ds.repartition(1).map_batches(
-        sort_block, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
+    return moved.map_batches(lambda t: t.sort_by(order), batch_format="pyarrow",
+                             batch_size=None, zero_copy_batch=True)
 
 
 def shuffle_apply(ds: ray.data.Dataset, fn, *, key_cols: list[str] | None = None,
@@ -125,14 +167,16 @@ def shuffle_apply(ds: ray.data.Dataset, fn, *, key_cols: list[str] | None = None
     int64 column, holding values in ``[0, num_buckets)``, and it stays
     in the rows.
 
-    The rows move through :func:`sort_by_range` into ``P = min(
-    num_buckets, input blocks)`` partitions of whole buckets, the input
-    block count being the one the plan knows before it runs (checkpoint
-    reads size it by rows). A fixed count instead gave a 1-2 block hop
-    8 reducers and cost deep_crawl ~30 % of its URLs per CPU-s. One
-    map task per partition then calls ``fn`` on each bucket run. The
-    cuts ignore row counts, and a hot key's bucket lands whole in one
-    partition."""
+    The rows move through :func:`_range_partition` into ``P = min(
+    num_buckets, input blocks)`` partitions of whole buckets. A fixed
+    count instead gave a 1-2 block hop 8 reducers and cost deep_crawl
+    ~30 % of its URLs per CPU-s. One map task per partition then splits
+    it into bucket runs and calls ``fn`` on each. The split runs in the
+    same task as the one-partition case's sort: a map step between
+    them would end in Ray's output buffer, which cuts a block above
+    1.5 × ``target_max_block_size`` into pieces, and a bucket across a
+    cut would reach ``fn`` twice. The cuts ignore row counts, and a hot
+    key's bucket lands whole in one partition."""
     if (key_cols is None) == (bucket is None):
         raise ValueError("shuffle_apply: pass exactly one of key_cols and bucket")
     col = _BUCKET_COL if bucket is None else bucket
@@ -144,10 +188,13 @@ def shuffle_apply(ds: ray.data.Dataset, fn, *, key_cols: list[str] | None = None
                 col, pa.array(hash_buckets([t[c] for c in key_cols], num_buckets)))
 
         ds = ds.map_batches(add, batch_format="pyarrow")
-    parts = min(num_buckets, ds._plan.initial_num_blocks() or 1)
+    moved, is_sorted = _range_partition(ds, [col], num_buckets)
 
     def per_partition(t: pa.Table):
         b = t[col].to_numpy()
+        if not is_sorted:
+            order = np.argsort(b, kind="stable")
+            t, b = t.take(order), b[order]
         if key_cols is not None:
             t = t.drop_columns([col])
         ends = np.append(np.flatnonzero(b[1:] != b[:-1]) + 1, len(b))
@@ -156,8 +203,8 @@ def shuffle_apply(ds: ray.data.Dataset, fn, *, key_cols: list[str] | None = None
             yield fn(t.slice(start, end - start))
             start = end
 
-    return sort_by_range(ds, [col], num_buckets, parts).map_batches(
-        per_partition, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
+    return moved.map_batches(per_partition, batch_format="pyarrow", batch_size=None,
+                             zero_copy_batch=True)
 
 
 def _keep_first_arrow(t: pa.Table, key_cols: list[str], order_cols: list) -> pa.Table:

@@ -35,16 +35,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
-from ray.data._internal.logical.interfaces import LogicalPlan
-from ray.data._internal.logical.operators.from_operators import FromArrow
-from ray.data._internal.plan import ExecutionPlan
-from ray.data._internal.stats import DatasetStats
-from ray.data.block import BlockMetadata, BlockMetadataWithSchema
-from ray.data.context import DataContext
-from ray.data.dataset import MaterializedDataset
 
 from fs_crawler_ray.model import ADJACENCY_EDGE_TYPES
-from fs_crawler_ray.relops import project, sort_by_range, unique_lookup
+from fs_crawler_ray.relops import (
+    blocks_with_rows, from_block_refs, project, sort_by_range, unique_lookup)
 from fs_crawler_ray.sources import storage as st
 
 
@@ -67,7 +61,7 @@ def zip_with_index(
     comes from the sort's (row counts, schema plus the index column), so
     building the result launches no task beyond the ``_add_index`` ones."""
     ordered = ds.sort(sort_keys).materialize()
-    blocks = _blocks_with_rows(ordered)
+    blocks = blocks_with_rows(ordered)
     if not blocks:
         # the sort of an all-empty input leaves schema-less blocks; keep
         # the input's columns so lookups against the index find them
@@ -83,27 +77,7 @@ def zip_with_index(
     refs = [_add_index.remote(r, int(off), index_col, keep)
             for (r, _), off in zip(blocks, offsets)]
     # size_bytes: an upper bound when ``keep`` drops columns
-    return _from_refs(refs, blocks, schema, 8)
-
-
-def _blocks_with_rows(ds: ray.data.MaterializedDataset) -> list:
-    """The ``(ref, metadata)`` of each non-empty block of ``ds``, in order."""
-    return [b for bundle in ds.iter_internal_ref_bundles()
-            for b in bundle.blocks if b[1].num_rows]
-
-
-def _from_refs(refs: list, blocks: list, schema: pa.Schema, row_bytes: int) -> ray.data.Dataset:
-    """``ray.data.from_arrow_refs`` of ``refs``, one per input block of
-    ``blocks`` with the same row count, with the metadata given, so no
-    ``get_table_block_metadata_schema`` task runs (the same construction
-    as ``ray.data.from_blocks``): ``schema``, and the input block's size
-    plus ``row_bytes`` a row."""
-    metadata = [BlockMetadataWithSchema(
-        BlockMetadata(num_rows=m.num_rows, size_bytes=m.size_bytes + row_bytes * m.num_rows,
-                      input_files=None, exec_stats=None), schema) for _, m in blocks]
-    plan = ExecutionPlan(DatasetStats(metadata={"FromArrow": metadata}, parent=None),
-                         DataContext.get_current().copy())
-    return MaterializedDataset(plan, LogicalPlan(FromArrow(refs, metadata), plan._context))
+    return from_block_refs(refs, blocks, schema, in_schema)
 
 
 def hop_filter_vertices(vertices: ray.data.Dataset, hops: int | None) -> ray.data.Dataset:
@@ -161,8 +135,9 @@ def sorted_adjacency_entries(
     triples (0-based) in canonical ``(row, diag, col)`` order (or its
     reverse), block after block. Rows lie in ``[0, N)`` for the N
     numbered vertices, so the sort cuts them at known row boundaries
-    (``relops.sort_by_range``), into as many parts as the larger of the
-    vertex and edge inputs has blocks (each a read sized by rows)."""
+    (``relops.sort_by_range``), into as many parts as the vertex and
+    edge entries have blocks together (each input a read sized by
+    rows)."""
     pos = compute_positions(vertices, hops, order_cols, ordering).materialize()
 
     def vert_entries(t: pa.Table) -> pa.Table:
@@ -202,10 +177,8 @@ def sorted_adjacency_entries(
             }
         )
 
-    n = pos.count()
-    parts = min(n, max(pos.num_blocks(), e._plan.initial_num_blocks() or 1))
     return sort_by_range(diag.union(e.map_batches(edge_entries, batch_format="pyarrow")),
-                         ["row", "diag", "col"], n, parts, descending)
+                         ["row", "diag", "col"], pos.count(), descending)
 
 
 def build_csr(

@@ -29,7 +29,7 @@ import pyarrow as pa
 import ray.data
 
 from fs_crawler_ray.ids import stable_hash64
-from fs_crawler_ray.relops import shuffle_apply
+from fs_crawler_ray.relops import blocks_with_rows, from_block_refs, shuffle_apply
 
 #: per-byte popcount lookup table (vectorized 64-bit popcount = LUT over
 #: the uint8 view + row sum)
@@ -691,10 +691,8 @@ def pack_chunk_assignments(ds: ray.data.Dataset, budget: int = 512) -> ray.data.
     :func:`token_count`'s ``[A-Za-z0-9]+`` runs, so the DuckDB window
     oracle (``SUM OVER ... ROWS UNBOUNDED PRECEDING AND 1 PRECEDING``)
     reproduces the assignment bit-for-bit — integers end to end."""
-    from fs_crawler_ray.stages.export import _blocks_with_rows, _from_refs
-
     ordered = token_count(ds).sort("doc_id").materialize()
-    blocks = _blocks_with_rows(ordered)
+    blocks = blocks_with_rows(ordered)
     # the sort of an all-empty input leaves schema-less blocks
     sch = (ordered if blocks else ds).schema().base_schema
     schema = pa.schema([sch.field("doc_id")] + [
@@ -704,7 +702,7 @@ def pack_chunk_assignments(ds: ray.data.Dataset, budget: int = 512) -> ray.data.
     sums = ray.get([_block_token_sum.remote(r) for r, _ in blocks])
     offs = np.concatenate([[0], np.cumsum(sums)[:-1]])
     refs = [_assign_packs.remote(r, int(o), int(budget)) for (r, _), o in zip(blocks, offs)]
-    return _from_refs(refs, blocks, schema, 16)
+    return from_block_refs(refs, blocks, schema, sch)
 
 
 def pack_greedy_assignments(

@@ -331,10 +331,10 @@ def test_crawl_resume_and_graph_build_sample_no_footers(small_corpus, tmp_path_f
 
 def test_graph_build_tasks_follow_rows(crawled, small_corpus, tmp_path, remote_tasks):
     """A checkpoint table below ``ROWS_PER_TASK`` reads as one block, so
-    each shuffle of the graph build runs one reducer: the resolve's, the
-    numbering sort's and the adjacency sort's (its vertex and edge
-    entries are one block each). Only the numbering sort, whose key is a
-    string id, samples boundaries. The numbered blocks' Dataset is built
+    the resolve and the numbering sort run one reducer each, and the
+    adjacency sort two: one per block of its vertex and edge entries.
+    Only the numbering sort, whose key is a string id, samples
+    boundaries. The numbered blocks' Dataset is built
     from metadata the driver holds: no
     ``get_table_block_metadata_schema`` task."""
     from fs_crawler_ray.stages.export import write_adjacency_shards
@@ -350,7 +350,7 @@ def test_graph_build_tasks_follow_rows(crawled, small_corpus, tmp_path, remote_t
                                   num_partitions=4, num_buckets=8).materialize()
     write_adjacency_shards(result.vertices(), final, str(tmp_path / "adj"))
     assert remote_tasks["_sample_block"] == 1
-    assert remote_tasks["reduce"] == 3
+    assert remote_tasks["reduce"] == 4
     assert remote_tasks["_add_index"] == 1
     assert remote_tasks["get_table_block_metadata_schema"] == 0
 

@@ -331,6 +331,28 @@ def test_shuffle_apply_key_cols_meets_keys_and_drops_bucket(blocks, remote_tasks
     assert remote_tasks["_sample_block"] == 0
 
 
+@pytest.mark.parametrize("blocks", [1, 4])
+def test_shuffle_apply_keeps_buckets_whole_across_block_cuts(blocks):
+    """Ray's output buffer cuts a map step's output block above 1.5 ×
+    ``target_max_block_size`` into pieces. At a few KB, a partition of
+    320 KB must still reach ``fn`` one whole bucket per call."""
+    from ray.data import DataContext
+
+    ctx = DataContext.get_current()
+    before = ctx.target_max_block_size
+    ctx.target_max_block_size = 8 * 1024
+    try:
+        b = np.random.RandomState(0).permutation(np.arange(20_000) % 8)
+        t = pa.table({"b": b, "v": np.arange(len(b))})
+        n = len(t) // blocks
+        ds = ray.data.from_arrow([t.slice(i * n, n) for i in range(blocks)])
+        out = shuffle_apply(ds, _bucket_summary(), bucket="b", num_buckets=8).to_pandas()
+    finally:
+        ctx.target_max_block_size = before
+    assert sorted(out["bucket"]) == list(range(8))  # one call per bucket
+    assert set(out["rows"]) == {2_500}
+
+
 @pytest.mark.parametrize("blocks", [1, 3])
 def test_shuffle_apply_empty_input(blocks):
     empty = pa.table({"b": pa.array([], pa.int64()), "v": pa.array([], pa.int64())})
