@@ -75,15 +75,10 @@ def run_bench() -> dict:
         ctx.default_hash_shuffle_parallelism = width
         ctx.max_hash_shuffle_aggregators = int(
             os.environ.get("GRAFT_AGGREGATORS", max(4, width // 2)))
-        # Per-operator resource reservation: the decision (off by
-        # default, FSRAY_RESERVATION=1 restores Ray's OOM-guard default)
-        # lives in the engine now — fs_crawler_ray.engine — so every
-        # production entry point inherits it, not just the bench.
-        # GRAFT_RESERVATION stays honored for old run scripts.
+        # per-operator resource reservation off (fs_crawler_ray.engine)
         from fs_crawler_ray.engine import configure_data_context
 
-        configure_data_context(
-            reservation=True if os.environ.get("GRAFT_RESERVATION") == "1" else None)
+        configure_data_context()
         # untimed worker warmup: touch every worker once so package
         # imports don't land inside the measured region
         def _warm(b):

@@ -21,7 +21,10 @@ bucket shuffle (``relops.shuffle_apply``) → per-bucket ``_HopSink``:
 - candidate buckets: distinct → filtered against
   ``visited ∪ processing`` (the ``add_to_frontier`` guard,
   ``graph_memory_impl.py:60-63``), unioned with any budget remainder →
-  range-clustered ``frontier.parquet`` part side-write.
+  range-clustered ``frontier.parquet`` part side-write;
+- classify buckets (a hop that logs edge classification): earlier
+  hops' edges, counted within/spanning/frontier against ``visited``
+  like the hop's own written edges; nothing is written.
 
 The shuffle is an all-to-all barrier, so every membership registration
 upstream completes before any sink group consults the shards — the same
@@ -32,10 +35,10 @@ the rest, at the cost of a sort-barrier execution.
 
 All in-hop membership mutations are idempotent or deferred-committed,
 so task retries and resume can never corrupt state. The LOG row
-(cumulative edge classification per ``graph_memory_impl.py:106-120``)
-and per-stage lineage close the hop; ``log.json`` is written LAST and
-is the hop-complete marker, making a killed crawl resumable
-byte-identically from the last complete hop.
+(cumulative edge classification per ``graph_memory_impl.py:106-120``,
+summed from the sink's counts) and per-stage lineage close the hop;
+``log.json`` is written LAST and is the hop-complete marker, making a
+killed crawl resumable byte-identically from the last complete hop.
 
 Checkpoint layout (one directory per hop — partitioned, resumable output):
 
@@ -82,10 +85,6 @@ FETCH_WAVES = 2
 #: auto mode (the floor is measured, see there)
 ROWS_PER_TASK = 32_768
 MAX_ROWS_PER_TASK = 131_072
-#: edge rows up to which the last hop's "final" edge classification
-#: rides the hop's own shuffle; past it the separate map-only pass
-#: (membership RPCs, no shuffle of the edge set) is the scale path
-CLASSIFY_FUSE_MAX = 20_000_000
 
 
 @dataclass
@@ -101,8 +100,10 @@ class CrawlConfig:
     robots: RobotsPolicy | None = None
     #: per-hop LOG edge classification: "full" recomputes the
     #: within/spanning/frontier counts every hop (reference
-    #: end_iteration semantics, O(hops × edges)); "final" only on the
-    #: last hop; "off" never. Conformance runs use "full"; bench "final".
+    #: end_iteration semantics); "final" only on the last hop; "off"
+    #: never. A classifying hop counts at its own shuffle's sink, which
+    #: re-shuffles every earlier hop's edges, so "full" moves
+    #: O(hops × edges) rows. Conformance runs use "full"; bench "final".
     log_edge_classification: str = "full"
     #: priority-queue frontier: process at most this many ids per hop,
     #: chosen by (priority, id) order; the remainder carries over to the
@@ -373,8 +374,8 @@ _SINK_COUNT_SCHEMA = pa.schema(
         ("bucket", pa.int64()),
         ("rows_in", pa.int64()),
         ("rows_out", pa.int64()),
-        # fused edge-classification partials (0 unless the last hop
-        # runs with log_edge_classification="final"): J1 counts folded
+        # edge-classification partials (0 unless the hop classifies,
+        # see CrawlConfig.log_edge_classification): J1 counts folded
         # into the SAME streaming execution as the hop itself
         ("within", pa.int64()),
         ("spanning", pa.int64()),
@@ -403,8 +404,8 @@ def _tagged(n: int, bucket: np.ndarray, **cols) -> pa.Table:
 
 
 # Bucket layout of the hop shuffle, for ``n`` buckets of each row kind.
-# A hop has candidate and edge rows (``n_kinds`` 2); the fused final
-# classification adds classify-only rows (``n_kinds`` 3). Candidate range
+# A hop has candidate and edge rows (``n_kinds`` 2); a classifying hop
+# adds classify-only rows (``n_kinds`` 3). Candidate range
 # bucket j is ``__bucket`` j; hash bucket j of the other kinds follows at
 # ``n + (n_kinds - 1)·j + kind - 1``, edge and classify buckets
 # interleaved, so the shuffle's even cut points give each partition a
@@ -463,13 +464,12 @@ def _make_record_tagger(hop: int, n_buckets: int, n_kinds: int,
 
 
 def _make_classify_tagger(n_buckets: int):
-    """Tag PREVIOUS hops' (source, destination) edge rows as
+    """Tag earlier hops' (source, destination) edge rows as
     classify-only rows routed to ``n_buckets`` hash buckets — they ride
-    the last hop's existing shuffle so the sink classifies them AFTER
+    a classifying hop's own shuffle so the sink classifies them AFTER
     every VISITED registration of the hop (the shuffle barrier is the
-    ordering), and the final edge-classification pass stops being its
-    own streaming execution (VERDICT r4 item 1: one fewer per-hop
-    floor)."""
+    ordering), and edge classification is never an execution of its
+    own."""
 
     def tag(batch: pa.Table) -> pa.Table:
         if len(batch) == 0:
@@ -529,10 +529,11 @@ class _HopSink:
         _write_part(rows, path, schema, key_col=0, tag_prefix=f"{bucket}|")
 
     def _classify(self, src, dst) -> tuple[int, int, int]:
-        """J1 within/spanning/frontier partial for one edge group — ONE
-        concatenated VISITED scatter for both endpoints (same RPC-halving
-        as _classify_edges). Safe here: the shuffle barrier guarantees
-        every VISITED registration of this hop completed first."""
+        """J1 within/spanning/frontier partial for one edge group
+        (``graph_memory_impl.py:106-120``) — ONE concatenated VISITED
+        scatter for both endpoints, which halves the membership RPCs.
+        Safe here: the shuffle barrier guarantees every VISITED
+        registration of this hop completed first."""
         n = len(src)
         if n == 0:
             return 0, 0, 0
@@ -551,22 +552,10 @@ class _HopSink:
         wsf = (0, 0, 0)
         kind = _hop_kind(bucket, self.n_buckets, self.n_kinds)
         if kind == _CLASSIFY:
-            # classify-only rows (previous hops' edges, fused final
-            # classification): count, write nothing
+            # classify-only rows (earlier hops' edges): count, write nothing
             wsf = self._classify(t["source"], t["destination"])
-            return pa.table(
-                {
-                    "kind": pa.array(["classify"], pa.string()),
-                    "bucket": pa.array([bucket], pa.int64()),
-                    "rows_in": pa.array([n_in], pa.int64()),
-                    "rows_out": pa.array([0], pa.int64()),
-                    "within": pa.array([wsf[0]], pa.int64()),
-                    "spanning": pa.array([wsf[1]], pa.int64()),
-                    "frontier_e": pa.array([wsf[2]], pa.int64()),
-                },
-                schema=_SINK_COUNT_SCHEMA,
-            )
-        if kind == _CAND:
+            kind, n_out = "classify", 0
+        elif kind == _CAND:
             c = t.select(["cand_id", "priority"])
             c = _keep_first_arrow(c, ["cand_id"], ["cand_id", "priority"])
             present = self.sm.contains_any([VISITED, PROCESSING], as_key_array(c["cand_id"]))
@@ -581,7 +570,7 @@ class _HopSink:
             )
             if len(out):
                 self._write(out, self.frontier_path, FRONTIER_SCHEMA, bucket)
-            kind = "frontier"
+            kind, n_out = "frontier", len(out)
         else:
             e = t.select(["source", "destination", "rel_id", "src_doc", "offset", "hop"])
             e = _keep_first_arrow(e, ["source", "destination"], ["hop", "src_doc", "offset"])
@@ -601,15 +590,15 @@ class _HopSink:
             if len(out):
                 self._write(out, self.edges_path, EDGE_SCHEMA, bucket)
             if self.classify_edges:
-                # fused final classification of THIS hop's written edges
+                # classification of THIS hop's written edges
                 wsf = self._classify(out["source"], out["destination"])
-            kind = "edges"
+            kind, n_out = "edges", len(out)
         return pa.table(
             {
                 "kind": pa.array([kind], pa.string()),
                 "bucket": pa.array([bucket], pa.int64()),
                 "rows_in": pa.array([n_in], pa.int64()),
-                "rows_out": pa.array([len(out)], pa.int64()),
+                "rows_out": pa.array([n_out], pa.int64()),
                 "within": pa.array([wsf[0]], pa.int64()),
                 "spanning": pa.array([wsf[1]], pa.int64()),
                 "frontier_e": pa.array([wsf[2]], pa.int64()),
@@ -764,19 +753,21 @@ class Crawler:
         log = []
         for h in done:
             log.append(st.read_json(st.join(self._hop_dir(h), "log.json")))
-        # batched filter-state rebuild: one pass over all hops' tables
+        # batched filter-state rebuild: one execution over all hops'
+        # vertex and edge tables
         v_paths = _expand_parquet([st.join(self._hop_dir(h), "vertices.parquet") for h in done])
-        st.read_parts(v_paths, ["id"], _sized_blocks).map_batches(
+        visited = st.read_parts(v_paths, ["id"], _sized_blocks).map_batches(
             MembershipStage(self.sm, "id", register=VISITED),
             batch_format="pyarrow", batch_size=8192
-        ).count()
+        )
         e_paths = _expand_parquet([st.join(self._hop_dir(h), "edges.parquet") for h in done])
-        st.read_parts(e_paths, ["source", "destination"], _sized_blocks).map_batches(
+        edges = st.read_parts(e_paths, ["source", "destination"], _sized_blocks).map_batches(
             _edge_key, batch_format="pyarrow"
         ).map_batches(
             MembershipStage(self.sm, "edge_key", register=EDGES),
             batch_format="pyarrow", batch_size=8192
-        ).count()
+        )
+        visited.union(edges).count()
         last = done[-1]
         return last + 1, st.join(self._hop_dir(last), "frontier.parquet"), log
 
@@ -980,32 +971,23 @@ class Crawler:
             # group's output parquet part. One execution per hop where
             # round 2 paid three: the shuffle barrier provides the same
             # ordering guarantees the old materialize() did.
-            # Fused final edge classification (VERDICT r4 item 1): on
-            # the LAST hop in "final" mode, previous hops' edges ride
-            # THIS hop's shuffle as classify-only rows and this hop's
-            # own edges are classified at the sink — the J1
-            # classification stops being its own streaming execution
-            # (one fewer ~0.5-1 s per-crawl floor). The shuffle barrier
-            # provides the ordering (all VISITED registrations complete
-            # before any sink group). Volume-gated by CLASSIFY_FUSE_MAX.
-            fuse_classify = (cfg.log_edge_classification == "final"
-                             and hop == cfg.hops - 1)
-            prev_edge_paths: list[str] = []
-            if fuse_classify:
-                prev_edge_paths = _expand_parquet([
-                    p for p in (st.join(self._hop_dir(h), "edges.parquet")
-                                for h in result.hops_run)
-                    if st.exists(p)])
-                n_prev = sum(st.file_rows(p) for p in prev_edge_paths)
-                if n_prev > CLASSIFY_FUSE_MAX:
-                    fuse_classify = False
-
-            n_kinds = 3 if fuse_classify else 2
+            # Edge classification rides the same shuffle: on a
+            # classifying hop (every hop in "full" mode, the last in
+            # "final") the earlier hops' edges join it as classify-only
+            # rows and the sink classifies them and this hop's own
+            # written edges, so the J1 counts cost no execution of their
+            # own. The shuffle barrier provides the ordering (all
+            # VISITED registrations complete before any sink group).
+            classify = (cfg.log_edge_classification == "full"
+                        or (cfg.log_edge_classification == "final"
+                            and hop == cfg.hops - 1))
+            n_kinds = 3 if classify else 2
             tagger = _make_record_tagger(hop, eff_buckets, n_kinds, self.range_boundaries)
             tagged = records.map_batches(tagger, batch_format="pyarrow")
-            if fuse_classify and prev_edge_paths:
-                prev_edges = st.read_parts(
-                    prev_edge_paths, ["source", "destination"], _sized_blocks(n_prev))
+            if classify and result.hops_run:
+                prev_edges = st.read_parts(_expand_parquet(
+                    [st.join(self._hop_dir(h), "edges.parquet") for h in result.hops_run]),
+                    ["source", "destination"], _sized_blocks)
                 tagged = tagged.union(prev_edges.map_batches(
                     _make_classify_tagger(eff_buckets),
                     batch_format="pyarrow"))
@@ -1020,7 +1002,7 @@ class Crawler:
                     )
                 )
             sink = _HopSink(self.sm, eff_buckets, frontier_out, edges_out,
-                            classify_edges=fuse_classify)
+                            classify_edges=classify)
 
             # shuffle_apply sizes the shuffle by the fetch blocks
             # (``_fetch_rpb``) and the classify read's blocks, and the
@@ -1044,16 +1026,12 @@ class Crawler:
             _mark("hop_post", tick)
 
             # 4. metrics + LOG (membership already mutated in-pass above)
-            if fuse_classify:
+            if classify:
                 counts = {
                     "within": int(sum(r["within"] for r in sink_counts)),
                     "spanning": int(sum(r["spanning"] for r in sink_counts)),
                     "frontier": int(sum(r["frontier_e"] for r in sink_counts)),
                 }
-            elif cfg.log_edge_classification == "full" or (
-                cfg.log_edge_classification == "final" and hop == cfg.hops - 1
-            ):
-                counts = self._classify_edges(result.hops_run + [hop])
             else:
                 counts = {"within": None, "spanning": None, "frontier": None}
             shard_stats = self.sm.stats()  # ONE gather per hop, reused below
@@ -1095,49 +1073,6 @@ class Crawler:
         self._actors = self._actors | {"reused": held, "started": 0, "acquire_s": 0.0}
         self._in_flight = False
         return result
-
-    # -- edge classification (J1/A2: graph_memory_impl.py:106-120) ----
-    def _classify_edges(self, hops: list[int]) -> dict:
-        paths = [st.join(self._hop_dir(h), "edges.parquet") for h in hops]
-        paths = _expand_parquet([p for p in paths if st.exists(p)])
-        if not paths:
-            return {"within": 0, "spanning": 0, "frontier": 0}
-        ds = st.read_parts(paths, ["source", "destination"], _sized_blocks)
-        sm = self.sm
-
-        def classify(batch: pa.Table) -> pa.Table:
-            # ONE scatter-gather for both endpoints: concatenate the
-            # source+destination keys, split the result — halves the
-            # per-batch membership RPC count (one per shard host, not two)
-            n = len(batch)
-            both = sm.contains(VISITED, np.concatenate([
-                as_key_array(batch["source"]), as_key_array(batch["destination"])]))
-            src_in, dst_in = both[:n], both[n:]
-            within = int((src_in & dst_in).sum())
-            frontier = int((~src_in & ~dst_in).sum())
-            return pa.table(
-                {
-                    "within": pa.array([within], pa.int64()),
-                    "spanning": pa.array([len(batch) - within - frontier], pa.int64()),
-                    "frontier": pa.array([frontier], pa.int64()),
-                }
-            )
-
-        # per-batch partial counts summed on the driver: three scalars
-        # per task, so a shuffle Aggregate here only adds an all-to-all
-        # operator's fixed cost (~1.5 s) to every crawl. Large batches:
-        # each one costs a scatter-gather across ALL membership shard
-        # hosts, so default-sized batches are RPC-bound
-        # (measured 9.5 s → 6.2 s on 5.8M rows at 256k-row batches; a
-        # 256k batch is ~6 MB of id strings)
-        parts = ds.map_batches(
-            classify, batch_format="pyarrow", batch_size=262_144
-        ).take_all()
-        return {
-            "within": int(sum(r["within"] for r in parts)),
-            "spanning": int(sum(r["spanning"] for r in parts)),
-            "frontier": int(sum(r["frontier"] for r in parts)),
-        }
 
 
 def crawl(corpus: CorpusInfo, seeds: list[str], out_dir: str, config: CrawlConfig | None = None,

@@ -16,27 +16,14 @@ memory-heavy shuffles — it keeps map operators from flooding the object
 store faster than the shuffle can drain it. This engine's exchanges are
 small-block (~17 MB hop blocks, pre-combined partials) and far from
 object-store pressure, so the guard buys nothing and costs ~1.5× wall.
-If a deployment DOES see object-store spilling during shuffles
-(``ray memory`` / dashboard object-store-full warnings), re-enable it
-with ``FSRAY_RESERVATION=1`` rather than resizing batches first.
 """
 
 from __future__ import annotations
 
-import os
 
-
-def configure_data_context(reservation: bool | None = None) -> None:
-    """Apply engine-level ``ray.data.DataContext`` settings (idempotent).
-
-    ``reservation``: explicitly enable/disable Ray Data's per-operator
-    resource reservation. ``None`` (default) reads ``FSRAY_RESERVATION``
-    (``"1"`` re-enables the Ray default; anything else disables — see
-    module docstring for when to re-enable).
-    """
+def configure_data_context() -> None:
+    """Apply engine-level ``ray.data.DataContext`` settings (idempotent):
+    Ray Data's per-operator resource reservation off."""
     from ray.data import DataContext
 
-    ctx = DataContext.get_current()
-    if reservation is None:
-        reservation = os.environ.get("FSRAY_RESERVATION", "0") == "1"
-    ctx.op_resource_reservation_enabled = bool(reservation)
+    DataContext.get_current().op_resource_reservation_enabled = False

@@ -44,7 +44,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from fs_crawler_ray.model import PRIMARY_EDGE_TYPES, RelationshipType
+from fs_crawler_ray.model import EDGE_SCHEMA, PRIMARY_EDGE_TYPES, RelationshipType
 from fs_crawler_ray.relops import (_keep_first_arrow, _probe_key, project, shuffle_apply,
                                    unique_lookup)
 
@@ -206,12 +206,12 @@ def resolve_relationships(
     the colour probe, then ``num_partitions`` source-hash buckets that
     each run the whole resolution (module docstring). A shuffle of zero
     rows yields no schema, so the result is materialized here and an
-    empty one carries the edge schema.
+    empty one carries the crawl's edge schema (``model.EDGE_SCHEMA``).
     ``num_buckets`` and ``fetch_concurrency`` are unused; they stay in
     the signature for existing callers."""
     probed = _probe_colors(edges, vertices, num_partitions)
     out = shuffle_apply(probed, lambda t: _resolve_bucket(t, relationships_path),
                         key_cols=["source"], num_buckets=num_partitions).materialize()
-    if out.count() == 0 and (schema := edges.schema()) is not None:
-        return ray.data.from_arrow(schema.base_schema.empty_table())
+    if out.count() == 0:
+        return ray.data.from_arrow(EDGE_SCHEMA.empty_table())
     return out

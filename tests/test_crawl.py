@@ -5,6 +5,7 @@ rel_id choice), frontier, visit order, seen set and LOG counts."""
 import json
 import os
 
+import pyarrow as pa
 import pytest
 import ray
 
@@ -366,31 +367,46 @@ def test_crawl_configures_data_context(crawled):
     assert DataContext.get_current().op_resource_reservation_enabled is False
 
 
-def test_configure_data_context_env_override(monkeypatch):
-    from ray.data import DataContext
+def test_full_mode_hop_is_one_execution(small_corpus, tmp_path_factory, count_executions):
+    """A fresh 'full'-mode crawl classifies every hop at the hop
+    shuffle's sink: one Ray Data execution per hop, and every hop's LOG
+    row equals the oracle's."""
+    out = str(tmp_path_factory.mktemp("full_one_exec"))
+    cfg = CrawlConfig(hops=3, num_shards=2, num_buckets=8, log_edge_classification="full")
+    start = len(count_executions)
+    result = crawl(small_corpus, small_corpus.seeds, out, cfg)
+    assert len(count_executions) - start == 3
+    _assert_match(result, oracle_crawl(small_corpus.documents_path, small_corpus.seeds, 3))
 
-    from fs_crawler_ray.engine import configure_data_context
 
-    ctx = DataContext.get_current()
-    before = ctx.op_resource_reservation_enabled
+def test_resume_rebuild_is_one_execution(crawled, small_corpus, count_executions):
+    """A resume rebuilds VISITED and EDGES from every complete hop's
+    vertex and edge tables in one Ray Data execution."""
+    from fs_crawler_ray.crawl import EDGES, VISITED
+    from fs_crawler_ray.ids import as_key_array
+
+    result, _ = crawled
+    crawler = Crawler(small_corpus, result.out_dir,
+                      CrawlConfig(hops=HOPS, num_shards=4, num_buckets=8))
     try:
-        monkeypatch.setenv("FSRAY_RESERVATION", "1")
-        configure_data_context()
-        assert ctx.op_resource_reservation_enabled is True
-        monkeypatch.delenv("FSRAY_RESERVATION")
-        configure_data_context()
-        assert ctx.op_resource_reservation_enabled is False
-        configure_data_context(reservation=True)  # explicit beats env
-        assert ctx.op_resource_reservation_enabled is True
+        start = len(count_executions)
+        next_hop, _, log = crawler._resume_state()
+        assert len(count_executions) - start == 1
+        assert (next_hop, log) == (HOPS, result.log)
+        verts, edges, _ = _ray_tables(result)
+        assert crawler.sm.contains(VISITED, as_key_array(pa.array(list(verts)))).all()
+        keys = as_key_array(pa.array([f"{s}|{d}" for s, d in edges]))
+        assert crawler.sm.contains(EDGES, keys).all()
     finally:
-        ctx.op_resource_reservation_enabled = before
+        crawler.shutdown()
 
 
 def test_final_mode_fused_classification_matches_full(small_corpus, tmp_path_factory):
-    """The fused final classification (classify-only rows riding the
-    last hop's shuffle + sink-side classification of the hop's own
-    edges) must produce the SAME last-hop within/spanning/frontier
-    counts as the reference-faithful 'full' mode."""
+    """'final' mode classifies only its last hop, on the same sink path
+    'full' mode takes every hop (classify-only rows of earlier hops
+    riding the hop's shuffle + sink-side classification of the hop's
+    own edges): its last-hop within/spanning/frontier counts equal
+    'full' mode's."""
     cfg_full = CrawlConfig(hops=3, num_shards=2, num_buckets=8,
                            log_edge_classification="full")
     cfg_final = CrawlConfig(hops=3, num_shards=2, num_buckets=8,
@@ -407,10 +423,10 @@ def test_final_mode_fused_classification_matches_full(small_corpus, tmp_path_fac
 
 
 def test_final_mode_fused_classification_exhausted_last_hop(small_corpus, tmp_path_factory):
-    """Fused final classification when the last hop fetches NOTHING
-    (crawl past exhaustion): the classify-only rows of earlier hops
-    still ride the (otherwise empty) last execution, so the final log
-    row's counts must equal full mode's."""
+    """Classification when the last hop fetches NOTHING (crawl past
+    exhaustion): the classify-only rows of earlier hops still ride the
+    (otherwise empty) last execution, so the final log row's counts
+    must equal full mode's."""
     out_a = str(tmp_path_factory.mktemp("cl_exh_final"))
     out_b = str(tmp_path_factory.mktemp("cl_exh_full"))
     r_final = crawl(small_corpus, small_corpus.seeds, out_a,
@@ -438,9 +454,10 @@ def test_final_mode_fused_with_frontier_budget(small_corpus, tmp_path_factory):
 
 
 def test_final_mode_resume_preserves_fused_counts(small_corpus, tmp_path_factory):
-    """Crash before the last hop, resume in 'final' mode: the fused
-    classification re-reads the completed hops' edges and must produce
-    the same last-hop counts as an uninterrupted final-mode crawl."""
+    """Crash before the last hop, resume in 'final' mode: the last
+    hop's classification re-reads the completed hops' edges and must
+    produce the same last-hop counts as an uninterrupted final-mode
+    crawl."""
     out_full = str(tmp_path_factory.mktemp("fin_res_a"))
     cfg4 = CrawlConfig(hops=4, num_shards=2, num_buckets=8,
                        log_edge_classification="final")

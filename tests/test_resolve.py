@@ -157,13 +157,19 @@ def test_resolve_and_export_run_four_executions(crawled, resolve_corpus, tmp_pat
     assert sorted(diag["row"].to_pylist()) == list(range(result.vertices().count()))
 
 
-def test_empty_edges_keep_the_edge_schema(crawled, resolve_corpus, tmp_path):
+def test_empty_edges_keep_the_edge_schema(crawled, resolve_corpus, tmp_path,
+                                         count_executions):
+    """An empty edge input resolves to an empty result that carries the
+    edge schema, in the vertex broadcast's execution and the resolve
+    pass's: none only to learn the input's schema."""
     from fs_crawler_ray.stages.export import write_adjacency_shards
 
     result, _ = crawled
     none = result.edges().map_batches(lambda t: t.slice(0, 0), batch_format="pyarrow")
+    start = len(count_executions)
     final = resolve_relationships(none, result.vertices(), resolve_corpus.relationships_path,
                                   num_partitions=4, num_buckets=8)
+    assert len(count_executions) - start == 2
     assert final.count() == 0
     assert final.schema().names == ["source", "destination", "type", "id", "hop"]
     assert final.select_columns(["source", "destination", "type"]).take_all() == []
