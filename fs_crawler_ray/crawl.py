@@ -92,6 +92,9 @@ class CrawlConfig:
     hops: int = 3
     num_shards: int = 8
     membership_mode: str = "exact"          # "probabilistic" at scale
+    #: caps the keys a probabilistic set's FIRST filter segment is sized
+    #: for (the filters start at ``min(shard_capacity, 1 << 16)`` keys
+    #: and double as they fill); exact mode ignores it
     shard_capacity: int = 1 << 18
     fetch_concurrency: int = 4              # actor pool size (politeness budget, fsapi.py:25)
     fetch_batch_size: int = 200             # ids per "request" (MAX_PERSONS, fsapi.py:23)
@@ -450,12 +453,13 @@ def _make_record_tagger(hop: int, n_buckets: int, n_kinds: int,
                 rel_id=e["rel_id"], src_doc=e["src_doc"], offset=e["offset"],
                 hop=e["hop"],
             ))
-        c = batch.filter(pc.equal(batch["rec_kind"], "cand")).select(["cand_id"])
+        c = batch.filter(pc.equal(batch["rec_kind"], "cand"))["cand_id"]
         if len(c):
-            c = _keep_first_arrow(c, ["cand_id"], ["cand_id"])
+            # keep-first ordered by its own key: the sorted distinct ids
+            c = pc.unique(c).sort()
             prio = pa.array(np.full(len(c), hop + 1, dtype=np.int64))
-            b = range_bucket_of(as_key_array(c["cand_id"]), n_buckets, boundaries=bnd)
-            parts.append(_tagged(len(c), b, cand_id=c["cand_id"], priority=prio))
+            b = range_bucket_of(as_key_array(c), n_buckets, boundaries=bnd)
+            parts.append(_tagged(len(c), b, cand_id=c, priority=prio))
         if not parts:
             return _TAGGED_SCHEMA.empty_table()
         return pa.concat_tables(parts)

@@ -52,114 +52,107 @@ RECORD_SCHEMA = pa.schema(
 )
 
 
-def _scatter_last(n_docs: int, parent: np.ndarray, values: np.ndarray, default):
-    """values scattered to docs; later spans overwrite (last wins)."""
-    out = np.full(n_docs, default, dtype=object if isinstance(default, str) else type(default))
-    out[parent] = values
-    return out
+def _emit(rec_kind: str, n: int, cols: dict) -> pa.Table:
+    arrays = []
+    for f in RECORD_SCHEMA:
+        if f.name == "rec_kind":
+            arrays.append(pa.repeat(pa.scalar(rec_kind, f.type), n))
+        elif f.name in cols:
+            arrays.append(cols[f.name].cast(f.type))
+        else:
+            arrays.append(pa.nulls(n, f.type))
+    return pa.Table.from_arrays(arrays, schema=RECORD_SCHEMA)
 
 
 def parse_documents(batch: pa.Table) -> pa.Table:
-    """(doc_id, spans, hop) batch → normalized record table."""
+    """(doc_id, spans, hop) batch → normalized record table.
+
+    Every string stays in Arrow: spans are selected by kind through one
+    ``dictionary_encode``, and each output column is a ``take`` of the
+    span or document columns at numpy-computed indices."""
     batch = batch.combine_chunks()
     n_docs = len(batch)
     doc_ids = batch["doc_id"].combine_chunks()
     spans = batch["spans"].combine_chunks()
-    hops = batch["hop"].combine_chunks() if "hop" in batch.column_names else pa.array([0] * n_docs, pa.int32())
+    hops = (batch["hop"].combine_chunks() if "hop" in batch.column_names
+            else pa.array(np.zeros(n_docs, np.int32)))
 
     flat = spans.flatten()
-    parent = pc.list_parent_indices(spans).to_numpy(zero_copy_only=False)
-    kind_arr = flat.field("kind")
+    parent = pc.list_parent_indices(spans).to_numpy()
     text = flat.field("text")
-    offset = flat.field("offset").to_numpy(zero_copy_only=False)
-    doc_np = doc_ids.to_numpy(zero_copy_only=False)
-    hop_np = hops.to_numpy(zero_copy_only=False).astype(np.int32)
+    offset = flat.field("offset")
+    kinds = pc.dictionary_encode(flat.field("kind"))
+    codes = kinds.indices.fill_null(-1).to_numpy()
+    code_of = {k: i for i, k in enumerate(kinds.dictionary.to_pylist())}
 
-    # per-kind boolean masks via Arrow kernels — never materialize the
-    # full text column as Python objects (narrative payloads dominate
-    # span bytes; only the small per-kind slices are taken out)
-    def kind_mask(k: str) -> np.ndarray:
-        return pc.equal(kind_arr, k).to_numpy(zero_copy_only=False)
+    def spans_of(kind: str) -> np.ndarray:
+        """Indices (ascending) of the spans of ``kind``."""
+        code = code_of.get(kind)
+        return np.zeros(0, np.int64) if code is None else np.flatnonzero(codes == code)
 
-    def take_text(mask: np.ndarray) -> np.ndarray:
-        idx = np.nonzero(mask)[0]
-        return text.take(pa.array(idx)).to_numpy(zero_copy_only=False)
+    def at_docs(idx: np.ndarray) -> dict:
+        """src_doc/offset/hop columns of the spans at ``idx``."""
+        docs = pa.array(parent[idx])
+        return {"src_doc": doc_ids.take(docs), "offset": offset.take(pa.array(idx)),
+                "hop": hops.take(docs)}
 
     parts: list[pa.Table] = []
 
-    def emit(rec_kind: str, n: int, **cols) -> None:
-        if n == 0:
-            return
-        arrays = []
-        for f in RECORD_SCHEMA:
-            if f.name == "rec_kind":
-                arrays.append(pa.array([rec_kind] * n, pa.string()))
-            elif f.name in cols:
-                arrays.append(pa.array(cols[f.name], f.type))
-            else:
-                arrays.append(pa.nulls(n, f.type))
-        parts.append(pa.Table.from_arrays(arrays, schema=RECORD_SCHEMA))
-
     # --- vertices (one per doc) --------------------------------------
-    def last_of(k: str, default=""):
-        m = kind_mask(k)
-        return _scatter_last(n_docs, parent[m], take_text(m), default)
+    def last_of(kind: str) -> pa.Array:
+        """Per doc, the text of its LAST span of ``kind``; "" if none."""
+        idx = spans_of(kind)
+        docs = parent[idx]
+        last = np.full(n_docs, -1, np.int64)
+        is_last = np.ones(len(idx), bool)
+        is_last[:-1] = docs[1:] != docs[:-1]  # spans are in doc order
+        last[docs[is_last]] = idx[is_last]
+        found = last >= 0
+        taken = text.take(pa.array(last, mask=~found))
+        return pc.if_else(pa.array(found), taken, pa.scalar("", text.type))
 
-    given = last_of(SpanKind.NAME_GIVEN)
-    surname = last_of(SpanKind.NAME_SURNAME)
-    gender_txt = last_of(SpanKind.GENDER)
-    living_txt = last_of(SpanKind.LIVING)
-    lifespan = last_of(SpanKind.LIFESPAN)
-    color = np.select([gender_txt == "Male", gender_txt == "Female"], [-1, 1], 0).astype(np.int8)
-    emit(
-        "vertex",
-        n_docs,
-        id=doc_np,
-        color=color,
-        surname=surname,
-        given_name=given,
-        iteration=hop_np,
-        lifespan=lifespan,
-        living=(living_txt == "true"),
-        hop=hop_np,
-    )
+    if n_docs:
+        gender = last_of(SpanKind.GENDER)
+        male = pc.equal(gender, "Male").fill_null(False).to_numpy(zero_copy_only=False)
+        female = pc.equal(gender, "Female").fill_null(False).to_numpy(zero_copy_only=False)
+        color = np.where(male, -1, np.where(female, 1, 0)).astype(np.int8)
+        parts.append(_emit("vertex", n_docs, {
+            "id": doc_ids,
+            "color": pa.array(color),
+            "surname": last_of(SpanKind.NAME_SURNAME),
+            "given_name": last_of(SpanKind.NAME_GIVEN),
+            "iteration": hops,
+            "lifespan": last_of(SpanKind.LIFESPAN),
+            "living": pc.equal(last_of(SpanKind.LIVING), "true").fill_null(False),
+            "hop": hops,
+        }))
 
     # --- edges (child_parent spans) ----------------------------------
-    cp = kind_mask(SpanKind.CHILD_PARENT)
-    n_cp = int(cp.sum())
-    if n_cp:
-        cp_idx = np.nonzero(cp)[0]
-        split = pc.split_pattern(text.take(pa.array(cp_idx)), "|")
-        child = pc.list_element(split, 0).to_numpy(zero_copy_only=False)
-        par = pc.list_element(split, 1).to_numpy(zero_copy_only=False)
-        rid = pc.list_element(split, 2).to_numpy(zero_copy_only=False)
-        emit(
-            "edge",
-            n_cp,
-            source=child,
-            destination=par,
-            rel_id=rid,
-            src_doc=doc_np[parent[cp]],
-            offset=offset[cp],
-            hop=hop_np[parent[cp]],
-        )
-    else:
-        child = par = np.array([], dtype=object)
+    cp = spans_of(SpanKind.CHILD_PARENT)
+    split = pc.split_pattern(text.take(pa.array(cp)), "|")
+    child, par = pc.list_element(split, 0), pc.list_element(split, 1)
+    if len(cp):
+        parts.append(_emit("edge", len(cp), {
+            "source": child, "destination": par, "rel_id": pc.list_element(split, 2),
+            **at_docs(cp),
+        }))
 
     # --- frontier candidates -----------------------------------------
-    cpl = kind_mask(SpanKind.COUPLE)
-    cand = np.concatenate([take_text(cpl), child, par])
-    cand_doc = np.concatenate([doc_np[parent[cpl]], doc_np[parent[cp]], doc_np[parent[cp]]])
-    cand_off = np.concatenate([offset[cpl], offset[cp], offset[cp]])
-    cand_hop = np.concatenate([hop_np[parent[cpl]], hop_np[parent[cp]], hop_np[parent[cp]]])
-    emit("cand", len(cand), cand_id=cand, src_doc=cand_doc, offset=cand_off.astype(np.int32), hop=cand_hop)
+    cpl = spans_of(SpanKind.COUPLE)
+    n_cand = len(cpl) + 2 * len(cp)
+    if n_cand:
+        parts.append(_emit("cand", n_cand, {
+            "cand_id": pa.concat_arrays([text.take(pa.array(cpl)), child, par]),
+            **at_docs(np.concatenate([cpl, cp, cp])),
+        }))
 
     # --- media spans --------------------------------------------------
-    md = kind_mask(SpanKind.MEDIA)
-    n_md = int(md.sum())
-    mref_taken = flat.field("media_ref").take(pa.array(np.nonzero(md)[0])).to_numpy(zero_copy_only=False)
-    emit("media", n_md, id=doc_np[parent[md]], media_ref=mref_taken,
-         src_doc=doc_np[parent[md]], offset=offset[md].astype(np.int32), hop=hop_np[parent[md]])
+    md = spans_of(SpanKind.MEDIA)
+    if len(md):
+        at = at_docs(md)
+        parts.append(_emit("media", len(md), {
+            "id": at["src_doc"], "media_ref": flat.field("media_ref").take(pa.array(md)), **at,
+        }))
 
     if not parts:
         return RECORD_SCHEMA.empty_table()

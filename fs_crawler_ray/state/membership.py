@@ -15,10 +15,15 @@ with the scale substitution mandated by the north rule:
     conformance mode the oracle tests run (SURVEY §7.5);
   - ``probabilistic``: a chain of segments, each a bloom bit-array
     pre-filter (fast definite-negative) gating a cuckoo filter (4-way
-    buckets, 16-bit fingerprints) — bounded memory at 10^10 keys;
+    buckets, 16-bit fingerprints) — bounded memory at 10^10 keys. A
+    set is sized to its contents, not to the shard's ``capacity``: its
+    first segment holds ``min(capacity, 1 << 16)`` keys and each later
+    one twice the last, so a fresh, cleared or staged-epoch set costs a
+    few hundred KB and a set of n keys about what n keys need;
 - batch RPCs only: ``contains / add / check_and_add`` take numpy string
   arrays and return masks, so a 10^10-key frontier costs O(keys/batch)
-  RPCs, not O(keys).
+  RPCs, not O(keys). Keys are compared as UTF-8 bytes
+  (:func:`key_form`), whichever string form the caller holds.
 
 Hosting: the K shards live in ``H = min(K, max(1, CPUs // 2))`` actor
 processes (:class:`MembershipShardHost`, :func:`host_count`), each
@@ -30,8 +35,9 @@ so 8 shards in 2 hosts instead of 8 processes save 6 of those.
 
 False-positive budget: in ``probabilistic`` mode membership may report
 a never-seen id as seen (dropping a frontier candidate). Shards report
-per-set counts and cuckoo occupancy via ``stats()`` so bench runs can
-record the fp budget; correctness runs use ``exact`` mode.
+per-set counts, cuckoo occupancy, segments and filter bytes via
+``stats()`` so bench runs can record the fp budget and the sizing;
+correctness runs use ``exact`` mode.
 
 Hosts are session-resident (:mod:`fs_crawler_ray.state.resident`):
 :meth:`ShardedMembership.create` takes idle hosts of the Ray session
@@ -164,9 +170,8 @@ class BloomFilter:
 class CuckooFilter:
     """Partial-key cuckoo filter (Fan et al., CoNEXT'14, public paper).
 
-    Lookup is fully vectorized; insert is vectorized for the
-    no-collision fast path with a bounded per-key eviction loop for the
-    rest.
+    Lookup and insert are vectorized, eviction walks included (each
+    bounded by ``MAX_KICKS`` steps).
     """
 
     SLOTS = 4
@@ -219,8 +224,8 @@ class CuckooFilter:
         (idempotent under Ray task retries — ``count`` tracks distinct
         keys up to fingerprint collisions, so the LOG's probabilistic
         vertex count no longer drifts on retried adds). The ~95%
-        no-collision case is a masked scatter; only eviction chains drop
-        to the per-key loop."""
+        no-collision case is a masked scatter; the rest take eviction
+        walks (:meth:`_evict`)."""
         fp_all = self._fp(h)
         i1_all = self._i1(h)
         todo = ~self.contains_h(h)
@@ -238,9 +243,8 @@ class CuckooFilter:
         # (avoids scatter conflicts): each pass fills at most one slot
         # per bucket, so up to 2*SLOTS passes drain every reachable
         # empty slot. A single pass per side (the old code) left every
-        # key after the first in a shared bucket to the Python eviction
-        # loop — ~45% of keys at high fan-in batches (measured), each
-        # costing ~25 µs vs ~0.2 µs on this path.
+        # key after the first in a shared bucket to the eviction walks
+        # — ~45% of keys at high fan-in batches (measured).
         no_progress = 0
         for p in range(2 * self.SLOTS):
             rem = np.nonzero(~inserted)[0]
@@ -259,43 +263,65 @@ class CuckooFilter:
             no_progress = no_progress + 1 if len(ok) == 0 else 0
             if no_progress >= 2:  # a full i1+i2 cycle placed nothing
                 break
-        for j in np.nonzero(~inserted)[0]:
-            self._insert_one(int(i1[j]), int(i2[j]), int(fp[j]))
+        rest = np.nonzero(~inserted)[0]
+        if len(rest):
+            self._evict(i1[rest], fp[rest])
         self.count += n
 
-    def _i2_one(self, idx: int, fp: int) -> int:
-        # scalar twin of _i2 (uint64 wraparound via 64-bit mask) — the
-        # eviction loop runs per key, and building 1-element numpy
-        # arrays per kick dominated its cost (~25 µs/kick measured)
-        return (idx ^ ((fp * 0x5BD1E995) & 0xFFFFFFFFFFFFFFFF)) & int(self._mask)
+    def _evict(self, idx: np.ndarray, fp: np.ndarray) -> None:
+        """Place fingerprints whose passes found no free slot by random
+        walks, all walks a step at a time: in each step every bucket that
+        a fingerprint in hand waits for takes one of them, into a free
+        slot if it has one, else swapped for a resident fingerprint,
+        which walks on to its own alternate bucket. Fingerprints still in
+        hand after ``MAX_KICKS`` steps (each belongs to some key already
+        counted) go to the stash. A segment filled to its growth load
+        leaves ~3 % of a large batch here (6,095 of 200k measured), so
+        the walks run vectorized, not one key at a time."""
+        idx, fp = idx.copy(), fp.copy()
+        for step in range(self.MAX_KICKS):
+            if len(idx) == 0:
+                return
+            _, first = np.unique(idx, return_index=True)
+            rows = self.table[idx[first]]
+            free = rows == 0
+            has_free = free.any(axis=1)
+            put = first[has_free]
+            self.table[idx[put], free[has_free].argmax(axis=1)] = fp[put]
+            kick = first[~has_free]
+            with np.errstate(over="ignore"):  # deterministic victim slot
+                mix = (fp[kick].astype(np.uint64) + np.uint64(step)) * np.uint64(0x9E3779B1)
+            slot = ((mix >> np.uint64(16)) % np.uint64(self.SLOTS)).astype(np.int64)
+            bucket = idx[kick]
+            victim = self.table[bucket, slot]
+            self.table[bucket, slot] = fp[kick]
+            fp[kick] = victim
+            idx[kick] = self._i2(bucket, victim)
+            waiting = np.ones(len(idx), dtype=bool)
+            waiting[put] = False
+            idx, fp = idx[waiting], fp[waiting]
+        # both addressings of each: a lookup derives either bucket
+        alt = self._i2(idx, fp)
+        for bucket in (idx, alt):
+            self.stash.update(zip(bucket.tolist(), fp.tolist()))
 
-    def _insert_one(self, i1: int, i2: int, fp: int) -> None:
-        table = self.table
-        for idx in (i1, i2):
-            row = table[idx]
-            for s in range(self.SLOTS):
-                if row[s] == 0:
-                    row[s] = fp
-                    return
-        # evict with bounded kicks; a surviving in-hand fingerprint
-        # (belonging to some earlier key) goes to the stash
-        rng_state = fp  # deterministic kicks
-        idx = i1
-        for kick in range(self.MAX_KICKS):
-            rng_state = (rng_state * 1103515245 + 12345) & 0x7FFFFFFF
-            slot = rng_state % self.SLOTS
-            fp, table[idx, slot] = int(table[idx, slot]), fp
-            idx = self._i2_one(idx, fp)
-            row = table[idx]
-            for s in range(self.SLOTS):
-                if row[s] == 0:
-                    row[s] = fp
-                    return
-        self._stash_add(idx, fp)
 
-    def _stash_add(self, idx: int, fp: int) -> None:
-        self.stash.add((idx, fp))
-        self.stash.add((self._i2_one(idx, fp), fp))
+def key_form(keys) -> np.ndarray:
+    """The one form membership keys take: UTF-8 bytes (``S<w>``).
+    :func:`fs_crawler_ray.ids.as_key_array` gives a fixed-width Arrow
+    string column as a zero-copy ``S`` view (every crawl path), but a
+    Python list or a column of mixed widths as ``<U`` str; an exact set
+    would miss ``b"0000-08A"`` probed as ``"0000-08A"``, and a non-ASCII
+    key hashes and routes differently in the two forms."""
+    arr = np.asarray(keys)
+    if arr.dtype.kind == "S":
+        return arr
+    if arr.dtype.kind != "U":
+        arr = arr.astype("U")
+    try:
+        return arr.astype("S")  # ASCII: one cast
+    except UnicodeEncodeError:
+        return np.char.encode(arr, "utf-8")
 
 
 # ----------------------------------------------------------------------
@@ -348,13 +374,20 @@ class _FilterChain:
 
     GROW_AT = 0.88
     H1_SEED, H2_SEED = 11, 23
+    #: most keys the first segment is sized for, whatever the shard's
+    #: capacity: a filter's pages are touched all over by its random
+    #: probes, so a segment sized far past its contents costs page
+    #: faults and cache misses on every call (a 14.4k-URL hop over 8
+    #: shards of ``1 << 21`` keys faulted in 128k pages; ``1 << 16``,
+    #: 6k). A set that outgrows it doubles through ``_grow``.
+    FIRST_SEGMENT = 1 << 16
 
     def __init__(self, capacity: int):
-        self.capacity = capacity
+        first = min(capacity, self.FIRST_SEGMENT)
         self.segments: list[tuple[BloomFilter, CuckooFilter]] = [
-            (BloomFilter(capacity), CuckooFilter(capacity))
+            (BloomFilter(first), CuckooFilter(first))
         ]
-        self._next_capacity = capacity * 2
+        self._next_capacity = first * 2
 
     @classmethod
     def probe(cls, keys: np.ndarray) -> np.ndarray:
@@ -413,6 +446,7 @@ class _FilterChain:
             "cuckoo_load": active.count / (active.n_buckets * CuckooFilter.SLOTS),
             "segments": len(self.segments),
             "stash": sum(len(c.stash) for _, c in self.segments),
+            "bytes": sum(b.bits.nbytes + c.table.nbytes for b, c in self.segments),
         }
 
 
@@ -445,6 +479,9 @@ class MembershipShardState:
         # driver's post-hop critical path — commit() only merges it.
         self._epoch: dict = {}
 
+    def _probe(self, keys) -> np.ndarray:
+        return self._kind.probe(key_form(keys))
+
     def _get(self, name: str):
         if name not in self.sets:
             self.sets[name] = self._kind(self.capacity)
@@ -457,7 +494,7 @@ class MembershipShardState:
         """OR of membership across several named sets (one RPC)."""
         if len(keys) == 0:
             return np.zeros(0, dtype=bool)
-        probe = self._kind.probe(keys)
+        probe = self._probe(keys)
         out = np.zeros(len(keys), dtype=bool)
         for n in names:
             out |= self._get(n).contains(probe)
@@ -466,7 +503,7 @@ class MembershipShardState:
     def add(self, name: str, keys: np.ndarray) -> int:
         if len(keys) == 0:
             return 0
-        self._get(name).add(self._kind.probe(keys))
+        self._get(name).add(self._probe(keys))
         return len(keys)
 
     def check_and_add(self, name: str, keys: np.ndarray) -> np.ndarray:
@@ -474,7 +511,7 @@ class MembershipShardState:
         Duplicate keys within the batch: first occurrence wins."""
         if len(keys) == 0:
             return np.zeros(0, dtype=bool)
-        probe = self._kind.probe(keys)
+        probe = self._probe(keys)
         s = self._get(name)
         present = s.contains(probe)
         # in-batch duplicates: mark later occurrences as present
@@ -500,7 +537,7 @@ class MembershipShardState:
         after this change."""
         if len(keys) == 0:
             return np.zeros(0, dtype=bool)
-        probe = self._kind.probe(keys)
+        probe = self._probe(keys)
         present = self._get(name).contains(probe)
         ep = self._epoch.get(name)
         if ep is None:
@@ -692,7 +729,7 @@ class ShardedMembership:
         return order, bounds
 
     def _scatter_gather(self, method: str, keys, *args, route_names=()) -> np.ndarray:
-        keys = np.asarray(keys)
+        keys = key_form(keys)
         if len(keys) == 0:
             return np.zeros(0, dtype=bool)
         order, bounds = self._route(keys, route_names)

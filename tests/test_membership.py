@@ -3,9 +3,10 @@ import subprocess
 import sys
 
 import numpy as np
+import pyarrow as pa
 import pytest
 
-from fs_crawler_ray.ids import indices_to_pids
+from fs_crawler_ray.ids import as_key_array, indices_to_pids
 from fs_crawler_ray.state.membership import (
     BloomFilter,
     CuckooFilter,
@@ -38,6 +39,12 @@ def test_cuckoo_membership():
     assert c.contains_h(h).all()
     fp = c.contains_h(stable_hash64(other, seed=11)).mean()
     assert fp < 0.01
+    # pushed far past its slots, the eviction walks fill the table and
+    # what they cannot place goes to the stash: still no false negatives
+    full = CuckooFilter(capacity=1000)
+    full.add_h(h)
+    assert full.contains_h(h).all()
+    assert full.stash
 
 
 @pytest.mark.parametrize("mode", ["exact", "probabilistic"])
@@ -73,6 +80,52 @@ def test_overflow_grows_segments_preserves_correctness():
     s.clear("visited")
     s.add("visited", indices_to_pids(np.arange(100)))
     assert s.contains("visited", indices_to_pids(np.arange(100))).all()
+
+
+def test_filters_are_sized_to_their_contents():
+    """A set starts at ``min(capacity, 1 << 16)`` keys whatever the
+    shard's capacity, grows past that with no false negatives, and a
+    cleared set and a staged epoch start small the same way."""
+    first = 1 << 16
+    small = 1 << 20  # filter bytes of a 64k-key segment are well below this
+    s = MembershipShardState(capacity=1 << 21, mode="probabilistic")
+    s.add("visited", indices_to_pids(np.arange(2000)))
+    st = s.stats()["visited"]
+    assert st["segments"] == 1 and st["bytes"] < small
+    keys = indices_to_pids(np.arange(2 * first))  # past the power-of-two rounding
+    s.add("visited", keys)
+    st = s.stats()["visited"]
+    assert st["segments"] > 1
+    assert s.contains("visited", keys).all()  # no false negatives
+    assert st["bytes"] < 8 * small            # the parent sized one segment at ~12 MB
+    s.clear("visited")
+    st = s.stats()["visited"]
+    assert st["segments"] == 1 and st["bytes"] < small and st["count"] == 0
+    s.add("edges", indices_to_pids(np.arange(10)))
+    s.check_and_add_deferred("edges", indices_to_pids(np.arange(5, 2000)))
+    assert s.commit("edges") > 1900
+    st = s.stats()["edges"]
+    assert st["segments"] == 2 and st["bytes"] < 2 * small  # the epoch's segment is small too
+    assert s.contains("edges", indices_to_pids(np.arange(2000))).all()
+
+
+@pytest.mark.parametrize("mode", ["exact", "probabilistic"])
+@pytest.mark.parametrize("ids", [["0000-08A", "0000-09B", "0000-10C"],
+                                 ["Ä000-08A", "Ä000-09B", "Ä000-10C"]])
+def test_key_form_does_not_matter(mode, ids):
+    """A key registered from an Arrow column (``as_key_array``'s ``S``
+    bytes view) is found when probed as ``<U`` str (a Python list), and
+    the reverse, ASCII or not."""
+    arrow_keys = as_key_array(pa.array(ids))
+    list_keys = as_key_array(ids)
+    assert arrow_keys.dtype.kind == "S" and list_keys.dtype.kind == "U"
+    for reg, probe in ((arrow_keys, list_keys), (list_keys, arrow_keys)):
+        s = MembershipShardState(capacity=1 << 12, mode=mode)
+        s.add("visited", reg)
+        assert s.contains("visited", probe).all()
+        assert s.check_and_add("visited", probe).all()
+        assert s.check_and_add_deferred("visited", probe).all()
+        assert s.stats()["visited"]["count"] == len(ids)
 
 
 @pytest.mark.parametrize("mode", ["exact", "probabilistic"])
@@ -144,6 +197,10 @@ def test_sharded_membership_actors(ray_session):
     assert sum(st["visited"]["count"] for st in stats) == 2000
     sm.clear("visited")
     assert not sm.contains("visited", keys[:10]).any()
+    # routing sees one key form too: bytes from Arrow, str from a list
+    ids = ["Ä000-08A", "Ä000-09B", "Ä000-10C"]
+    sm.add("visited", as_key_array(pa.array(ids)))
+    assert sm.contains("visited", ids).all()
 
 
 def test_mixed_range_hash_names_raises():

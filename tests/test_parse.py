@@ -73,14 +73,88 @@ def test_parse_media(small_corpus):
         assert m["media_ref"].startswith("memories/")
 
 
+_SPANS_TYPE = pa.list_(pa.struct([("kind", pa.string()), ("text", pa.string()),
+                                   ("media_ref", pa.string()), ("offset", pa.int32())]))
+
+
+def _reference_parse(batch: pa.Table) -> pa.Table:
+    """The parse semantics, one Python row at a time: a vertex per doc
+    (the LAST span of each scalar kind, "" when the doc has none), then
+    an edge per child_parent span, then the candidates (couple partners,
+    then every child, then every parent), then the media spans."""
+    docs = batch["doc_id"].to_pylist()
+    hops = batch["hop"].to_pylist() if "hop" in batch.column_names else [0] * len(docs)
+    spans = [s or [] for s in batch["spans"].to_pylist()]
+    vertices, edges, couples, children, parents, media = [], [], [], [], [], []
+    for doc, hop, doc_spans in zip(docs, hops, spans):
+        last = {sp["kind"]: sp["text"] for sp in doc_spans}
+        vertices.append({
+            "rec_kind": "vertex", "id": doc, "hop": hop, "iteration": hop,
+            "color": {"Male": -1, "Female": 1}.get(last.get("gender", ""), 0),
+            "surname": last.get("name.surname", ""), "given_name": last.get("name.given", ""),
+            "lifespan": last.get("lifespan", ""), "living": last.get("living", "") == "true",
+        })
+        for sp in doc_spans:
+            at = {"src_doc": doc, "offset": sp["offset"], "hop": hop}
+            if sp["kind"] == "child_parent":
+                child, parent, rel = sp["text"].split("|")[:3]
+                edges.append({"rec_kind": "edge", "source": child, "destination": parent,
+                              "rel_id": rel, **at})
+                children.append({"rec_kind": "cand", "cand_id": child, **at})
+                parents.append({"rec_kind": "cand", "cand_id": parent, **at})
+            elif sp["kind"] == "couple":
+                couples.append({"rec_kind": "cand", "cand_id": sp["text"], **at})
+            elif sp["kind"] == "media":
+                media.append({"rec_kind": "media", "id": doc, "media_ref": sp["media_ref"], **at})
+    rows = vertices + edges + couples + children + parents + media
+    return pa.Table.from_pylist(rows, schema=RECORD_SCHEMA)
+
+
+def _span(kind, text, offset, media_ref=""):
+    return {"kind": kind, "text": text, "media_ref": media_ref, "offset": offset}
+
+
+def test_parse_matches_reference_on_corpus(small_corpus):
+    t = pq.read_table(small_corpus.documents_path)
+    for batch in (_with_hop(t, hop=2), _with_hop(t).slice(37, 400), t.slice(5, 90)):
+        assert parse_documents(batch).equals(_reference_parse(batch))
+
+
 def test_parse_empty_batch():
     empty = pa.table({"doc_id": pa.array([], pa.string()),
-                      "spans": pa.array([], pa.list_(pa.struct(
-                          [("kind", pa.string()), ("text", pa.string()),
-                           ("media_ref", pa.string()), ("offset", pa.int32())]))),
+                      "spans": pa.array([], _SPANS_TYPE),
                       "hop": pa.array([], pa.int32())})
     out = parse_documents(empty)
-    assert len(out.filter(pa.compute.equal(out["rec_kind"], "edge"))) == 0
+    assert out.equals(RECORD_SCHEMA.empty_table())
+    assert parse_documents(empty.drop(["hop"])).equals(RECORD_SCHEMA.empty_table())
+
+
+def test_parse_edge_cases_match_reference():
+    """No ``hop`` column (hop 0); docs missing a scalar kind ("" default,
+    so ``color`` 0 and ``living`` False), or with no spans at all; and
+    batches with no child_parent, couple or media spans."""
+    scalars = [_span("name.given", "Ann", 0), _span("gender", "Female", 1),
+               _span("living", "true", 2)]
+    batches = {
+        "missing scalars": [[_span("name.surname", "Ode", 0)], [], scalars],
+        "no child_parent": [scalars + [_span("couple", "BBBB-002", 3),
+                                       _span("media", "", 4, "memories/x")]],
+        "no couple": [scalars + [_span("child_parent", "AAAA-001|BBBB-002|R1", 3)]],
+        "no media": [scalars + [_span("couple", "BBBB-002", 3),
+                                _span("child_parent", "AAAA-001|CCCC-003|R2", 4)]],
+        "scalars only": [scalars, [_span("gender", "Male", 0)]],
+    }
+    for name, spans in batches.items():
+        t = pa.table({"doc_id": [f"AAAA-{i:03d}" for i in range(len(spans))],
+                      "spans": pa.array(spans, _SPANS_TYPE)})
+        for batch in (t, _with_hop(t, hop=4)):
+            out = parse_documents(batch)
+            assert out.equals(_reference_parse(batch)), name
+    v = parse_documents(pa.table({"doc_id": ["AAAA-000"],
+                                  "spans": pa.array([[]], _SPANS_TYPE)})).to_pylist()
+    assert v == [{**dict.fromkeys(RECORD_SCHEMA.names), "rec_kind": "vertex", "id": "AAAA-000",
+                  "color": 0, "surname": "", "given_name": "", "iteration": 0,
+                  "lifespan": "", "living": False, "hop": 0}]
 
 
 def test_last_wins_on_duplicate_scalar_spans():
