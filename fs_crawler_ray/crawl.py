@@ -11,23 +11,29 @@ host; or partition-local row-group lookup in direct mode) → vectorized
 span parser → vertices checkpoint side-write + ``visited`` registration
 (safe: this hop's vertices ⊆ processing, which the candidate filter
 also checks) → record tagger (per-batch pre-combine of edge rows and
-frontier-candidate rows; each kind in its own buckets) → ONE combined
-bucket shuffle (``relops.shuffle_apply``) → per-bucket ``_HopSink``:
+frontier-candidate rows, every kind in ONE space of ``n`` buckets:
+candidates by id range, edges by hash) → ONE combined bucket shuffle
+(``relops.shuffle_apply``) of ``n`` partitions, ``n = min(num_buckets,
+planned input blocks)`` so each partition holds one bucket → one
+``_HopSink`` call per partition, one step per row kind:
 
-- edge buckets: in-hop keep-first dedup (``(hop, src_doc, offset)``
-  under the canonical visit order = sorted id per hop) → cross-hop
-  edge-seen filter with DEFERRED adds committed after the execution
-  (retry-safe) → ``edges.parquet`` part side-write;
-- candidate buckets: distinct → filtered against
-  ``visited ∪ processing`` (the ``add_to_frontier`` guard,
-  ``graph_memory_impl.py:60-63``), unioned with any budget remainder →
-  range-clustered ``frontier.parquet`` part side-write;
-- classify buckets (a hop that logs edge classification): earlier
+- edges: in-hop keep-first dedup (``(hop, src_doc, offset)`` under the
+  canonical visit order = sorted id per hop) → cross-hop edge-seen
+  filter with DEFERRED adds committed after the execution (retry-safe)
+  → ``edges.parquet`` part side-write;
+- candidates: distinct → filtered against ``visited ∪ processing``
+  (the ``add_to_frontier`` guard, ``graph_memory_impl.py:60-63``),
+  unioned with any budget remainder → range-clustered
+  ``frontier.parquet`` part side-write;
+- classify-only rows (a hop that logs edge classification): earlier
   hops' edges, counted within/spanning/frontier against ``visited``
-  like the hop's own written edges; nothing is written.
+  together with the hop's own written edges; nothing is written.
 
-The shuffle is an all-to-all barrier, so every membership registration
-upstream completes before any sink group consults the shards — the same
+Each step is one membership call (one RPC per shard host it reaches)
+over the whole partition, so a hop's sink RPCs grow with its
+partitions, not with its keys. The shuffle is an all-to-all barrier, so
+every membership registration upstream completes before any sink call
+consults the shards — the same
 ordering guarantee the round-2 shape bought with a per-hop
 ``materialize()`` and two extra Dataset executions. An optional
 priority-queue budget takes the best ``(priority, id)`` ids and carries
@@ -63,7 +69,7 @@ import ray.data
 from fs_crawler_ray.corpus import CorpusInfo
 from fs_crawler_ray.ids import as_key_array
 from fs_crawler_ray.model import EDGE_SCHEMA, FRONTIER_SCHEMA, VERTEX_SCHEMA, RelationshipType
-from fs_crawler_ray.relops import hash_buckets, shuffle_apply, thin_boundaries
+from fs_crawler_ray.relops import hash_buckets, partition_count, shuffle_apply, thin_boundaries
 from fs_crawler_ray.sources import storage as st
 from fs_crawler_ray.stages.fetch import PolitenessBudget
 from fs_crawler_ray.state.fetch_service import FetchPool, FetchStage
@@ -98,7 +104,9 @@ class CrawlConfig:
     shard_capacity: int = 1 << 18
     fetch_concurrency: int = 4              # actor pool size (politeness budget, fsapi.py:25)
     fetch_batch_size: int = 200             # ids per "request" (MAX_PERSONS, fsapi.py:23)
-    num_buckets: int = 64                   # dedup shuffle buckets; scale with cluster
+    #: most partitions of a hop's shuffle: a hop runs min(num_buckets,
+    #: planned input blocks) of them, one bucket and one sink call each
+    num_buckets: int = 64
     politeness: PolitenessBudget | None = None
     robots: RobotsPolicy | None = None
     #: per-hop LOG edge classification: "full" recomputes the
@@ -353,10 +361,14 @@ def _edge_key(batch: pa.Table) -> pa.Table:
     return batch.append_column("edge_key", key)
 
 
-# Unified row layout for the hop's single combined shuffle: edge rows and
-# frontier-candidate rows ride the SAME exchange (each kind has its own
-# buckets, so its own sink groups), so a hop pays ONE all-to-all instead
-# of two sequential Dataset executions.
+# Unified row layout for the hop's single combined shuffle: frontier
+# candidates, edge rows and (on a classifying hop) earlier hops' edges
+# ride the SAME exchange, so a hop pays ONE all-to-all instead of one
+# Dataset execution per kind. Every kind shares one space of ``n``
+# buckets (candidates by id range, edge and classify rows by a hash of
+# (source, destination)); ``__kind`` tells the rows apart in the sink.
+_CAND, _EDGE, _CLASSIFY = range(3)
+
 _TAGGED_SCHEMA = pa.schema(
     [
         ("source", pa.string()),
@@ -368,6 +380,7 @@ _TAGGED_SCHEMA = pa.schema(
         ("cand_id", pa.string()),
         ("priority", pa.int64()),
         ("__bucket", pa.int64()),
+        ("__kind", pa.int8()),
     ]
 )
 
@@ -387,11 +400,14 @@ _SINK_COUNT_SCHEMA = pa.schema(
 )
 
 
-def _tagged(n: int, bucket: np.ndarray, **cols) -> pa.Table:
+def _tagged(kind: int, bucket: np.ndarray, **cols) -> pa.Table:
+    n = len(bucket)
     arrays = []
     for f in _TAGGED_SCHEMA:
         if f.name == "__bucket":
             arrays.append(pa.array(np.asarray(bucket, dtype=np.int64)))
+        elif f.name == "__kind":
+            arrays.append(pa.array(np.full(n, kind, dtype=np.int8)))
         elif f.name in cols:
             v = cols[f.name]
             if isinstance(v, pa.ChunkedArray):
@@ -406,34 +422,18 @@ def _tagged(n: int, bucket: np.ndarray, **cols) -> pa.Table:
     return pa.Table.from_arrays(arrays, schema=_TAGGED_SCHEMA)
 
 
-# Bucket layout of the hop shuffle, for ``n`` buckets of each row kind.
-# A hop has candidate and edge rows (``n_kinds`` 2); a classifying hop
-# adds classify-only rows (``n_kinds`` 3). Candidate range
-# bucket j is ``__bucket`` j; hash bucket j of the other kinds follows at
-# ``n + (n_kinds - 1)·j + kind - 1``, edge and classify buckets
-# interleaved, so the shuffle's even cut points give each partition a
-# like share of both. Placed after the edges, the classify rows filled
-# the top partition (BASELINE.md, skew table).
-_CAND, _EDGE, _CLASSIFY = range(3)
+def _edge_bucket(t: pa.Table, n_buckets: int) -> np.ndarray:
+    return hash_buckets([t["source"], t["destination"]], n_buckets)
 
 
-def _hop_bucket(kind: int, j, n: int, n_kinds: int):
-    return j if kind == _CAND else n + (n_kinds - 1) * j + kind - 1
-
-
-def _hop_kind(bucket: int, n: int, n_kinds: int) -> int:
-    return _CAND if bucket < n else 1 + (bucket - n) % (n_kinds - 1)
-
-
-def _make_record_tagger(hop: int, n_buckets: int, n_kinds: int,
-                        boundaries: np.ndarray | None):
+def _make_record_tagger(hop: int, n_buckets: int, boundaries: np.ndarray | None):
     """1:1 batch stage: split a parsed record batch into its edge rows
     and frontier-candidate rows, pre-combine each (the same per-batch
     keep-first that dedup_keep_first/distinct ran before their separate
     shuffles — hot-key mitigation is preserved), and emit ONE tagged
     table whose ``__bucket`` routes candidates to ``n_buckets`` range
     buckets (range-clustered next frontier == next hop's fetch routing)
-    and edges to ``n_buckets`` hash buckets."""
+    and edges to the same ``n_buckets`` as hash buckets."""
     from fs_crawler_ray.ids import range_bucket_of
     from fs_crawler_ray.relops import _keep_first_arrow
 
@@ -446,12 +446,10 @@ def _make_record_tagger(hop: int, n_buckets: int, n_kinds: int,
         )
         if len(e):
             e = _keep_first_arrow(e, ["source", "destination"], ["hop", "src_doc", "offset"])
-            b = _hop_bucket(_EDGE, hash_buckets([e["source"], e["destination"]], n_buckets),
-                            n_buckets, n_kinds)
             parts.append(_tagged(
-                len(e), b, source=e["source"], destination=e["destination"],
-                rel_id=e["rel_id"], src_doc=e["src_doc"], offset=e["offset"],
-                hop=e["hop"],
+                _EDGE, _edge_bucket(e, n_buckets), source=e["source"],
+                destination=e["destination"], rel_id=e["rel_id"], src_doc=e["src_doc"],
+                offset=e["offset"], hop=e["hop"],
             ))
         c = batch.filter(pc.equal(batch["rec_kind"], "cand"))["cand_id"]
         if len(c):
@@ -459,7 +457,7 @@ def _make_record_tagger(hop: int, n_buckets: int, n_kinds: int,
             c = pc.unique(c).sort()
             prio = pa.array(np.full(len(c), hop + 1, dtype=np.int64))
             b = range_bucket_of(as_key_array(c), n_buckets, boundaries=bnd)
-            parts.append(_tagged(len(c), b, cand_id=c, priority=prio))
+            parts.append(_tagged(_CAND, b, cand_id=c, priority=prio))
         if not parts:
             return _TAGGED_SCHEMA.empty_table()
         return pa.concat_tables(parts)
@@ -469,18 +467,14 @@ def _make_record_tagger(hop: int, n_buckets: int, n_kinds: int,
 
 def _make_classify_tagger(n_buckets: int):
     """Tag earlier hops' (source, destination) edge rows as
-    classify-only rows routed to ``n_buckets`` hash buckets — they ride
-    a classifying hop's own shuffle so the sink classifies them AFTER
-    every VISITED registration of the hop (the shuffle barrier is the
-    ordering), and edge classification is never an execution of its
+    classify-only rows in the hop's ``n_buckets`` hash buckets — they
+    ride a classifying hop's own shuffle so the sink classifies them
+    AFTER every VISITED registration of the hop (the shuffle barrier is
+    the ordering), and edge classification is never an execution of its
     own."""
 
     def tag(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return _TAGGED_SCHEMA.empty_table()
-        b = _hop_bucket(_CLASSIFY, hash_buckets([batch["source"], batch["destination"]],
-                                                 n_buckets), n_buckets, 3)
-        return _tagged(len(batch), b, source=batch["source"],
+        return _tagged(_CLASSIFY, _edge_bucket(batch, n_buckets), source=batch["source"],
                        destination=batch["destination"])
 
     return tag
@@ -494,121 +488,120 @@ def _make_carryover_tagger(n_buckets: int, boundaries: np.ndarray | None):
     bnd = thin_boundaries(boundaries, n_buckets)
 
     def tag(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
+        if len(batch) == 0:  # a split's block can be empty
             return _TAGGED_SCHEMA.empty_table()
         b = range_bucket_of(as_key_array(batch["id"]), n_buckets, boundaries=bnd)
-        return _tagged(len(batch), b, cand_id=batch["id"],
+        return _tagged(_CAND, b, cand_id=batch["id"],
                        priority=pc.cast(batch["priority"], pa.int64()))
 
     return tag
 
 
 class _HopSink:
-    """Per-bucket terminal of the hop's combined shuffle. Each group is
-    purely one kind (see :func:`_hop_bucket`): candidate buckets
-    run distinct-keep-first → ``visited ∪ processing`` membership filter
-    → frontier rows; edge buckets run keep-first dedup → cross-hop
-    edge-seen filter (deferred adds) → edge rows. Both side-write their
-    group's output as a content-named parquet part (same retry-safe
-    idempotence contract as BranchCheckpoint) and return only a count
-    row — the hop's frontier AND edges land on disk in the SAME
-    execution that fetched and parsed the records.
+    """Terminal of the hop's combined shuffle, called once per bucket
+    with every row of that bucket; the crawl sizes the bucket space so
+    that each shuffle partition holds one bucket, so this runs once per
+    partition. Each call does one step per row kind:
+
+    - candidates: keep-first by ``(cand_id, priority)`` → ONE
+      ``visited ∪ processing`` membership check → one frontier part;
+    - edges: keep-first dedup → ONE cross-hop edge-seen check with
+      deferred adds → one edge part;
+    - classification (a classifying hop): ONE VISITED check over this
+      call's written edges and its classify-only rows.
+
+    Both parts are content-named (same retry-safe idempotence contract
+    as BranchCheckpoint); the call returns one count row per kind
+    present — the hop's frontier AND edges land on disk in the SAME
+    execution that fetched and parsed the records. Every occurrence of
+    a key lands in one bucket, so the whole-bucket keep-first and checks
+    give the rows the same work done key group by key group would.
 
     Correctness of the fusion: the shuffle upstream is an all-to-all
     barrier, so every PROCESSING/VISITED registration (they happen in
     the pre-fetch and post-parse stages of this same execution) has
-    completed before any sink group runs — identical visibility to the
+    completed before any sink call runs — identical visibility to the
     old 3-execution shape."""
 
-    def __init__(self, sm: ShardedMembership, n_buckets: int, frontier_path: str,
-                 edges_path: str, classify_edges: bool = False):
+    def __init__(self, sm: ShardedMembership, frontier_path: str, edges_path: str,
+                 classify_edges: bool = False):
         self.sm = sm
-        self.n_buckets = n_buckets
-        self.n_kinds = 3 if classify_edges else 2
         self.classify_edges = classify_edges
         self.frontier_path = frontier_path
         self.edges_path = edges_path
 
-    def _write(self, rows: pa.Table, path: str, schema: pa.Schema, bucket: int) -> None:
-        _write_part(rows, path, schema, key_col=0, tag_prefix=f"{bucket}|")
-
-    def _classify(self, src, dst) -> tuple[int, int, int]:
-        """J1 within/spanning/frontier partial for one edge group
-        (``graph_memory_impl.py:106-120``) — ONE concatenated VISITED
-        scatter for both endpoints, which halves the membership RPCs.
-        Safe here: the shuffle barrier guarantees every VISITED
-        registration of this hop completed first."""
-        n = len(src)
-        if n == 0:
-            return 0, 0, 0
-        both = self.sm.contains(VISITED, np.concatenate(
-            [as_key_array(src), as_key_array(dst)]))
-        src_in, dst_in = both[:n], both[n:]
-        within = int((src_in & dst_in).sum())
-        frontier = int((~src_in & ~dst_in).sum())
-        return within, n - within - frontier, frontier
-
-    def __call__(self, t: pa.Table) -> pa.Table:
+    def _frontier(self, t: pa.Table, bucket: int) -> int:
         from fs_crawler_ray.relops import _keep_first_arrow
 
+        c = _keep_first_arrow(t.select(["cand_id", "priority"]), ["cand_id"],
+                              ["cand_id", "priority"])
+        present = self.sm.contains_any([VISITED, PROCESSING], as_key_array(c["cand_id"]))
+        c = c.filter(pa.array(~present))
+        if len(c):
+            out = pa.table({"id": c["cand_id"], "priority": c["priority"],
+                            "hop": pc.cast(c["priority"], pa.int32())}, schema=FRONTIER_SCHEMA)
+            _write_part(out, self.frontier_path, FRONTIER_SCHEMA, tag_prefix=f"{bucket}|")
+        return len(c)
+
+    def _edges(self, t: pa.Table, bucket: int) -> pa.Table:
+        """This call's new edges (also written as its edge part)."""
+        from fs_crawler_ray.relops import _keep_first_arrow
+
+        e = t.select(["source", "destination", "rel_id", "src_doc", "offset", "hop"])
+        e = _edge_key(_keep_first_arrow(e, ["source", "destination"],
+                                        ["hop", "src_doc", "offset"]))
+        present = self.sm.check_and_add_deferred(EDGES, as_key_array(e["edge_key"]))
+        e = e.filter(pa.array(~present))
+        out = pa.table({
+            "source": e["source"],
+            "destination": e["destination"],
+            "type": pa.repeat(pa.scalar(RelationshipType.UNTYPED_PARENT.value), len(e)),
+            "id": e["rel_id"],
+            "hop": e["hop"],
+        })
+        if len(out):
+            _write_part(out, self.edges_path, EDGE_SCHEMA, tag_prefix=f"{bucket}|")
+        return out
+
+    def _classify(self, *edge_sets: pa.Table) -> list[tuple[int, int, int]]:
+        """J1 within/spanning/frontier partial of each table of
+        (source, destination) rows (``graph_memory_impl.py:106-120``),
+        from ONE VISITED check over both endpoints of all of them. Safe
+        here: the shuffle barrier guarantees every VISITED registration
+        of this hop completed first."""
+        sizes = [len(e) for e in edge_sets]
+        total = sum(sizes)
+        keys = [as_key_array(e[c]) for c in ("source", "destination") for e in edge_sets]
+        both = self.sm.contains(VISITED, np.concatenate(keys)) if total else np.zeros(0, bool)
+        src_in, dst_in = both[:total], both[total:]
+        out, lo = [], 0
+        for n in sizes:
+            s, d = src_in[lo:lo + n], dst_in[lo:lo + n]
+            within, frontier = int((s & d).sum()), int((~s & ~d).sum())
+            out.append((within, n - within - frontier, frontier))
+            lo += n
+        return out
+
+    def __call__(self, t: pa.Table) -> pa.Table:
         bucket = t["__bucket"][0].as_py()
-        n_in = len(t)
-        wsf = (0, 0, 0)
-        kind = _hop_kind(bucket, self.n_buckets, self.n_kinds)
-        if kind == _CLASSIFY:
-            # classify-only rows (earlier hops' edges): count, write nothing
-            wsf = self._classify(t["source"], t["destination"])
-            kind, n_out = "classify", 0
-        elif kind == _CAND:
-            c = t.select(["cand_id", "priority"])
-            c = _keep_first_arrow(c, ["cand_id"], ["cand_id", "priority"])
-            present = self.sm.contains_any([VISITED, PROCESSING], as_key_array(c["cand_id"]))
-            c = c.filter(pa.array(~present))
-            out = pa.table(
-                {
-                    "id": c["cand_id"],
-                    "priority": c["priority"],
-                    "hop": pc.cast(c["priority"], pa.int32()),
-                },
-                schema=FRONTIER_SCHEMA,
-            )
-            if len(out):
-                self._write(out, self.frontier_path, FRONTIER_SCHEMA, bucket)
-            kind, n_out = "frontier", len(out)
-        else:
-            e = t.select(["source", "destination", "rel_id", "src_doc", "offset", "hop"])
-            e = _keep_first_arrow(e, ["source", "destination"], ["hop", "src_doc", "offset"])
-            e = _edge_key(e)
-            present = self.sm.check_and_add_deferred(EDGES, as_key_array(e["edge_key"]))
-            e = e.filter(pa.array(~present))
-            n = len(e)
-            out = pa.table(
-                {
-                    "source": e["source"],
-                    "destination": e["destination"],
-                    "type": pa.array([RelationshipType.UNTYPED_PARENT.value] * n, pa.string()),
-                    "id": e["rel_id"],
-                    "hop": e["hop"],
-                },
-            )
-            if len(out):
-                self._write(out, self.edges_path, EDGE_SCHEMA, bucket)
-            if self.classify_edges:
-                # classification of THIS hop's written edges
-                wsf = self._classify(out["source"], out["destination"])
-            kind, n_out = "edges", len(out)
-        return pa.table(
-            {
-                "kind": pa.array([kind], pa.string()),
-                "bucket": pa.array([bucket], pa.int64()),
-                "rows_in": pa.array([n_in], pa.int64()),
-                "rows_out": pa.array([n_out], pa.int64()),
-                "within": pa.array([wsf[0]], pa.int64()),
-                "spanning": pa.array([wsf[1]], pa.int64()),
-                "frontier_e": pa.array([wsf[2]], pa.int64()),
-            },
-            schema=_SINK_COUNT_SCHEMA,
-        )
+        kind = t["__kind"].to_numpy()
+        cand, edge, cls = (t.filter(pa.array(kind == k)) for k in (_CAND, _EDGE, _CLASSIFY))
+        rows = []  # (kind, rows_in, rows_out, (within, spanning, frontier))
+        if len(cand):
+            rows.append(("frontier", len(cand), self._frontier(cand, bucket), (0, 0, 0)))
+        written = self._edges(edge, bucket) if len(edge) else edge
+        w_edge = w_cls = (0, 0, 0)
+        if self.classify_edges:
+            # this hop's written edges and the classify-only rows
+            # (earlier hops' edges, of which nothing is written)
+            w_edge, w_cls = self._classify(written, cls)
+        if len(edge):
+            rows.append(("edges", len(edge), len(written), w_edge))
+        if len(cls):
+            rows.append(("classify", len(cls), 0, w_cls))
+        cols = list(zip(*[(k, bucket, n_in, n_out, *w) for k, n_in, n_out, w in rows]))
+        return pa.Table.from_arrays([pa.array(c, f.type) for c, f in
+                                     zip(cols, _SINK_COUNT_SCHEMA)], schema=_SINK_COUNT_SCHEMA)
 
 
 # ----------------------------------------------------------------------
@@ -926,7 +919,6 @@ class Crawler:
                     BranchCheckpoint(proc_path, FRONTIER_SCHEMA), batch_format="pyarrow"
                 )
                 records = _fetch_parse_chain(eligible)
-                n_src_est = n_frontier_est
             else:
                 # sharded priority queue: take the best `budget` ids by
                 # (priority, id); carry the rest to the next frontier.
@@ -951,68 +943,57 @@ class Crawler:
                     _read_sized(proc_path, columns=["id"],
                                 rows_per_block=_fetch_rpb(n_proc, cpus, self.direct))
                 )
-                n_src_est = n_proc
                 if remainder.count() > 0:
                     carryover = remainder.select_columns(["id", "priority"])
-
-            # shuffle width scaled to this hop's data, estimated from the
-            # INPUT frontier size (the record count is not known until the
-            # fused execution runs; records ≈ ~10 rows per fetched id —
-            # vertex + edges + candidate mentions)
-            eff_buckets = int(max(2, min(cfg.num_buckets, (n_src_est * 10) // 5000 + 1)))
 
             # 3. the combined edges + frontier shuffle, fused into the
             # SAME streaming execution as filter/fetch/parse: the tagger
             # pre-combines each kind per batch (hot-key mitigation, same
             # as the old dedup_keep_first/distinct pre-passes), routes
-            # candidates to eff range buckets — so the next frontier
+            # candidates to n range buckets — so the next frontier
             # lands range-clustered, which IS the next hop's fetch
-            # routing — and edges to eff hash buckets;
-            # the per-bucket _HopSink dedups, membership-filters
-            # (visited ∪ processing for candidates — the add_to_frontier
-            # guard, graph_memory_impl.py:60-63 — and the deferred
-            # cross-hop edge-seen check for edges) and side-writes each
-            # group's output parquet part. One execution per hop where
-            # round 2 paid three: the shuffle barrier provides the same
-            # ordering guarantees the old materialize() did.
+            # routing — and edges to the same n buckets by hash;
+            # _HopSink dedups, membership-filters (visited ∪ processing
+            # for candidates — the add_to_frontier guard,
+            # graph_memory_impl.py:60-63 — and the deferred cross-hop
+            # edge-seen check for edges) and side-writes one parquet
+            # part per kind. One execution per hop where round 2 paid
+            # three: the shuffle barrier provides the same ordering
+            # guarantees the old materialize() did.
             # Edge classification rides the same shuffle: on a
             # classifying hop (every hop in "full" mode, the last in
             # "final") the earlier hops' edges join it as classify-only
             # rows and the sink classifies them and this hop's own
             # written edges, so the J1 counts cost no execution of their
             # own. The shuffle barrier provides the ordering (all
-            # VISITED registrations complete before any sink group).
+            # VISITED registrations complete before any sink call).
             classify = (cfg.log_edge_classification == "full"
                         or (cfg.log_edge_classification == "final"
                             and hop == cfg.hops - 1))
-            n_kinds = 3 if classify else 2
-            tagger = _make_record_tagger(hop, eff_buckets, n_kinds, self.range_boundaries)
-            tagged = records.map_batches(tagger, batch_format="pyarrow")
+            prev_edges = None
             if classify and result.hops_run:
                 prev_edges = st.read_parts(_expand_parquet(
                     [st.join(self._hop_dir(h), "edges.parquet") for h in result.hops_run]),
                     ["source", "destination"], _sized_blocks)
-                tagged = tagged.union(prev_edges.map_batches(
-                    _make_classify_tagger(eff_buckets),
-                    batch_format="pyarrow"))
+            # one bucket per shuffle partition: shuffle_apply cuts the
+            # union of the tagged inputs into partition_count(n, union)
+            # partitions, which is n itself (a union plans the sum of its
+            # inputs' blocks), so the sink runs once per partition
+            n = partition_count(cfg.num_buckets, *(
+                d for d in (records, prev_edges, carryover) if d is not None))
+            tagged = records.map_batches(_make_record_tagger(hop, n, self.range_boundaries),
+                                         batch_format="pyarrow")
+            if prev_edges is not None:
+                tagged = tagged.union(prev_edges.map_batches(_make_classify_tagger(n),
+                                                             batch_format="pyarrow"))
             if carryover is not None:
                 # unprocessed budget remainder carries over with its
                 # ORIGINAL priority; the sink's keep-first by
                 # (cand_id, priority) keeps the smallest priority per id
-                tagged = tagged.union(
-                    carryover.map_batches(
-                        _make_carryover_tagger(eff_buckets, self.range_boundaries),
-                        batch_format="pyarrow",
-                    )
-                )
-            sink = _HopSink(self.sm, eff_buckets, frontier_out, edges_out,
-                            classify_edges=classify)
-
-            # shuffle_apply sizes the shuffle by the fetch blocks
-            # (``_fetch_rpb``) and the classify read's blocks, and the
-            # sink sees one bucket per call
-            grouped = shuffle_apply(tagged, sink, bucket="__bucket",
-                                    num_buckets=n_kinds * eff_buckets)
+                tagged = tagged.union(carryover.map_batches(
+                    _make_carryover_tagger(n, self.range_boundaries), batch_format="pyarrow"))
+            sink = _HopSink(self.sm, frontier_out, edges_out, classify_edges=classify)
+            grouped = shuffle_apply(tagged, sink, bucket="__bucket", num_buckets=n)
             _mark("hop_plan", tick)  # lazy graph construction + seed prep
             sink_counts = grouped.take_all()
             if os.environ.get("FSRAY_HOP_STATS") == "1":  # perf diagnostics
@@ -1045,7 +1026,16 @@ class Crawler:
             lineage = {
                 "hop": hop,
                 "fetch": self._fetch_counters(hop),
-                "shards": shard_stats,
+                # the shards' sets, and the membership RPCs their hosts
+                # served since the previous hop's lineage (a resume's
+                # state rebuild counts with its first hop)
+                "shards": {"sets": shard_stats, "rpcs": self.sm.take_rpcs()},
+                # one entry per sink call and row kind; every call holds
+                # one bucket, so "partitions" calls when none is empty
+                "sink": {"partitions": partition_count(n, tagged),
+                         "entries": sorted(
+                             [{k: r[k] for k in ("bucket", "kind", "rows_in", "rows_out")}
+                              for r in sink_counts], key=lambda e: (e["bucket"], e["kind"]))},
                 "stage_seconds": stage_t,
                 "records": n_records,
             }

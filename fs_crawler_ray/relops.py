@@ -127,17 +127,28 @@ def even_cuts(parts: int, span: int) -> list[int]:
     return [int(i * span // parts) for i in range(1, parts)]
 
 
+def partition_count(span: int, *inputs: ray.data.Dataset) -> int:
+    """Partitions of a shuffle over the buckets ``[0, span)`` whose input
+    is the union of ``inputs``: ``min(span, input blocks)``, 1 when the
+    block count is unknown. The block count is the one the plan knows
+    before it runs (checkpoint reads size it by rows); a union plans the
+    sum of its inputs' counts, so a caller that tags several inputs into
+    ``partition_count(span, *inputs)`` buckets before their union gets
+    one bucket per partition."""
+    blocks = [d._plan.initial_num_blocks() for d in inputs]
+    return min(span, (sum(blocks) if None not in blocks else 0) or 1)
+
+
 def _range_partition(ds: ray.data.Dataset, keys: list[str], span: int,
                      descending: bool = False) -> tuple[ray.data.Dataset, bool]:
-    """``ds`` moved into ``P = min(span, input blocks)`` blocks of whole
+    """``ds`` moved into ``P =`` :func:`partition_count` blocks of whole
     ranges of a first key whose values are integers in ``[0, span)``,
-    and whether each block is sorted by ``keys``. The input block count
-    is the one the plan knows before it runs (checkpoint reads size it
-    by rows). P > 1 is a sort cut at :func:`even_cuts`, so no boundary is
-    sampled. One part is a ``repartition(1)`` left unsorted: ``sort``
-    given no cut point would sample boundaries again, one task per
-    input block, and the caller sorts the one block in its own task."""
-    parts = min(span, ds._plan.initial_num_blocks() or 1)
+    and whether each block is sorted by ``keys``. P > 1 is a sort cut at
+    :func:`even_cuts`, so no boundary is sampled. One part is a
+    ``repartition(1)`` left unsorted: ``sort`` given no cut point would
+    sample boundaries again, one task per input block, and the caller
+    sorts the one block in its own task."""
+    parts = partition_count(span, ds)
     if parts > 1:
         return ds.sort(keys, descending=descending, boundaries=even_cuts(parts, span)), True
     return ds.repartition(1), False

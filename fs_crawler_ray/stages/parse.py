@@ -10,7 +10,8 @@ One zero-copy Arrow pass turns a batch of interleaved documents
   matching the reference's non-preferred-name fallback).
 - ``edge``    — one row per child_parent span
   (``fscrawler/controller/fsapi.py:156-161`` parent1/parent2 expansion),
-  text ``child|parent|rel_id`` split vectorized.
+  text ``child|parent|rel_id`` split vectorized; a span with fewer
+  parts is dropped (no edge, no candidates).
 - ``cand``    — frontier candidates: Couple partners
   (``fsapi.py:151-155``) plus both endpoints of every child_parent span
   (``graph_memory_impl.py:69-72`` add_to_frontier of child and parent).
@@ -130,6 +131,11 @@ def parse_documents(batch: pa.Table) -> pa.Table:
     # --- edges (child_parent spans) ----------------------------------
     cp = spans_of(SpanKind.CHILD_PARENT)
     split = pc.split_pattern(text.take(pa.array(cp)), "|")
+    # a span without its three child|parent|rel_id parts is dropped: it
+    # gives no edge and no candidates
+    whole = pc.greater_equal(pc.list_value_length(split), 3).fill_null(False)
+    if not pc.all(whole).as_py():
+        cp, split = cp[whole.to_numpy(zero_copy_only=False)], split.filter(whole)
     child, par = pc.list_element(split, 0), pc.list_element(split, 1)
     if len(cp):
         parts.append(_emit("edge", len(cp), {

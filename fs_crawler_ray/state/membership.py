@@ -581,6 +581,9 @@ class MembershipShardHost:
             raise ValueError(f"unknown membership mode {mode!r}")
         self.capacity, self.mode = capacity, mode
         self.shards: dict[int, MembershipShardState] = {}
+        #: ``call`` RPCs served since the last :meth:`take_rpcs`, by
+        #: ``(method, set name)``: ``[calls, keys]``
+        self.rpcs: dict[tuple[str, str], list[int]] = {}
 
     def _shard(self, i: int) -> MembershipShardState:
         if i not in self.shards:
@@ -592,6 +595,10 @@ class MembershipShardHost:
         """``method(*args, keys[bounds[j]:bounds[j + 1]])`` on shard
         ``first + j`` for every non-empty span; the shards' masks,
         concatenated in key order."""
+        name = args[0] if isinstance(args[0], str) else "+".join(args[0])
+        served = self.rpcs.setdefault((method, name), [0, 0])
+        served[0] += 1
+        served[1] += len(keys)
         out = np.zeros(len(keys), dtype=bool)
         for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
             if lo < hi:
@@ -610,6 +617,11 @@ class MembershipShardHost:
     def stats(self, shards=()) -> list[dict]:
         """Per-shard ``stats()`` of ``shards`` (global indices), in order."""
         return [self.shards[i].stats() if i in self.shards else {} for i in shards]
+
+    def take_rpcs(self) -> dict:
+        """:attr:`rpcs`, whose counts then start again at zero."""
+        out, self.rpcs = self.rpcs, {}
+        return out
 
 
 _Host = ray.remote(MembershipShardHost)
@@ -768,6 +780,19 @@ class ShardedMembership:
 
     def clear(self, name: str) -> None:
         ray.get([a.clear.remote(name) for a in self.actors])
+
+    def take_rpcs(self) -> dict:
+        """The membership RPCs (host ``call``s) served since the hosts
+        were acquired or last asked, summed over hosts: ``{method: {set
+        name: {"calls", "keys"}}}``, a ``contains_any`` under its names
+        joined by ``+``. The counts then start again at zero."""
+        out: dict = {}
+        for served in ray.get([a.take_rpcs.remote() for a in self.actors]):
+            for (method, name), (calls, keys) in served.items():
+                c = out.setdefault(method, {}).setdefault(name, {"calls": 0, "keys": 0})
+                c["calls"] += calls
+                c["keys"] += keys
+        return out
 
     def stats(self) -> list[dict]:
         """One ``stats()`` dict per shard, in shard order."""

@@ -401,6 +401,114 @@ def test_resume_rebuild_is_one_execution(crawled, small_corpus, count_executions
         crawler.shutdown()
 
 
+class _CountingMembership:
+    """An in-process membership handle: one ``MembershipShardState``
+    whose method calls are counted by name."""
+
+    def __init__(self):
+        from collections import Counter
+
+        from fs_crawler_ray.state.membership import MembershipShardState
+
+        self.state = MembershipShardState(1024, "exact")
+        self.calls = Counter()
+
+    def __getattr__(self, method):
+        def counted(*args):
+            self.calls[method] += 1
+            return getattr(self.state, method)(*args)
+
+        return counted
+
+
+def _sink_rows():
+    """One bucket's candidate, edge and classify rows, some of them
+    repeated or already registered."""
+    from fs_crawler_ray.crawl import _CAND, _CLASSIFY, _EDGE, _tagged
+
+    ids = [f"AAAA-{i:03d}" for i in range(12)]
+    cand = _tagged(_CAND, [3] * 8, cand_id=ids[:6] + ids[:2],
+                   priority=[2, 2, 2, 2, 2, 2, 1, 3])
+    src, dst = ids[:7] + ids[:2], ids[5:12] + ids[5:7]
+    edge = _tagged(_EDGE, [3] * 9, source=src, destination=dst,
+                   rel_id=[f"R{i}" for i in range(9)], src_doc=src,
+                   offset=list(range(9)), hop=[1] * 7 + [0, 2])
+    cls = _tagged(_CLASSIFY, [3] * 4, source=ids[8:12], destination=ids[:4])
+    return cand, edge, cls
+
+
+def _run_sink(tables, tmp_path):
+    """The sink's count rows and written frontier/edge rows for
+    ``tables``, one sink call each, over fresh state holding a few
+    visited, processing and committed edge keys."""
+    import pyarrow.parquet as pq
+
+    from fs_crawler_ray.crawl import EDGES, PROCESSING, VISITED, _HopSink
+    from fs_crawler_ray.ids import as_key_array
+
+    sm = _CountingMembership()
+    sm.state.add(VISITED, as_key_array(pa.array(["AAAA-000", "AAAA-005", "AAAA-009"])))
+    sm.state.add(PROCESSING, as_key_array(pa.array(["AAAA-001", "AAAA-010"])))
+    sm.state.add(EDGES, as_key_array(pa.array(["AAAA-002|AAAA-007"])))
+    dirs = [tmp_path / "frontier", tmp_path / "edges"]
+    for d in dirs:
+        d.mkdir(parents=True)
+    sink = _HopSink(sm, str(dirs[0]), str(dirs[1]), classify_edges=True)
+    sm.calls.clear()
+    counts = pa.concat_tables([sink(t) for t in tables]).sort_by("kind")
+    written = [pq.read_table(str(dirs[0])).sort_by("id"),
+               pq.read_table(str(dirs[1])).sort_by([("source", "ascending")])]
+    return counts, written, [len(list(d.iterdir())) for d in dirs], sm.calls
+
+
+def test_hop_sink_one_call_per_kind(tmp_path):
+    """One sink call over a bucket holding candidate, edge and classify
+    rows makes one membership call per row kind and writes one frontier
+    part and one edge part; its count rows and written rows equal the
+    same rows handled one kind per call."""
+    cand, edge, cls = _sink_rows()
+    counts, written, parts, calls = _run_sink([pa.concat_tables([cls, edge, cand])],
+                                              tmp_path / "one")
+    assert dict(calls) == {"contains_any": 1, "check_and_add_deferred": 1, "contains": 1}
+    assert parts == [1, 1]
+    by_kind, by_kind_written, _, _ = _run_sink([cand, edge, cls], tmp_path / "per_kind")
+    assert counts.equals(by_kind)
+    assert [w.equals(b) for w, b in zip(written, by_kind_written)] == [True, True]
+    assert counts["kind"].to_pylist() == ["classify", "edges", "frontier"]
+    assert counts["rows_out"].to_pylist() == [0, 6, 3]
+    assert written[0]["id"].to_pylist() == ["AAAA-002", "AAAA-003", "AAAA-004"]
+    assert written[0]["priority"].to_pylist() == [2, 2, 2]
+    assert [r["id"] for r in written[1].to_pylist()] == ["R7", "R1", "R3", "R4", "R5", "R6"]
+
+
+def test_full_mode_sink_runs_once_per_partition(small_corpus, tmp_path_factory, small_blocks):
+    """Every hop of a 'full'-mode crawl over 16-row checkpoint blocks
+    (several shuffle partitions on the classifying hops): its sink
+    lineage holds one bucket per partition, its frontier and edge
+    tables at most one part per partition, and its sink made at most
+    one membership call per row kind, partition and host."""
+    out = str(tmp_path_factory.mktemp("full_sink"))
+    cfg = CrawlConfig(hops=3, num_shards=4, num_buckets=8, log_edge_classification="full")
+    result = crawl(small_corpus, small_corpus.seeds, out, cfg)
+    _assert_match(result, oracle_crawl(small_corpus.documents_path, small_corpus.seeds, 3))
+    hosts = _first_lineage(out)["actors"]["hosts"]
+    widths = []
+    for hop in result.hops_run:
+        hop_dir = os.path.join(out, f"hop={hop}")
+        with open(os.path.join(hop_dir, "lineage.json")) as f:
+            lineage = json.load(f)
+        sink, rpcs = lineage["sink"], lineage["shards"]["rpcs"]
+        p = sink["partitions"]
+        widths.append(p)
+        assert len({e["bucket"] for e in sink["entries"]}) == p
+        for table in ("frontier.parquet", "edges.parquet"):
+            assert len(os.listdir(os.path.join(hop_dir, table))) <= p
+        for method, name in [("contains_any", "visited+processing"),
+                             ("check_and_add_deferred", "edges"), ("contains", "visited")]:
+            assert 0 < rpcs[method][name]["calls"] <= p * hosts, (hop, method)
+    assert max(widths) > 1  # the earlier hops' edges widened the shuffle
+
+
 def test_final_mode_fused_classification_matches_full(small_corpus, tmp_path_factory):
     """'final' mode classifies only its last hop, on the same sink path
     'full' mode takes every hop (classify-only rows of earlier hops

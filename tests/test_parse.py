@@ -169,3 +169,22 @@ def test_last_wins_on_duplicate_scalar_spans():
     v = rec.filter(pa.compute.equal(rec["rec_kind"], "vertex")).to_pylist()[0]
     assert v["given_name"] == "B"
     assert v["color"] == 1
+
+
+def test_malformed_child_parent_span_is_dropped(small_corpus):
+    """A child_parent span without its three ``child|parent|rel_id``
+    parts gives no edge and no candidates; the rest of its batch parses
+    as it does without that span."""
+    t = _with_hop(pq.read_table(small_corpus.documents_path).slice(0, 40), hop=1)
+    spans = t["spans"].to_pylist()
+    bad = [list(s) for s in spans]
+    bad[7] = bad[7] + [_span("child_parent", "AAAA-001|BBBB-002", 999)]
+    bad[20] = [_span("child_parent", "", 998)] + bad[20]
+    broken = t.set_column(t.column_names.index("spans"), "spans",
+                          pa.array(bad, t["spans"].type))
+    assert parse_documents(broken).equals(parse_documents(t))
+    only = pa.table({"doc_id": ["AAAA-000"],
+                     "spans": pa.array([[_span("child_parent", "AAAA-001|BBBB-002", 0)]],
+                                       _SPANS_TYPE)})
+    rec = parse_documents(only)
+    assert rec["rec_kind"].to_pylist() == ["vertex"]

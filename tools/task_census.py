@@ -6,13 +6,16 @@ then runs one warm crawl, one resume (the last hop's ``log.json``
 removed) and one graph build (resolve + adjacency export). For each of
 the three phases it prints the remote tasks launched, counted by
 function name (each ``RemoteFunction._remote`` call; actor method calls
-are not counted), and the Ray Data executions started (each
-``StreamingExecutor.execute`` call). Run from the root of a checkout::
+are not counted), the Ray Data executions started (each
+``StreamingExecutor.execute`` call), and the membership RPCs (shard-host
+``call``s) and hop-sink calls that the lineage.json of the hops the
+phase wrote records. Run from the root of a checkout::
 
     python3 tools/task_census.py --workload deep_crawl --seed 71
 
 The last line of stdout is one JSON object, ``{phase: {"tasks",
-"by_function", "executions"}}``.
+"by_function", "executions", "membership_rpcs", "rpcs_by_call",
+"sink_calls"}}``.
 """
 
 from __future__ import annotations
@@ -65,10 +68,31 @@ class Census:
         finally:
             self.phase = None
 
-    def report(self) -> dict:
-        return {p: {"tasks": sum(c.values()), "by_function": dict(c.most_common()),
-                    "executions": self.executions[p]}
-                for p, c in self.tasks.items()}
+    def report(self, lineage: dict[str, list[dict]]) -> dict:
+        """The counts of each phase, with the membership RPCs and sink
+        calls of the hop lineages it wrote (``lineage[phase]``)."""
+        out = {}
+        for p, c in self.tasks.items():
+            rpcs = Counter()
+            for lin in lineage.get(p, []):
+                for method, names in lin["shards"]["rpcs"].items():
+                    for name, n in names.items():
+                        rpcs[f"{method}({name})"] += n["calls"]
+            out[p] = {"tasks": sum(c.values()), "by_function": dict(c.most_common()),
+                      "executions": self.executions[p],
+                      "membership_rpcs": sum(rpcs.values()),
+                      "rpcs_by_call": dict(rpcs.most_common()),
+                      "sink_calls": sum(len({e["bucket"] for e in lin["sink"]["entries"]})
+                                        for lin in lineage.get(p, []))}
+        return out
+
+
+def hop_lineage(out_dir: str, hops: list[int]) -> list[dict]:
+    lineage = []
+    for h in hops:
+        with open(os.path.join(out_dir, f"hop={h}", "lineage.json")) as f:
+            lineage.append(json.load(f))
+    return lineage
 
 
 def main(argv=None) -> int:
@@ -90,16 +114,21 @@ def main(argv=None) -> int:
         census = Census()
         census.run("crawl", bench._crawl, bench.rep_out)
         hops = complete_hops(bench.rep_out)
+        lineage = {"crawl": hop_lineage(bench.rep_out, hops)}
         os.remove(os.path.join(bench.rep_out, f"hop={hops[-1]}", "log.json"))
         census.run("resume", bench._crawl, bench.rep_out, True)
+        lineage["resume"] = hop_lineage(bench.rep_out, hops[-1:])
         census.run("graph_build", bench._graph_build)
     finally:
         bench.shutdown()
-    report = census.report()
+    report = census.report(lineage)
     for phase, r in report.items():
-        print(f"{phase}: {r['tasks']} remote tasks, {r['executions']} executions")
+        print(f"{phase}: {r['tasks']} remote tasks, {r['executions']} executions, "
+              f"{r['membership_rpcs']} membership RPCs, {r['sink_calls']} sink calls")
         for name, n in r["by_function"].items():
             print(f"  {n:5d}  {name}")
+        for name, n in r["rpcs_by_call"].items():
+            print(f"  {n:5d}  rpc {name}")
     print(json.dumps(report))
     return 0
 
