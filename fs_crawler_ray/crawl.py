@@ -4,15 +4,15 @@ Re-creates the reference's superstep loop (``fscrawler/crawler.py:44-46``
 → ``fsapi.py:194-222`` → graph-store mutations) as a single streaming
 Dataset execution per hop:
 
-frontier → fused visited-filter + processing-registration (membership
-shards via ``map_batches``) → ``processing.parquet`` checkpoint
-side-write → fetch (politeness token buckets + robots, ids routed by
-host; or partition-local row-group lookup in direct mode) → vectorized
-span parser → vertices checkpoint side-write + ``visited`` registration
-(safe: this hop's vertices ⊆ processing, which the candidate filter
-also checks) → record tagger (per-batch pre-combine of edge rows and
-frontier-candidate rows, every kind in ONE space of ``n`` buckets:
-candidates by id range, edges by hash) → ONE combined bucket shuffle
+frontier → ``processing.parquet`` checkpoint side-write → ONE
+fetch-and-parse stage (:class:`FetchParseStage`: politeness token
+buckets + robots, ids routed by host, or partition-local row-group
+lookup in direct mode; then the vectorized span parser; plus one
+``miss`` record per id that yielded no document) → vertices checkpoint
+side-write + ``visited`` registration → record tagger (per-batch
+pre-combine of edge rows and frontier-candidate rows, every kind in ONE
+space of ``n`` buckets: candidates and misses by id range, edges by
+hash) → ONE combined bucket shuffle
 (``relops.shuffle_apply``) of ``n`` partitions, ``n = min(num_buckets,
 planned input blocks)`` so each partition holds one bucket → one
 ``_HopSink`` call per partition, one step per row kind:
@@ -21,10 +21,15 @@ planned input blocks)`` so each partition holds one bucket → one
   canonical visit order = sorted id per hop) → cross-hop edge-seen
   filter with DEFERRED adds committed after the execution (retry-safe)
   → ``edges.parquet`` part side-write;
-- candidates: distinct → filtered against ``visited ∪ processing``
-  (the ``add_to_frontier`` guard, ``graph_memory_impl.py:60-63``),
-  unioned with any budget remainder → range-clustered
-  ``frontier.parquet`` part side-write;
+- candidates: distinct → minus the partition's miss ids → filtered
+  against ``visited``, unioned with any budget remainder →
+  range-clustered ``frontier.parquet`` part side-write. This is the
+  ``add_to_frontier`` guard ``not in visited and not in processing``
+  (``graph_memory_impl.py:60-63``): the processing set is the hop's
+  frontier, and by the shuffle barrier every id of it that yielded a
+  document is already in ``visited``, so ``visited ∪ processing`` is
+  ``visited ∪ misses``. Misses and candidates share the range buckets,
+  so equal ids meet in one partition with no membership lookup;
 - classify-only rows (a hop that logs edge classification): earlier
   hops' edges, counted within/spanning/frontier against ``visited``
   together with the hop's own written edges; nothing is written.
@@ -73,12 +78,11 @@ from fs_crawler_ray.relops import hash_buckets, partition_count, shuffle_apply, 
 from fs_crawler_ray.sources import storage as st
 from fs_crawler_ray.stages.fetch import PolitenessBudget
 from fs_crawler_ray.state.fetch_service import FetchPool, FetchStage
-from fs_crawler_ray.stages.parse import parse_documents
+from fs_crawler_ray.stages.parse import miss_records, parse_documents
 from fs_crawler_ray.state.membership import ShardedMembership
 from fs_crawler_ray.state.robots import RobotsPolicy
 
 VISITED = "visited"
-PROCESSING = "processing"
 EDGES = "edges"
 
 #: fetch-task waves per hop (``_fetch_rpb``). Per-doc fan-out variance
@@ -169,32 +173,45 @@ class CrawlResult:
 
 
 # ----------------------------------------------------------------------
-# the membership-consulting map_batches stage
+# the hop's map_batches stages
 # ----------------------------------------------------------------------
 class MembershipStage:
-    """The one membership-consulting stage: drop rows whose key is in
-    any of the ``check`` sets, then register the kept keys into
-    ``register``; either step may be left out. Emits the kept rows.
-    Both steps are retry-safe (``contains`` is pure, ``add``
-    idempotent), so fusing them costs nothing."""
+    """Register each batch's ``column`` keys into the ``register`` set
+    and emit the batch unchanged (retry-safe: ``add`` is idempotent)."""
 
-    def __init__(self, sm: ShardedMembership, column: str,
-                 check: tuple[str, ...] = (), register: str | None = None):
+    def __init__(self, sm: ShardedMembership, column: str, register: str):
         self.sm = sm
         self.column = column
-        self.check = list(check)
         self.register = register
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return batch
-        keys = as_key_array(batch[self.column])
-        if self.check:
-            absent = ~self.sm.contains_any(self.check, keys)
-            batch, keys = batch.filter(pa.array(absent)), keys[absent]
-        if self.register is not None and len(keys):
-            self.sm.add(self.register, keys)
+        if len(batch):
+            self.sm.add(self.register, as_key_array(batch[self.column]))
         return batch
+
+
+class FetchParseStage:
+    """Frontier batch → parsed records: ``fetch`` (a direct-mode fetch
+    function returning one table, or a :class:`FetchStage` yielding
+    several) then :func:`parse_documents` on each table, in the fetch's
+    own order — FetchStage's fixed actor order keeps a retried task's
+    batch stream, and so its content-named side-writes, identical. Last
+    come the ``miss`` records: one per id of the batch that yielded no
+    document (missing, or robots-blocked)."""
+
+    def __init__(self, fetch):
+        self.fetch = fetch
+
+    def __call__(self, batch: pa.Table):
+        docs = self.fetch(batch)
+        found = []
+        for d in [docs] if isinstance(docs, pa.Table) else docs:
+            found.append(d["doc_id"].combine_chunks())
+            yield parse_documents(d)
+        ids = batch["id"].combine_chunks()
+        missed = ids.filter(pc.invert(pc.is_in(ids, pa.concat_arrays(found))))
+        if len(missed):
+            yield miss_records(missed)
 
 
 def _expand_parquet(paths: list[str]) -> list[str]:
@@ -362,12 +379,13 @@ def _edge_key(batch: pa.Table) -> pa.Table:
 
 
 # Unified row layout for the hop's single combined shuffle: frontier
-# candidates, edge rows and (on a classifying hop) earlier hops' edges
-# ride the SAME exchange, so a hop pays ONE all-to-all instead of one
-# Dataset execution per kind. Every kind shares one space of ``n``
-# buckets (candidates by id range, edge and classify rows by a hash of
-# (source, destination)); ``__kind`` tells the rows apart in the sink.
-_CAND, _EDGE, _CLASSIFY = range(3)
+# candidates, the hop's misses (in ``cand_id``), edge rows and (on a
+# classifying hop) earlier hops' edges ride the SAME exchange, so a hop
+# pays ONE all-to-all instead of one Dataset execution per kind. Every
+# kind shares one space of ``n`` buckets (candidates and misses by id
+# range, edge and classify rows by a hash of (source, destination));
+# ``__kind`` tells the rows apart in the sink.
+_CAND, _EDGE, _CLASSIFY, _MISS = range(4)
 
 _TAGGED_SCHEMA = pa.schema(
     [
@@ -427,40 +445,35 @@ def _edge_bucket(t: pa.Table, n_buckets: int) -> np.ndarray:
 
 
 def _make_record_tagger(hop: int, n_buckets: int, boundaries: np.ndarray | None):
-    """1:1 batch stage: split a parsed record batch into its edge rows
-    and frontier-candidate rows, pre-combine each (the same per-batch
-    keep-first that dedup_keep_first/distinct ran before their separate
-    shuffles — hot-key mitigation is preserved), and emit ONE tagged
-    table whose ``__bucket`` routes candidates to ``n_buckets`` range
-    buckets (range-clustered next frontier == next hop's fetch routing)
-    and edges to the same ``n_buckets`` as hash buckets."""
+    """1:1 batch stage: split a parsed record batch into its edge rows,
+    frontier-candidate rows and miss rows, pre-combine the first two
+    (the same per-batch keep-first that dedup_keep_first/distinct ran
+    before their separate shuffles — hot-key mitigation is preserved),
+    and emit ONE tagged table whose ``__bucket`` routes candidates and
+    misses to ``n_buckets`` range buckets (range-clustered next frontier
+    == next hop's fetch routing; a miss meets the candidates equal to
+    it) and edges to the same ``n_buckets`` as hash buckets."""
     from fs_crawler_ray.ids import range_bucket_of
     from fs_crawler_ray.relops import _keep_first_arrow
 
     bnd = thin_boundaries(boundaries, n_buckets)
 
+    def ranged(kind: int, ids: pa.Array, **cols) -> pa.Table:
+        b = range_bucket_of(as_key_array(ids), n_buckets, boundaries=bnd)
+        return _tagged(kind, b, cand_id=ids, **cols)
+
     def tag(batch: pa.Table) -> pa.Table:
-        parts = []
         e = batch.filter(pc.equal(batch["rec_kind"], "edge")).select(
             ["source", "destination", "rel_id", "src_doc", "offset", "hop"]
         )
-        if len(e):
-            e = _keep_first_arrow(e, ["source", "destination"], ["hop", "src_doc", "offset"])
-            parts.append(_tagged(
-                _EDGE, _edge_bucket(e, n_buckets), source=e["source"],
-                destination=e["destination"], rel_id=e["rel_id"], src_doc=e["src_doc"],
-                offset=e["offset"], hop=e["hop"],
-            ))
-        c = batch.filter(pc.equal(batch["rec_kind"], "cand"))["cand_id"]
-        if len(c):
-            # keep-first ordered by its own key: the sorted distinct ids
-            c = pc.unique(c).sort()
-            prio = pa.array(np.full(len(c), hop + 1, dtype=np.int64))
-            b = range_bucket_of(as_key_array(c), n_buckets, boundaries=bnd)
-            parts.append(_tagged(_CAND, b, cand_id=c, priority=prio))
-        if not parts:
-            return _TAGGED_SCHEMA.empty_table()
-        return pa.concat_tables(parts)
+        e = _keep_first_arrow(e, ["source", "destination"], ["hop", "src_doc", "offset"])
+        # keep-first ordered by its own key: the sorted distinct ids
+        c = pc.unique(batch.filter(pc.equal(batch["rec_kind"], "cand"))["cand_id"]).sort()
+        return pa.concat_tables([
+            _tagged(_EDGE, _edge_bucket(e, n_buckets), **{k: e[k] for k in e.column_names}),
+            ranged(_CAND, c, priority=np.full(len(c), hop + 1, dtype=np.int64)),
+            ranged(_MISS, batch.filter(pc.equal(batch["rec_kind"], "miss"))["id"]),
+        ])
 
     return tag
 
@@ -488,8 +501,6 @@ def _make_carryover_tagger(n_buckets: int, boundaries: np.ndarray | None):
     bnd = thin_boundaries(boundaries, n_buckets)
 
     def tag(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:  # a split's block can be empty
-            return _TAGGED_SCHEMA.empty_table()
         b = range_bucket_of(as_key_array(batch["id"]), n_buckets, boundaries=bnd)
         return _tagged(_CAND, b, cand_id=batch["id"],
                        priority=pc.cast(batch["priority"], pa.int64()))
@@ -503,8 +514,9 @@ class _HopSink:
     that each shuffle partition holds one bucket, so this runs once per
     partition. Each call does one step per row kind:
 
-    - candidates: keep-first by ``(cand_id, priority)`` → ONE
-      ``visited ∪ processing`` membership check → one frontier part;
+    - candidates: keep-first by ``(cand_id, priority)`` → minus the
+      call's miss ids (``pc.is_in``) → ONE ``visited`` membership check
+      → one frontier part;
     - edges: keep-first dedup → ONE cross-hop edge-seen check with
       deferred adds → one edge part;
     - classification (a classifying hop): ONE VISITED check over this
@@ -518,10 +530,11 @@ class _HopSink:
     give the rows the same work done key group by key group would.
 
     Correctness of the fusion: the shuffle upstream is an all-to-all
-    barrier, so every PROCESSING/VISITED registration (they happen in
-    the pre-fetch and post-parse stages of this same execution) has
-    completed before any sink call runs — identical visibility to the
-    old 3-execution shape."""
+    barrier, so every VISITED registration (in the post-parse stage of
+    this same execution) has completed before any sink call runs. Each
+    id of the hop's frontier then either is in VISITED or arrives here
+    as a miss row in its range bucket, so "not in visited and not in
+    processing" is "not a miss and not in visited"."""
 
     def __init__(self, sm: ShardedMembership, frontier_path: str, edges_path: str,
                  classify_edges: bool = False):
@@ -530,12 +543,13 @@ class _HopSink:
         self.frontier_path = frontier_path
         self.edges_path = edges_path
 
-    def _frontier(self, t: pa.Table, bucket: int) -> int:
+    def _frontier(self, t: pa.Table, missed: pa.ChunkedArray, bucket: int) -> int:
         from fs_crawler_ray.relops import _keep_first_arrow
 
         c = _keep_first_arrow(t.select(["cand_id", "priority"]), ["cand_id"],
                               ["cand_id", "priority"])
-        present = self.sm.contains_any([VISITED, PROCESSING], as_key_array(c["cand_id"]))
+        c = c.filter(pc.invert(pc.is_in(c["cand_id"], missed.combine_chunks())))
+        present = self.sm.contains(VISITED, as_key_array(c["cand_id"]))
         c = c.filter(pa.array(~present))
         if len(c):
             out = pa.table({"id": c["cand_id"], "priority": c["priority"],
@@ -585,10 +599,12 @@ class _HopSink:
     def __call__(self, t: pa.Table) -> pa.Table:
         bucket = t["__bucket"][0].as_py()
         kind = t["__kind"].to_numpy()
-        cand, edge, cls = (t.filter(pa.array(kind == k)) for k in (_CAND, _EDGE, _CLASSIFY))
+        cand, edge, cls, miss = (t.filter(pa.array(kind == k))
+                                 for k in (_CAND, _EDGE, _CLASSIFY, _MISS))
         rows = []  # (kind, rows_in, rows_out, (within, spanning, frontier))
         if len(cand):
-            rows.append(("frontier", len(cand), self._frontier(cand, bucket), (0, 0, 0)))
+            rows.append(("frontier", len(cand),
+                         self._frontier(cand, miss["cand_id"], bucket), (0, 0, 0)))
         written = self._edges(edge, bucket) if len(edge) else edge
         w_edge = w_cls = (0, 0, 0)
         if self.classify_edges:
@@ -599,6 +615,8 @@ class _HopSink:
             rows.append(("edges", len(edge), len(written), w_edge))
         if len(cls):
             rows.append(("classify", len(cls), 0, w_cls))
+        if len(miss):
+            rows.append(("miss", len(miss), 0, (0, 0, 0)))
         cols = list(zip(*[(k, bucket, n_in, n_out, *w) for k, n_in, n_out, w in rows]))
         return pa.Table.from_arrays([pa.array(c, f.type) for c, f in
                                      zip(cols, _SINK_COUNT_SCHEMA)], schema=_SINK_COUNT_SCHEMA)
@@ -634,15 +652,15 @@ class Crawler:
             )
         except Exception:
             self.range_boundaries = None
-        # ONE partitioning reused across stages: the id-keyed membership
-        # filters shard by the SAME corpus range cuts the frontier
-        # shuffle clusters by, so each (range-clustered) batch's
-        # visited/processing RPCs hit 1-2 shards instead of all K —
-        # the per-batch RPC fan-out no longer grows with the shard
-        # count. Edge-seen keys are hashes (no range locality) and stay
-        # hash-routed inside the same instance. The shards (and the
-        # direct-mode metrics actor) are session-resident: idle ones
-        # left by an earlier crawl are reset and reused, see shutdown().
+        # ONE partitioning reused across stages: the VISITED set shards
+        # by the SAME corpus range cuts the frontier shuffle clusters
+        # by, so each (range-clustered) batch's or sink partition's
+        # visited RPCs hit 1-2 shards instead of all K — the RPC
+        # fan-out no longer grows with the shard count. Edge-seen keys
+        # are hashes (no range locality) and stay hash-routed inside
+        # the same instance. The shards (and the direct-mode metrics
+        # actor) are session-resident: idle ones left by an earlier
+        # crawl are reset and reused, see shutdown().
         t_acquire = time.perf_counter()
         self.sm = ShardedMembership.create(
             num_shards=self.config.num_shards,
@@ -650,7 +668,7 @@ class Crawler:
             mode=self.config.membership_mode,
             boundaries=thin_boundaries(self.range_boundaries,
                                        self.config.num_shards),
-            range_names=(VISITED, PROCESSING),
+            range_names=(VISITED,),
         )
         # Two fetch modes: with a politeness budget the token buckets
         # must be central → persistent host-routed actor pool; without
@@ -671,9 +689,9 @@ class Crawler:
                         "reused": reused,
                         "started": len(self.sm.actors) + self.direct - reused,
                         "acquire_s": round(time.perf_counter() - t_acquire, 3)}
-        #: False until this Crawler's first hop runs — lets a fresh
-        #: crawl skip the no-op hop-0 PROCESSING clear (see hop loop)
-        self._shards_touched = False
+        #: False until this Crawler's first crawl() starts: the shards
+        #: of a later crawl() hold the earlier one's sets until reset
+        self._crawled = False
         #: True from the start of crawl() until it returns normally; a
         #: crawl that raised may still have tasks calling the actors
         self._in_flight = False
@@ -785,6 +803,11 @@ class Crawler:
         if bad:  # seed regex gate (reference crawler.py:92-94)
             raise ValueError(f"invalid seed ids: {bad}")
         self._write_settings(seeds)
+        if self._crawled:
+            # one reset RPC per host: no hop filters its frontier
+            # against VISITED, so it must start from this crawl's state
+            self.sm.reset()
+        self._crawled = True
 
         start_hop, frontier_path, log = 0, None, []
         if resume:
@@ -833,17 +856,6 @@ class Crawler:
             if st.exists(hop_dir):
                 st.rmtree(hop_dir)  # incomplete hop from a killed run
             st.makedirs(hop_dir)
-            # Skip the PROCESSING clear on the very first hop of a fresh
-            # Crawler: the shards are brand-new (empty), and this
-            # blocking driver RPC would otherwise pay the full shard
-            # actor-process cold start (~0.5-0.9 s measured) serially.
-            # Deferring first contact into the fused execution lets the
-            # cold start overlap executor spin-up and the frontier read.
-            # Resume paths already touched the shards (state rebuild),
-            # and any later hop / repeat crawl() must clear for real.
-            if hop > start_hop or resume or self._shards_touched:
-                self.sm.clear(PROCESSING)
-            self._shards_touched = True
 
             stage_t: dict[str, float] = {}
 
@@ -854,43 +866,38 @@ class Crawler:
 
             tick = [time.time()]
 
-            # 1.+2. visited-filter + PROCESSING registration + checkpoint
-            # side-write + fetch + parse + vertex side-write, all ONE
-            # streaming execution (each extra Dataset execution costs a
-            # ~0.2-0.5 s fixed floor; the old write→re-read→write shape
-            # paid it 3× per hop). The frontier arrives RANGE-CLUSTERED
-            # (seeds are sorted; each later frontier is written
-            # range-bucketed by the distinct shuffle in
-            # _branch_frontier) and every stage here is 1:1, so each
-            # fetch task's batch is a contiguous id range hitting 1-2
-            # corpus row groups / Lance fragments with NO extra sort.
+            # 1.+2. processing checkpoint side-write + fetch + parse +
+            # vertex side-write, all ONE streaming execution (each extra
+            # Dataset execution costs a ~0.2-0.5 s fixed floor; the old
+            # write→re-read→write shape paid it 3× per hop). No stage
+            # filters the frontier against VISITED: every frontier is
+            # already disjoint from it — a hop's sink filtered it against
+            # VISITED after the hop's registrations, a budget tail was
+            # filtered before the cut and never fetched, a resume
+            # rebuilds the same VISITED, and seeds meet empty shards.
+            # The frontier arrives RANGE-CLUSTERED (seeds are sorted;
+            # each later frontier is written range-bucketed by the hop
+            # shuffle) and every stage here is 1:1, so each fetch task's
+            # batch is a contiguous id range hitting 1-2 corpus row
+            # groups / Lance fragments with NO extra sort.
             proc_path = st.join(hop_dir, "processing.parquet")
             vert_path = st.join(hop_dir, "vertices.parquet")
             st.makedirs(proc_path)
             st.makedirs(vert_path)
             cpus = _cluster_cpus()
-            # The visited-filter is REDUNDANT for frontiers produced by
-            # a completed previous hop of this run: _branch_frontier
-            # already filtered the candidates against the same VISITED
-            # state (nothing registers into VISITED between the frontier
-            # write and this point), so only the PROCESSING registration
-            # remains. The first hop of a run (seeds, or a resumed
-            # checkpoint) keeps the full filter.
-            prefiltered = hop > start_hop
 
-            # the stage chain downstream of the eligible frontier:
-            # fetch → parse → vertex checkpoint (VISITED registration
-            # fused in). Vertex rows are a pure 1:1 projection of the
-            # parsed records, so persisting them inside this execution
-            # replaces the whole former vertices branch.
+            # the stage chain downstream of the hop's frontier: fetch +
+            # parse (+ miss records) → vertex checkpoint (VISITED
+            # registration fused in). Vertex rows are a pure 1:1
+            # projection of the parsed records, so persisting them inside
+            # this execution replaces the whole former vertices branch.
             def _fetch_parse_chain(src: ray.data.Dataset) -> ray.data.Dataset:
                 return (
                     src.map_batches(
-                        self._fetch_stage(hop),
+                        FetchParseStage(self._fetch_stage(hop)),
                         batch_size=None if self.direct else cfg.fetch_batch_size,
                         batch_format="pyarrow",
                     )
-                    .map_batches(parse_documents, batch_format="pyarrow")
                     .map_batches(
                         BranchCheckpoint(vert_path, VERTEX_SCHEMA,
                                          extract=_rec_filter("vertex"),
@@ -913,38 +920,25 @@ class Crawler:
                         n_frontier_est, cpus, self.direct))
                 else:
                     src = seed_frontier
-                stage = MembershipStage(self.sm, "id", register=PROCESSING,
-                                        check=() if prefiltered else (VISITED,))
-                eligible = src.map_batches(stage, batch_format="pyarrow").map_batches(
-                    BranchCheckpoint(proc_path, FRONTIER_SCHEMA), batch_format="pyarrow"
-                )
-                records = _fetch_parse_chain(eligible)
+                records = _fetch_parse_chain(src.map_batches(
+                    BranchCheckpoint(proc_path, FRONTIER_SCHEMA), batch_format="pyarrow"))
             else:
                 # sharded priority queue: take the best `budget` ids by
                 # (priority, id); carry the rest to the next frontier.
-                # Registration into PROCESSING happens on the head only,
-                # AFTER the split (no register/clear/re-register churn).
                 # The sort is a materialization barrier, so this path
                 # keeps the write→sized-re-read shape for the fetch.
                 frontier = (_read_sized(frontier_path) if frontier_path is not None
                             else seed_frontier)
-                filtered = frontier if prefiltered else frontier.map_batches(
-                    MembershipStage(self.sm, "id", check=(VISITED,)), batch_format="pyarrow"
-                )
-                ordered = filtered.sort(["priority", "id"]).materialize()
+                ordered = frontier.sort(["priority", "id"]).materialize()
                 head, tail = ordered.split_at_indices([cfg.frontier_budget])
-                eligible = head.map_batches(
-                    MembershipStage(self.sm, "id", register=PROCESSING), batch_format="pyarrow"
-                )
-                remainder = tail
-                _safe_write(eligible, proc_path, FRONTIER_SCHEMA)
+                _safe_write(head, proc_path, FRONTIER_SCHEMA)
                 n_proc = _parquet_rows(proc_path)
                 records = _fetch_parse_chain(
                     _read_sized(proc_path, columns=["id"],
                                 rows_per_block=_fetch_rpb(n_proc, cpus, self.direct))
                 )
-                if remainder.count() > 0:
-                    carryover = remainder.select_columns(["id", "priority"])
+                if tail.count() > 0:
+                    carryover = tail.select_columns(["id", "priority"])
 
             # 3. the combined edges + frontier shuffle, fused into the
             # SAME streaming execution as filter/fetch/parse: the tagger
@@ -952,11 +946,12 @@ class Crawler:
             # as the old dedup_keep_first/distinct pre-passes), routes
             # candidates to n range buckets — so the next frontier
             # lands range-clustered, which IS the next hop's fetch
-            # routing — and edges to the same n buckets by hash;
-            # _HopSink dedups, membership-filters (visited ∪ processing
-            # for candidates — the add_to_frontier guard,
-            # graph_memory_impl.py:60-63 — and the deferred cross-hop
-            # edge-seen check for edges) and side-writes one parquet
+            # routing — the hop's misses to the same range buckets, and
+            # edges to the same n buckets by hash; _HopSink dedups,
+            # filters (candidates minus misses, then against visited —
+            # the add_to_frontier guard, graph_memory_impl.py:60-63 —
+            # and the deferred cross-hop edge-seen check for edges) and
+            # side-writes one parquet
             # part per kind. One execution per hop where round 2 paid
             # three: the shuffle barrier provides the same ordering
             # guarantees the old materialize() did.
@@ -1006,8 +1001,9 @@ class Crawler:
             _ensure_nonempty(frontier_out, FRONTIER_SCHEMA)
             _ensure_nonempty(edges_out, EDGE_SCHEMA)
             self.sm.commit(EDGES)  # merge this hop's edge keys (actor RPCs only)
+            # post-pre-combine candidate and edge rows of the shuffle
             n_records = sum(r["rows_in"] for r in sink_counts
-                            if r["kind"] != "classify")  # post-pre-combine shuffle rows
+                            if r["kind"] in ("frontier", "edges"))
             _mark("hop_post", tick)
 
             # 4. metrics + LOG (membership already mutated in-pass above)

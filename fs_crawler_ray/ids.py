@@ -148,7 +148,7 @@ def shard_of(values, num_shards: int, seed: int = 7) -> np.ndarray:
 def range_bucket_of(values, num_buckets: int,
                     boundaries: np.ndarray | None = None) -> np.ndarray:
     """RANGE-partition routing: key → contiguous-range bucket index.
-    Used to write frontier/processing sets range-clustered so each
+    Used to write frontiers range-clustered so each
     fetch task's batch maps to 1-2 corpus row groups — the routing is
     folded into shuffles that already happen (distinct), never a
     separate global sort.
@@ -161,10 +161,10 @@ def range_bucket_of(values, num_buckets: int,
     low prefix (sequential ids all start "00.."), serializing the
     downstream per-bucket work; always pass boundaries when a corpus
     footer is available."""
+    if len(values) == 0:
+        return np.zeros(0, dtype=np.int64)
     if boundaries is not None and len(boundaries) > 0:
         keys = as_key_array(values)
-        if len(keys) == 0:
-            return np.zeros(0, dtype=np.int64)
         if keys.dtype.kind == "U":
             keys = keys.astype("S")
         b = np.asarray(boundaries)
@@ -178,8 +178,6 @@ def range_bucket_of(values, num_buckets: int,
             b = b.astype(f"S{w}")
         return np.searchsorted(b, keys, side="right").astype(np.int64)
     u32, lengths = _to_bytes_matrix(values)
-    if len(u32) == 0:
-        return np.zeros(0, dtype=np.int64)
     # map byte → base36 digit (0-9, A-Z); other bytes clamp into range
     c0 = np.where(u32[:, 0] >= 65, u32[:, 0] - 55, u32[:, 0] - 48).clip(0, 35) if u32.shape[1] > 0 else np.zeros(len(u32), np.uint32)
     c1 = np.where(u32[:, 1] >= 65, u32[:, 1] - 55, u32[:, 1] - 48).clip(0, 35) if u32.shape[1] > 1 else np.zeros(len(u32), np.uint32)

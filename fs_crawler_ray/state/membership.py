@@ -8,8 +8,8 @@ with the scale substitution mandated by the north rule:
 
 - keys are hash-partitioned across K shards (one id meets exactly one
   shard), route = ``stable_hash64(id) % K``;
-- each shard holds named sets (e.g. ``visited``, ``processing``,
-  ``edges``), all of ONE kind fixed by the shard's mode:
+- each shard holds named sets (the crawl's ``visited`` and ``edges``),
+  all of ONE kind fixed by the shard's mode:
 
   - ``exact``: the authoritative Python key set, nothing else — the
     conformance mode the oracle tests run (SURVEY §7.5);
@@ -18,7 +18,7 @@ with the scale substitution mandated by the north rule:
     buckets, 16-bit fingerprints) — bounded memory at 10^10 keys. A
     set is sized to its contents, not to the shard's ``capacity``: its
     first segment holds ``min(capacity, 1 << 16)`` keys and each later
-    one twice the last, so a fresh, cleared or staged-epoch set costs a
+    one twice the last, so a fresh or staged-epoch set costs a
     few hundred KB and a set of n keys about what n keys need;
 - batch RPCs only: ``contains / add / check_and_add`` take numpy string
   arrays and return masks, so a 10^10-key frontier costs O(keys/batch)
@@ -488,17 +488,9 @@ class MembershipShardState:
         return self.sets[name]
 
     def contains(self, name: str, keys: np.ndarray) -> np.ndarray:
-        return self.contains_any([name], keys)
-
-    def contains_any(self, names: list[str], keys: np.ndarray) -> np.ndarray:
-        """OR of membership across several named sets (one RPC)."""
         if len(keys) == 0:
             return np.zeros(0, dtype=bool)
-        probe = self._probe(keys)
-        out = np.zeros(len(keys), dtype=bool)
-        for n in names:
-            out |= self._get(n).contains(probe)
-        return out
+        return self._get(name).contains(self._probe(keys))
 
     def add(self, name: str, keys: np.ndarray) -> int:
         if len(keys) == 0:
@@ -552,14 +544,6 @@ class MembershipShardState:
         ep = self._epoch.pop(name, None)
         return 0 if ep is None else self._get(name).merge(ep)
 
-    def clear(self, name: str) -> None:
-        if name in self.sets:
-            self.sets[name] = self._kind(self.capacity)
-        self._epoch.pop(name, None)
-
-    def drop(self, name: str) -> None:
-        self.sets.pop(name, None)
-
     def stats(self) -> dict:
         return {name: s.stats() for name, s in self.sets.items()}
 
@@ -591,28 +575,23 @@ class MembershipShardHost:
         return self.shards[i]
 
     def call(self, method: str, first: int, bounds: np.ndarray, keys: np.ndarray,
-             *args) -> np.ndarray:
-        """``method(*args, keys[bounds[j]:bounds[j + 1]])`` on shard
+             name: str) -> np.ndarray:
+        """``method(name, keys[bounds[j]:bounds[j + 1]])`` on shard
         ``first + j`` for every non-empty span; the shards' masks,
         concatenated in key order."""
-        name = args[0] if isinstance(args[0], str) else "+".join(args[0])
         served = self.rpcs.setdefault((method, name), [0, 0])
         served[0] += 1
         served[1] += len(keys)
         out = np.zeros(len(keys), dtype=bool)
         for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
             if lo < hi:
-                r = getattr(self._shard(first + j), method)(*args, keys[lo:hi])
+                r = getattr(self._shard(first + j), method)(name, keys[lo:hi])
                 if isinstance(r, np.ndarray):
                     out[lo:hi] = r
         return out
 
     def commit(self, name: str) -> int:
         return sum(s.commit(name) for s in self.shards.values())
-
-    def clear(self, name: str) -> None:
-        for s in self.shards.values():
-            s.clear(name)
 
     def stats(self, shards=()) -> list[dict]:
         """Per-shard ``stats()`` of ``shards`` (global indices), in order."""
@@ -658,7 +637,7 @@ class ShardedMembership:
     Hosting: host ``h`` of ``actors`` serves shards ``first[h]`` to
     ``first[h + 1] - 1``, a contiguous block, so neighbouring key ranges
     share a host. A call makes one RPC per host that owns any of its
-    keys (``commit``/``clear``/``stats``: one per host).
+    keys (``commit``/``reset``/``stats``: one per host).
 
     Stages route inside their own ``map_batches`` batch (see
     :class:`fs_crawler_ray.crawl.MembershipStage`), so each batch issues
@@ -668,6 +647,7 @@ class ShardedMembership:
     actors: list
     num_shards: int
     mode: str
+    capacity: int = 1 << 16
     boundaries: "np.ndarray | None" = None
     range_names: frozenset = frozenset()
     #: how many of ``actors`` were idle hosts reused, not started
@@ -696,8 +676,8 @@ class ShardedMembership:
             lambda a: a.reset.remote(capacity_per_shard, mode))
         # fire-and-forget warmup ping for the started hosts: actor
         # PROCESS startup costs ~0.5-0.8 s for a shard set on a cold
-        # worker pool, and the first real RPC (the hop-0 clear) would
-        # pay it serially on the driver. Kicking a ping now lets startup
+        # worker pool, and the first real RPC would pay it inside the
+        # first hop's execution. Kicking a ping now lets startup
         # overlap the caller's remaining prep (seed validation, settings
         # write, Ray Data executor spin-up); the refs are held so the
         # tasks aren't cancelled, never awaited.
@@ -705,7 +685,7 @@ class ShardedMembership:
         if boundaries is not None and len(boundaries) == 0:
             boundaries = None
         sm = ShardedMembership(actors=actors, num_shards=num_shards, mode=mode,
-                               boundaries=boundaries,
+                               capacity=capacity_per_shard, boundaries=boundaries,
                                range_names=frozenset(range_names), reused=reused)
         sm._warmup_refs = warmup
         return sm
@@ -721,37 +701,34 @@ class ShardedMembership:
             a.reset.remote(1 << 16, self.mode)
         resident.release("MembershipShard", self.actors)
 
-    def _route(self, keys: np.ndarray, names=()):
+    def reset(self) -> None:
+        """Every shard back to a fresh ``MembershipShardState(capacity,
+        mode)`` (one RPC per host, the reset :meth:`create` makes)."""
+        ray.get([a.reset.remote(self.capacity, self.mode) for a in self.actors])
+
+    def _route(self, keys: np.ndarray, name: str):
         from fs_crawler_ray.ids import range_bucket_of, shard_of
 
-        in_range = [n in self.range_names for n in names]
-        if self.boundaries is not None and names and all(in_range):
+        if self.boundaries is not None and name in self.range_names:
             shards = range_bucket_of(keys, self.num_shards, boundaries=self.boundaries)
         else:
-            if self.boundaries is not None and any(in_range) and not all(in_range):
-                # a mixed call would silently hash-route the range-added
-                # names onto the WRONG shards → false negatives. No such
-                # call exists; fail loudly if one appears (ADVICE r4).
-                raise ValueError(
-                    f"membership call mixes range-routed and hash-routed "
-                    f"filter names {tuple(names)}; split the call per name")
             shards = shard_of(keys, self.num_shards)
         order = np.argsort(shards, kind="stable")
         bounds = np.searchsorted(shards[order], np.arange(self.num_shards + 1))
         return order, bounds
 
-    def _scatter_gather(self, method: str, keys, *args, route_names=()) -> np.ndarray:
+    def _scatter_gather(self, method: str, name: str, keys) -> np.ndarray:
         keys = key_form(keys)
         if len(keys) == 0:
             return np.zeros(0, dtype=bool)
-        order, bounds = self._route(keys, route_names)
+        order, bounds = self._route(keys, name)
         refs, spans = [], []
         for actor, a, b in zip(self.actors, self.first[:-1], self.first[1:]):
             lo, hi = bounds[a], bounds[b]
             if lo == hi:
                 continue
             refs.append(actor.call.remote(method, int(a), bounds[a:b + 1] - lo,
-                                          keys[order[lo:hi]], *args))
+                                          keys[order[lo:hi]], name))
             spans.append((lo, hi))
         out = np.zeros(len(keys), dtype=bool)
         for (lo, hi), r in zip(spans, ray.get(refs)):
@@ -759,33 +736,25 @@ class ShardedMembership:
         return out
 
     def contains(self, name: str, keys) -> np.ndarray:
-        return self._scatter_gather("contains", keys, name, route_names=(name,))
-
-    def contains_any(self, names: list[str], keys) -> np.ndarray:
-        return self._scatter_gather("contains_any", keys, names,
-                                    route_names=tuple(names))
+        return self._scatter_gather("contains", name, keys)
 
     def add(self, name: str, keys) -> None:
-        self._scatter_gather("add", keys, name, route_names=(name,))
+        self._scatter_gather("add", name, keys)
 
     def check_and_add(self, name: str, keys) -> np.ndarray:
-        return self._scatter_gather("check_and_add", keys, name, route_names=(name,))
+        return self._scatter_gather("check_and_add", name, keys)
 
     def check_and_add_deferred(self, name: str, keys) -> np.ndarray:
-        return self._scatter_gather("check_and_add_deferred", keys, name,
-                                    route_names=(name,))
+        return self._scatter_gather("check_and_add_deferred", name, keys)
 
     def commit(self, name: str) -> int:
         return sum(ray.get([a.commit.remote(name) for a in self.actors]))
 
-    def clear(self, name: str) -> None:
-        ray.get([a.clear.remote(name) for a in self.actors])
-
     def take_rpcs(self) -> dict:
         """The membership RPCs (host ``call``s) served since the hosts
         were acquired or last asked, summed over hosts: ``{method: {set
-        name: {"calls", "keys"}}}``, a ``contains_any`` under its names
-        joined by ``+``. The counts then start again at zero."""
+        name: {"calls", "keys"}}}``. The counts then start again at
+        zero."""
         out: dict = {}
         for served in ray.get([a.take_rpcs.remote() for a in self.actors]):
             for (method, name), (calls, keys) in served.items():

@@ -114,6 +114,58 @@ def test_missing_docs_crawl(missing_doc_corpus, tmp_path_factory):
     _assert_match(result, oracle)
 
 
+def _assert_misses_counted(result) -> None:
+    """Each hop's sink received one miss row per id its fetch found no
+    document for: the fetch counters' missing + robots-blocked ids."""
+    for hop in result.hops_run:
+        with open(os.path.join(result.hop_dir(hop), "lineage.json")) as f:
+            lineage = json.load(f)
+        misses = sum(e["rows_in"] for e in lineage["sink"]["entries"] if e["kind"] == "miss")
+        fetch = lineage["fetch"]
+        assert misses == fetch.get("missing", 0) + fetch.get("robots_blocked", 0), hop
+
+
+def _names_a_missing_doc(corpus) -> tuple[str, str]:
+    """The first present doc (by id) whose spans name an id with no
+    document, and that id."""
+    from fs_crawler_ray.model import SpanKind
+    from fs_crawler_ray.oracle import load_docs
+
+    docs = load_docs(corpus.documents_path)
+    for doc_id in sorted(docs):
+        for span in docs[doc_id]:
+            if span["kind"] == SpanKind.COUPLE:
+                named = [span["text"]]
+            elif span["kind"] == SpanKind.CHILD_PARENT:
+                named = span["text"].split("|")[:2]
+            else:
+                continue
+            for other in named:
+                if other not in docs:
+                    return doc_id, other
+    raise AssertionError("the corpus names no missing doc")
+
+
+@pytest.mark.parametrize("budget", [None, 2])
+def test_candidate_missing_in_same_hop(missing_doc_corpus, tmp_path_factory, budget):
+    """A hop's frontier holds a present doc and a missing doc the
+    present one names: the missing id is in the hop's processing set,
+    so it must not enter the next frontier (it may re-enter later).
+    Only the sink's miss filter drops it — it is never in VISITED."""
+    import pyarrow.parquet as pq
+
+    present, missing = _names_a_missing_doc(missing_doc_corpus)
+    seeds = [present, missing]
+    out = str(tmp_path_factory.mktemp("crawl_same_hop_miss"))
+    cfg = CrawlConfig(hops=3, num_shards=2, num_buckets=4, frontier_budget=budget)
+    result = crawl(missing_doc_corpus, seeds, out, cfg)
+    oracle = oracle_crawl(missing_doc_corpus.documents_path, seeds, 3, frontier_budget=budget)
+    _assert_match(result, oracle)
+    hop0_frontier = pq.read_table(os.path.join(result.hop_dir(0), "frontier.parquet"))
+    assert 0 < len(hop0_frontier) and missing not in hop0_frontier["id"].to_pylist()
+    _assert_misses_counted(result)
+
+
 def test_robots_gating(small_corpus, tmp_path_factory):
     robots = RobotsPolicy(n_hosts=64, disallow_every=5)
     out = str(tmp_path_factory.mktemp("crawl_robots"))
@@ -121,6 +173,7 @@ def test_robots_gating(small_corpus, tmp_path_factory):
     result = crawl(small_corpus, small_corpus.seeds, out, cfg)
     oracle = oracle_crawl(small_corpus.documents_path, small_corpus.seeds, 3, robots=robots)
     _assert_match(result, oracle)
+    _assert_misses_counted(result)
     # gating actually blocked something
     lineage = json.load(open(os.path.join(out, "hop=1", "lineage.json")))
     plain = oracle_crawl(small_corpus.documents_path, small_corpus.seeds, 3)
@@ -422,13 +475,14 @@ class _CountingMembership:
 
 
 def _sink_rows():
-    """One bucket's candidate, edge and classify rows, some of them
-    repeated or already registered."""
-    from fs_crawler_ray.crawl import _CAND, _CLASSIFY, _EDGE, _tagged
+    """One bucket's candidate (with the hop's miss rows), edge and
+    classify rows, some of them repeated or already registered."""
+    from fs_crawler_ray.crawl import _CAND, _CLASSIFY, _EDGE, _MISS, _tagged
 
     ids = [f"AAAA-{i:03d}" for i in range(12)]
-    cand = _tagged(_CAND, [3] * 8, cand_id=ids[:6] + ids[:2],
-                   priority=[2, 2, 2, 2, 2, 2, 1, 3])
+    cand = pa.concat_tables([
+        _tagged(_CAND, [3] * 8, cand_id=ids[:6] + ids[:2], priority=[2, 2, 2, 2, 2, 2, 1, 3]),
+        _tagged(_MISS, [3] * 2, cand_id=[ids[1], ids[10]])])
     src, dst = ids[:7] + ids[:2], ids[5:12] + ids[5:7]
     edge = _tagged(_EDGE, [3] * 9, source=src, destination=dst,
                    rel_id=[f"R{i}" for i in range(9)], src_doc=src,
@@ -440,15 +494,14 @@ def _sink_rows():
 def _run_sink(tables, tmp_path):
     """The sink's count rows and written frontier/edge rows for
     ``tables``, one sink call each, over fresh state holding a few
-    visited, processing and committed edge keys."""
+    visited and committed edge keys."""
     import pyarrow.parquet as pq
 
-    from fs_crawler_ray.crawl import EDGES, PROCESSING, VISITED, _HopSink
+    from fs_crawler_ray.crawl import EDGES, VISITED, _HopSink
     from fs_crawler_ray.ids import as_key_array
 
     sm = _CountingMembership()
     sm.state.add(VISITED, as_key_array(pa.array(["AAAA-000", "AAAA-005", "AAAA-009"])))
-    sm.state.add(PROCESSING, as_key_array(pa.array(["AAAA-001", "AAAA-010"])))
     sm.state.add(EDGES, as_key_array(pa.array(["AAAA-002|AAAA-007"])))
     dirs = [tmp_path / "frontier", tmp_path / "edges"]
     for d in dirs:
@@ -462,20 +515,22 @@ def _run_sink(tables, tmp_path):
 
 
 def test_hop_sink_one_call_per_kind(tmp_path):
-    """One sink call over a bucket holding candidate, edge and classify
-    rows makes one membership call per row kind and writes one frontier
-    part and one edge part; its count rows and written rows equal the
-    same rows handled one kind per call."""
+    """One sink call over a bucket holding candidate, miss, edge and
+    classify rows makes one membership call per row kind (the misses
+    make none: the candidates equal to them are dropped in the call) and
+    writes one frontier part and one edge part; its count rows and
+    written rows equal the same rows handled one kind per call."""
     cand, edge, cls = _sink_rows()
     counts, written, parts, calls = _run_sink([pa.concat_tables([cls, edge, cand])],
                                               tmp_path / "one")
-    assert dict(calls) == {"contains_any": 1, "check_and_add_deferred": 1, "contains": 1}
+    assert dict(calls) == {"check_and_add_deferred": 1, "contains": 2}
     assert parts == [1, 1]
     by_kind, by_kind_written, _, _ = _run_sink([cand, edge, cls], tmp_path / "per_kind")
     assert counts.equals(by_kind)
     assert [w.equals(b) for w, b in zip(written, by_kind_written)] == [True, True]
-    assert counts["kind"].to_pylist() == ["classify", "edges", "frontier"]
-    assert counts["rows_out"].to_pylist() == [0, 6, 3]
+    assert counts["kind"].to_pylist() == ["classify", "edges", "frontier", "miss"]
+    assert counts["rows_in"].to_pylist() == [4, 9, 8, 2]
+    assert counts["rows_out"].to_pylist() == [0, 6, 3, 0]
     assert written[0]["id"].to_pylist() == ["AAAA-002", "AAAA-003", "AAAA-004"]
     assert written[0]["priority"].to_pylist() == [2, 2, 2]
     assert [r["id"] for r in written[1].to_pylist()] == ["R7", "R1", "R3", "R4", "R5", "R6"]
@@ -486,7 +541,8 @@ def test_full_mode_sink_runs_once_per_partition(small_corpus, tmp_path_factory, 
     (several shuffle partitions on the classifying hops): its sink
     lineage holds one bucket per partition, its frontier and edge
     tables at most one part per partition, and its sink made at most
-    one membership call per row kind, partition and host."""
+    one membership call per row kind, partition and host; the shards
+    hold no set but ``visited`` and ``edges``."""
     out = str(tmp_path_factory.mktemp("full_sink"))
     cfg = CrawlConfig(hops=3, num_shards=4, num_buckets=8, log_edge_classification="full")
     result = crawl(small_corpus, small_corpus.seeds, out, cfg)
@@ -503,9 +559,14 @@ def test_full_mode_sink_runs_once_per_partition(small_corpus, tmp_path_factory, 
         assert len({e["bucket"] for e in sink["entries"]}) == p
         for table in ("frontier.parquet", "edges.parquet"):
             assert len(os.listdir(os.path.join(hop_dir, table))) <= p
-        for method, name in [("contains_any", "visited+processing"),
-                             ("check_and_add_deferred", "edges"), ("contains", "visited")]:
-            assert 0 < rpcs[method][name]["calls"] <= p * hosts, (hop, method)
+        # contains(visited): one call for the candidates, one for the
+        # classification
+        for method, name, kinds in [("check_and_add_deferred", "edges", 1),
+                                    ("contains", "visited", 2)]:
+            assert 0 < rpcs[method][name]["calls"] <= kinds * p * hosts, (hop, method)
+        assert set(rpcs) <= {"add", "check_and_add_deferred", "contains"}
+        assert set(rpcs.get("add", {})) <= {"visited"}
+        assert all(set(s) <= {"visited", "edges"} for s in lineage["shards"]["sets"])
     assert max(widths) > 1  # the earlier hops' edges widened the shuffle
 
 
@@ -631,6 +692,29 @@ def test_killed_idle_actor_replaced_then_resume(small_corpus, tmp_path_factory,
     assert dead._actor_id not in {a._actor_id for a in resident._free_list("MembershipShard")}
     assert _ray_tables(resumed) == _ray_tables(full)
     assert [r["vertices"] for r in resumed.log] == [r["vertices"] for r in full.log]
+
+
+def test_reused_crawler_starts_from_empty_state(small_corpus, tmp_path_factory):
+    """One Crawler crawling the same seeds again, fresh and then resumed
+    after its last hop's log.json is removed, writes what its first
+    crawl wrote and equals the oracle: each crawl() starts from reset
+    shards."""
+    out = str(tmp_path_factory.mktemp("reused_crawler"))
+    oracle = oracle_crawl(small_corpus.documents_path, small_corpus.seeds, 3)
+    c = Crawler(small_corpus, out, CrawlConfig(hops=3, num_shards=4, num_buckets=8))
+    try:
+        first = c.crawl(small_corpus.seeds)
+        _assert_match(first, oracle)
+        want = _ray_tables(first)  # the next crawl rewrites the same directory
+        again = c.crawl(small_corpus.seeds)
+        _assert_match(again, oracle)
+        assert _ray_tables(again) == want
+        os.remove(os.path.join(out, "hop=2", "log.json"))
+        resumed = c.crawl(small_corpus.seeds, resume=True)
+        _assert_match(resumed, oracle)
+        assert _ray_tables(resumed) == want
+    finally:
+        c.shutdown()
 
 
 def test_raised_crawl_kills_its_actors(small_corpus, tmp_path_factory, empty_free_lists):

@@ -1,10 +1,13 @@
 import numpy as np
+import pyarrow as pa
+import pytest
 
 from fs_crawler_ray.ids import (
     index_to_pid,
     indices_to_pids,
     is_valid_pid,
     pid_to_index,
+    range_bucket_of,
     shard_of,
     stable_hash64,
 )
@@ -43,3 +46,12 @@ def test_stable_hash_deterministic_and_spread():
 def test_hash_handles_arbitrary_strings():
     h = stable_hash64(np.array(["", "a", "ab", "longer-string-here"]))
     assert len(np.unique(h[1:])) == 3
+
+
+@pytest.mark.parametrize("keys", [np.array([], "S8"), np.array([], "U8"),
+                                  pa.array([], pa.string()), pa.chunked_array([], pa.string())],
+                         ids=["S8", "U8", "arrow", "chunked"])
+@pytest.mark.parametrize("boundaries", [None, np.array([b"5000-000"])], ids=["prefix", "cuts"])
+def test_range_bucket_of_no_keys(keys, boundaries):
+    out = range_bucket_of(keys, 8, boundaries=boundaries)
+    assert out.dtype == np.int64 and len(out) == 0

@@ -75,17 +75,12 @@ def test_overflow_grows_segments_preserves_correctness():
     assert 3800 <= st["count"] <= 4200
     s.add("visited", keys)               # re-add: idempotent, no drift
     assert 3800 <= s.stats()["visited"]["count"] <= 4200
-    # clear() restores ORIGINAL capacity (regression: it used to shrink
-    # to the previous count, overflowing the next epoch)
-    s.clear("visited")
-    s.add("visited", indices_to_pids(np.arange(100)))
-    assert s.contains("visited", indices_to_pids(np.arange(100))).all()
 
 
 def test_filters_are_sized_to_their_contents():
     """A set starts at ``min(capacity, 1 << 16)`` keys whatever the
     shard's capacity, grows past that with no false negatives, and a
-    cleared set and a staged epoch start small the same way."""
+    staged epoch starts small the same way."""
     first = 1 << 16
     small = 1 << 20  # filter bytes of a 64k-key segment are well below this
     s = MembershipShardState(capacity=1 << 21, mode="probabilistic")
@@ -98,9 +93,6 @@ def test_filters_are_sized_to_their_contents():
     assert st["segments"] > 1
     assert s.contains("visited", keys).all()  # no false negatives
     assert st["bytes"] < 8 * small            # the parent sized one segment at ~12 MB
-    s.clear("visited")
-    st = s.stats()["visited"]
-    assert st["segments"] == 1 and st["bytes"] < small and st["count"] == 0
     s.add("edges", indices_to_pids(np.arange(10)))
     s.check_and_add_deferred("edges", indices_to_pids(np.arange(5, 2000)))
     assert s.commit("edges") > 1900
@@ -175,14 +167,13 @@ def test_shard_state_in_batch_duplicates():
     assert present.tolist() == [False, False, True, False, True]
 
 
-def test_shard_state_multiple_sets_and_contains_any():
+def test_shard_state_named_sets_are_independent():
     s = MembershipShardState(mode="exact")
     s.add("visited", np.array(["AAAA-001"]))
-    s.add("processing", np.array(["AAAA-002"]))
-    m = s.contains_any(["visited", "processing"], np.array(["AAAA-001", "AAAA-002", "AAAA-003"]))
-    assert m.tolist() == [True, True, False]
-    s.clear("processing")
-    assert not s.contains("processing", np.array(["AAAA-002"]))[0]
+    s.add("edges", np.array(["AAAA-002"]))
+    keys = np.array(["AAAA-001", "AAAA-002", "AAAA-003"])
+    assert s.contains("visited", keys).tolist() == [True, False, False]
+    assert s.contains("edges", keys).tolist() == [False, True, False]
 
 
 def test_sharded_membership_actors(ray_session):
@@ -195,35 +186,13 @@ def test_sharded_membership_actors(ray_session):
     stats = sm.stats()
     assert len(stats) == 4
     assert sum(st["visited"]["count"] for st in stats) == 2000
-    sm.clear("visited")
+    sm.reset()
+    assert sm.stats() == [{}] * 4
     assert not sm.contains("visited", keys[:10]).any()
     # routing sees one key form too: bytes from Arrow, str from a list
     ids = ["Ä000-08A", "Ä000-09B", "Ä000-10C"]
     sm.add("visited", as_key_array(pa.array(ids)))
     assert sm.contains("visited", ids).all()
-
-
-def test_mixed_range_hash_names_raises():
-    """_route must refuse a call mixing range-routed and hash-routed
-    filter names instead of silently hash-routing range-added keys onto
-    the wrong shards (ADVICE r4)."""
-    import numpy as np
-    import pytest
-
-    from fs_crawler_ray.state.membership import ShardedMembership
-
-    sm = ShardedMembership.create(
-        num_shards=2, capacity_per_shard=1024, mode="exact",
-        boundaries=np.array([b"M"]), range_names=("visited",))
-    sm.add("visited", np.array(["A", "Z"]))
-    sm.add("edges", np.array(["A"]))
-    # single-name calls route fine
-    assert sm.contains("visited", np.array(["A"])).tolist() == [True]
-    with pytest.raises(ValueError, match="mixes range-routed"):
-        sm.contains_any(["visited", "edges"], np.array(["A"]))
-    for a in sm.actors:
-        import ray
-        ray.kill(a)
 
 
 @pytest.mark.parametrize("mode", ["exact", "probabilistic"])
@@ -348,20 +317,19 @@ def test_host_count_follows_cluster_cpus(ray_session):
 
 
 _PIDS = indices_to_pids(np.arange(48))
-_ROUTES = (("visited",), ("visited", "processing"), ("processing",), ("edges",))
 
 
 def _op():
     from hypothesis import strategies as hst
 
     idx = hst.lists(hst.integers(0, len(_PIDS) - 1), max_size=24)
-    names = hst.sampled_from(_ROUTES)
-    one = hst.sampled_from(("visited", "processing", "edges"))
+    # one range-routed name, one hash-routed
+    name = hst.sampled_from(("visited", "edges"))
     return hst.one_of(
-        hst.tuples(hst.sampled_from(("check_and_add", "check_and_add_deferred", "add")),
-                   one, idx),
-        hst.tuples(hst.just("contains_any"), names, idx),
-        hst.tuples(hst.sampled_from(("commit", "clear")), one, hst.just([])),
+        hst.tuples(hst.sampled_from(("check_and_add", "check_and_add_deferred", "add",
+                                     "contains")), name, idx),
+        hst.tuples(hst.just("commit"), name, hst.just([])),
+        hst.tuples(hst.just("reset"), hst.just(None), hst.just([])),
     )
 
 
@@ -384,7 +352,7 @@ def test_hosting_is_invisible(num_shards, hosts, ranged, monkeypatch, empty_free
     def create():
         return ShardedMembership.create(num_shards, capacity_per_shard=1024, mode="exact",
                                         boundaries=boundaries,
-                                        range_names=("visited", "processing"))
+                                        range_names=("visited",))
 
     @settings(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -396,14 +364,16 @@ def test_hosting_is_invisible(num_shards, hosts, ranged, monkeypatch, empty_free
         try:
             for op, name, idx in ops:
                 keys = _PIDS[idx]
-                if op in ("commit", "clear"):
-                    assert getattr(sm, op)(name) == getattr(model, op)(name), (op, name)
+                if op == "commit":
+                    assert sm.commit(name) == model.commit(name), name
+                elif op == "reset":
+                    sm.reset()
+                    model.reset(1024, "exact")
                 elif op == "add":
                     sm.add(name, keys)
                     model.add(name, keys)
                 else:
-                    got = getattr(sm, op)(list(name) if op == "contains_any" else name, keys)
-                    want = getattr(model, op)(list(name) if op == "contains_any" else name, keys)
+                    got, want = getattr(sm, op)(name, keys), getattr(model, op)(name, keys)
                     assert got.tolist() == want.tolist(), (op, name, idx)
             stats = sm.stats()
             assert len(stats) == num_shards
