@@ -23,7 +23,8 @@ planned input blocks)`` so each partition holds one bucket → one
   → ``edges.parquet`` part side-write;
 - candidates: distinct → minus the partition's miss ids → filtered
   against ``visited``, unioned with any budget remainder →
-  range-clustered ``frontier.parquet`` part side-write. This is the
+  range-clustered ``frontier.parquet`` side-write, one part per
+  priority in the partition. This is the
   ``add_to_frontier`` guard ``not in visited and not in processing``
   (``graph_memory_impl.py:60-63``): the processing set is the hop's
   frontier, and by the shuffle barrier every id of it that yielded a
@@ -42,7 +43,11 @@ consults the shards — the same
 ordering guarantee the round-2 shape bought with a per-hop
 ``materialize()`` and two extra Dataset executions. An optional
 priority-queue budget takes the best ``(priority, id)`` ids and carries
-the rest, at the cost of a sort-barrier execution.
+the rest in the same execution: the frontier's parts, in
+``(priority, bucket)`` name order, are already in ``(priority, id)``
+order, so the driver finds the cut from their footers and one part's
+ids (:func:`_budget_cut`), and the hop reads the head for the fetch and
+the tail for the carryover with complementary predicates.
 
 All in-hop membership mutations are idempotent or deferred-committed,
 so task retries and resume can never corrupt state. The LOG row
@@ -72,7 +77,7 @@ import ray
 import ray.data
 
 from fs_crawler_ray.corpus import CorpusInfo
-from fs_crawler_ray.ids import as_key_array
+from fs_crawler_ray.ids import as_key_array, range_bucket_of
 from fs_crawler_ray.model import EDGE_SCHEMA, FRONTIER_SCHEMA, VERTEX_SCHEMA, RelationshipType
 from fs_crawler_ray.relops import hash_buckets, partition_count, shuffle_apply, thin_boundaries
 from fs_crawler_ray.sources import storage as st
@@ -120,12 +125,21 @@ class CrawlConfig:
     #: re-shuffles every earlier hop's edges, so "full" moves
     #: O(hops × edges) rows. Conformance runs use "full"; bench "final".
     log_edge_classification: str = "full"
-    #: priority-queue frontier: process at most this many ids per hop,
-    #: chosen by (priority, id) order; the remainder carries over to the
-    #: next hop's frontier. None = reference semantics (whole frontier
+    #: priority-queue frontier: process at most this many ids per hop
+    #: (at least 1), chosen by (priority, id) order; the remainder
+    #: carries over to the next hop's frontier with its own priority, in
+    #: the same execution. None = reference semantics (whole frontier
     #: per superstep). This is the load-bounding extension the reference
     #: lacks — at 10^10-URL scale hops MUST be budgeted.
     frontier_budget: int | None = None
+
+    def __post_init__(self):
+        if self.frontier_budget is not None and self.frontier_budget < 1:
+            raise ValueError(f"frontier_budget must be None or at least 1, "
+                             f"not {self.frontier_budget}")
+        if self.log_edge_classification not in ("full", "final", "off"):
+            raise ValueError("log_edge_classification must be 'full', 'final' or 'off', "
+                             f"not {self.log_edge_classification!r}")
 
     def to_json(self) -> dict:
         d = asdict(self)
@@ -152,8 +166,9 @@ class CrawlResult:
         log = [st.read_json(st.join(_hop_dir(out_dir, h), "log.json")) for h in hops]
         return CrawlResult(out_dir=out_dir, hops_run=hops, log=log)
 
-    def _cat(self, name: str, columns: list[str] | None = None) -> ray.data.Dataset:
-        paths = [st.join(self.hop_dir(h), name) for h in self.hops_run]
+    def _cat(self, name: str, columns: list[str] | None = None,
+             hops: list[int] | None = None) -> ray.data.Dataset:
+        paths = [st.join(self.hop_dir(h), name) for h in (hops or self.hops_run)]
         return st.read_parts(_expand_parquet([p for p in paths if st.exists(p)]), columns,
                              _sized_blocks)
 
@@ -166,10 +181,10 @@ class CrawlResult:
         return self._cat("edges.parquet")
 
     def frontier(self) -> ray.data.Dataset:
-        return _read_sized(st.join(self.hop_dir(self.hops_run[-1]), "frontier.parquet"))
+        return self._cat("frontier.parquet", hops=self.hops_run[-1:])
 
     def processing(self, hop: int) -> ray.data.Dataset:
-        return _read_sized(st.join(self.hop_dir(hop), "processing.parquet"))
+        return self._cat("processing.parquet", hops=[hop])
 
 
 # ----------------------------------------------------------------------
@@ -214,16 +229,46 @@ class FetchParseStage:
             yield miss_records(missed)
 
 
+def _part_order(name: str) -> tuple:
+    """Sort key of a part file name: the integers between ``part-`` and
+    the content hash (``part-{priority}-{bucket}-{md5}.parquet`` for a
+    frontier part, ``part-{bucket}-{md5}.parquet`` for an edge part),
+    then the name itself."""
+    fields = name.removesuffix(".parquet").split("-")[1:-1]
+    return tuple(int(f) for f in fields if f.isdigit()), name
+
+
 def _expand_parquet(paths: list[str]) -> list[str]:
     """The part files of checkpoint directories (a plain file path is
-    kept), in directory order."""
+    kept), each directory's in :func:`_part_order`: a frontier's parts
+    in ``(priority, bucket)`` order, which is ``(priority, id)`` order."""
     files = []
     for p in paths:
         if st.isdir(p):
-            files.extend(st.join(p, f) for f in st.listdir(p) if f.endswith(".parquet"))
+            files.extend(st.join(p, f) for f in sorted(
+                (f for f in st.listdir(p) if f.endswith(".parquet")), key=_part_order))
         else:
             files.append(p)
     return files
+
+
+def _budget_cut(files: list[str], budget: int | None) -> tuple[int, int, pc.Expression | None]:
+    """``(head rows, index of the part holding the cut, head predicate)``
+    of a frontier's part files in :func:`_expand_parquet` order, whose
+    rows are then in ``(priority, id)`` order (a part is one priority and
+    one id-range bucket). The footers give the part holding the
+    ``budget``-th row, its ids give id*, and the head is ``(priority, id)
+    <= (p*, id*)``; with no cut it is every part, unfiltered."""
+    rows = np.cumsum([st.file_rows(f) for f in files])
+    total = int(rows[-1]) if len(rows) else 0
+    if budget is None or total <= budget:
+        return total, len(files) - 1, None
+    k = int(np.searchsorted(rows, budget))  # first part whose rows reach the budget
+    ids = st.read_table(files[k], ["id"])["id"].sort()
+    id_star = ids[budget - (int(rows[k]) - len(ids)) - 1].as_py()
+    p_star = _part_order(os.path.basename(files[k]))[0][0]
+    priority, fid = pc.field("priority"), pc.field("id")
+    return budget, k, (priority < p_star) | ((priority == p_star) & (fid <= id_star))
 
 
 def _hop_dir(out_dir: str, hop: int) -> str:
@@ -281,13 +326,6 @@ def _sized_blocks(rows: int | str | list[str], rows_per_block: int | None = None
     return int(min(max_blocks, max(1, rows // rows_per_block + 1)))
 
 
-def _read_sized(path: str, columns: list[str] | None = None,
-                rows_per_block: int | None = None) -> ray.data.Dataset:
-    """A checkpoint directory's rows in :func:`_sized_blocks` blocks."""
-    return st.read_parts(_expand_parquet([path]), columns,
-                         lambda rows: _sized_blocks(rows, rows_per_block))
-
-
 def _parquet_rows(dir_path: str) -> int:
     total = 0
     if not st.isdir(dir_path):
@@ -308,27 +346,20 @@ def _ensure_nonempty(path: str, schema: pa.Schema) -> None:
         st.write_table(schema.empty_table(), st.join(path, "empty.parquet"))
 
 
-def _safe_write(ds: ray.data.Dataset, path: str, schema: pa.Schema) -> None:
-    """write_parquet that always leaves a readable (possibly empty)
-    parquet directory — Ray writes nothing for an empty dataset."""
-    st.write_dataset(ds, path)
-    _ensure_nonempty(path, schema)
-
-
 def _write_part(rows: pa.Table, path: str, schema: pa.Schema,
-                key_col: str | int = 0, tag_prefix: str = "") -> None:
-    """Content-named idempotent parquet part write: the file name is
-    derived from the batch content (first/last key + row count, plus an
-    optional caller tag), so a task retried after its write lands
-    overwrites the same file instead of duplicating rows — the same
-    contract as Ray's own write tasks. Shared by every fused side-write
-    (BranchCheckpoint and the hop sink) so the naming/idempotence rule
-    lives in one place."""
+                key_col: str | int = 0, prefix: str = "") -> None:
+    """Content-named idempotent parquet part write,
+    ``part-{prefix}{md5}.parquet`` with the md5 of the prefix and the
+    batch content (first/last key + row count), so a task retried after
+    its write lands overwrites the same file instead of duplicating rows
+    — the same contract as Ray's own write tasks. Shared by every fused
+    side-write (BranchCheckpoint and the hop sink, whose prefixes are
+    :func:`_part_order`'s integers) so the naming rule lives in one place."""
     rows = rows.select(schema.names).cast(schema)
     key = rows.column(key_col)
-    tag = f"{tag_prefix}{key[0].as_py()}|{key[-1].as_py()}|{len(rows)}"
+    tag = f"{prefix}{key[0].as_py()}|{key[-1].as_py()}|{len(rows)}"
     name = hashlib.md5(tag.encode()).hexdigest()
-    st.write_table(rows, st.join(path, f"part-{name}.parquet"))
+    st.write_table(rows, st.join(path, f"part-{prefix}{name}.parquet"))
 
 
 class BranchCheckpoint:
@@ -444,6 +475,14 @@ def _edge_bucket(t: pa.Table, n_buckets: int) -> np.ndarray:
     return hash_buckets([t["source"], t["destination"]], n_buckets)
 
 
+def _range_tagged(kind: int, ids: pa.Array, n_buckets: int, boundaries: np.ndarray | None,
+                  **cols) -> pa.Table:
+    """``ids`` (in ``cand_id``) tagged as ``kind`` rows in their id-range
+    buckets over the (thinned) ``boundaries``."""
+    b = range_bucket_of(as_key_array(ids), n_buckets, boundaries=boundaries)
+    return _tagged(kind, b, cand_id=ids, **cols)
+
+
 def _make_record_tagger(hop: int, n_buckets: int, boundaries: np.ndarray | None):
     """1:1 batch stage: split a parsed record batch into its edge rows,
     frontier-candidate rows and miss rows, pre-combine the first two
@@ -453,14 +492,9 @@ def _make_record_tagger(hop: int, n_buckets: int, boundaries: np.ndarray | None)
     misses to ``n_buckets`` range buckets (range-clustered next frontier
     == next hop's fetch routing; a miss meets the candidates equal to
     it) and edges to the same ``n_buckets`` as hash buckets."""
-    from fs_crawler_ray.ids import range_bucket_of
     from fs_crawler_ray.relops import _keep_first_arrow
 
     bnd = thin_boundaries(boundaries, n_buckets)
-
-    def ranged(kind: int, ids: pa.Array, **cols) -> pa.Table:
-        b = range_bucket_of(as_key_array(ids), n_buckets, boundaries=bnd)
-        return _tagged(kind, b, cand_id=ids, **cols)
 
     def tag(batch: pa.Table) -> pa.Table:
         e = batch.filter(pc.equal(batch["rec_kind"], "edge")).select(
@@ -471,8 +505,10 @@ def _make_record_tagger(hop: int, n_buckets: int, boundaries: np.ndarray | None)
         c = pc.unique(batch.filter(pc.equal(batch["rec_kind"], "cand"))["cand_id"]).sort()
         return pa.concat_tables([
             _tagged(_EDGE, _edge_bucket(e, n_buckets), **{k: e[k] for k in e.column_names}),
-            ranged(_CAND, c, priority=np.full(len(c), hop + 1, dtype=np.int64)),
-            ranged(_MISS, batch.filter(pc.equal(batch["rec_kind"], "miss"))["id"]),
+            _range_tagged(_CAND, c, n_buckets, bnd,
+                          priority=np.full(len(c), hop + 1, dtype=np.int64)),
+            _range_tagged(_MISS, batch.filter(pc.equal(batch["rec_kind"], "miss"))["id"],
+                          n_buckets, bnd),
         ])
 
     return tag
@@ -496,16 +532,8 @@ def _make_classify_tagger(n_buckets: int):
 def _make_carryover_tagger(n_buckets: int, boundaries: np.ndarray | None):
     """Tag a budget-remainder frontier batch (id, priority) as candidate
     rows carrying their ORIGINAL priority."""
-    from fs_crawler_ray.ids import range_bucket_of
-
     bnd = thin_boundaries(boundaries, n_buckets)
-
-    def tag(batch: pa.Table) -> pa.Table:
-        b = range_bucket_of(as_key_array(batch["id"]), n_buckets, boundaries=bnd)
-        return _tagged(_CAND, b, cand_id=batch["id"],
-                       priority=pc.cast(batch["priority"], pa.int64()))
-
-    return tag
+    return lambda t: _range_tagged(_CAND, t["id"], n_buckets, bnd, priority=t["priority"])
 
 
 class _HopSink:
@@ -516,7 +544,8 @@ class _HopSink:
 
     - candidates: keep-first by ``(cand_id, priority)`` → minus the
       call's miss ids (``pc.is_in``) → ONE ``visited`` membership check
-      → one frontier part;
+      → one frontier part per priority, sorted by id (one part per
+      bucket unless a budget carried ids over);
     - edges: keep-first dedup → ONE cross-hop edge-seen check with
       deferred adds → one edge part;
     - classification (a classifying hop): ONE VISITED check over this
@@ -551,10 +580,11 @@ class _HopSink:
         c = c.filter(pc.invert(pc.is_in(c["cand_id"], missed.combine_chunks())))
         present = self.sm.contains(VISITED, as_key_array(c["cand_id"]))
         c = c.filter(pa.array(~present))
-        if len(c):
-            out = pa.table({"id": c["cand_id"], "priority": c["priority"],
-                            "hop": pc.cast(c["priority"], pa.int32())}, schema=FRONTIER_SCHEMA)
-            _write_part(out, self.frontier_path, FRONTIER_SCHEMA, tag_prefix=f"{bucket}|")
+        out = pa.table({"id": c["cand_id"], "priority": c["priority"],
+                        "hop": pc.cast(c["priority"], pa.int32())}, schema=FRONTIER_SCHEMA)
+        for p in pc.unique(out["priority"]).to_pylist():
+            _write_part(out.filter(pc.equal(out["priority"], p)), self.frontier_path,
+                        FRONTIER_SCHEMA, prefix=f"{p}-{bucket}-")
         return len(c)
 
     def _edges(self, t: pa.Table, bucket: int) -> pa.Table:
@@ -574,7 +604,7 @@ class _HopSink:
             "hop": e["hop"],
         })
         if len(out):
-            _write_part(out, self.edges_path, EDGE_SCHEMA, tag_prefix=f"{bucket}|")
+            _write_part(out, self.edges_path, EDGE_SCHEMA, prefix=f"{bucket}-")
         return out
 
     def _classify(self, *edge_sets: pa.Table) -> list[tuple[int, int, int]]:
@@ -786,20 +816,50 @@ class Crawler:
         last = done[-1]
         return last + 1, st.join(self._hop_dir(last), "frontier.parquet"), log
 
+    def _split_frontier(self, frontier: pa.Table | str
+                        ) -> tuple[ray.data.Dataset, ray.data.Dataset | None]:
+        """A hop's frontier cut at the budget: the head the hop fetches,
+        in :func:`_fetch_rpb` blocks, and the tail it carries over (None
+        when the head is every id). ``frontier`` is the sorted seed table,
+        all priority 0, whose cut is a slice, or a frontier checkpoint
+        directory, whose cut is :func:`_budget_cut`'s predicate: the head
+        reads the parts up to the cut's, the tail those from it on."""
+        budget, cpus = self.config.frontier_budget, _cluster_cpus()
+        if isinstance(frontier, pa.Table):
+            n_head = len(frontier) if budget is None else min(budget, len(frontier))
+            seeds, rest = frontier.slice(0, n_head), frontier.slice(n_head)
+            # fetch-sized chunks (one block would be one task for the
+            # whole fused chain: a 2M-seed wave spent 77 s in one task).
+            # from_blocks, not from_arrow: from_arrow waits on a remote
+            # task for each block's metadata, in a fresh session on a
+            # worker start (2,048 seeds, fresh 4-CPU session: 1.6-1.9 s
+            # against 0.9-1.1 s)
+            chunk = _fetch_rpb(n_head, cpus, self.direct)
+            head = ray.data.from_blocks(
+                [seeds.slice(lo, chunk) for lo in range(0, max(1, n_head), chunk)])
+            return head, ray.data.from_blocks([rest]) if len(rest) else None
+        files = _expand_parquet([frontier])
+        n_head, k, keep = _budget_cut(files, budget)
+        head = st.read_parts(files[:k + 1], None,
+                             _sized_blocks(n_head, _fetch_rpb(n_head, cpus, self.direct)))
+        if keep is None:
+            return head, None
+        tail = st.read_parts(files[k:], ["id", "priority"], _sized_blocks)
+        return (head.map_batches(lambda t: t.filter(keep), batch_format="pyarrow"),
+                tail.map_batches(lambda t: t.filter(~keep), batch_format="pyarrow"))
+
     # -- main loop -----------------------------------------------------
     def crawl(self, seeds: list[str], resume: bool = False) -> CrawlResult:
         cfg = self.config
         self._in_flight = True
         # vectorized seed gate: a Python regex loop over a 500k-seed wave
         # costs ~0.5 s of driver time before any task runs
-        import pyarrow.compute as _pc
-
         from fs_crawler_ray.ids import ID_RE
 
-        _ok = _pc.match_substring_regex(
+        ok = pc.match_substring_regex(
             pa.array(seeds, pa.string()), ID_RE.pattern
         ).to_numpy(zero_copy_only=False)
-        bad = [s for s, o in zip(seeds, _ok) if not o] if not _ok.all() else []
+        bad = [s for s, o in zip(seeds, ok) if not o] if not ok.all() else []
         if bad:  # seed regex gate (reference crawler.py:92-94)
             raise ValueError(f"invalid seed ids: {bad}")
         self._write_settings(seeds)
@@ -809,45 +869,21 @@ class Crawler:
             self.sm.reset()
         self._crawled = True
 
-        start_hop, frontier_path, log = 0, None, []
+        start_hop, frontier, log = 0, None, []
         if resume:
-            start_hop, frontier_path, log = self._resume_state()
+            start_hop, frontier, log = self._resume_state()
         else:
             # fresh run: clear any stale hop dirs so _complete_hops /
             # resume never sees leftovers from a longer previous run
             for d in st.listdir(self.out_dir):
                 if d.startswith("hop="):
                     st.rmtree(st.join(self.out_dir, d))
-        seed_frontier, n_frontier_est = None, 0
-        if frontier_path is None:
-            # Arrow unique+sort: Python sorted(set()) on a 500k-seed
-            # wave is ~0.2 s of serial driver time
-            uniq_arr = _pc.unique(pa.array(seeds, pa.string())).sort()
-            n_uniq = len(uniq_arr)
-            seed_tbl = pa.table(
-                {
-                    "id": uniq_arr,
-                    "priority": pa.nulls(n_uniq, pa.int64()).fill_null(0),
-                    "hop": pa.nulls(n_uniq, pa.int32()).fill_null(0),
-                },
-                schema=FRONTIER_SCHEMA,
-            )
-            # chunk large seed lists: one Arrow block = one task for the
-            # whole fused filter+fetch chain otherwise (a 2M-seed wave
-            # spent 77 s in a single serial filter task). Chunks use the
-            # fetch block sizing so the fused execution's fetch tasks
-            # are the same granularity as re-read frontiers get.
-            n_frontier_est = len(seed_tbl)
-            chunk = _fetch_rpb(n_frontier_est, _cluster_cpus(), self.direct)
-            # from_blocks, not from_arrow: both slice and put the table
-            # on the driver, but from_arrow then waits on a remote task
-            # for each block's metadata, which in a fresh session waits
-            # for a worker process; from_blocks reads the metadata
-            # locally (2,048 seeds in a fresh 4-CPU session: 1.6-1.9 s
-            # against 0.9-1.1 s, all of it the first Dataset's wait for
-            # Ray Data's stats actor)
-            seed_frontier = ray.data.from_blocks(
-                [seed_tbl.slice(lo, chunk) for lo in range(0, max(1, n_frontier_est), chunk)])
+        if frontier is None:
+            # the seeds, priority 0. Arrow unique+sort: Python
+            # sorted(set()) on a 500k-seed wave is ~0.2 s of driver time
+            ids = pc.unique(pa.array(seeds, pa.string())).sort()
+            frontier = pa.table({"id": ids, "priority": np.zeros(len(ids), np.int64),
+                                 "hop": np.zeros(len(ids), np.int32)}, schema=FRONTIER_SCHEMA)
         result = CrawlResult(out_dir=self.out_dir, hops_run=list(range(start_hop)), log=log)
 
         for hop in range(start_hop, cfg.hops):
@@ -866,79 +902,42 @@ class Crawler:
 
             tick = [time.time()]
 
-            # 1.+2. processing checkpoint side-write + fetch + parse +
-            # vertex side-write, all ONE streaming execution (each extra
-            # Dataset execution costs a ~0.2-0.5 s fixed floor; the old
-            # write→re-read→write shape paid it 3× per hop). No stage
-            # filters the frontier against VISITED: every frontier is
-            # already disjoint from it — a hop's sink filtered it against
-            # VISITED after the hop's registrations, a budget tail was
-            # filtered before the cut and never fetched, a resume
+            # 1.+2. the frontier head → processing checkpoint → fetch +
+            # parse (+ miss records) → vertex checkpoint with VISITED
+            # registration, all in the hop's ONE streaming execution
+            # (each extra execution costs a fixed floor). No stage
+            # filters the frontier against VISITED: the sink that wrote
+            # it did (a budget tail rides that sink too), a resume
             # rebuilds the same VISITED, and seeds meet empty shards.
             # The frontier arrives RANGE-CLUSTERED (seeds are sorted;
-            # each later frontier is written range-bucketed by the hop
-            # shuffle) and every stage here is 1:1, so each fetch task's
-            # batch is a contiguous id range hitting 1-2 corpus row
-            # groups / Lance fragments with NO extra sort.
+            # later frontiers are range-bucketed parts read in name
+            # order) and every stage is 1:1, so each fetch task's batch
+            # is a contiguous id range: 1-2 corpus row groups, no sort.
             proc_path = st.join(hop_dir, "processing.parquet")
             vert_path = st.join(hop_dir, "vertices.parquet")
             st.makedirs(proc_path)
             st.makedirs(vert_path)
-            cpus = _cluster_cpus()
-
-            # the stage chain downstream of the hop's frontier: fetch +
-            # parse (+ miss records) → vertex checkpoint (VISITED
-            # registration fused in). Vertex rows are a pure 1:1
-            # projection of the parsed records, so persisting them inside
-            # this execution replaces the whole former vertices branch.
-            def _fetch_parse_chain(src: ray.data.Dataset) -> ray.data.Dataset:
-                return (
-                    src.map_batches(
-                        FetchParseStage(self._fetch_stage(hop)),
-                        batch_size=None if self.direct else cfg.fetch_batch_size,
-                        batch_format="pyarrow",
-                    )
-                    .map_batches(
-                        BranchCheckpoint(vert_path, VERTEX_SCHEMA,
-                                         extract=_rec_filter("vertex"),
-                                         sm=self.sm, register=VISITED),
-                        batch_format="pyarrow",
-                    )
+            head, carryover = self._split_frontier(frontier)
+            records = (
+                head.map_batches(BranchCheckpoint(proc_path, FRONTIER_SCHEMA),
+                                 batch_format="pyarrow")
+                .map_batches(
+                    FetchParseStage(self._fetch_stage(hop)),
+                    batch_size=None if self.direct else cfg.fetch_batch_size,
+                    batch_format="pyarrow",
                 )
+                .map_batches(
+                    BranchCheckpoint(vert_path, VERTEX_SCHEMA, extract=_rec_filter("vertex"),
+                                     sm=self.sm, register=VISITED),
+                    batch_format="pyarrow",
+                )
+            )
 
             # sink directories must exist before the fused execution
             frontier_out = st.join(hop_dir, "frontier.parquet")
             edges_out = st.join(hop_dir, "edges.parquet")
             st.makedirs(frontier_out)
             st.makedirs(edges_out)
-            carryover = None  # budget-mode remainder, tagged separately
-
-            if cfg.frontier_budget is None:
-                if frontier_path is not None:
-                    n_frontier_est = _parquet_rows(frontier_path)
-                    src = _read_sized(frontier_path, rows_per_block=_fetch_rpb(
-                        n_frontier_est, cpus, self.direct))
-                else:
-                    src = seed_frontier
-                records = _fetch_parse_chain(src.map_batches(
-                    BranchCheckpoint(proc_path, FRONTIER_SCHEMA), batch_format="pyarrow"))
-            else:
-                # sharded priority queue: take the best `budget` ids by
-                # (priority, id); carry the rest to the next frontier.
-                # The sort is a materialization barrier, so this path
-                # keeps the write→sized-re-read shape for the fetch.
-                frontier = (_read_sized(frontier_path) if frontier_path is not None
-                            else seed_frontier)
-                ordered = frontier.sort(["priority", "id"]).materialize()
-                head, tail = ordered.split_at_indices([cfg.frontier_budget])
-                _safe_write(head, proc_path, FRONTIER_SCHEMA)
-                n_proc = _parquet_rows(proc_path)
-                records = _fetch_parse_chain(
-                    _read_sized(proc_path, columns=["id"],
-                                rows_per_block=_fetch_rpb(n_proc, cpus, self.direct))
-                )
-                if tail.count() > 0:
-                    carryover = tail.select_columns(["id", "priority"])
 
             # 3. the combined edges + frontier shuffle, fused into the
             # SAME streaming execution as filter/fetch/parse: the tagger
@@ -1055,7 +1054,7 @@ class Crawler:
             st.replace(tmp, st.join(hop_dir, "log.json"))
 
             result.hops_run.append(hop)
-            frontier_path, seed_frontier = st.join(hop_dir, "frontier.parquet"), None
+            frontier = frontier_out
 
         result.log = log
         # a later crawl() of this Crawler reuses every actor it holds

@@ -1,7 +1,7 @@
 """Checkpoint / corpus IO behind fsspec URIs.
 
-Round 2's checkpoint writers (``BranchCheckpoint``, ``_HopSink``,
-``_safe_write``) wrote worker-side ``pq.write_table`` to plain OS paths
+Round 2's checkpoint writers (``BranchCheckpoint``, ``_HopSink``) wrote
+worker-side ``pq.write_table`` to plain OS paths
 — which on a real multi-node cluster silently requires every node to
 mount the same POSIX filesystem. This module makes the shared-storage
 assumption EXPLICIT: every path the crawl reads or writes goes through
@@ -145,6 +145,11 @@ def write_table(tbl: pa.Table, path: str) -> None:
     pq.write_table(tbl, path)
 
 
+def read_table(path: str, columns: list[str] | None = None) -> pa.Table:
+    with open_file(path) if is_uri(path) else contextlib.nullcontext(path) as src:
+        return pq.read_table(src, columns=columns)
+
+
 def footer(path: str) -> pq.FileMetaData:
     if is_uri(path):
         with open_file(path, "rb") as f:
@@ -164,18 +169,6 @@ def write_json(obj, path: str) -> None:
 def read_json(path: str):
     with open_file(path, "rt") as f:
         return json.load(f)
-
-
-def write_dataset(ds, path: str) -> None:
-    """Dataset.write_parquet that resolves fsspec URIs (plain local
-    paths pass straight through)."""
-    if not is_uri(path):
-        ds.write_parquet(path)
-        return
-    from pyarrow.fs import FSSpecHandler, PyFileSystem
-
-    fs, p = fs_path(path)
-    ds.write_parquet(p, filesystem=PyFileSystem(FSSpecHandler(fs)))
 
 
 def read_parquet(paths, **kwargs):

@@ -181,10 +181,34 @@ def test_robots_gating(small_corpus, tmp_path_factory):
     assert lineage["fetch"].get("robots_blocked", 0) >= 0
 
 
+def _frontier_in_part_order(result, hop: int) -> list[tuple[int, str]]:
+    """A hop's frontier rows as ``(priority, id)``, its part files
+    concatenated in the order the next hop reads them."""
+    import pyarrow.parquet as pq
+
+    from fs_crawler_ray.crawl import _expand_parquet
+
+    files = _expand_parquet([os.path.join(result.hop_dir(hop), "frontier.parquet")])
+    rows = pa.concat_tables([pq.read_table(f) for f in files])
+    return list(zip(rows["priority"].to_pylist(), rows["id"].to_pylist()))
+
+
+def _assert_budget_cuts(result, budget: int) -> None:
+    """Every hop after the first fetched exactly the first ``budget``
+    ids of the previous frontier in ``(priority, id)`` order, which is
+    the order of its part files."""
+    for hop in result.hops_run[1:]:
+        prev = _frontier_in_part_order(result, hop - 1)
+        assert prev == sorted(prev), hop
+        processed = sorted(r["id"] for r in result.processing(hop).take_all())
+        assert processed == sorted(i for _, i in prev[:budget]), hop
+
+
 def test_frontier_budget_priority_queue(small_corpus, tmp_path_factory):
     """Budgeted (priority-queue) frontier: ≤K ids processed per hop,
     remainder carries over with original priority; matches the budgeted
-    oracle exactly."""
+    oracle exactly. Each frontier's parts, in name order, are in
+    ``(priority, id)`` order, and each hop fetched the first K of them."""
     out = str(tmp_path_factory.mktemp("crawl_budget"))
     cfg = CrawlConfig(hops=8, num_shards=2, num_buckets=4, frontier_budget=25)
     result = crawl(small_corpus, small_corpus.seeds, out, cfg)
@@ -193,9 +217,95 @@ def test_frontier_budget_priority_queue(small_corpus, tmp_path_factory):
     _assert_match(result, oracle)
     for hop in result.hops_run:
         assert result.processing(hop).count() <= 25
+    _assert_budget_cuts(result, 25)
+    # some frontier held carried-over ids beside new ones
+    assert any(len({p for p, _ in _frontier_in_part_order(result, h)}) > 1
+               for h in result.hops_run)
     # budget actually bit: the unbudgeted crawl resolves more in 8 hops
     plain = oracle_crawl(small_corpus.documents_path, small_corpus.seeds, 8)
     assert len(oracle.vertices) < len(plain.vertices)
+
+
+def test_budget_smaller_than_seeds(small_corpus, tmp_path_factory):
+    """A budget below the seed count: hop 0 fetches the first seeds in id
+    order and the rest carry over at priority 0; the crawl equals the
+    budgeted oracle."""
+    from fs_crawler_ray.oracle import load_docs
+
+    seeds = sorted(load_docs(small_corpus.documents_path))[::30]
+    out = str(tmp_path_factory.mktemp("crawl_budget_seeds"))
+    cfg = CrawlConfig(hops=4, num_shards=2, num_buckets=4, frontier_budget=4)
+    result = crawl(small_corpus, seeds, out, cfg)
+    _assert_match(result, oracle_crawl(small_corpus.documents_path, seeds, 4,
+                                       frontier_budget=4))
+    assert sorted(r["id"] for r in result.processing(0).take_all()) == seeds[:4]
+    carried = [(p, i) for p, i in _frontier_in_part_order(result, 0) if i in seeds]
+    assert carried == [(0, i) for i in seeds[4:]]
+    _assert_budget_cuts(result, 4)
+
+
+def test_budget_resume_is_identical(small_corpus, tmp_path_factory, small_blocks):
+    """A budget crawl killed in hop 2 (its log.json removed) and resumed
+    writes what an uninterrupted budget crawl writes, and equals the
+    budgeted oracle; the reads go at 16 rows per block."""
+    cfg = CrawlConfig(hops=HOPS, num_shards=2, num_buckets=4, frontier_budget=25)
+    full = crawl(small_corpus, small_corpus.seeds,
+                 str(tmp_path_factory.mktemp("budget_full")), cfg)
+    out = str(tmp_path_factory.mktemp("budget_resume"))
+    crawl(small_corpus, small_corpus.seeds, out, cfg)
+    os.remove(os.path.join(out, "hop=2", "log.json"))
+    resumed = crawl(small_corpus, small_corpus.seeds, out, cfg, resume=True)
+    assert resumed.hops_run == list(range(HOPS))
+    assert _ray_tables(resumed) == _ray_tables(full)
+    assert resumed.log == [{**r, "duration": resumed.log[i]["duration"]}
+                           for i, r in enumerate(full.log)]
+    _assert_match(resumed, oracle_crawl(small_corpus.documents_path, small_corpus.seeds,
+                                        HOPS, frontier_budget=25))
+
+
+def test_budget_cut_inside_a_multi_bucket_priority(tmp_path):
+    """The cut found from footers: frontier parts of two priorities over
+    several id-range buckets, written in reverse order, with the
+    budget's last id inside the middle bucket of priority 2. The head
+    predicate keeps exactly the first ``budget`` rows in
+    ``(priority, id)`` order and reads the parts up to the one holding
+    the cut; no budget, or one as large as the frontier, cuts nothing."""
+    import pyarrow.parquet as pq
+
+    from fs_crawler_ray.crawl import _budget_cut, _expand_parquet
+    from fs_crawler_ray.model import FRONTIER_SCHEMA
+
+    parts = {(1, 0): ["A000", "A003"], (1, 10): ["D001"],
+             (2, 0): ["A001", "A002"], (2, 1): ["B000", "B004", "B007"], (2, 10): ["D000"]}
+    for (p, b), ids in reversed(list(parts.items())):
+        pq.write_table(pa.table({"id": ids[::-1], "priority": [p] * len(ids),
+                                 "hop": [p] * len(ids)}, schema=FRONTIER_SCHEMA),
+                       str(tmp_path / f"part-{p}-{b}-{len(ids)}abc.parquet"))
+    files = _expand_parquet([str(tmp_path)])
+    assert [os.path.basename(f).rsplit("-", 1)[0] for f in files] == [
+        "part-1-0", "part-1-10", "part-2-0", "part-2-1", "part-2-10"]
+    rows = pa.concat_tables([pq.read_table(f) for f in files])
+    want = sorted(zip(rows["priority"].to_pylist(), rows["id"].to_pylist()))
+    n_head, k, keep = _budget_cut(files, 7)
+    assert (n_head, k) == (7, 3)
+    head = rows.filter(keep)
+    assert sorted(zip(head["priority"].to_pylist(), head["id"].to_pylist())) == want[:7]
+    tail = rows.filter(~keep)
+    assert sorted(zip(tail["priority"].to_pylist(), tail["id"].to_pylist())) == want[7:]
+    assert _budget_cut(files, None) == _budget_cut(files, 9) == (9, 4, None)
+
+
+@pytest.mark.parametrize("bad", [{"frontier_budget": -1}, {"frontier_budget": 0},
+                                 {"log_edge_classification": "Full"},
+                                 {"log_edge_classification": "none"}])
+def test_config_rejects_out_of_range_values(bad):
+    """A frontier budget below 1 or an unknown edge-classification mode
+    is refused when the config is built, before a crawl writes
+    anything; the smallest budget and every mode are accepted."""
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        CrawlConfig(**bad)
+    for mode in ("full", "final", "off"):
+        CrawlConfig(frontier_budget=1, log_edge_classification=mode)
 
 
 def test_invalid_seed_rejected(small_corpus, tmp_path_factory):
@@ -420,16 +530,27 @@ def test_crawl_configures_data_context(crawled):
     assert DataContext.get_current().op_resource_reservation_enabled is False
 
 
-def test_full_mode_hop_is_one_execution(small_corpus, tmp_path_factory, count_executions):
+@pytest.mark.parametrize("budget", [None, 40])
+def test_full_mode_hop_is_one_execution(small_corpus, tmp_path_factory, count_executions,
+                                        budget):
     """A fresh 'full'-mode crawl classifies every hop at the hop
-    shuffle's sink: one Ray Data execution per hop, and every hop's LOG
-    row equals the oracle's."""
+    shuffle's sink: one Ray Data execution per hop, with or without a
+    frontier budget (the head and the carried-over tail are read in the
+    hop's own execution), and every hop's LOG row equals the oracle's.
+    Every fifth document is a seed, so the budget cuts hop 0 and more."""
+    from fs_crawler_ray.oracle import load_docs
+
+    seeds = sorted(load_docs(small_corpus.documents_path))[::5]
     out = str(tmp_path_factory.mktemp("full_one_exec"))
-    cfg = CrawlConfig(hops=3, num_shards=2, num_buckets=8, log_edge_classification="full")
+    cfg = CrawlConfig(hops=3, num_shards=2, num_buckets=8, log_edge_classification="full",
+                      frontier_budget=budget)
     start = len(count_executions)
-    result = crawl(small_corpus, small_corpus.seeds, out, cfg)
+    result = crawl(small_corpus, seeds, out, cfg)
     assert len(count_executions) - start == 3
-    _assert_match(result, oracle_crawl(small_corpus.documents_path, small_corpus.seeds, 3))
+    oracle = oracle_crawl(small_corpus.documents_path, seeds, 3, frontier_budget=budget)
+    _assert_match(result, oracle)
+    if budget is not None:
+        assert [result.processing(h).count() for h in (0, 1)] == [budget, budget]
 
 
 def test_resume_rebuild_is_one_execution(crawled, small_corpus, count_executions):
@@ -519,7 +640,11 @@ def test_hop_sink_one_call_per_kind(tmp_path):
     classify rows makes one membership call per row kind (the misses
     make none: the candidates equal to them are dropped in the call) and
     writes one frontier part and one edge part; its count rows and
-    written rows equal the same rows handled one kind per call."""
+    written rows equal the same rows handled one kind per call. A bucket
+    whose candidates carry two priorities (a budget carried some over)
+    writes one frontier part per priority, and the parts of two such
+    buckets, in name order, hold their rows in ``(priority, id)``
+    order."""
     cand, edge, cls = _sink_rows()
     counts, written, parts, calls = _run_sink([pa.concat_tables([cls, edge, cand])],
                                               tmp_path / "one")
@@ -534,6 +659,26 @@ def test_hop_sink_one_call_per_kind(tmp_path):
     assert written[0]["id"].to_pylist() == ["AAAA-002", "AAAA-003", "AAAA-004"]
     assert written[0]["priority"].to_pylist() == [2, 2, 2]
     assert [r["id"] for r in written[1].to_pylist()] == ["R7", "R1", "R3", "R4", "R5", "R6"]
+
+    import pyarrow.parquet as pq
+
+    from fs_crawler_ray.crawl import _CAND, _HopSink, _expand_parquet, _tagged
+
+    front = tmp_path / "two_priorities"
+    front.mkdir()
+    sm = _CountingMembership()
+    sink = _HopSink(sm, str(front), str(tmp_path), classify_edges=False)
+    for bucket, prefix in [(10, "CCCC"), (5, "BBBB")]:  # bucket 10 holds the larger ids
+        ids = [f"{prefix}-{i:03d}" for i in range(6)]
+        sink(_tagged(_CAND, [bucket] * 7, cand_id=ids[::-1] + ids[:1],
+                     priority=[2, 1, 2, 1, 2, 1, 2]))
+    assert dict(sm.calls) == {"contains": 2}
+    files = _expand_parquet([str(front)])
+    assert [os.path.basename(f).split("-")[1:3] for f in files] == [
+        ["1", "5"], ["1", "10"], ["2", "5"], ["2", "10"]]
+    rows = pa.concat_tables([pq.read_table(f) for f in files])
+    got = list(zip(rows["priority"].to_pylist(), rows["id"].to_pylist()))
+    assert got == sorted(got) and len(got) == 12
 
 
 def test_full_mode_sink_runs_once_per_partition(small_corpus, tmp_path_factory, small_blocks):
