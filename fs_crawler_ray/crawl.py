@@ -51,10 +51,17 @@ the tail for the carryover with complementary predicates.
 
 All in-hop membership mutations are idempotent or deferred-committed,
 so task retries and resume can never corrupt state. The LOG row
-(cumulative edge classification per ``graph_memory_impl.py:106-120``,
-summed from the sink's counts) and per-stage lineage close the hop;
-``log.json`` is written LAST and is the hop-complete marker, making a
-killed crawl resumable byte-identically from the last complete hop.
+(cumulative edge classification per ``graph_memory_impl.py:106-120``
+and the frontier size, summed from the sink's counts) and per-stage
+lineage close the hop. The lineage's fetch counters (the reference's
+request counter, ``session.py:111,122``) come from the hop's own rows
+too: ``ids_attempted`` is the head's row count, ``missing`` and
+``robots_blocked`` are the sink's miss and blocked rows, ``fetched`` is
+the rest; a polite crawl's fetch pool adds ``requests`` and
+``politeness_wait_s``. No id count travels outside the hop's data, so a
+retried task cannot count an id twice. ``log.json`` is written LAST and
+is the hop-complete marker, making a killed crawl resumable
+byte-identically from the last complete hop.
 
 Checkpoint layout (one directory per hop — partitioned, resumable output):
 
@@ -211,11 +218,15 @@ class FetchParseStage:
     several) then :func:`parse_documents` on each table, in the fetch's
     own order — FetchStage's fixed actor order keeps a retried task's
     batch stream, and so its content-named side-writes, identical. Last
-    come the ``miss`` records: one per id of the batch that yielded no
-    document (missing, or robots-blocked)."""
+    come the records of the batch's ids that yielded no document: a
+    ``blocked`` record per id ``robots`` disallows (the policy is a pure
+    function of the id, so this is the fetch gate's own decision) and a
+    ``miss`` record per other id (no such document). The hop's sink
+    counts both kinds, which is how a hop counts its fetch outcomes."""
 
-    def __init__(self, fetch):
+    def __init__(self, fetch, robots: RobotsPolicy | None):
         self.fetch = fetch
+        self.robots = robots
 
     def __call__(self, batch: pa.Table):
         docs = self.fetch(batch)
@@ -225,6 +236,12 @@ class FetchParseStage:
             yield parse_documents(d)
         ids = batch["id"].combine_chunks()
         missed = ids.filter(pc.invert(pc.is_in(ids, pa.concat_arrays(found))))
+        if len(missed) and self.robots is not None:
+            allowed = pa.array(self.robots.allowed_mask(as_key_array(missed)))
+            blocked = missed.filter(pc.invert(allowed))
+            if len(blocked):
+                yield miss_records(blocked, "blocked")
+            missed = missed.filter(allowed)
         if len(missed):
             yield miss_records(missed)
 
@@ -300,13 +317,13 @@ def _fetch_rpb(n: int, cpus: int, direct: bool) -> int:
     return min(32_768, max(4096, n // (FETCH_WAVES * cpus) + 1))
 
 
-def _sized_blocks(rows: int | str | list[str], rows_per_block: int | None = None,
+def _sized_blocks(rows: int | list[str], rows_per_block: int | None = None,
                   max_blocks: int = 512) -> int:
-    """Block count for a read of ``rows`` rows (or of a parquet
-    directory or a list of part files, their rows summed from the
-    footers), proportional to the rows. Every block of a checkpoint read
-    becomes a map task, plus a sample, a sort-map and a reduce task in
-    each sort-based shuffle after the read. A remote task costs ~8 ms of
+    """Block count for a read of ``rows`` rows (or of a list of part
+    files, their rows summed from the footers), proportional to the
+    rows. Every block of a checkpoint read becomes a map task, plus a
+    sample, a sort-map and a reduce task in each sort-based shuffle
+    after the read. A remote task costs ~8 ms of
     session CPU whatever it carries (4 vCPUs: a deep_crawl graph build
     of 30k edges fell 0.86 CPU-s going from 128 tasks to 21; BASELINE.md).
     So the auto mode (``rows_per_block`` None) sizes by rows per task,
@@ -316,9 +333,7 @@ def _sized_blocks(rows: int | str | list[str], rows_per_block: int | None = None
     2 blocks per CPU. The floor is the smallest of 16k/32k/64k that
     kept the graph-build saving (16k kept 87-92 % of it but only ~60 %
     of the resume and peak-memory savings; 64k did no better than 32k)."""
-    if isinstance(rows, str):
-        rows = _parquet_rows(rows)
-    elif not isinstance(rows, int):
+    if not isinstance(rows, int):
         rows = sum(st.file_rows(f) for f in rows)
     if rows_per_block is None:
         rows_per_block = int(min(MAX_ROWS_PER_TASK,
@@ -326,23 +341,12 @@ def _sized_blocks(rows: int | str | list[str], rows_per_block: int | None = None
     return int(min(max_blocks, max(1, rows // rows_per_block + 1)))
 
 
-def _parquet_rows(dir_path: str) -> int:
-    total = 0
-    if not st.isdir(dir_path):
-        return 0
-    for f in st.listdir(dir_path):
-        if f.endswith(".parquet"):
-            total += st.file_rows(st.join(dir_path, f))
-    return total
-
-
 def _ensure_nonempty(path: str, schema: pa.Schema) -> None:
     """Leave a readable (possibly empty) parquet directory behind — a
-    zero-row write produces no part files otherwise."""
-    if _parquet_rows(path) == 0:
-        st.makedirs(path, exist_ok=True)
-        for f in st.listdir(path):
-            st.remove(st.join(path, f))
+    zero-row write produces no part files otherwise. Decided by listing
+    alone: every part writer skips empty tables, so a directory that
+    holds a part holds rows."""
+    if not any(f.endswith(".parquet") for f in st.listdir(path)):
         st.write_table(schema.empty_table(), st.join(path, "empty.parquet"))
 
 
@@ -410,13 +414,14 @@ def _edge_key(batch: pa.Table) -> pa.Table:
 
 
 # Unified row layout for the hop's single combined shuffle: frontier
-# candidates, the hop's misses (in ``cand_id``), edge rows and (on a
-# classifying hop) earlier hops' edges ride the SAME exchange, so a hop
-# pays ONE all-to-all instead of one Dataset execution per kind. Every
-# kind shares one space of ``n`` buckets (candidates and misses by id
-# range, edge and classify rows by a hash of (source, destination));
-# ``__kind`` tells the rows apart in the sink.
-_CAND, _EDGE, _CLASSIFY, _MISS = range(4)
+# candidates, the hop's missed and robots-blocked ids (in ``cand_id``),
+# edge rows and (on a classifying hop) earlier hops' edges ride the SAME
+# exchange, so a hop pays ONE all-to-all instead of one Dataset
+# execution per kind. Every kind shares one space of ``n`` buckets
+# (candidates, misses and blocked ids by id range, edge and classify
+# rows by a hash of (source, destination)); ``__kind`` tells the rows
+# apart in the sink.
+_CAND, _EDGE, _CLASSIFY, _MISS, _BLOCKED = range(5)
 
 _TAGGED_SCHEMA = pa.schema(
     [
@@ -485,13 +490,14 @@ def _range_tagged(kind: int, ids: pa.Array, n_buckets: int, boundaries: np.ndarr
 
 def _make_record_tagger(hop: int, n_buckets: int, boundaries: np.ndarray | None):
     """1:1 batch stage: split a parsed record batch into its edge rows,
-    frontier-candidate rows and miss rows, pre-combine the first two
-    (the same per-batch keep-first that dedup_keep_first/distinct ran
-    before their separate shuffles — hot-key mitigation is preserved),
-    and emit ONE tagged table whose ``__bucket`` routes candidates and
-    misses to ``n_buckets`` range buckets (range-clustered next frontier
-    == next hop's fetch routing; a miss meets the candidates equal to
-    it) and edges to the same ``n_buckets`` as hash buckets."""
+    frontier-candidate rows and miss and blocked rows, pre-combine the
+    first two (the same per-batch keep-first that dedup_keep_first/
+    distinct ran before their separate shuffles — hot-key mitigation is
+    preserved), and emit ONE tagged table whose ``__bucket`` routes
+    candidates, misses and blocked ids to ``n_buckets`` range buckets
+    (range-clustered next frontier == next hop's fetch routing; a miss
+    meets the candidates equal to it) and edges to the same
+    ``n_buckets`` as hash buckets."""
     from fs_crawler_ray.relops import _keep_first_arrow
 
     bnd = thin_boundaries(boundaries, n_buckets)
@@ -507,8 +513,9 @@ def _make_record_tagger(hop: int, n_buckets: int, boundaries: np.ndarray | None)
             _tagged(_EDGE, _edge_bucket(e, n_buckets), **{k: e[k] for k in e.column_names}),
             _range_tagged(_CAND, c, n_buckets, bnd,
                           priority=np.full(len(c), hop + 1, dtype=np.int64)),
-            _range_tagged(_MISS, batch.filter(pc.equal(batch["rec_kind"], "miss"))["id"],
-                          n_buckets, bnd),
+            *(_range_tagged(k, batch.filter(pc.equal(batch["rec_kind"], name))["id"],
+                            n_buckets, bnd) for k, name in ((_MISS, "miss"),
+                                                             (_BLOCKED, "blocked"))),
         ])
 
     return tag
@@ -543,9 +550,9 @@ class _HopSink:
     partition. Each call does one step per row kind:
 
     - candidates: keep-first by ``(cand_id, priority)`` → minus the
-      call's miss ids (``pc.is_in``) → ONE ``visited`` membership check
-      → one frontier part per priority, sorted by id (one part per
-      bucket unless a budget carried ids over);
+      call's missed and blocked ids (``pc.is_in``) → ONE ``visited``
+      membership check → one frontier part per priority, sorted by id
+      (one part per bucket unless a budget carried ids over);
     - edges: keep-first dedup → ONE cross-hop edge-seen check with
       deferred adds → one edge part;
     - classification (a classifying hop): ONE VISITED check over this
@@ -553,8 +560,9 @@ class _HopSink:
 
     Both parts are content-named (same retry-safe idempotence contract
     as BranchCheckpoint); the call returns one count row per kind
-    present — the hop's frontier AND edges land on disk in the SAME
-    execution that fetched and parsed the records. Every occurrence of
+    present (``miss`` and ``blocked`` rows are the hop's fetch counts) —
+    the hop's frontier AND edges land on disk in the SAME execution
+    that fetched and parsed the records. Every occurrence of
     a key lands in one bucket, so the whole-bucket keep-first and checks
     give the rows the same work done key group by key group would.
 
@@ -562,8 +570,9 @@ class _HopSink:
     barrier, so every VISITED registration (in the post-parse stage of
     this same execution) has completed before any sink call runs. Each
     id of the hop's frontier then either is in VISITED or arrives here
-    as a miss row in its range bucket, so "not in visited and not in
-    processing" is "not a miss and not in visited"."""
+    as a miss or blocked row in its range bucket, so "not in visited and
+    not in processing" is "neither missed nor blocked, and not in
+    visited"."""
 
     def __init__(self, sm: ShardedMembership, frontier_path: str, edges_path: str,
                  classify_edges: bool = False):
@@ -573,6 +582,8 @@ class _HopSink:
         self.edges_path = edges_path
 
     def _frontier(self, t: pa.Table, missed: pa.ChunkedArray, bucket: int) -> int:
+        """Write this call's new frontier rows: its candidates minus
+        ``missed`` and ``visited``. Returns how many it wrote."""
         from fs_crawler_ray.relops import _keep_first_arrow
 
         c = _keep_first_arrow(t.select(["cand_id", "priority"]), ["cand_id"],
@@ -629,12 +640,14 @@ class _HopSink:
     def __call__(self, t: pa.Table) -> pa.Table:
         bucket = t["__bucket"][0].as_py()
         kind = t["__kind"].to_numpy()
-        cand, edge, cls, miss = (t.filter(pa.array(kind == k))
-                                 for k in (_CAND, _EDGE, _CLASSIFY, _MISS))
+        cand, edge, cls, miss, blocked = (t.filter(pa.array(kind == k)) for k in
+                                          (_CAND, _EDGE, _CLASSIFY, _MISS, _BLOCKED))
         rows = []  # (kind, rows_in, rows_out, (within, spanning, frontier))
         if len(cand):
-            rows.append(("frontier", len(cand),
-                         self._frontier(cand, miss["cand_id"], bucket), (0, 0, 0)))
+            missed = pa.chunked_array(miss["cand_id"].chunks + blocked["cand_id"].chunks,
+                                      pa.string())
+            rows.append(("frontier", len(cand), self._frontier(cand, missed, bucket),
+                         (0, 0, 0)))
         written = self._edges(edge, bucket) if len(edge) else edge
         w_edge = w_cls = (0, 0, 0)
         if self.classify_edges:
@@ -645,8 +658,9 @@ class _HopSink:
             rows.append(("edges", len(edge), len(written), w_edge))
         if len(cls):
             rows.append(("classify", len(cls), 0, w_cls))
-        if len(miss):
-            rows.append(("miss", len(miss), 0, (0, 0, 0)))
+        for name, r in (("miss", miss), ("blocked", blocked)):
+            if len(r):
+                rows.append((name, len(r), 0, (0, 0, 0)))
         cols = list(zip(*[(k, bucket, n_in, n_out, *w) for k, n_in, n_out, w in rows]))
         return pa.Table.from_arrays([pa.array(c, f.type) for c, f in
                                      zip(cols, _SINK_COUNT_SCHEMA)], schema=_SINK_COUNT_SCHEMA)
@@ -688,9 +702,9 @@ class Crawler:
         # visited RPCs hit 1-2 shards instead of all K — the RPC
         # fan-out no longer grows with the shard count. Edge-seen keys
         # are hashes (no range locality) and stay hash-routed inside
-        # the same instance. The shards (and the direct-mode metrics
-        # actor) are session-resident: idle ones left by an earlier
-        # crawl are reset and reused, see shutdown().
+        # the same instance. The shard hosts are session-resident: idle
+        # ones left by an earlier crawl are reset and reused, see
+        # shutdown().
         t_acquire = time.perf_counter()
         self.sm = ShardedMembership.create(
             num_shards=self.config.num_shards,
@@ -706,18 +720,12 @@ class Crawler:
         # row-group range store (no nested RPC, no corpus broadcast —
         # scales with task parallelism AND corpus size).
         self.direct = self.config.politeness is None or self.config.politeness.rate_per_host <= 0
-        self.metrics, self.metrics_epoch, m_reused = None, None, 0
-        if self.direct:
-            from fs_crawler_ray.metrics import acquire_metrics
-
-            self.metrics, self.metrics_epoch, m_reused = acquire_metrics()
-        reused = self.sm.reused + m_reused
-        #: how this Crawler got its state actors (``reused``/``started``
-        #: count processes: shard hosts + the metrics actor); the first
-        #: lineage.json a crawl writes records it
+        #: how this Crawler got its shard hosts (``reused``/``started``
+        #: count processes); the first lineage.json a crawl writes
+        #: records it
         self._actors = {"hosts": len(self.sm.actors), "shards": self.sm.num_shards,
-                        "reused": reused,
-                        "started": len(self.sm.actors) + self.direct - reused,
+                        "reused": self.sm.reused,
+                        "started": len(self.sm.actors) - self.sm.reused,
                         "acquire_s": round(time.perf_counter() - t_acquire, 3)}
         #: False until this Crawler's first crawl() starts: the shards
         #: of a later crawl() hold the earlier one's sets until reset
@@ -739,36 +747,24 @@ class Crawler:
             from fs_crawler_ray.state.fetch_service import make_partition_fetcher
 
             return make_partition_fetcher(self.corpus.documents_path, hop,
-                                          robots=self.config.robots,
-                                          metrics=self.metrics,
-                                          epoch=self.metrics_epoch)
+                                          robots=self.config.robots)
         return FetchStage(self.pool, hop)
 
-    def _fetch_counters(self, hop: int | None = None) -> dict:
-        if self.direct:
-            return ray.get(self.metrics.reset_counters.remote(hop))
-        return self.pool.reset()
-
     def shutdown(self) -> None:
-        """Release the state actors. The membership shard hosts and the
-        metrics actor are session-resident: after a crawl that returned
-        normally they go back to the Ray session's free-list, and the
-        next Crawler resets and reuses them instead of starting new
-        worker processes. After a crawl that raised, Ray Data tasks may
-        still be calling them, so they are killed. The polite-mode fetch
-        pool is always killed (its token buckets and auth session start
-        fresh per crawl). Results remain fully readable — all state is
-        reconstructable from the checkpoint (resume does so)."""
+        """Release the state actors. The membership shard hosts are
+        session-resident: after a crawl that returned normally they go
+        back to the Ray session's free-list, and the next Crawler resets
+        and reuses them instead of starting new worker processes. After
+        a crawl that raised, Ray Data tasks may still be calling them,
+        so they are killed. The polite-mode fetch pool is always killed
+        (its token buckets and auth session start fresh per crawl).
+        Results remain fully readable — all state is reconstructable
+        from the checkpoint (resume does so)."""
         if self._in_flight:
-            for a in self.sm.actors + [self.metrics]:
-                if a is not None:
-                    ray.kill(a)
+            for a in self.sm.actors:
+                ray.kill(a)
         else:
-            from fs_crawler_ray.metrics import release_metrics
-
             self.sm.release()
-            if self.metrics is not None:
-                release_metrics(self.metrics)
         if self.pool is not None:
             self.pool.shutdown()
 
@@ -817,13 +813,15 @@ class Crawler:
         return last + 1, st.join(self._hop_dir(last), "frontier.parquet"), log
 
     def _split_frontier(self, frontier: pa.Table | str
-                        ) -> tuple[ray.data.Dataset, ray.data.Dataset | None]:
+                        ) -> tuple[ray.data.Dataset, int, ray.data.Dataset | None]:
         """A hop's frontier cut at the budget: the head the hop fetches,
-        in :func:`_fetch_rpb` blocks, and the tail it carries over (None
-        when the head is every id). ``frontier`` is the sorted seed table,
-        all priority 0, whose cut is a slice, or a frontier checkpoint
-        directory, whose cut is :func:`_budget_cut`'s predicate: the head
-        reads the parts up to the cut's, the tail those from it on."""
+        in :func:`_fetch_rpb` blocks, its row count (exact: frontier ids
+        are unique, so the head predicate keeps exactly the budget), and
+        the tail it carries over (None when the head is every id).
+        ``frontier`` is the sorted seed table, all priority 0, whose cut
+        is a slice, or a frontier checkpoint directory, whose cut is
+        :func:`_budget_cut`'s predicate: the head reads the parts up to
+        the cut's, the tail those from it on."""
         budget, cpus = self.config.frontier_budget, _cluster_cpus()
         if isinstance(frontier, pa.Table):
             n_head = len(frontier) if budget is None else min(budget, len(frontier))
@@ -837,15 +835,15 @@ class Crawler:
             chunk = _fetch_rpb(n_head, cpus, self.direct)
             head = ray.data.from_blocks(
                 [seeds.slice(lo, chunk) for lo in range(0, max(1, n_head), chunk)])
-            return head, ray.data.from_blocks([rest]) if len(rest) else None
+            return head, n_head, ray.data.from_blocks([rest]) if len(rest) else None
         files = _expand_parquet([frontier])
         n_head, k, keep = _budget_cut(files, budget)
         head = st.read_parts(files[:k + 1], None,
                              _sized_blocks(n_head, _fetch_rpb(n_head, cpus, self.direct)))
         if keep is None:
-            return head, None
+            return head, n_head, None
         tail = st.read_parts(files[k:], ["id", "priority"], _sized_blocks)
-        return (head.map_batches(lambda t: t.filter(keep), batch_format="pyarrow"),
+        return (head.map_batches(lambda t: t.filter(keep), batch_format="pyarrow"), n_head,
                 tail.map_batches(lambda t: t.filter(~keep), batch_format="pyarrow"))
 
     # -- main loop -----------------------------------------------------
@@ -917,12 +915,12 @@ class Crawler:
             vert_path = st.join(hop_dir, "vertices.parquet")
             st.makedirs(proc_path)
             st.makedirs(vert_path)
-            head, carryover = self._split_frontier(frontier)
+            head, n_head, carryover = self._split_frontier(frontier)
             records = (
                 head.map_batches(BranchCheckpoint(proc_path, FRONTIER_SCHEMA),
                                  batch_format="pyarrow")
                 .map_batches(
-                    FetchParseStage(self._fetch_stage(hop)),
+                    FetchParseStage(self._fetch_stage(hop), cfg.robots),
                     batch_size=None if self.direct else cfg.fetch_batch_size,
                     batch_format="pyarrow",
                 )
@@ -1000,12 +998,15 @@ class Crawler:
             _ensure_nonempty(frontier_out, FRONTIER_SCHEMA)
             _ensure_nonempty(edges_out, EDGE_SCHEMA)
             self.sm.commit(EDGES)  # merge this hop's edge keys (actor RPCs only)
+
+            def sunk(kind: str, col: str = "rows_in") -> int:
+                return int(sum(r[col] for r in sink_counts if r["kind"] == kind))
+
             # post-pre-combine candidate and edge rows of the shuffle
-            n_records = sum(r["rows_in"] for r in sink_counts
-                            if r["kind"] in ("frontier", "edges"))
+            n_records = sunk("frontier") + sunk("edges")
             _mark("hop_post", tick)
 
-            # 4. metrics + LOG (membership already mutated in-pass above)
+            # 4. lineage + LOG (membership already mutated in-pass above)
             if classify:
                 counts = {
                     "within": int(sum(r["within"] for r in sink_counts)),
@@ -1016,11 +1017,18 @@ class Crawler:
                 counts = {"within": None, "spanning": None, "frontier": None}
             shard_stats = self.sm.stats()  # ONE gather per hop, reused below
             n_vertices = sum(s[VISITED]["count"] for s in shard_stats if VISITED in s)
-            n_frontier = _parquet_rows(st.join(hop_dir, "frontier.parquet"))
+            # the hop's fetch outcomes, counted from its own rows: every
+            # id of the head yielded a document or reached the sink as a
+            # miss or blocked row; a fetch pool adds what only it knows
+            missing, blocked = sunk("miss"), sunk("blocked")
+            fetch = {"ids_attempted": n_head, "robots_blocked": blocked, "missing": missing,
+                     "fetched": n_head - missing - blocked}
+            if self.pool is not None:
+                fetch |= self.pool.reset()
             _mark("log_classify", tick)
             lineage = {
                 "hop": hop,
-                "fetch": self._fetch_counters(hop),
+                "fetch": fetch,
                 # the shards' sets, and the membership RPCs their hosts
                 # served since the previous hop's lineage (a resume's
                 # state rebuild counts with its first hop)
@@ -1042,7 +1050,7 @@ class Crawler:
                 "iteration": hop,
                 "duration": time.time() - t0,
                 "vertices": int(n_vertices),
-                "frontier": int(n_frontier),
+                "frontier": sunk("frontier", "rows_out"),
                 "edges": counts["within"],
                 "spanning_edges": counts["spanning"],
                 "frontier_edges": counts["frontier"],

@@ -17,8 +17,9 @@ One zero-copy Arrow pass turns a batch of interleaved documents
   (``graph_memory_impl.py:69-72`` add_to_frontier of child and parent).
 - ``media``   — media spans (evidence persona URIs) routed to the
   multimodal pipeline.
-- ``miss``    — a fetched id that yielded no document (missing or
-  robots-blocked), in ``id``; the crawl's fetch stage emits these
+- ``miss`` / ``blocked`` — a fetched id that yielded no document, in
+  ``id``: ``blocked`` if the robots policy disallows it, else ``miss``
+  (no such document); the crawl's fetch stage emits these
   (:func:`miss_records`), not the parser.
 
 Rows keep ``(hop, src_doc, offset)`` so downstream keep-first dedup is
@@ -168,9 +169,10 @@ def parse_documents(batch: pa.Table) -> pa.Table:
     return pa.concat_tables(parts)
 
 
-def miss_records(ids: pa.Array) -> pa.Table:
-    """One ``miss`` record per id, in the parsed-record layout."""
-    return _emit("miss", len(ids), {"id": ids})
+def miss_records(ids: pa.Array, kind: str = "miss") -> pa.Table:
+    """One ``kind`` record (``miss`` or ``blocked``) per id, in the
+    parsed-record layout."""
+    return _emit(kind, len(ids), {"id": ids})
 
 
 def spans_roundtrip(batch: pa.Table) -> pa.Table:

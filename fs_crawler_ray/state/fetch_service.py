@@ -9,7 +9,9 @@ Politeness mode is a pool created ONCE per crawl:
 
 - each of K actors holds a lazy DocStore (row-group range index), its
   share of the per-host politeness token buckets, the robots gate and
-  its request counters — the durable analog of the reference's
+  the two counters only the pool knows (``requests`` and
+  ``politeness_wait_s``, read and cleared per hop by
+  :meth:`FetchPool.reset`) — the durable analog of the reference's
   ``Session`` (``fscrawler/controller/session.py:24-33``), whose
   auth/counter state also lives for the whole crawl;
 - ids are routed to actors BY HOST (``host % K``), so each synthetic
@@ -20,6 +22,9 @@ Politeness mode is a pool created ONCE per crawl:
   ``map_batches`` function that scatter-gathers its batch across the
   pool, so the streaming executor still pipelines fetch with parse and
   downstream stages.
+
+Neither mode counts ids: the crawl counts a hop's attempted, fetched,
+missing and robots-blocked ids from the hop's own rows.
 """
 
 from __future__ import annotations
@@ -60,8 +65,7 @@ class FetchActor:
         # per-actor auth session (reference Session analog): login once,
         # refresh on token-budget exhaustion; None = unauthenticated mode
         self.session = AuthSession(auth) if auth is not None else None
-        self.counters = {"requests": 0, "ids_attempted": 0, "robots_blocked": 0,
-                         "fetched": 0, "missing": 0, "politeness_wait_s": 0.0}
+        self.counters = {"requests": 0, "politeness_wait_s": 0.0}
         # S2 parity (VERDICT r4 item 7): ≤max_in_flight request-sized
         # lookups overlap INSIDE the actor, behind the same politeness
         # budget — the slot a real async HTTP client drops into without
@@ -90,11 +94,8 @@ class FetchActor:
         if self.session is not None:
             self.session.authorize(n_req)
         c["requests"] += n_req
-        c["ids_attempted"] += n_in
         if self.robots is not None:
-            allowed = self.robots.allowed_mask(ids)
-            c["robots_blocked"] += int((~allowed).sum())
-            ids = ids[allowed]
+            ids = ids[self.robots.allowed_mask(ids)]
         if self.politeness.rate_per_host > 0 and len(ids):
             # token accounting unchanged: one token per unique host per
             # actor batch, acquired on the actor thread (buckets are not
@@ -110,13 +111,8 @@ class FetchActor:
             results = list(self._pool.map(self._lookup, chunks))
         else:
             results = [self.store.fetch(ck) for ck in chunks]
-        if results:
-            docs = pa.concat_tables([r[0] for r in results])
-            n_found = sum(int(r[1].sum()) for r in results)
-        else:
-            docs, n_found = self.store.fetch(ids)[0], 0
-        c["fetched"] += len(docs)
-        c["missing"] += len(ids) - n_found
+        docs = (pa.concat_tables([r[0] for r in results]) if results
+                else self.store.fetch(ids)[0])
         return docs.append_column("hop", pa.array(np.full(len(docs), hop, dtype=np.int32)))
 
     def stats(self) -> dict:
@@ -168,8 +164,7 @@ class FetchPool:
 
 
 def make_partition_fetcher(documents_path: str, hop: int,
-                           robots: RobotsPolicy | None = None, metrics=None,
-                           epoch: int | None = None):
+                           robots: RobotsPolicy | None = None):
     """Direct (politeness-free) fetch path: a STATELESS map_batches fn
     that resolves ids against the corpus PARTITION-LOCALLY — each task
     reads only the row groups owning its ids (worker-global
@@ -178,9 +173,7 @@ def make_partition_fetcher(documents_path: str, hop: int,
     contiguous id range hitting 1-2 row groups; at deployment scale the
     same shape is a Lance fragment ``take``. Nothing broadcasts the
     corpus. Politeness-budgeted crawls must use :class:`FetchStage`
-    instead (central token buckets). ``metrics`` (a
-    :class:`~fs_crawler_ray.metrics.MetricsActor`) receives per-batch
-    fetch counters tagged with ``hop`` and its acquisition ``epoch``."""
+    instead (central token buckets)."""
 
     def fetch_fn(batch: pa.Table) -> pa.Table:
         import fs_crawler_ray.model as m
@@ -188,27 +181,12 @@ def make_partition_fetcher(documents_path: str, hop: int,
         from fs_crawler_ray.sources.doc_table import open_range_store
 
         ids = as_key_array(batch["id"])
-        n_in = len(ids)
-        robots_blocked = 0
-        if robots is not None and n_in:
-            allowed = robots.allowed_mask(ids)
-            robots_blocked = int((~allowed).sum())
-            ids = ids[allowed]
-        store = open_range_store(documents_path, "doc_id")
-        docs, found = store.fetch(ids)
-        out = docs.append_column("hop", pa.array(np.full(len(docs), hop, dtype=np.int32)))
-        if metrics is not None:
-            metrics.increment.remote({
-                "requests": max(1, int(np.ceil(n_in / 200))),
-                "ids_attempted": n_in,
-                "robots_blocked": robots_blocked,
-                "fetched": len(docs),
-                "missing": int((~found).sum()),
-                "politeness_wait_s": 0.0,
-            }, hop, epoch)
-        if len(out) == 0:
+        if robots is not None and len(ids):
+            ids = ids[robots.allowed_mask(ids)]
+        docs, _ = open_range_store(documents_path, "doc_id").fetch(ids)
+        if len(docs) == 0:
             return m.DOCUMENT_SCHEMA.empty_table().append_column("hop", pa.array([], pa.int32()))
-        return out
+        return docs.append_column("hop", pa.array(np.full(len(docs), hop, dtype=np.int32)))
 
     return fetch_fn
 

@@ -3,7 +3,7 @@ actor class and Ray session.
 
 Starting a Ray actor costs a worker-process birth (about a CPU-second
 each on a 4-vCPU host), and a crawl holds one per two CPUs for its
-membership shard hosts plus the metrics actor (3 on 4 CPUs). Instead of
+membership shard hosts (2 on 4 CPUs). Instead of
 starting and killing them per crawl, a crawl that returned normally
 gives its actors back here and the next crawl of the same session takes
 them again. The pool holds processes, not shards: any idle shard host

@@ -10,7 +10,7 @@ Ray-side mechanics are real and tested: one login per actor lifetime,
 a request-budgeted access token that EXPIRES and is refreshed in-place
 from the refresh grant, monotonic serials so every refreshed token is
 distinct, and counters (logins / refreshes / authorized requests) that
-surface in the crawl's metrics exactly like the politeness counters.
+surface in ``FetchPool.stats()`` beside the pool's request counters.
 A real deployment swaps :class:`TokenAuthority` for the provider's
 HTTP endpoints behind the same two-method surface."""
 

@@ -112,17 +112,32 @@ def test_missing_docs_crawl(missing_doc_corpus, tmp_path_factory):
     result = crawl(missing_doc_corpus, missing_doc_corpus.seeds, out, cfg)
     oracle = oracle_crawl(missing_doc_corpus.documents_path, missing_doc_corpus.seeds, 3)
     _assert_match(result, oracle)
+    _assert_fetch_counts(result)
 
 
-def _assert_misses_counted(result) -> None:
-    """Each hop's sink received one miss row per id its fetch found no
-    document for: the fetch counters' missing + robots-blocked ids."""
+def _assert_fetch_counts(result, robots: RobotsPolicy | None = None) -> list[int]:
+    """Each hop's lineage fetch counters against what the hop wrote:
+    ``ids_attempted`` is its ``processing.parquet`` rows, ``fetched``
+    its ``vertices.parquet`` rows, ``missing + robots_blocked`` the
+    difference, and ``robots_blocked`` the processing ids ``robots``
+    disallows. Returns each hop's ``robots_blocked``."""
+    import pyarrow.parquet as pq
+
+    from fs_crawler_ray.ids import as_key_array
+
+    blocked = []
     for hop in result.hops_run:
         with open(os.path.join(result.hop_dir(hop), "lineage.json")) as f:
-            lineage = json.load(f)
-        misses = sum(e["rows_in"] for e in lineage["sink"]["entries"] if e["kind"] == "miss")
-        fetch = lineage["fetch"]
-        assert misses == fetch.get("missing", 0) + fetch.get("robots_blocked", 0), hop
+            fetch = json.load(f)["fetch"]
+        proc = pq.read_table(os.path.join(result.hop_dir(hop), "processing.parquet"))["id"]
+        n_vertices = pq.read_table(os.path.join(result.hop_dir(hop), "vertices.parquet")).num_rows
+        assert fetch["ids_attempted"] == len(proc), hop
+        assert fetch["fetched"] == n_vertices, hop
+        assert fetch["missing"] + fetch["robots_blocked"] == len(proc) - n_vertices, hop
+        want = 0 if robots is None else int((~robots.allowed_mask(as_key_array(proc))).sum())
+        assert fetch["robots_blocked"] == want, hop
+        blocked.append(want)
+    return blocked
 
 
 def _names_a_missing_doc(corpus) -> tuple[str, str]:
@@ -163,7 +178,7 @@ def test_candidate_missing_in_same_hop(missing_doc_corpus, tmp_path_factory, bud
     _assert_match(result, oracle)
     hop0_frontier = pq.read_table(os.path.join(result.hop_dir(0), "frontier.parquet"))
     assert 0 < len(hop0_frontier) and missing not in hop0_frontier["id"].to_pylist()
-    _assert_misses_counted(result)
+    _assert_fetch_counts(result)
 
 
 def test_robots_gating(small_corpus, tmp_path_factory):
@@ -173,12 +188,10 @@ def test_robots_gating(small_corpus, tmp_path_factory):
     result = crawl(small_corpus, small_corpus.seeds, out, cfg)
     oracle = oracle_crawl(small_corpus.documents_path, small_corpus.seeds, 3, robots=robots)
     _assert_match(result, oracle)
-    _assert_misses_counted(result)
-    # gating actually blocked something
-    lineage = json.load(open(os.path.join(out, "hop=1", "lineage.json")))
+    # gating actually blocked something, and the crawl counted it
     plain = oracle_crawl(small_corpus.documents_path, small_corpus.seeds, 3)
     assert len(oracle.vertices) < len(plain.vertices)
-    assert lineage["fetch"].get("robots_blocked", 0) >= 0
+    assert max(_assert_fetch_counts(result, robots)) > 0
 
 
 def _frontier_in_part_order(result, hop: int) -> list[tuple[int, str]]:
@@ -218,6 +231,7 @@ def test_frontier_budget_priority_queue(small_corpus, tmp_path_factory):
     for hop in result.hops_run:
         assert result.processing(hop).count() <= 25
     _assert_budget_cuts(result, 25)
+    _assert_fetch_counts(result)
     # some frontier held carried-over ids beside new ones
     assert any(len({p for p, _ in _frontier_in_part_order(result, h)}) > 1
                for h in result.hops_run)
@@ -247,8 +261,9 @@ def test_budget_smaller_than_seeds(small_corpus, tmp_path_factory):
 def test_budget_resume_is_identical(small_corpus, tmp_path_factory, small_blocks):
     """A budget crawl killed in hop 2 (its log.json removed) and resumed
     writes what an uninterrupted budget crawl writes, and equals the
-    budgeted oracle; the reads go at 16 rows per block."""
-    cfg = CrawlConfig(hops=HOPS, num_shards=2, num_buckets=4, frontier_budget=25)
+    budgeted oracle; the reads go at 16 rows per block. The budget cuts
+    the frontier the resumed hop reads."""
+    cfg = CrawlConfig(hops=HOPS, num_shards=2, num_buckets=4, frontier_budget=4)
     full = crawl(small_corpus, small_corpus.seeds,
                  str(tmp_path_factory.mktemp("budget_full")), cfg)
     out = str(tmp_path_factory.mktemp("budget_resume"))
@@ -260,7 +275,10 @@ def test_budget_resume_is_identical(small_corpus, tmp_path_factory, small_blocks
     assert resumed.log == [{**r, "duration": resumed.log[i]["duration"]}
                            for i, r in enumerate(full.log)]
     _assert_match(resumed, oracle_crawl(small_corpus.documents_path, small_corpus.seeds,
-                                        HOPS, frontier_budget=25))
+                                        HOPS, frontier_budget=4))
+    assert resumed.log[1]["frontier"] > 4
+    _assert_budget_cuts(resumed, 4)
+    _assert_fetch_counts(resumed)
 
 
 def test_budget_cut_inside_a_multi_bucket_priority(tmp_path):
@@ -340,14 +358,23 @@ def test_politeness_token_bucket_waits():
 
 
 def test_politeness_budget_preserves_results(small_corpus, tmp_path_factory):
+    """A polite crawl (the host-routed fetch pool) with a robots rule
+    equals the oracle: politeness changes timing, not results. Its
+    fetch counters hold on every hop, and the pool adds ``requests``
+    and ``politeness_wait_s``."""
     out = str(tmp_path_factory.mktemp("crawl_polite"))
     budget = PolitenessBudget(rate_per_host=200.0, burst=1.0, n_hosts=4)
-    cfg = CrawlConfig(hops=2, num_shards=2, num_buckets=4, fetch_concurrency=1,
-                      fetch_batch_size=20, politeness=budget)
+    robots = RobotsPolicy(n_hosts=64, disallow_every=5)
+    cfg = CrawlConfig(hops=3, num_shards=2, num_buckets=4, fetch_concurrency=1,
+                      fetch_batch_size=20, politeness=budget, robots=robots)
     result = crawl(small_corpus, small_corpus.seeds, out, cfg)
-    oracle = oracle_crawl(small_corpus.documents_path, small_corpus.seeds, 2)
-    verts, _, _ = _ray_tables(result)
-    assert set(verts) == set(oracle.vertices)  # politeness changes timing, not results
+    _assert_match(result, oracle_crawl(small_corpus.documents_path, small_corpus.seeds, 3,
+                                       robots=robots))
+    assert max(_assert_fetch_counts(result, robots)) > 0
+    for hop in result.hops_run:
+        with open(os.path.join(result.hop_dir(hop), "lineage.json")) as f:
+            fetch = json.load(f)["fetch"]
+        assert fetch["requests"] > 0 and fetch["politeness_wait_s"] >= 0, hop
 
 
 def test_branch_checkpoint_retry_idempotent(tmp_path):
@@ -381,10 +408,10 @@ def test_branch_checkpoint_retry_idempotent(tmp_path):
 
 
 def test_sized_blocks_directory_or_files(tmp_path):
-    """One row-sizing rule for a checkpoint directory and for a list of
-    its part files: rows / (2 × CPUs) per block, at least
-    ``ROWS_PER_TASK`` and at most ``MAX_ROWS_PER_TASK``; the crawl
-    result's table reads use it."""
+    """One row-sizing rule for a row count and for a list of part
+    files: rows / (2 × CPUs) per block, at least ``ROWS_PER_TASK`` and
+    at most ``MAX_ROWS_PER_TASK``; the crawl result's reads of a
+    checkpoint directory use it."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -396,7 +423,7 @@ def test_sized_blocks_directory_or_files(tmp_path):
     for i in range(6):
         files.append(str(d / f"part-{i}.parquet"))
         pq.write_table(pa.table({"id": [f"V{i}-{j}" for j in range(2500)]}), files[-1])
-    assert _sized_blocks(str(d)) == _sized_blocks(files) == 1  # 15k rows: below the floor
+    assert _sized_blocks(files) == 1  # 15k rows: below the floor
     assert _sized_blocks(files, rows_per_block=1000) == 16
     assert _sized_blocks(files, rows_per_block=1000, max_blocks=5) == 5
     # 360k rows: 2 blocks per CPU of the 4-CPU session
@@ -596,14 +623,16 @@ class _CountingMembership:
 
 
 def _sink_rows():
-    """One bucket's candidate (with the hop's miss rows), edge and
-    classify rows, some of them repeated or already registered."""
-    from fs_crawler_ray.crawl import _CAND, _CLASSIFY, _EDGE, _MISS, _tagged
+    """One bucket's candidate (with the hop's miss and blocked rows),
+    edge and classify rows, some of them repeated or already
+    registered."""
+    from fs_crawler_ray.crawl import _BLOCKED, _CAND, _CLASSIFY, _EDGE, _MISS, _tagged
 
     ids = [f"AAAA-{i:03d}" for i in range(12)]
     cand = pa.concat_tables([
         _tagged(_CAND, [3] * 8, cand_id=ids[:6] + ids[:2], priority=[2, 2, 2, 2, 2, 2, 1, 3]),
-        _tagged(_MISS, [3] * 2, cand_id=[ids[1], ids[10]])])
+        _tagged(_MISS, [3] * 2, cand_id=[ids[1], ids[10]]),
+        _tagged(_BLOCKED, [3] * 2, cand_id=[ids[3], ids[11]])])
     src, dst = ids[:7] + ids[:2], ids[5:12] + ids[5:7]
     edge = _tagged(_EDGE, [3] * 9, source=src, destination=dst,
                    rel_id=[f"R{i}" for i in range(9)], src_doc=src,
@@ -636,9 +665,10 @@ def _run_sink(tables, tmp_path):
 
 
 def test_hop_sink_one_call_per_kind(tmp_path):
-    """One sink call over a bucket holding candidate, miss, edge and
-    classify rows makes one membership call per row kind (the misses
-    make none: the candidates equal to them are dropped in the call) and
+    """One sink call over a bucket holding candidate, miss, blocked, edge
+    and classify rows makes one membership call per row kind (misses and
+    blocked ids make none: the candidates equal to them are dropped in
+    the call) and
     writes one frontier part and one edge part; its count rows and
     written rows equal the same rows handled one kind per call. A bucket
     whose candidates carry two priorities (a budget carried some over)
@@ -653,11 +683,11 @@ def test_hop_sink_one_call_per_kind(tmp_path):
     by_kind, by_kind_written, _, _ = _run_sink([cand, edge, cls], tmp_path / "per_kind")
     assert counts.equals(by_kind)
     assert [w.equals(b) for w, b in zip(written, by_kind_written)] == [True, True]
-    assert counts["kind"].to_pylist() == ["classify", "edges", "frontier", "miss"]
-    assert counts["rows_in"].to_pylist() == [4, 9, 8, 2]
-    assert counts["rows_out"].to_pylist() == [0, 6, 3, 0]
-    assert written[0]["id"].to_pylist() == ["AAAA-002", "AAAA-003", "AAAA-004"]
-    assert written[0]["priority"].to_pylist() == [2, 2, 2]
+    assert counts["kind"].to_pylist() == ["blocked", "classify", "edges", "frontier", "miss"]
+    assert counts["rows_in"].to_pylist() == [2, 4, 9, 8, 2]
+    assert counts["rows_out"].to_pylist() == [0, 0, 6, 2, 0]
+    assert written[0]["id"].to_pylist() == ["AAAA-002", "AAAA-004"]
+    assert written[0]["priority"].to_pylist() == [2, 2]
     assert [r["id"] for r in written[1].to_pylist()] == ["R7", "R1", "R3", "R4", "R5", "R6"]
 
     import pyarrow.parquet as pq
@@ -807,9 +837,9 @@ def test_second_crawl_reuses_actors(small_corpus, tmp_path_factory, empty_free_l
         result = crawl(small_corpus, seeds, out, cfg)
         _assert_match(result, oracle_crawl(small_corpus.documents_path, seeds, 3))
         actors = _first_lineage(out)["actors"]
-        # 4 shards on the 2 hosts of the 4-CPU test cluster, + the metrics actor
+        # 4 shards on the 2 hosts of the 4-CPU test cluster
         want = {"hosts": 2, "shards": 4} | (
-            {"reused": 0, "started": 3} if i == 0 else {"reused": 3, "started": 0})
+            {"reused": 0, "started": 2} if i == 0 else {"reused": 2, "started": 0})
         assert {k: actors[k] for k in want} == want
         assert actors["acquire_s"] >= 0
 
@@ -831,9 +861,9 @@ def test_killed_idle_actor_replaced_then_resume(small_corpus, tmp_path_factory,
                     CrawlConfig(hops=HOPS, num_shards=4, num_buckets=8), resume=True)
     with open(os.path.join(out, "hop=2", "lineage.json")) as f:
         actors = json.load(f)["actors"]  # the first lineage the resume wrote
-    # 2 hosts of 2 shards each: the live host and the metrics actor reused
+    # 2 hosts of 2 shards each: the live host reused, the dead one replaced
     assert (actors["hosts"], actors["shards"]) == (2, 4)
-    assert (actors["reused"], actors["started"]) == (2, 1)
+    assert (actors["reused"], actors["started"]) == (1, 1)
     assert dead._actor_id not in {a._actor_id for a in resident._free_list("MembershipShard")}
     assert _ray_tables(resumed) == _ray_tables(full)
     assert [r["vertices"] for r in resumed.log] == [r["vertices"] for r in full.log]
@@ -843,7 +873,7 @@ def test_reused_crawler_starts_from_empty_state(small_corpus, tmp_path_factory):
     """One Crawler crawling the same seeds again, fresh and then resumed
     after its last hop's log.json is removed, writes what its first
     crawl wrote and equals the oracle: each crawl() starts from reset
-    shards."""
+    shards. The second crawl counts only its own seeds as attempted."""
     out = str(tmp_path_factory.mktemp("reused_crawler"))
     oracle = oracle_crawl(small_corpus.documents_path, small_corpus.seeds, 3)
     c = Crawler(small_corpus, out, CrawlConfig(hops=3, num_shards=4, num_buckets=8))
@@ -854,6 +884,7 @@ def test_reused_crawler_starts_from_empty_state(small_corpus, tmp_path_factory):
         again = c.crawl(small_corpus.seeds)
         _assert_match(again, oracle)
         assert _ray_tables(again) == want
+        assert _first_lineage(out)["fetch"]["ids_attempted"] == len(set(small_corpus.seeds))
         os.remove(os.path.join(out, "hop=2", "log.json"))
         resumed = c.crawl(small_corpus.seeds, resume=True)
         _assert_match(resumed, oracle)
@@ -872,27 +903,8 @@ def test_raised_crawl_kills_its_actors(small_corpus, tmp_path_factory, empty_fre
     with pytest.raises(ValueError):
         c.crawl(["not-an-id"])
     c.shutdown()
-    held = c.sm.actors + [c.metrics]
-    idle = {a._actor_id for n in ("MembershipShard", "MetricsActor")
-            for a in resident._free_list(n)}
-    assert not idle & {a._actor_id for a in held}
-    for a in held:
+    idle = {a._actor_id for a in resident._free_list("MembershipShard")}
+    assert not idle & {a._actor_id for a in c.sm.actors}
+    for a in c.sm.actors:
         with pytest.raises(ray.exceptions.RayActorError):
-            ray.get(a.snapshot.remote() if a is c.metrics else a.stats.remote(), timeout=60)
-
-
-def test_stale_metrics_delta_is_dropped(small_corpus, tmp_path_factory, empty_free_lists):
-    """A late fire-and-forget delta sent with an earlier crawl's epoch
-    does not reach the next crawl's lineage fetch counters."""
-    cfg = CrawlConfig(hops=1, num_shards=2, num_buckets=4)
-    first = Crawler(small_corpus, str(tmp_path_factory.mktemp("pool_m1")), cfg)
-    first.crawl(small_corpus.seeds)
-    first.shutdown()
-    out = str(tmp_path_factory.mktemp("pool_m2"))
-    second = Crawler(small_corpus, out, cfg)
-    assert second.metrics._actor_id == first.metrics._actor_id
-    assert second.metrics_epoch != first.metrics_epoch
-    first.metrics.increment.remote({"ids_attempted": 1e6}, 0, first.metrics_epoch)
-    second.crawl(small_corpus.seeds)
-    second.shutdown()
-    assert _first_lineage(out)["fetch"]["ids_attempted"] == len(set(small_corpus.seeds))
+            ray.get(a.stats.remote(), timeout=60)
