@@ -15,7 +15,8 @@ space of ``n`` buckets: candidates and misses by id range, edges by
 hash) → ONE combined bucket shuffle
 (``relops.shuffle_apply``) of ``n`` partitions, ``n = min(num_buckets,
 planned input blocks)`` so each partition holds one bucket → one
-``_HopSink`` call per partition, one step per row kind:
+``_HopSink`` call per partition, in the exchange's reduce task (no Ray
+Data operator follows the shuffle), one step per row kind:
 
 - edges: in-hop keep-first dedup (``(hop, src_doc, offset)`` under the
   canonical visit order = sorted id per hop) → cross-hop edge-seen
@@ -269,14 +270,15 @@ def _expand_parquet(paths: list[str]) -> list[str]:
     return files
 
 
-def _budget_cut(files: list[str], budget: int | None) -> tuple[int, int, pc.Expression | None]:
+def _budget_cut(files: list[str], footers: list, budget: int | None
+                ) -> tuple[int, int, pc.Expression | None]:
     """``(head rows, index of the part holding the cut, head predicate)``
     of a frontier's part files in :func:`_expand_parquet` order, whose
     rows are then in ``(priority, id)`` order (a part is one priority and
-    one id-range bucket). The footers give the part holding the
+    one id-range bucket). Their ``footers`` give the part holding the
     ``budget``-th row, its ids give id*, and the head is ``(priority, id)
     <= (p*, id*)``; with no cut it is every part, unfiltered."""
-    rows = np.cumsum([st.file_rows(f) for f in files])
+    rows = np.cumsum([m.num_rows for m in footers])
     total = int(rows[-1]) if len(rows) else 0
     if budget is None or total <= budget:
         return total, len(files) - 1, None
@@ -322,9 +324,8 @@ def _sized_blocks(rows: int | list[str], rows_per_block: int | None = None,
     """Block count for a read of ``rows`` rows (or of a list of part
     files, their rows summed from the footers), proportional to the
     rows. Every block of a checkpoint read becomes a map task, plus a
-    sample, a sort-map and a reduce task in each sort-based shuffle
-    after the read. A remote task costs ~8 ms of
-    session CPU whatever it carries (4 vCPUs: a deep_crawl graph build
+    split task in each shuffle after the read. A remote task costs ~8 ms
+    of session CPU whatever it carries (4 vCPUs: a deep_crawl graph build
     of 30k edges fell 0.86 CPU-s going from 128 tasks to 21; BASELINE.md).
     So the auto mode (``rows_per_block`` None) sizes by rows per task,
     not by CPU count: rows / (2 × CPUs) rows in a block, at least
@@ -559,20 +560,18 @@ class _HopSink:
       call's written edges and its classify-only rows.
 
     Both parts are content-named (same retry-safe idempotence contract
-    as BranchCheckpoint); the call returns one count row per kind
-    present (``miss`` and ``blocked`` rows are the hop's fetch counts) —
-    the hop's frontier AND edges land on disk in the SAME execution
-    that fetched and parsed the records. Every occurrence of
-    a key lands in one bucket, so the whole-bucket keep-first and checks
-    give the rows the same work done key group by key group would.
+    as BranchCheckpoint, and a retried reduce task rewrites the same
+    files); the call returns one count row per kind present (``miss``
+    and ``blocked`` rows are the hop's fetch counts). Every occurrence
+    of a key lands in one bucket, so the whole-bucket keep-first and
+    checks give the rows the same work done key group by key group would.
 
-    Correctness of the fusion: the shuffle upstream is an all-to-all
-    barrier, so every VISITED registration (in the post-parse stage of
-    this same execution) has completed before any sink call runs. Each
-    id of the hop's frontier then either is in VISITED or arrives here
-    as a miss or blocked row in its range bucket, so "not in visited and
-    not in processing" is "neither missed nor blocked, and not in
-    visited"."""
+    Correctness: the shuffle upstream is an all-to-all barrier, so every
+    VISITED registration (in the post-parse stage of the hop's
+    execution) has completed before any sink call runs. Each id of the
+    hop's frontier then is in VISITED or arrives here as a miss or
+    blocked row in its range bucket, so "not in visited and not in
+    processing" is "neither missed nor blocked, and not in visited"."""
 
     def __init__(self, sm: ShardedMembership, frontier_path: str, edges_path: str,
                  classify_edges: bool = False):
@@ -837,12 +836,14 @@ class Crawler:
                 [seeds.slice(lo, chunk) for lo in range(0, max(1, n_head), chunk)])
             return head, n_head, ray.data.from_blocks([rest]) if len(rest) else None
         files = _expand_parquet([frontier])
-        n_head, k, keep = _budget_cut(files, budget)
+        footers = [st.footer(f) for f in files]  # read once, for the cut and both reads
+        n_head, k, keep = _budget_cut(files, footers, budget)
         head = st.read_parts(files[:k + 1], None,
-                             _sized_blocks(n_head, _fetch_rpb(n_head, cpus, self.direct)))
+                             _sized_blocks(n_head, _fetch_rpb(n_head, cpus, self.direct)),
+                             footers[:k + 1])
         if keep is None:
             return head, n_head, None
-        tail = st.read_parts(files[k:], ["id", "priority"], _sized_blocks)
+        tail = st.read_parts(files[k:], ["id", "priority"], _sized_blocks, footers[k:])
         return (head.map_batches(lambda t: t.filter(keep), batch_format="pyarrow"), n_head,
                 tail.map_batches(lambda t: t.filter(~keep), batch_format="pyarrow"))
 
@@ -937,28 +938,21 @@ class Crawler:
             st.makedirs(frontier_out)
             st.makedirs(edges_out)
 
-            # 3. the combined edges + frontier shuffle, fused into the
-            # SAME streaming execution as filter/fetch/parse: the tagger
-            # pre-combines each kind per batch (hot-key mitigation, same
-            # as the old dedup_keep_first/distinct pre-passes), routes
-            # candidates to n range buckets — so the next frontier
+            # 3. the combined edges + frontier shuffle over that
+            # execution's output: the tagger pre-combines each kind per
+            # batch (hot-key mitigation) and routes candidates, misses
+            # and blocked ids to n range buckets (so the next frontier
             # lands range-clustered, which IS the next hop's fetch
-            # routing — the hop's misses to the same range buckets, and
-            # edges to the same n buckets by hash; _HopSink dedups,
-            # filters (candidates minus misses, then against visited —
-            # the add_to_frontier guard, graph_memory_impl.py:60-63 —
-            # and the deferred cross-hop edge-seen check for edges) and
-            # side-writes one parquet
-            # part per kind. One execution per hop where round 2 paid
-            # three: the shuffle barrier provides the same ordering
-            # guarantees the old materialize() did.
-            # Edge classification rides the same shuffle: on a
-            # classifying hop (every hop in "full" mode, the last in
-            # "final") the earlier hops' edges join it as classify-only
-            # rows and the sink classifies them and this hop's own
-            # written edges, so the J1 counts cost no execution of their
-            # own. The shuffle barrier provides the ordering (all
-            # VISITED registrations complete before any sink call).
+            # routing) and edges to the same n buckets by hash; _HopSink,
+            # in the exchange's reduce tasks, dedups, filters (candidates
+            # minus misses, then against visited — the add_to_frontier
+            # guard, graph_memory_impl.py:60-63 — and the deferred
+            # cross-hop edge-seen check for edges) and side-writes one
+            # parquet part per kind. On a classifying hop (every hop in
+            # "full" mode, the last in "final") the earlier hops' edges
+            # ride the same shuffle as classify-only rows, so the J1
+            # counts cost no execution of their own. The shuffle barrier
+            # orders every VISITED registration before any sink call.
             classify = (cfg.log_edge_classification == "full"
                         or (cfg.log_edge_classification == "final"
                             and hop == cfg.hops - 1))
@@ -985,13 +979,9 @@ class Crawler:
                 tagged = tagged.union(carryover.map_batches(
                     _make_carryover_tagger(n, self.range_boundaries), batch_format="pyarrow"))
             sink = _HopSink(self.sm, frontier_out, edges_out, classify_edges=classify)
-            grouped = shuffle_apply(tagged, sink, bucket="__bucket", num_buckets=n)
             _mark("hop_plan", tick)  # lazy graph construction + seed prep
-            sink_counts = grouped.take_all()
-            if os.environ.get("FSRAY_HOP_STATS") == "1":  # perf diagnostics
-                import sys
-
-                print(grouped.stats(), file=sys.stderr)
+            sink_counts = shuffle_apply(tagged, sink, bucket="__bucket",
+                                        num_buckets=n).take_all()
             _mark("hop_exec", tick)
             _ensure_nonempty(proc_path, FRONTIER_SCHEMA)
             _ensure_nonempty(vert_path, VERTEX_SCHEMA)

@@ -140,7 +140,7 @@ def two_hop_counts(
     bucketed hash shuffle — then a distinct + count, each one bucketed
     shuffle over a table no larger than the wedge set. All-integer
     count output → hash-exact vs the SQL oracle."""
-    e = distinct(edges.select_columns([src, dst]), [src, dst], num_buckets).materialize()
+    e = distinct(edges.select_columns([src, dst]), [src, dst], num_buckets)
     left = e.map_batches(
         lambda t: pa.table({"id": t[src], "mid": t[dst]}), batch_format="pyarrow")
     right = e.map_batches(
@@ -165,7 +165,7 @@ def coparent_pairs(
     Same wedge shape as :func:`two_hop_counts` but joined on the SOURCE
     endpoint, with the ``p1 < p2`` canonicalization halving the pair
     space before the count shuffle."""
-    e = distinct(edges.select_columns([src, dst]), [src, dst], num_buckets).materialize()
+    e = distinct(edges.select_columns([src, dst]), [src, dst], num_buckets)
     left = e.map_batches(
         lambda t: pa.table({"child": t[src], "p1": t[dst]}), batch_format="pyarrow")
     right = e.map_batches(

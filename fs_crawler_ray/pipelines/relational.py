@@ -569,7 +569,7 @@ def q_events_daily_type_balance(sf_dir: str):
     p, c = daily("purchase", "n_purchases"), daily("error", "n_errors")
     from fs_crawler_ray.relops import hash_join
 
-    def _sch(out):  # both sides come out of a shuffle: give types up front
+    def _sch(out):  # either side can be empty, with no schema: give types up front
         return pa.schema([("day", pa.timestamp("ns")), (out, pa.int64())])
 
     j = hash_join(p, c, on=["day"], how="full_outer", num_buckets=4,
@@ -904,7 +904,7 @@ def q_part_pairs(sf_dir: str, k: int = 20):
     from fs_crawler_ray.relops import bucketed_agg
 
     li = _t(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
-    op = distinct(li, ["l_orderkey", "l_partkey"], 16).materialize()
+    op = distinct(li, ["l_orderkey", "l_partkey"], 16)
     left = op.map_batches(
         lambda t: pa.table({"o": t["l_orderkey"], "p1": t["l_partkey"]}),
         batch_format="pyarrow")

@@ -11,8 +11,8 @@ never converts a block to pandas. Design rules (SURVEY §4):
   bucket column), the rows move on cut points computed from that range
   (no sampled boundaries), and the body runs once per bucket as one
   Arrow kernel across all of the bucket's keys, avoiding one Python
-  call per distinct key. This module owns the shuffle backend and the
-  partition count; no other module groups by a bucket;
+  call per distinct key, in the exchange's plain reduce tasks. This
+  module owns the shuffle backend; no other module groups by a bucket;
 - :func:`join` is the one join entry point (inner / left / semi /
   anti). A right side at or below :data:`BROADCAST_LIMIT` rows is
   collected as Arrow, built into one sorted hash side and ``ray.put``
@@ -31,11 +31,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
+from ray.data._internal.delegating_block_builder import DelegatingBlockBuilder
 from ray.data._internal.logical.interfaces import LogicalPlan
 from ray.data._internal.logical.operators.from_operators import FromArrow
 from ray.data._internal.plan import ExecutionPlan
 from ray.data._internal.stats import DatasetStats
-from ray.data.block import BlockMetadata, BlockMetadataWithSchema
+from ray.data.block import BlockAccessor, BlockMetadata, BlockMetadataWithSchema
 from ray.data.context import DataContext
 from ray.data.dataset import MaterializedDataset
 
@@ -89,12 +90,18 @@ def from_block_refs(refs: list, blocks: list, schema: pa.Schema,
     input's plus the fixed width of each column ``schema`` adds to
     ``base``."""
     row_bytes = sum(f.type.byte_width for f in schema if f.name not in base.names)
-    metadata = [BlockMetadataWithSchema(
+    return _materialized(refs, [BlockMetadataWithSchema(
         BlockMetadata(num_rows=m.num_rows, size_bytes=m.size_bytes + row_bytes * m.num_rows,
-                      input_files=None, exec_stats=None), schema) for _, m in blocks]
+                      input_files=None, exec_stats=None), schema) for _, m in blocks])
+
+
+def _materialized(refs: list, metadata: list) -> ray.data.MaterializedDataset:
+    """The Dataset of ``refs``, its output set: reading it runs no execution."""
     plan = ExecutionPlan(DatasetStats(metadata={"FromArrow": metadata}, parent=None),
                          DataContext.get_current().copy())
-    return MaterializedDataset(plan, LogicalPlan(FromArrow(refs, metadata), plan._context))
+    out = MaterializedDataset(plan, LogicalPlan(FromArrow(refs, metadata), plan._context))
+    plan.execute()  # as materialize() does; the source holds its blocks
+    return out
 
 
 def hash_buckets(key_arrays: list, num_buckets: int) -> np.ndarray:
@@ -139,38 +146,59 @@ def partition_count(span: int, *inputs: ray.data.Dataset) -> int:
     return min(span, (sum(blocks) if None not in blocks else 0) or 1)
 
 
-def _range_partition(ds: ray.data.Dataset, keys: list[str], span: int,
-                     descending: bool = False) -> tuple[ray.data.Dataset, bool]:
-    """``ds`` moved into ``P =`` :func:`partition_count` blocks of whole
-    ranges of a first key whose values are integers in ``[0, span)``,
-    and whether each block is sorted by ``keys``. P > 1 is a sort cut at
-    :func:`even_cuts`, so no boundary is sampled. One part is a
-    ``repartition(1)`` left unsorted: ``sort`` given no cut point would
-    sample boundaries again, one task per input block, and the caller
-    sorts the one block in its own task."""
-    parts = partition_count(span, ds)
-    if parts > 1:
-        return ds.sort(keys, descending=descending, boundaries=even_cuts(parts, span)), True
-    return ds.repartition(1), False
-
-
 def sort_by_range(ds: ray.data.Dataset, keys: list[str], span: int,
                   descending: bool = False) -> ray.data.Dataset:
-    """``ds`` sorted by ``keys``, block after block, for a first key
-    whose values are integers in ``[0, span)``; partitioned as
-    :func:`_range_partition` does."""
-    moved, is_sorted = _range_partition(ds, keys, span, descending)
-    if is_sorted:
-        return moved
+    """``ds`` sorted by ``keys`` in ``P =`` :func:`partition_count`
+    blocks of whole ranges of a first key whose values are integers in
+    ``[0, span)``: Ray's sort cut at :func:`even_cuts` (no sampled
+    boundary), or with P = 1 one ``repartition`` sorted in a task."""
+    parts = partition_count(span, ds)
+    if parts > 1:
+        return ds.sort(keys, descending=descending, boundaries=even_cuts(parts, span))
     order = [(k, "descending" if descending else "ascending") for k in keys]
-    return moved.map_batches(lambda t: t.sort_by(order), batch_format="pyarrow",
-                             batch_size=None, zero_copy_batch=True)
+    return ds.repartition(1).map_batches(lambda t: t.sort_by(order), batch_format="pyarrow",
+                                         batch_size=None, zero_copy_batch=True)
+
+
+def _by_bucket(block, col: str) -> tuple[pa.Table, np.ndarray]:
+    """``block`` as Arrow, stable-sorted by its ``col``, and that column."""
+    t = BlockAccessor.for_block(block).to_arrow()
+    order = np.argsort(t[col].to_numpy(), kind="stable")
+    t = t.take(order)
+    return t, t[col].to_numpy()
+
+
+@ray.remote
+def _exchange_split(block, col: str, cuts: list[int]) -> tuple:
+    """The exchange's map step: ``block`` cut into one piece per
+    partition, at ``cuts`` of its ``col`` buckets."""
+    t, b = _by_bucket(block, col)
+    ends = np.concatenate([[0], np.searchsorted(b, cuts), [len(b)]])
+    return tuple(t.slice(lo, hi - lo) for lo, hi in zip(ends[:-1], ends[1:]))
+
+
+@ray.remote(num_returns=2)
+def _exchange_reduce(fn, col: str, drop: bool, *pieces):
+    """The exchange's reduce step: ``fn`` once per bucket of one
+    partition's pieces; its outputs as one block (with no columns when
+    the partition is empty) and that block's metadata."""
+    out = DelegatingBlockBuilder()
+    pieces = [t for t in (BlockAccessor.for_block(p).to_arrow() for p in pieces) if t.num_rows]
+    if pieces:
+        t, b = _by_bucket(pa.concat_tables(pieces, promote_options="default"), col)
+        t = t.drop_columns([col]) if drop else t
+        starts = np.flatnonzero(np.append(True, b[1:] != b[:-1]))
+        for lo, hi in zip(starts, np.append(starts[1:], len(b))):
+            out.add_batch(fn(t.slice(lo, hi - lo)))
+    block = out.build()
+    return block, BlockMetadataWithSchema.from_block(block)
 
 
 def shuffle_apply(ds: ray.data.Dataset, fn, *, key_cols: list[str] | None = None,
-                  bucket: str | None = None, num_buckets: int) -> ray.data.Dataset:
+                  bucket: str | None = None, num_buckets: int) -> ray.data.MaterializedDataset:
     """``fn`` applied once per non-empty bucket, on an Arrow table
-    holding every row of that bucket; the result is ``fn``'s outputs.
+    holding every row of that bucket; the result is ``fn``'s outputs,
+    materialized (a zero-row input gives blocks with no schema).
 
     With ``key_cols``, a row's bucket is :func:`hash_buckets` of those
     columns, so all rows of a key meet in one call; the bucket column
@@ -178,16 +206,15 @@ def shuffle_apply(ds: ray.data.Dataset, fn, *, key_cols: list[str] | None = None
     int64 column, holding values in ``[0, num_buckets)``, and it stays
     in the rows.
 
-    The rows move through :func:`_range_partition` into ``P = min(
-    num_buckets, input blocks)`` partitions of whole buckets. A fixed
-    count instead gave a 1-2 block hop 8 reducers and cost deep_crawl
-    ~30 % of its URLs per CPU-s. One map task per partition then splits
-    it into bucket runs and calls ``fn`` on each. The split runs in the
-    same task as the one-partition case's sort: a map step between
-    them would end in Ray's output buffer, which cuts a block above
-    1.5 × ``target_max_block_size`` into pieces, and a bucket across a
-    cut would reach ``fn`` twice. The cuts ignore row counts, and a hot
-    key's bucket lands whole in one partition."""
+    ``ds`` executes once; the exchange after it is plain Ray tasks. As
+    each non-empty block arrives, an ``_exchange_split`` cuts it into
+    ``P =`` :func:`partition_count` partitions of whole buckets at
+    :func:`even_cuts` (none with P = 1). One ``_exchange_reduce`` per
+    partition takes its piece of every block (so the shuffle is a
+    barrier) and calls ``fn``. A fixed P gave a 1-2 block hop 8
+    reducers (deep_crawl −30 % URLs per CPU-s); Ray's sort plus a Ray
+    Data map for ``fn`` cost an operator more per shuffle. A hot key's
+    bucket lands whole in one partition."""
     if (key_cols is None) == (bucket is None):
         raise ValueError("shuffle_apply: pass exactly one of key_cols and bucket")
     col = _BUCKET_COL if bucket is None else bucket
@@ -199,23 +226,16 @@ def shuffle_apply(ds: ray.data.Dataset, fn, *, key_cols: list[str] | None = None
                 col, pa.array(hash_buckets([t[c] for c in key_cols], num_buckets)))
 
         ds = ds.map_batches(add, batch_format="pyarrow")
-    moved, is_sorted = _range_partition(ds, [col], num_buckets)
-
-    def per_partition(t: pa.Table):
-        b = t[col].to_numpy()
-        if not is_sorted:
-            order = np.argsort(b, kind="stable")
-            t, b = t.take(order), b[order]
-        if key_cols is not None:
-            t = t.drop_columns([col])
-        ends = np.append(np.flatnonzero(b[1:] != b[:-1]) + 1, len(b))
-        start = 0
-        for end in ends:
-            yield fn(t.slice(start, end - start))
-            start = end
-
-    return moved.map_batches(per_partition, batch_format="pyarrow", batch_size=None,
-                             zero_copy_batch=True)
+    parts = partition_count(num_buckets, ds)
+    split = _exchange_split.options(num_returns=parts)
+    pieces = [[ref] if parts == 1 else split.remote(ref, col, even_cuts(parts, num_buckets))
+              for bundle in ds.iter_internal_ref_bundles()
+              for ref, m in bundle.blocks if m.num_rows]
+    fn = ray.put(fn)
+    refs, metas = zip(*(_exchange_reduce.remote(fn, col, key_cols is not None,
+                                                *(p[i] for p in pieces))
+                        for i in range(parts)))
+    return _materialized(list(refs), ray.get(list(metas)))
 
 
 def _keep_first_arrow(t: pa.Table, key_cols: list[str], order_cols: list) -> pa.Table:
@@ -343,10 +363,10 @@ def hash_join(
 
     Non-key output columns must be disjoint between the sides (rename
     before joining); key columns are merged (coalesced for
-    ``full_outer``). Pass ``left_schema``/``right_schema`` when a side
-    comes out of a shuffle (:func:`shuffle_apply`): ``Dataset.schema()``
-    on such a side executes its whole upstream plan just to learn the
-    column types — at scale that is a full extra pass.
+    ``full_outer``). Pass ``left_schema``/``right_schema`` for a side
+    that can be empty (an empty :func:`shuffle_apply` result has no
+    schema) or ends in a lazy map: ``Dataset.schema()`` runs its plan
+    just to learn the column types — at scale a full extra pass.
     ``right_unique=True`` raises ``ValueError`` when a non-null right
     key occurs twice (a bucket holds every row of its keys, so the check
     is exact) instead of multiplying left rows."""
@@ -445,17 +465,6 @@ def hash_join(
 
     def per_bucket(t: pa.Table) -> pa.Table:
         t = t.drop_columns([_BUCKET_COL])
-        # re-align dtypes: the sort shuffle can round-trip blocks
-        # through pandas, which rewrites an ALL-null typed column (one
-        # side contributed no rows in this bucket) to Arrow `null` —
-        # acero then rejects it as a join field. Restore the declared
-        # dtype (the column is all-null by construction, so this is a
-        # pure type fix, no data change).
-        for i, c in enumerate(t.column_names):
-            want = fields.get(c)
-            if (want is not None and pa.types.is_null(t.column(i).type)
-                    and not pa.types.is_null(want)):
-                t = t.set_column(i, c, pa.nulls(len(t), want))
         side = t["__side"]
         lt = t.filter(pc.equal(side, 0)).select(
             [c for c in keep_l if c not in null_payload])

@@ -204,17 +204,18 @@ def _read_pieces(pieces: list[tuple], schema: pa.Schema):
 class PartsDatasource(Datasource):
     """Parquet part files as contiguous row ranges, in file order.
 
-    The driver reads every footer once, here; each read task gets the
-    row groups that overlap its range. So building the read runs no
+    The driver reads every footer once (or takes the caller's
+    ``footers``); each read task gets the row groups that
+    overlap its range. So building the read runs no
     remote task (``ray.data.read_parquet`` samples fragments in remote
     tasks, and fetches the footers of more than 24 files in half-CPU
     tasks that start worker processes), and the read fuses with the map
     stages after it. No hive partition column is added."""
 
-    def __init__(self, files: list[str], columns: list[str] | None = None):
+    def __init__(self, files: list[str], columns: list[str] | None = None, footers=None):
         if not files:
             raise ValueError("read_parts needs at least one part file")
-        metas = [footer(f) for f in files]
+        metas = footers if footers is not None else [footer(f) for f in files]
         schema = metas[0].schema.to_arrow_schema()
         if columns is not None:
             schema = pa.schema([schema.field(c) for c in columns], metadata=schema.metadata)
@@ -259,15 +260,17 @@ class PartsDatasource(Datasource):
         return tasks
 
 
-def read_parts(files: list[str], columns: list[str] | None = None, num_blocks=None):
+def read_parts(files: list[str], columns: list[str] | None = None, num_blocks=None,
+               footers=None):
     """The rows of parquet part files, in file order, as a Dataset of
     ``num_blocks`` contiguous row ranges (:class:`PartsDatasource`).
     ``num_blocks`` is a count, a function of the files' total rows, or
     None for one block per file; it is capped at the row count, and a
-    read of zero rows is one block of the schema's empty table."""
+    read of zero rows is one block of the schema's empty table.
+    ``footers``: the files' footers, if the caller has read them."""
     import ray.data
 
-    src = PartsDatasource(files, columns)
+    src = PartsDatasource(files, columns, footers)
     if callable(num_blocks):
         num_blocks = num_blocks(src.num_rows)
     num_blocks = min(len(files) if num_blocks is None else num_blocks, src.num_rows)

@@ -205,13 +205,13 @@ def resolve_relationships(
     by one execution over the edges (after the vertex broadcast's own):
     the colour probe, then ``num_partitions`` source-hash buckets that
     each run the whole resolution (module docstring). A shuffle of zero
-    rows yields no schema, so the result is materialized here and an
-    empty one carries the crawl's edge schema (``model.EDGE_SCHEMA``).
-    ``num_buckets`` and ``fetch_concurrency`` are unused; they stay in
-    the signature for existing callers."""
+    rows yields no schema, so an empty result carries the crawl's edge
+    schema (``model.EDGE_SCHEMA``). ``num_buckets`` and
+    ``fetch_concurrency`` are unused; they stay in the signature for
+    existing callers."""
     probed = _probe_colors(edges, vertices, num_partitions)
     out = shuffle_apply(probed, lambda t: _resolve_bucket(t, relationships_path),
-                        key_cols=["source"], num_buckets=num_partitions).materialize()
+                        key_cols=["source"], num_buckets=num_partitions)
     if out.count() == 0:
         return ray.data.from_arrow(EDGE_SCHEMA.empty_table())
     return out

@@ -89,13 +89,14 @@ class FetchActor:
 
     def fetch(self, ids: np.ndarray, hop: int) -> pa.Table:
         c = self.counters
-        n_in = len(ids)
-        n_req = max(1, int(np.ceil(n_in / _IDS_PER_REQUEST)))
-        if self.session is not None:
-            self.session.authorize(n_req)
-        c["requests"] += n_req
         if self.robots is not None:
             ids = ids[self.robots.allowed_mask(ids)]
+        # a request is one chunk looked up: blocked ids cost none
+        chunks = [ids[i:i + _IDS_PER_REQUEST]
+                  for i in range(0, len(ids), _IDS_PER_REQUEST)]
+        if self.session is not None and chunks:
+            self.session.authorize(len(chunks))
+        c["requests"] += len(chunks)
         if self.politeness.rate_per_host > 0 and len(ids):
             # token accounting unchanged: one token per unique host per
             # actor batch, acquired on the actor thread (buckets are not
@@ -104,8 +105,6 @@ class FetchActor:
                                % np.uint64(self.politeness.n_hosts)).astype(np.int64))
             for h in hosts:
                 c["politeness_wait_s"] += self.buckets.acquire(int(h), 1)
-        chunks = [ids[i:i + _IDS_PER_REQUEST]
-                  for i in range(0, len(ids), _IDS_PER_REQUEST)]
         if self._pool is not None and len(chunks) > 1:
             # overlapped requests, deterministic chunk-order concat
             results = list(self._pool.map(self._lookup, chunks))

@@ -1927,8 +1927,7 @@ def jaccard_pairs(
         df_per_tok = np.bincount(codes)
         return t.filter(pa.array(df_per_tok[codes] <= max_df))
 
-    kept = shuffle_apply(pair_ds, keep_rare, key_cols=["tok"],
-                         num_buckets=num_buckets).materialize()
+    kept = shuffle_apply(pair_ds, keep_rare, key_cols=["tok"], num_buckets=num_buckets)
 
     sizes = bucketed_agg(kept, ["doc_id"], [("tok", "count", "n_tok")],
                          num_buckets)

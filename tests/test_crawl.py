@@ -304,13 +304,42 @@ def test_budget_cut_inside_a_multi_bucket_priority(tmp_path):
         "part-1-0", "part-1-10", "part-2-0", "part-2-1", "part-2-10"]
     rows = pa.concat_tables([pq.read_table(f) for f in files])
     want = sorted(zip(rows["priority"].to_pylist(), rows["id"].to_pylist()))
-    n_head, k, keep = _budget_cut(files, 7)
+    footers = [pq.read_metadata(f) for f in files]
+    n_head, k, keep = _budget_cut(files, footers, 7)
     assert (n_head, k) == (7, 3)
     head = rows.filter(keep)
     assert sorted(zip(head["priority"].to_pylist(), head["id"].to_pylist())) == want[:7]
     tail = rows.filter(~keep)
     assert sorted(zip(tail["priority"].to_pylist(), tail["id"].to_pylist())) == want[7:]
-    assert _budget_cut(files, None) == _budget_cut(files, 9) == (9, 4, None)
+    assert _budget_cut(files, footers, None) == _budget_cut(files, footers, 9) == (9, 4, None)
+
+
+def test_frontier_footers_read_once_per_hop(tmp_path_factory, monkeypatch):
+    """A hop reads its frontier's part footers once, for the budget cut
+    and the read together: a 4-hop "full" crawl of 2,000 persons reads
+    each of the 3 frontiers that later hops take up once."""
+    from collections import Counter
+
+    from fs_crawler_ray.corpus import CorpusSpec, generate_corpus
+    from fs_crawler_ray.sources import storage as st
+
+    corpus = generate_corpus(CorpusSpec(n_persons=2000, seed=42),
+                             str(tmp_path_factory.mktemp("footers_corpus")))
+    reads, footer = Counter(), st.footer
+
+    def counting(path):
+        reads[os.path.basename(os.path.dirname(path))] += 1
+        return footer(path)
+
+    monkeypatch.setattr(st, "footer", counting)
+    out = str(tmp_path_factory.mktemp("footers"))
+    result = crawl(corpus, corpus.seeds, out,
+                   CrawlConfig(hops=4, num_shards=4, num_buckets=8,
+                               log_edge_classification="full"))
+    assert result.hops_run == [0, 1, 2, 3]
+    parts = sum(len(os.listdir(os.path.join(out, f"hop={h}", "frontier.parquet")))
+                for h in range(3))
+    assert reads["frontier.parquet"] == parts == 3
 
 
 @pytest.mark.parametrize("bad", [{"frontier_budget": -1}, {"frontier_budget": 0},
@@ -509,8 +538,8 @@ def test_crawl_resume_and_graph_build_sample_no_footers(small_corpus, tmp_path_f
     crawl(small_corpus, small_corpus.seeds, out, cfg)
     os.remove(os.path.join(out, f"hop={HOPS - 1}", "log.json"))
     result = crawl(small_corpus, small_corpus.seeds, out, cfg, resume=True)
-    assert remote_tasks["_sample_block"] == 0
-    assert remote_tasks["reduce"] > 0  # the hop shuffles ran
+    assert remote_tasks["_sample_block"] == remote_tasks["reduce"] == 0
+    assert remote_tasks["_exchange_reduce"] > 0  # the hop shuffles ran
     final = resolve_relationships(result.edges(), result.vertices(),
                                   small_corpus.relationships_path,
                                   num_partitions=4, num_buckets=8)
@@ -522,9 +551,9 @@ def test_crawl_resume_and_graph_build_sample_no_footers(small_corpus, tmp_path_f
 
 def test_graph_build_tasks_follow_rows(crawled, small_corpus, tmp_path, remote_tasks):
     """A checkpoint table below ``ROWS_PER_TASK`` reads as one block, so
-    the resolve and the numbering sort run one reducer each, and the
-    adjacency sort two: one per block of its vertex and edge entries.
-    Only the numbering sort, whose key is a string id, samples
+    the resolve's exchange and the numbering sort run one reducer each,
+    and the adjacency sort two: one per block of its vertex and edge
+    entries. Only the numbering sort, whose key is a string id, samples
     boundaries. The numbered blocks' Dataset is built
     from metadata the driver holds: no
     ``get_table_block_metadata_schema`` task."""
@@ -541,7 +570,8 @@ def test_graph_build_tasks_follow_rows(crawled, small_corpus, tmp_path, remote_t
                                   num_partitions=4, num_buckets=8).materialize()
     write_adjacency_shards(result.vertices(), final, str(tmp_path / "adj"))
     assert remote_tasks["_sample_block"] == 1
-    assert remote_tasks["reduce"] == 4
+    assert remote_tasks["_exchange_reduce"] == 1 and remote_tasks["_exchange_split"] == 0
+    assert remote_tasks["reduce"] == 3  # the two sorts
     assert remote_tasks["_add_index"] == 1
     assert remote_tasks["get_table_block_metadata_schema"] == 0
 
@@ -743,6 +773,39 @@ def test_full_mode_sink_runs_once_per_partition(small_corpus, tmp_path_factory, 
         assert set(rpcs.get("add", {})) <= {"visited"}
         assert all(set(s) <= {"visited", "edges"} for s in lineage["shards"]["sets"])
     assert max(widths) > 1  # the earlier hops' edges widened the shuffle
+
+
+@pytest.mark.parametrize("budget", [None, 40])
+def test_hop_runs_no_ray_data_task_after_its_exchange(small_corpus, tmp_path_factory,
+                                                      small_blocks, remote_tasks,
+                                                      monkeypatch, budget):
+    """A hop's Ray Data tasks are its fused input chain alone: a 'full'
+    crawl over 16-row checkpoint blocks (with a budget, a carried-over
+    tail too) launches one ``_map_task`` per block its shuffle input
+    plans, and its sink runs in the exchange's reduce tasks, one per
+    partition."""
+    from fs_crawler_ray import crawl as crawl_mod
+    from fs_crawler_ray.oracle import load_docs
+    from fs_crawler_ray.relops import partition_count
+
+    planned, shuffle_apply = [], crawl_mod.shuffle_apply
+
+    def spy(ds, fn, **kwargs):
+        planned.append((ds._plan.initial_num_blocks(), partition_count(kwargs["num_buckets"], ds)))
+        return shuffle_apply(ds, fn, **kwargs)
+
+    monkeypatch.setattr(crawl_mod, "shuffle_apply", spy)
+    seeds = sorted(load_docs(small_corpus.documents_path))[::5]
+    out = str(tmp_path_factory.mktemp("no_task_after_exchange"))
+    cfg = CrawlConfig(hops=3, num_shards=2, num_buckets=8, log_edge_classification="full",
+                      frontier_budget=budget)
+    remote_tasks.clear()
+    crawl(small_corpus, seeds, out, cfg)
+    assert len(planned) == 3
+    assert max(blocks for blocks, _ in planned) > 1
+    assert remote_tasks["_map_task"] == sum(blocks for blocks, _ in planned)
+    assert remote_tasks["_exchange_reduce"] == sum(parts for _, parts in planned)
+    assert remote_tasks["map"] == remote_tasks["reduce"] == 0
 
 
 def test_final_mode_fused_classification_matches_full(small_corpus, tmp_path_factory):

@@ -295,6 +295,15 @@ def _bucket_summary():
     return summary
 
 
+def _assert_exchange_tasks(remote_tasks, blocks: int, parts: int) -> None:
+    """The exchange's own tasks: one split per input block (none with
+    one partition), one reducer per partition, and none of Ray's sort
+    tasks (no map, reduce or sampled boundary)."""
+    assert remote_tasks["_exchange_reduce"] == parts
+    assert remote_tasks["_exchange_split"] == (blocks if parts > 1 else 0)
+    assert remote_tasks["map"] == remote_tasks["reduce"] == remote_tasks["_sample_block"] == 0
+
+
 @pytest.mark.parametrize("blocks", [1, 4])
 def test_shuffle_apply_calls_fn_once_per_bucket(blocks, remote_tasks):
     """Bucket 0 has rows in every input block; buckets 5-7 have none.
@@ -309,8 +318,7 @@ def test_shuffle_apply_calls_fn_once_per_bucket(blocks, remote_tasks):
     assert sorted(out["bucket"]) == [0, 1, 2, 3, 4]  # one call per bucket
     assert set(out["rows"]) == {8} and set(out["buckets_seen"]) == {1}
     assert set(out["cols"]) == {"b,v"}  # the caller's column stays
-    assert remote_tasks["reduce"] == min(8, blocks)
-    assert remote_tasks["_sample_block"] == 0
+    _assert_exchange_tasks(remote_tasks, blocks, min(8, blocks))
 
 
 @pytest.mark.parametrize("blocks", [1, 4])
@@ -328,8 +336,7 @@ def test_shuffle_apply_key_cols_meets_keys_and_drops_bucket(blocks, remote_tasks
     out = shuffle_apply(ds, per_bucket, key_cols=["k"], num_buckets=8).to_pandas()
     assert sorted(out["k"]) == list(range(10))  # every key met all its rows
     assert set(out["v_count"]) == {4}
-    assert remote_tasks["reduce"] == min(8, blocks)
-    assert remote_tasks["_sample_block"] == 0
+    _assert_exchange_tasks(remote_tasks, blocks, min(8, blocks))
 
 
 @pytest.mark.parametrize("blocks", [1, 4])
@@ -352,6 +359,32 @@ def test_shuffle_apply_keeps_buckets_whole_across_block_cuts(blocks):
         ctx.target_max_block_size = before
     assert sorted(out["bucket"]) == list(range(8))  # one call per bucket
     assert set(out["rows"]) == {2_500}
+
+
+def test_shuffle_apply_many_small_blocks_call_fn_once_per_bucket(remote_tasks):
+    """P > 1 over many input blocks, cut further by a tiny
+    ``target_max_block_size`` in the map step before the shuffle: each
+    bucket still reaches ``fn`` exactly once, whole, and the exchange
+    splits every non-empty block once."""
+    from ray.data import DataContext
+
+    ctx = DataContext.get_current()
+    before = ctx.target_max_block_size
+    ctx.target_max_block_size = 4 * 1024
+    try:
+        b = np.random.RandomState(1).permutation(np.arange(16_000) % 8)
+        t = pa.table({"b": b, "v": np.arange(len(b))})
+        ds = ray.data.from_arrow([t.slice(i * 1_000, 1_000) for i in range(16)]).map_batches(
+            lambda x: x, batch_format="pyarrow", batch_size=100)
+        remote_tasks.clear()
+        out = shuffle_apply(ds, _bucket_summary(), bucket="b", num_buckets=8).to_pandas()
+    finally:
+        ctx.target_max_block_size = before
+    assert sorted(out["bucket"]) == list(range(8))  # one call per bucket
+    assert set(out["rows"]) == {2_000} and set(out["buckets_seen"]) == {1}
+    assert remote_tasks["_exchange_reduce"] == 8
+    assert remote_tasks["_exchange_split"] > 16  # the map step cut its blocks
+    assert remote_tasks["map"] == remote_tasks["reduce"] == remote_tasks["_sample_block"] == 0
 
 
 @pytest.mark.parametrize("blocks", [1, 3])
@@ -390,7 +423,7 @@ def test_partition_count_of_a_union_is_its_inputs_summed(remote_tasks):
     remote_tasks.clear()
     out = shuffle_apply(both, _bucket_summary(), bucket="b", num_buckets=n).to_pandas()
     assert sorted(out["bucket"]) == [0, 1, 2] and set(out["rows"]) == {10}
-    assert remote_tasks["reduce"] == n
+    assert remote_tasks["_exchange_reduce"] == n
 
 
 def test_even_cuts_split_the_range_evenly():

@@ -97,3 +97,29 @@ def test_fetch_actor_overlap_matches_serial(small_corpus):
     assert s_over["requests"] == s_ser["requests"] > 0
     ray.kill(overlapped)
     ray.kill(serial)
+
+
+def test_fetch_actor_counts_no_request_for_blocked_ids(small_corpus):
+    """Ids the robots gate blocks are never looked up, so they cost no
+    request and no auth budget: 75 ids, all blocked, count 0 requests;
+    an allowed id among them counts one. The actor class runs in
+    process."""
+    import numpy as np
+
+    from fs_crawler_ray.state.fetch_service import FetchActor
+    from fs_crawler_ray.state.robots import RobotsPolicy
+
+    policy = RobotsPolicy(n_hosts=64, disallow_every=5)
+    ids = np.array(sorted(small_corpus.seeds + [f"AAAA-{i:03d}" for i in range(1000)]))
+    allowed = policy.allowed_mask(ids)
+    blocked = ids[~allowed][:75]
+    assert len(blocked) == 75
+    actor = FetchActor.__ray_actor_class__(small_corpus.documents_path, None, policy,
+                                           auth=AuthConfig(token_ttl_requests=2),
+                                           max_in_flight=1)
+    assert len(actor.fetch(blocked, 0)) == 0
+    assert actor.stats()["requests"] == 0
+    assert actor.stats()["authorized_requests"] == 0
+    actor.fetch(np.append(blocked, ids[allowed][:1]), 0)
+    assert actor.stats()["requests"] == 1
+    assert actor.stats()["authorized_requests"] == 1

@@ -6,7 +6,11 @@ then runs one warm crawl, one resume (the last hop's ``log.json``
 removed) and one graph build (resolve + adjacency export). For each of
 the three phases it prints the remote tasks launched, counted by
 function name (each ``RemoteFunction._remote`` call; actor method calls
-are not counted), the Ray Data executions started (each
+are not counted) in two groups: Ray Data's own tasks (functions defined
+under ``ray.``: ``_map_task``, a sort's ``map``/``reduce``/
+``_sample_block``) and the package's plain tasks (the shuffle exchange's
+``_exchange_split``/``_exchange_reduce``, ``_add_index``); then the Ray
+Data executions started (each
 ``StreamingExecutor.execute`` call), and the membership RPCs (shard-host
 ``call``s) and hop-sink calls that the lineage.json of the hops the
 phase wrote records. Run from the root of a checkout::
@@ -14,8 +18,8 @@ phase wrote records. Run from the root of a checkout::
     python3 tools/task_census.py --workload deep_crawl --seed 71
 
 The last line of stdout is one JSON object, ``{phase: {"tasks",
-"by_function", "executions", "membership_rpcs", "rpcs_by_call",
-"sink_calls"}}``.
+"by_function", "ray_data_tasks", "plain_tasks", "executions",
+"membership_rpcs", "rpcs_by_call", "sink_calls"}}``.
 """
 
 from __future__ import annotations
@@ -43,13 +47,17 @@ class Census:
 
         self.phase: str | None = None
         self.tasks: dict[str, Counter] = {}
+        #: function name -> True for a function Ray Data defines
+        self.ray_data: dict[str, bool] = {}
         self.executions: Counter = Counter()
         launch, execute = RemoteFunction._remote, StreamingExecutor.execute
         census = self
 
         def counting_launch(fn, *args, **kwargs):
             if census.phase is not None:
-                census.tasks[census.phase][fn._function.__name__] += 1
+                f = fn._function
+                census.tasks[census.phase][f.__name__] += 1
+                census.ray_data[f.__name__] = f.__module__.startswith("ray.")
             return launch(fn, *args, **kwargs)
 
         def counting_execute(executor, *args, **kwargs):
@@ -79,6 +87,8 @@ class Census:
                     for name, n in names.items():
                         rpcs[f"{method}({name})"] += n["calls"]
             out[p] = {"tasks": sum(c.values()), "by_function": dict(c.most_common()),
+                      **{group: {k: n for k, n in c.most_common() if self.ray_data[k] == rd}
+                         for group, rd in (("ray_data_tasks", True), ("plain_tasks", False))},
                       "executions": self.executions[p],
                       "membership_rpcs": sum(rpcs.values()),
                       "rpcs_by_call": dict(rpcs.most_common()),
@@ -125,8 +135,10 @@ def main(argv=None) -> int:
     for phase, r in report.items():
         print(f"{phase}: {r['tasks']} remote tasks, {r['executions']} executions, "
               f"{r['membership_rpcs']} membership RPCs, {r['sink_calls']} sink calls")
-        for name, n in r["by_function"].items():
-            print(f"  {n:5d}  {name}")
+        for group in ("ray_data_tasks", "plain_tasks"):
+            print(f"  {sum(r[group].values()):5d}  {group.replace('_', ' ')}")
+            for name, n in r[group].items():
+                print(f"    {n:5d}  {name}")
         for name, n in r["rpcs_by_call"].items():
             print(f"  {n:5d}  rpc {name}")
     print(json.dumps(report))
