@@ -98,16 +98,20 @@ from fs_crawler_ray.state.robots import RobotsPolicy
 VISITED = "visited"
 EDGES = "edges"
 
-#: fetch-task waves per hop (``_fetch_rpb``). Per-doc fan-out variance
-#: skews task walls ~2.6x, so more/smaller blocks could in principle
-#: smooth the straggler tail before the shuffle barrier — measured,
-#: waves=2/4 and sink partitions 8/16/32 are indistinguishable inside
-#: the ±30% run-to-run drift, so it stays at the benchmarked shape
+#: fetch blocks per CPU for a hop large enough to fill them
+#: (``_fetch_rpb``). Per-doc fan-out variance skews task walls ~2.6x,
+#: so more/smaller blocks could in principle smooth the straggler tail
+#: before the shuffle barrier — measured, waves=2/4 and sink partitions
+#: 8/16/32 are indistinguishable inside the ±30% run-to-run drift. A
+#: hop below FETCH_WAVES × CPUs × :data:`FETCH_ROWS_PER_TASK` ids runs
+#: fewer blocks than that
 FETCH_WAVES = 2
 #: fewest and most rows in a checkpoint-read block in ``_sized_blocks``'
 #: auto mode (the floor is measured, see there)
 ROWS_PER_TASK = 32_768
 MAX_ROWS_PER_TASK = 131_072
+#: fewest ids in a direct-mode fetch block (``_fetch_rpb``)
+FETCH_ROWS_PER_TASK = 16_384
 
 
 @dataclass
@@ -309,14 +313,22 @@ def _cluster_cpus() -> int:
 
 
 def _fetch_rpb(n: int, cpus: int, direct: bool) -> int:
-    """Ids per fetch block for a hop of ``n`` ids: at least 4k so a
-    block amortizes its task dispatch and membership RPC fan-out, about
-    FETCH_WAVES blocks per CPU when the hop is large enough (measured in
-    round 3: halving the block count at 32 CPUs beat doubling it). The
-    politeness-budget actor pool takes fixed 5k-id blocks."""
+    """Ids per fetch block for a hop of ``n`` ids: about FETCH_WAVES
+    blocks per CPU when the hop is large enough (measured in round 3:
+    halving the block count at 32 CPUs beat doubling it), at least
+    :data:`FETCH_ROWS_PER_TASK` and at most 32,768 (which bounds a
+    task's record table at roughly 60 MB). The floor sizes a block by
+    its work, not by the CPU count: a block costs a Ray Data map task,
+    an exchange split, a reducer with its sink call and RPCs, and part
+    files (~90 ms of session CPU on 1 vCPU) against ~28 µs of work per
+    id, so a hop of at most 16k ids is one block (a 14.4k-id wave took
+    0.88 session CPU-s in 4 blocks, 0.61 in one, on 1 vCPU). From
+    FETCH_WAVES × CPUs × the floor ids on, the per-CPU rule alone sizes
+    the blocks. The politeness-budget actor pool takes fixed 5k-id
+    blocks."""
     if not direct:
         return 5_000
-    return min(32_768, max(4096, n // (FETCH_WAVES * cpus) + 1))
+    return min(32_768, max(FETCH_ROWS_PER_TASK, n // (FETCH_WAVES * cpus) + 1))
 
 
 def _sized_blocks(rows: int | list[str], rows_per_block: int | None = None,
@@ -884,6 +896,9 @@ class Crawler:
             frontier = pa.table({"id": ids, "priority": np.zeros(len(ids), np.int64),
                                  "hop": np.zeros(len(ids), np.int32)}, schema=FRONTIER_SCHEMA)
         result = CrawlResult(out_dir=self.out_dir, hops_run=list(range(start_hop)), log=log)
+        # each edge part's footer, kept from the first classifying hop
+        # that reads it (a complete hop's parts never change)
+        edge_footers: dict = {}
 
         for hop in range(start_hop, cfg.hops):
             t0 = time.time()
@@ -958,9 +973,13 @@ class Crawler:
                             and hop == cfg.hops - 1))
             prev_edges = None
             if classify and result.hops_run:
-                prev_edges = st.read_parts(_expand_parquet(
-                    [st.join(self._hop_dir(h), "edges.parquet") for h in result.hops_run]),
-                    ["source", "destination"], _sized_blocks)
+                files = _expand_parquet(
+                    [st.join(self._hop_dir(h), "edges.parquet") for h in result.hops_run])
+                for f in files:
+                    if f not in edge_footers:
+                        edge_footers[f] = st.footer(f)
+                prev_edges = st.read_parts(files, ["source", "destination"], _sized_blocks,
+                                           [edge_footers[f] for f in files])
             # one bucket per shuffle partition: shuffle_apply cuts the
             # union of the tagged inputs into partition_count(n, union)
             # partitions, which is n itself (a union plans the sum of its
@@ -987,7 +1006,9 @@ class Crawler:
             _ensure_nonempty(vert_path, VERTEX_SCHEMA)
             _ensure_nonempty(frontier_out, FRONTIER_SCHEMA)
             _ensure_nonempty(edges_out, EDGE_SCHEMA)
-            self.sm.commit(EDGES)  # merge this hop's edge keys (actor RPCs only)
+            # ONE call per host: merge this hop's edge keys, then the
+            # shards' stats and the RPCs the hosts served this hop
+            shard_stats, rpcs = self.sm.end_hop(EDGES)
 
             def sunk(kind: str, col: str = "rows_in") -> int:
                 return int(sum(r[col] for r in sink_counts if r["kind"] == kind))
@@ -1005,7 +1026,6 @@ class Crawler:
                 }
             else:
                 counts = {"within": None, "spanning": None, "frontier": None}
-            shard_stats = self.sm.stats()  # ONE gather per hop, reused below
             n_vertices = sum(s[VISITED]["count"] for s in shard_stats if VISITED in s)
             # the hop's fetch outcomes, counted from its own rows: every
             # id of the head yielded a document or reached the sink as a
@@ -1022,7 +1042,7 @@ class Crawler:
                 # the shards' sets, and the membership RPCs their hosts
                 # served since the previous hop's lineage (a resume's
                 # state rebuild counts with its first hop)
-                "shards": {"sets": shard_stats, "rpcs": self.sm.take_rpcs()},
+                "shards": {"sets": shard_stats, "rpcs": rpcs},
                 # one entry per sink call and row kind; every call holds
                 # one bucket, so "partitions" calls when none is empty
                 "sink": {"partitions": partition_count(n, tagged),

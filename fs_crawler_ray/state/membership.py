@@ -565,7 +565,7 @@ class MembershipShardHost:
             raise ValueError(f"unknown membership mode {mode!r}")
         self.capacity, self.mode = capacity, mode
         self.shards: dict[int, MembershipShardState] = {}
-        #: ``call`` RPCs served since the last :meth:`take_rpcs`, by
+        #: ``call`` RPCs served since the last :meth:`end_hop`, by
         #: ``(method, set name)``: ``[calls, keys]``
         self.rpcs: dict[tuple[str, str], list[int]] = {}
 
@@ -597,10 +597,13 @@ class MembershipShardHost:
         """Per-shard ``stats()`` of ``shards`` (global indices), in order."""
         return [self.shards[i].stats() if i in self.shards else {} for i in shards]
 
-    def take_rpcs(self) -> dict:
-        """:attr:`rpcs`, whose counts then start again at zero."""
-        out, self.rpcs = self.rpcs, {}
-        return out
+    def end_hop(self, name: str, shards=()) -> tuple[list[dict], dict]:
+        """A hop's close in one RPC: :meth:`commit` of ``name``, then
+        :meth:`stats` of ``shards`` and :attr:`rpcs`, whose counts then
+        start again at zero."""
+        self.commit(name)
+        served, self.rpcs = self.rpcs, {}
+        return self.stats(shards), served
 
 
 _Host = ray.remote(MembershipShardHost)
@@ -637,7 +640,7 @@ class ShardedMembership:
     Hosting: host ``h`` of ``actors`` serves shards ``first[h]`` to
     ``first[h + 1] - 1``, a contiguous block, so neighbouring key ranges
     share a host. A call makes one RPC per host that owns any of its
-    keys (``commit``/``reset``/``stats``: one per host).
+    keys (``commit``/``end_hop``/``reset``/``stats``: one per host).
 
     Stages route inside their own ``map_batches`` batch (see
     :class:`fs_crawler_ray.crawl.MembershipStage`), so each batch issues
@@ -750,18 +753,21 @@ class ShardedMembership:
     def commit(self, name: str) -> int:
         return sum(ray.get([a.commit.remote(name) for a in self.actors]))
 
-    def take_rpcs(self) -> dict:
-        """The membership RPCs (host ``call``s) served since the hosts
-        were acquired or last asked, summed over hosts: ``{method: {set
-        name: {"calls", "keys"}}}``. The counts then start again at
-        zero."""
-        out: dict = {}
-        for served in ray.get([a.take_rpcs.remote() for a in self.actors]):
-            for (method, name), (calls, keys) in served.items():
-                c = out.setdefault(method, {}).setdefault(name, {"calls": 0, "keys": 0})
+    def end_hop(self, name: str) -> tuple[list[dict], dict]:
+        """Commit ``name``, then return one ``stats()`` dict per shard, in
+        shard order, and the membership RPCs (host ``call``s) served
+        since the hosts were acquired or last ended a hop, summed over
+        hosts: ``{method: {set name: {"calls", "keys"}}}``. The RPC
+        counts then start again at zero. One RPC per host."""
+        per_host = ray.get([a.end_hop.remote(name, range(lo, hi)) for a, lo, hi
+                            in zip(self.actors, self.first[:-1], self.first[1:])])
+        rpcs: dict = {}
+        for _, served in per_host:
+            for (method, set_name), (calls, keys) in served.items():
+                c = rpcs.setdefault(method, {}).setdefault(set_name, {"calls": 0, "keys": 0})
                 c["calls"] += calls
                 c["keys"] += keys
-        return out
+        return [s for block, _ in per_host for s in block], rpcs
 
     def stats(self) -> list[dict]:
         """One ``stats()`` dict per shard, in shard order."""

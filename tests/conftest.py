@@ -146,3 +146,14 @@ def small_blocks(monkeypatch):
         return sized(rows, rows_per_block or 16, max_blocks)
 
     monkeypatch.setattr(crawl, "_sized_blocks", small)
+
+
+@pytest.fixture
+def small_fetch_blocks(monkeypatch):
+    """Direct-mode fetch blocks of at least 16 ids instead of
+    ``crawl.FETCH_ROWS_PER_TASK``, so a small crawl's hops fetch in
+    several blocks and shuffle over several partitions (at the real
+    floor a hop of up to 16k ids is one block)."""
+    from fs_crawler_ray import crawl
+
+    monkeypatch.setattr(crawl, "FETCH_ROWS_PER_TASK", 16)

@@ -281,6 +281,40 @@ def test_budget_resume_is_identical(small_corpus, tmp_path_factory, small_blocks
     _assert_fetch_counts(resumed)
 
 
+@pytest.mark.parametrize("mode", ["exact", "probabilistic"])
+def test_several_fetch_blocks_per_hop(small_corpus, tmp_path_factory, small_fetch_blocks,
+                                      remote_tasks, mode):
+    """Hops of several fetch blocks (a 16-id floor) and so several
+    shuffle partitions, exchange splits and sink calls: a budget crawl
+    killed in hop 2 and resumed writes what an uninterrupted one writes,
+    and both equal the budgeted oracle, in either membership mode."""
+    from fs_crawler_ray.oracle import load_docs
+
+    seeds = sorted(load_docs(small_corpus.documents_path))[::5]
+    cfg = CrawlConfig(hops=HOPS, num_shards=4, num_buckets=8, frontier_budget=40,
+                      membership_mode=mode)
+    remote_tasks.clear()
+    full = crawl(small_corpus, seeds, str(tmp_path_factory.mktemp(f"blocks_{mode}")), cfg)
+    assert remote_tasks["_exchange_split"] > 0
+    # hop 0 fetches its 40 seeds in 16-id blocks, one processing part
+    # each; every hop plans 3 head blocks, plus its tail and classify reads
+    assert len(os.listdir(os.path.join(full.hop_dir(0), "processing.parquet"))) == 3
+    for hop in full.hops_run:
+        with open(os.path.join(full.hop_dir(hop), "lineage.json")) as f:
+            assert json.load(f)["sink"]["partitions"] > 3, hop
+    oracle = oracle_crawl(small_corpus.documents_path, seeds, HOPS, frontier_budget=40)
+    _assert_match(full, oracle)
+    out = str(tmp_path_factory.mktemp(f"blocks_resume_{mode}"))
+    crawl(small_corpus, seeds, out, cfg)
+    os.remove(os.path.join(out, "hop=2", "log.json"))
+    resumed = crawl(small_corpus, seeds, out, cfg, resume=True)
+    assert resumed.hops_run == list(range(HOPS))
+    assert _ray_tables(resumed) == _ray_tables(full)
+    _assert_match(resumed, oracle)
+    _assert_budget_cuts(resumed, 40)
+    _assert_fetch_counts(resumed)
+
+
 def test_budget_cut_inside_a_multi_bucket_priority(tmp_path):
     """The cut found from footers: frontier parts of two priorities over
     several id-range buckets, written in reverse order, with the
@@ -316,8 +350,10 @@ def test_budget_cut_inside_a_multi_bucket_priority(tmp_path):
 
 def test_frontier_footers_read_once_per_hop(tmp_path_factory, monkeypatch):
     """A hop reads its frontier's part footers once, for the budget cut
-    and the read together: a 4-hop "full" crawl of 2,000 persons reads
-    each of the 3 frontiers that later hops take up once."""
+    and the read together, and a crawl reads each edge part's footer
+    once, however many later hops classify it: a 4-hop "full" crawl of
+    2,000 persons reads each of the 3 frontiers that later hops take up
+    once, and each edge part of hops 0-2 once."""
     from collections import Counter
 
     from fs_crawler_ray.corpus import CorpusSpec, generate_corpus
@@ -340,6 +376,35 @@ def test_frontier_footers_read_once_per_hop(tmp_path_factory, monkeypatch):
     parts = sum(len(os.listdir(os.path.join(out, f"hop={h}", "frontier.parquet")))
                 for h in range(3))
     assert reads["frontier.parquet"] == parts == 3
+    edge_parts = sum(len(os.listdir(os.path.join(out, f"hop={h}", "edges.parquet")))
+                     for h in range(3))
+    assert reads["edges.parquet"] == edge_parts
+
+
+def test_fetch_blocks_follow_work():
+    """A hop of at most ``FETCH_ROWS_PER_TASK`` ids is one fetch block,
+    as a seed slice or as a checkpoint read; from 2 blocks per CPU times
+    that floor on, a hop gets the blocks the old 4,096 floor gave; a
+    block holds at most 32,768 ids; polite fetch blocks stay 5,000."""
+    from fs_crawler_ray.crawl import FETCH_ROWS_PER_TASK, FETCH_WAVES, _fetch_rpb, _sized_blocks
+
+    def blocks(n: int) -> int:  # a checkpoint read's, at 4 CPUs
+        return _sized_blocks(n, _fetch_rpb(n, 4, True))
+
+    def seed_chunks(n: int) -> int:
+        return len(range(0, n, _fetch_rpb(n, 4, True)))
+
+    def old_blocks(n: int) -> int:
+        return _sized_blocks(n, min(32_768, max(4096, n // (FETCH_WAVES * 4) + 1)))
+
+    for n in (1, 4_400, 14_400, FETCH_ROWS_PER_TASK - 1):
+        assert blocks(n) == seed_chunks(n) == 1, n
+    assert blocks(100_000) == 7 and old_blocks(100_000) == 8
+    for n in (131_072, 200_000, 262_143, 1_000_000, 10_000_000):
+        assert blocks(n) == old_blocks(n), n
+    assert blocks(131_072) == FETCH_WAVES * 4
+    assert _fetch_rpb(10_000_000, 4, True) == _fetch_rpb(10**9, 32, True) == 32_768
+    assert _fetch_rpb(14_400, 4, False) == _fetch_rpb(10**6, 4, False) == 5_000
 
 
 @pytest.mark.parametrize("bad", [{"frontier_budget": -1}, {"frontier_budget": 0},

@@ -195,6 +195,29 @@ def test_sharded_membership_actors(ray_session):
     assert sm.contains("visited", ids).all()
 
 
+def test_end_hop_commits_then_reports(ray_session):
+    """``end_hop`` commits the named set, then returns what ``stats()``
+    returns after a commit and the host calls served since the last
+    ``end_hop``, whose counts then start again at zero."""
+    sm = ShardedMembership.create(num_shards=4, mode="exact")
+    try:
+        keys = indices_to_pids(np.arange(300))
+        sm.add("visited", keys)
+        assert not sm.check_and_add_deferred("edges", keys[:100]).any()
+        sm.contains("visited", keys[:50])
+        stats, rpcs = sm.end_hop("edges")
+        assert stats == sm.stats()
+        assert sum(s["edges"]["count"] for s in stats) == 100  # committed
+        hosts = len(sm.actors)
+        assert {m: {n: c["keys"] for n, c in by.items()} for m, by in rpcs.items()} == {
+            "add": {"visited": 300}, "check_and_add_deferred": {"edges": 100},
+            "contains": {"visited": 50}}
+        assert all(0 < c["calls"] <= hosts for by in rpcs.values() for c in by.values())
+        assert sm.end_hop("edges") == (stats, {})
+    finally:
+        sm.release()
+
+
 @pytest.mark.parametrize("mode", ["exact", "probabilistic"])
 def test_reset_equals_fresh_state(mode):
     """reset(capacity, mode) leaves a shard indistinguishable from a new

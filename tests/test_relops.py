@@ -395,6 +395,34 @@ def test_shuffle_apply_empty_input(blocks):
     assert shuffle_apply(ds, _bucket_summary(), key_cols=["v"], num_buckets=8).take_all() == []
 
 
+def test_exchange_reduce_joins_outputs_with_schema_metadata(caplog):
+    """Two buckets in one partition whose ``fn`` returns tables carrying
+    schema metadata (a dict, so the schema does not hash): the reducer
+    joins them without Ray's schema-unification warning, keeps every
+    row and the first output's metadata."""
+    import logging
+
+    from fs_crawler_ray.relops import _exchange_reduce
+
+    def fn(t: pa.Table) -> pa.Table:
+        b = t["b"][0].as_py()
+        return t.replace_schema_metadata({"bucket": str(b)})
+
+    piece = pa.table({"b": [3, 1, 3, 1], "v": [10, 11, 12, 13]})
+    caplog.set_level(logging.WARNING, logger="ray.data")
+    logger = logging.getLogger("ray.data")  # does not propagate to the root logger
+    logger.addHandler(caplog.handler)
+    try:
+        block, meta = _exchange_reduce._function(fn, "b", False, piece, piece.slice(0, 1))
+    finally:
+        logger.removeHandler(caplog.handler)
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert sorted(zip(block["b"].to_pylist(), block["v"].to_pylist())) == [
+        (1, 11), (1, 13), (3, 10), (3, 10), (3, 12)]
+    assert block.schema.metadata == {b"bucket": b"1"}
+    assert meta.metadata.num_rows == 5
+
+
 def test_shuffle_apply_takes_one_bucket_mode():
     ds = ray.data.from_arrow(pa.table({"b": [0]}))
     with pytest.raises(ValueError):

@@ -1,25 +1,32 @@
-"""Remote tasks and Ray Data executions per phase of a perfbench workload.
+"""Remote tasks, Ray Data executions and worker births per phase of a perfbench workload.
 
 Sets up the way ``perfbench/run.py`` does (its corpus, seeds, crawl
 config and Ray session, then one cold crawl and one cold graph build),
 then runs one warm crawl, one resume (the last hop's ``log.json``
 removed) and one graph build (resolve + adjacency export). For each of
-the three phases it prints the remote tasks launched, counted by
-function name (each ``RemoteFunction._remote`` call; actor method calls
-are not counted) in two groups: Ray Data's own tasks (functions defined
-under ``ray.``: ``_map_task``, a sort's ``map``/``reduce``/
-``_sample_block``) and the package's plain tasks (the shuffle exchange's
-``_exchange_split``/``_exchange_reduce``, ``_add_index``); then the Ray
-Data executions started (each
-``StreamingExecutor.execute`` call), and the membership RPCs (shard-host
+these phases, set-up's two included, it prints the remote tasks
+launched, counted by function name (each ``RemoteFunction._remote``
+call; actor method calls are not counted) in two groups: Ray Data's own
+tasks (functions defined under ``ray.``: ``_map_task``, a sort's
+``map``/``reduce``/``_sample_block``) and the package's plain tasks (the
+shuffle exchange's ``_exchange_split``/``_exchange_reduce``,
+``_add_index``); then the Ray Data executions started (each
+``StreamingExecutor.execute`` call), the membership RPCs (shard-host
 ``call``s) and hop-sink calls that the lineage.json of the hops the
-phase wrote records. Run from the root of a checkout::
+phase wrote records, and the Ray worker processes born during the
+phase (a thread lists the session's processes every 20 ms; a worker
+is a process titled ``ray::...`` or running ``default_worker.py``).
+Births before the cold crawl (``ray.init``'s prestarted workers) and
+between phases count under ``init`` and ``between``, and ``processes``
+is the session's process count when the phase ends. Run from the root
+of a checkout::
 
     python3 tools/task_census.py --workload deep_crawl --seed 71
 
 The last line of stdout is one JSON object, ``{phase: {"tasks",
 "by_function", "ray_data_tasks", "plain_tasks", "executions",
-"membership_rpcs", "rpcs_by_call", "sink_calls"}}``.
+"membership_rpcs", "rpcs_by_call", "sink_calls", "births",
+"processes"}, "births": {phase: births}}``.
 """
 
 from __future__ import annotations
@@ -28,24 +35,82 @@ import argparse
 import json
 import os
 import sys
+import threading
 from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [ROOT, os.path.join(ROOT, "perfbench")]
 
+import machine  # noqa: E402
 from gate import complete_hops  # noqa: E402
 from workloads import NAMES  # noqa: E402
+
+SETUP_PHASES = ("setup_cold_crawl", "setup_cold_graph_build")
+
+
+class Births:
+    """Ray worker processes of this session first seen while each phase
+    was set, from a thread that lists the session's processes every
+    ``interval_s``; :meth:`set` lists them once more before the phase
+    changes, so a birth is charged to the phase it happened in."""
+
+    def __init__(self, interval_s: float = 0.02):
+        self.phase = "init"
+        self.by_phase: Counter = Counter()
+        self.processes: dict[str, int] = {}
+        self._seen: set[int] = set()
+        self._lock = threading.Lock()
+        self._done = threading.Event()
+        self._thread = threading.Thread(target=self._run, args=(interval_s,), daemon=True)
+        self._thread.start()
+
+    @staticmethod
+    def _is_worker(pid: int) -> bool:
+        try:
+            with open(f"/proc/{pid}/cmdline", "rb") as f:
+                cmd = f.read(400)
+        except OSError:
+            return False
+        return cmd.startswith(b"ray::") or b"default_worker.py" in cmd
+
+    def poll(self) -> int:
+        """Charge the workers not seen before to the current phase;
+        returns the session's process count."""
+        with self._lock:
+            pids = machine.session_pids(os.getpid())
+            for pid in pids:
+                if pid not in self._seen:
+                    self._seen.add(pid)
+                    if self._is_worker(pid):
+                        self.by_phase[self.phase] += 1
+            return len(pids)
+
+    def set(self, phase: str) -> None:
+        n = self.poll()
+        with self._lock:
+            if self.phase not in ("init", "between"):
+                self.processes[self.phase] = n
+            self.phase = phase
+
+    def _run(self, interval_s: float) -> None:
+        while not self._done.wait(interval_s):
+            self.poll()
+
+    def stop(self) -> None:
+        self._done.set()
+        self._thread.join()
 
 
 class Census:
     """Counts remote-task launches by function name and Ray Data
     executions while :attr:`phase` is set."""
 
-    def __init__(self):
+    def __init__(self, births: Births):
         from ray.data._internal.execution.streaming_executor import StreamingExecutor
         from ray.remote_function import RemoteFunction
 
         self.phase: str | None = None
+        self.births = births
         self.tasks: dict[str, Counter] = {}
         #: function name -> True for a function Ray Data defines
         self.ray_data: dict[str, bool] = {}
@@ -71,9 +136,11 @@ class Census:
     def run(self, phase: str, fn, *args):
         self.phase = phase
         self.tasks[phase] = Counter()
+        self.births.set(phase)
         try:
             return fn(*args)
         finally:
+            self.births.set("between")
             self.phase = None
 
     def report(self, lineage: dict[str, list[dict]]) -> dict:
@@ -93,7 +160,9 @@ class Census:
                       "membership_rpcs": sum(rpcs.values()),
                       "rpcs_by_call": dict(rpcs.most_common()),
                       "sink_calls": sum(len({e["bucket"] for e in lin["sink"]["entries"]})
-                                        for lin in lineage.get(p, []))}
+                                        for lin in lineage.get(p, [])),
+                      "births": self.births.by_phase[p],
+                      "processes": self.births.processes.get(p)}
         return out
 
 
@@ -119,28 +188,43 @@ def main(argv=None) -> int:
     bench = Run(parse_args(["--workload", a.workload, "--seed", str(a.seed),
                             "--seconds", "0"]), ROOT)
     bench.prepare_inputs()
+    census = Census(Births())
     try:
-        bench.setup()
-        census = Census()
+        # set-up as perfbench/run.py runs it, its cold crawl and cold
+        # graph build counted as phases of their own
+        crawl, graph_build = bench._crawl, bench._graph_build
+        bench._crawl = lambda *a: census.run(SETUP_PHASES[0], crawl, *a)
+        bench._graph_build = lambda: census.run(SETUP_PHASES[1], graph_build)
+        try:
+            bench.setup()
+        finally:
+            bench._crawl, bench._graph_build = crawl, graph_build
+        hops = complete_hops(bench.rep_out)
+        lineage = {SETUP_PHASES[0]: hop_lineage(bench.rep_out, hops)}
         census.run("crawl", bench._crawl, bench.rep_out)
         hops = complete_hops(bench.rep_out)
-        lineage = {"crawl": hop_lineage(bench.rep_out, hops)}
+        lineage["crawl"] = hop_lineage(bench.rep_out, hops)
         os.remove(os.path.join(bench.rep_out, f"hop={hops[-1]}", "log.json"))
         census.run("resume", bench._crawl, bench.rep_out, True)
         lineage["resume"] = hop_lineage(bench.rep_out, hops[-1:])
         census.run("graph_build", bench._graph_build)
     finally:
+        census.births.stop()
         bench.shutdown()
     report = census.report(lineage)
     for phase, r in report.items():
         print(f"{phase}: {r['tasks']} remote tasks, {r['executions']} executions, "
-              f"{r['membership_rpcs']} membership RPCs, {r['sink_calls']} sink calls")
+              f"{r['membership_rpcs']} membership RPCs, {r['sink_calls']} sink calls, "
+              f"{r['births']} worker births, {r['processes']} processes at its end")
         for group in ("ray_data_tasks", "plain_tasks"):
             print(f"  {sum(r[group].values()):5d}  {group.replace('_', ' ')}")
             for name, n in r[group].items():
                 print(f"    {n:5d}  {name}")
         for name, n in r["rpcs_by_call"].items():
             print(f"  {n:5d}  rpc {name}")
+    report["births"] = dict(census.births.by_phase)
+    print("worker births by phase: " + ", ".join(
+        f"{p} {n}" for p, n in report["births"].items()))
     print(json.dumps(report))
     return 0
 
