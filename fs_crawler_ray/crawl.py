@@ -103,14 +103,17 @@ EDGES = "edges"
 #: so more/smaller blocks could in principle smooth the straggler tail
 #: before the shuffle barrier — measured, waves=2/4 and sink partitions
 #: 8/16/32 are indistinguishable inside the ±30% run-to-run drift. A
-#: hop below FETCH_WAVES × CPUs × :data:`FETCH_ROWS_PER_TASK` ids runs
+#: hop below FETCH_WAVES × CPUs × :data:`FETCH_SPLIT_ROWS` ids runs
 #: fewer blocks than that
 FETCH_WAVES = 2
 #: fewest and most rows in a checkpoint-read block in ``_sized_blocks``'
 #: auto mode (the floor is measured, see there)
 ROWS_PER_TASK = 32_768
 MAX_ROWS_PER_TASK = 131_072
-#: fewest ids in a direct-mode fetch block (``_fetch_rpb``)
+#: fewest ids in a direct-mode fetch block of a hop that gives every
+#: CPU a block of at least this many (``_fetch_rpb``)
+FETCH_SPLIT_ROWS = 4_096
+#: fewest ids in a direct-mode fetch block of a smaller hop
 FETCH_ROWS_PER_TASK = 16_384
 
 
@@ -316,19 +319,21 @@ def _fetch_rpb(n: int, cpus: int, direct: bool) -> int:
     """Ids per fetch block for a hop of ``n`` ids: about FETCH_WAVES
     blocks per CPU when the hop is large enough (measured in round 3:
     halving the block count at 32 CPUs beat doubling it), at least
-    :data:`FETCH_ROWS_PER_TASK` and at most 32,768 (which bounds a
-    task's record table at roughly 60 MB). The floor sizes a block by
-    its work, not by the CPU count: a block costs a Ray Data map task,
-    an exchange split, a reducer with its sink call and RPCs, and part
-    files (~90 ms of session CPU on 1 vCPU) against ~28 µs of work per
-    id, so a hop of at most 16k ids is one block (a 14.4k-id wave took
-    0.88 session CPU-s in 4 blocks, 0.61 in one, on 1 vCPU). From
-    FETCH_WAVES × CPUs × the floor ids on, the per-CPU rule alone sizes
-    the blocks. The politeness-budget actor pool takes fixed 5k-id
-    blocks."""
+    :data:`FETCH_SPLIT_ROWS` and at most 32,768 (which bounds a task's
+    record table at roughly 60 MB). A hop of fewer than CPUs ×
+    FETCH_SPLIT_ROWS ids cannot give every CPU a block, so it is sized
+    by its work instead, in blocks of :data:`FETCH_ROWS_PER_TASK` ids:
+    a block costs a Ray Data map task, an exchange split, a reducer
+    with its sink call and RPCs, and part files (~90 ms of session CPU
+    on 1 vCPU) against ~28 µs of work per id (a 14.4k-id wave took 0.88
+    session CPU-s in 4 blocks, 0.61 in one, on 1 vCPU). At 4 CPUs a hop
+    of fewer than 16,384 ids is one block, and every larger hop gets
+    the blocks of the 4,096-id floor alone, at least one per CPU. The
+    politeness-budget actor pool takes fixed 5k-id blocks."""
     if not direct:
         return 5_000
-    return min(32_768, max(FETCH_ROWS_PER_TASK, n // (FETCH_WAVES * cpus) + 1))
+    floor = FETCH_ROWS_PER_TASK if n < cpus * FETCH_SPLIT_ROWS else FETCH_SPLIT_ROWS
+    return min(32_768, max(floor, n // (FETCH_WAVES * cpus) + 1))
 
 
 def _sized_blocks(rows: int | list[str], rows_per_block: int | None = None,

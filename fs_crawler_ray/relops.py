@@ -31,7 +31,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
-from ray.data._internal.arrow_ops import transform_pyarrow
 from ray.data._internal.logical.interfaces import LogicalPlan
 from ray.data._internal.logical.operators.from_operators import FromArrow
 from ray.data._internal.plan import ExecutionPlan
@@ -191,21 +190,12 @@ def _exchange_reduce(fn, col: str, drop: bool, *pieces):
         for lo, hi in zip(starts, np.append(starts[1:], len(b))):
             out = BlockAccessor.batch_to_block(fn(t.slice(lo, hi - lo)))
             outs.append(BlockAccessor.for_block(out).to_arrow())
-    block = _concat_outputs([o for o in outs if o.num_rows] or outs[-1:])
+    outs = [o for o in outs if o.num_rows] or outs[-1:]
+    # Arrow's concat, widening types as Ray's block builder did, keeps the
+    # first output's schema metadata; Ray's would hash the schemas, and
+    # one holding metadata (a dict) does not hash
+    block = pa.concat_tables(outs, promote_options="permissive") if outs else pa.table({})
     return block, BlockMetadataWithSchema.from_block(block)
-
-
-def _concat_outputs(tables: list[pa.Table]) -> pa.Table:
-    """``tables`` as one table (no columns for none), with the first
-    one's schema metadata. Concatenated without it: Ray's concat
-    dedups the schemas with ``set()``, a schema holding metadata (a
-    dict) does not hash, and Ray then unifies every field and logs a
-    warning."""
-    if len(tables) < 2:
-        return tables[0] if tables else pa.table({})
-    meta = tables[0].schema.metadata
-    return transform_pyarrow.concat([t.replace_schema_metadata(None) for t in tables],
-                                    promote_types=True).replace_schema_metadata(meta)
 
 
 def shuffle_apply(ds: ray.data.Dataset, fn, *, key_cols: list[str] | None = None,

@@ -153,7 +153,7 @@ def small_fetch_blocks(monkeypatch):
     """Direct-mode fetch blocks of at least 16 ids instead of
     ``crawl.FETCH_ROWS_PER_TASK``, so a small crawl's hops fetch in
     several blocks and shuffle over several partitions (at the real
-    floor a hop of up to 16k ids is one block)."""
+    size a hop below 16,384 ids is one block at 4 CPUs)."""
     from fs_crawler_ray import crawl
 
     monkeypatch.setattr(crawl, "FETCH_ROWS_PER_TASK", 16)

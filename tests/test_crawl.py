@@ -382,27 +382,36 @@ def test_frontier_footers_read_once_per_hop(tmp_path_factory, monkeypatch):
 
 
 def test_fetch_blocks_follow_work():
-    """A hop of at most ``FETCH_ROWS_PER_TASK`` ids is one fetch block,
-    as a seed slice or as a checkpoint read; from 2 blocks per CPU times
-    that floor on, a hop gets the blocks the old 4,096 floor gave; a
-    block holds at most 32,768 ids; polite fetch blocks stay 5,000."""
-    from fs_crawler_ray.crawl import FETCH_ROWS_PER_TASK, FETCH_WAVES, _fetch_rpb, _sized_blocks
+    """A hop too small to give every CPU a ``FETCH_SPLIT_ROWS``-id block
+    is fetched in ``FETCH_ROWS_PER_TASK``-id blocks, as a seed slice or
+    as a checkpoint read: at 4 CPUs a hop below 16,384 ids is one block.
+    Every larger hop gets the blocks the 4,096-id floor alone gave, at
+    least one per CPU; a block holds at most 32,768 ids; polite fetch
+    blocks stay 5,000."""
+    from fs_crawler_ray.crawl import (FETCH_ROWS_PER_TASK, FETCH_SPLIT_ROWS, FETCH_WAVES,
+                                      _fetch_rpb, _sized_blocks)
 
-    def blocks(n: int) -> int:  # a checkpoint read's, at 4 CPUs
-        return _sized_blocks(n, _fetch_rpb(n, 4, True))
+    def blocks(n: int, cpus: int = 4) -> int:  # a checkpoint read's
+        return _sized_blocks(n, _fetch_rpb(n, cpus, True))
 
     def seed_chunks(n: int) -> int:
         return len(range(0, n, _fetch_rpb(n, 4, True)))
 
-    def old_blocks(n: int) -> int:
-        return _sized_blocks(n, min(32_768, max(4096, n // (FETCH_WAVES * 4) + 1)))
+    def old_blocks(n: int, cpus: int = 4) -> int:
+        return _sized_blocks(n, min(32_768, max(4096, n // (FETCH_WAVES * cpus) + 1)))
 
+    assert 4 * FETCH_SPLIT_ROWS == FETCH_ROWS_PER_TASK == 16_384
     for n in (1, 4_400, 14_400, FETCH_ROWS_PER_TASK - 1):
         assert blocks(n) == seed_chunks(n) == 1, n
-    assert blocks(100_000) == 7 and old_blocks(100_000) == 8
-    for n in (131_072, 200_000, 262_143, 1_000_000, 10_000_000):
-        assert blocks(n) == old_blocks(n), n
-    assert blocks(131_072) == FETCH_WAVES * 4
+    assert blocks(30_000, cpus=8) == 2 and old_blocks(30_000, cpus=8) == 8
+    for cpus in (1, 2, 4, 8, 32):
+        for n in (cpus * FETCH_SPLIT_ROWS, 65_536, 85_000, 100_000, 131_072, 1_000_000,
+                  10_000_000):
+            if n >= cpus * FETCH_SPLIT_ROWS:
+                assert blocks(n, cpus) == old_blocks(n, cpus) >= cpus, (n, cpus)
+    # bench.py --scaling's crawl (65,536 seeds at 2 and 8 CPUs) splits as before
+    assert blocks(65_536, cpus=2) == 4 and blocks(65_536, cpus=8) == 16
+    assert blocks(100_000) == 8 and blocks(131_072) == FETCH_WAVES * 4
     assert _fetch_rpb(10_000_000, 4, True) == _fetch_rpb(10**9, 32, True) == 32_768
     assert _fetch_rpb(14_400, 4, False) == _fetch_rpb(10**6, 4, False) == 5_000
 
