@@ -342,7 +342,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "docs_repetition": _frame("documents", curation.doc_ngram_stats, n=2,
                                   read_cols=["doc_id", "text"]),
         "docs_length_filtered": _frame("documents", curation.length_percentile_filter,
-                                       lo=0.05, hi=0.95, read_cols=["doc_id", "n_chars"]),
+                                       lo=0.05, hi=0.95, read_cols=["doc_id", "n_chars"],
+                                       sort="doc_id"),
         # --- r3 wave 7: link analysis + behavioral windows -------------
         "graph_degree_hist": cq.graph_degree_hist,
         "graph_pagerank": cq.graph_pagerank,

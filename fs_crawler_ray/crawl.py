@@ -1,68 +1,65 @@
-"""The BFS frontier crawl: ONE fused Ray Data execution per hop.
+"""The BFS frontier crawl: each hop runs as plain Ray tasks, frontier to sink.
 
 Re-creates the reference's superstep loop (``fscrawler/crawler.py:44-46``
-→ ``fsapi.py:194-222`` → graph-store mutations) as a single streaming
-Dataset execution per hop:
+→ ``fsapi.py:194-222`` → graph-store mutations) as one wave of map
+tasks and one of reduce tasks per hop, with no Ray Data plan. The
+driver plans the hop's blocks from what it holds (the sorted seed
+table, or the frontier parts' footers) and runs one :func:`_hop_map`
+task per fetch block:
 
-frontier → ``processing.parquet`` checkpoint side-write → ONE
-fetch-and-parse stage (:class:`FetchParseStage`: politeness token
-buckets + robots, ids routed by host, or partition-local row-group
-lookup in direct mode; then the vectorized span parser; plus one
-``miss`` record per id that yielded no document) → vertices checkpoint
-side-write + ``visited`` registration → record tagger (per-batch
-pre-combine of edge rows and frontier-candidate rows, every kind in ONE
-space of ``n`` buckets: candidates and misses by id range, edges by
-hash) → ONE combined bucket shuffle
-(``relops.shuffle_apply``) of ``n`` partitions, ``n = min(num_buckets,
-planned input blocks)`` so each partition holds one bucket → one
-``_HopSink`` call per partition, in the exchange's reduce task (no Ray
-Data operator follows the shuffle), one step per row kind:
+frontier slice (a seed slice, or ``(file, row groups, skip, take)``
+pieces, the budget predicate applied to the part holding the cut) →
+``processing.parquet`` part → fetch and parse (:func:`_fetch_records`:
+politeness token buckets + robots, ids routed by host, or
+partition-local row-group lookup in direct mode; one ``miss`` or
+``blocked`` record per id that yielded no document) → ``visited``
+registration + vertex part → record tagger (per-block pre-combine; every
+kind in ONE space of ``n`` buckets: candidates and misses by id range,
+edges by hash) → the rows cut into the hop's ``n = min(num_buckets,
+blocks)`` partitions, one bucket each. A classifying hop's earlier
+edges and a budget's carried-over tail go through the same task with
+only their tagger. The driver hands the map refs straight to one
+``relops._exchange_reduce`` per partition, which calls
+:class:`_HopSink` once, one step per row kind:
 
 - edges: in-hop keep-first dedup (``(hop, src_doc, offset)`` under the
   canonical visit order = sorted id per hop) → cross-hop edge-seen
-  filter with DEFERRED adds committed after the execution (retry-safe)
+  filter with DEFERRED adds committed after the hop (retry-safe)
   → ``edges.parquet`` part side-write;
 - candidates: distinct → minus the partition's miss ids → filtered
   against ``visited``, unioned with any budget remainder →
   range-clustered ``frontier.parquet`` side-write, one part per
-  priority in the partition. This is the
-  ``add_to_frontier`` guard ``not in visited and not in processing``
-  (``graph_memory_impl.py:60-63``): the processing set is the hop's
-  frontier, and by the shuffle barrier every id of it that yielded a
-  document is already in ``visited``, so ``visited ∪ processing`` is
-  ``visited ∪ misses``. Misses and candidates share the range buckets,
-  so equal ids meet in one partition with no membership lookup;
+  priority in the partition. This is the ``add_to_frontier`` guard
+  ``not in visited and not in processing`` (``graph_memory_impl.py:60-63``):
+  by the exchange barrier every frontier id that yielded a document is
+  in ``visited``, so ``visited ∪ processing`` is ``visited ∪ misses``,
+  and equal ids meet in one range bucket with no membership lookup;
 - classify-only rows (a hop that logs edge classification): earlier
   hops' edges, counted within/spanning/frontier against ``visited``
   together with the hop's own written edges; nothing is written.
 
 Each step is one membership call (one RPC per shard host it reaches)
-over the whole partition, so a hop's sink RPCs grow with its
-partitions, not with its keys. The shuffle is an all-to-all barrier, so
-every membership registration upstream completes before any sink call
-consults the shards — the same
-ordering guarantee the round-2 shape bought with a per-hop
-``materialize()`` and two extra Dataset executions. An optional
+over the whole partition, so sink RPCs grow with partitions, not keys;
+the driver gets the sink's count rows with one ``ray.get``. An optional
 priority-queue budget takes the best ``(priority, id)`` ids and carries
-the rest in the same execution: the frontier's parts, in
-``(priority, bucket)`` name order, are already in ``(priority, id)``
-order, so the driver finds the cut from their footers and one part's
-ids (:func:`_budget_cut`), and the hop reads the head for the fetch and
-the tail for the carryover with complementary predicates.
+the rest in the same hop: the frontier's parts, in ``(priority,
+bucket)`` name order, are in ``(priority, id)`` order, so the driver
+finds the cut from their footers and one part's ids (:func:`_budget_cut`).
 
-All in-hop membership mutations are idempotent or deferred-committed,
-so task retries and resume can never corrupt state. The LOG row
-(cumulative edge classification per ``graph_memory_impl.py:106-120``
-and the frontier size, summed from the sink's counts) and per-stage
-lineage close the hop. The lineage's fetch counters (the reference's
-request counter, ``session.py:111,122``) come from the hop's own rows
-too: ``ids_attempted`` is the head's row count, ``missing`` and
-``robots_blocked`` are the sink's miss and blocked rows, ``fetched`` is
-the rest; a polite crawl's fetch pool adds ``requests`` and
-``politeness_wait_s``. No id count travels outside the hop's data, so a
-retried task cannot count an id twice. ``log.json`` is written LAST and
-is the hop-complete marker, making a killed crawl resumable
-byte-identically from the last complete hop.
+Membership mutations are idempotent or deferred-committed and part
+names derive from content, so task retries and resume cannot corrupt
+state. The LOG row (cumulative edge classification per
+``graph_memory_impl.py:106-120`` and the frontier size, summed from the
+sink's counts) and per-stage lineage close the hop. The lineage's fetch
+counters (the reference's request counter, ``session.py:111,122``) come
+from the hop's own rows: ``ids_attempted`` is the head's row count,
+``missing`` and ``robots_blocked`` the sink's miss and blocked rows,
+``fetched`` the rest; a polite crawl's fetch pool adds ``requests`` and
+``politeness_wait_s``. No count travels outside the hop's data, so a
+retried task cannot count an id twice. ``log.json`` is written LAST as
+the hop-complete marker, so a killed crawl resumes byte-identically
+from the last complete hop. :class:`CrawlResult` reads the checkpoint
+back as Ray Data Datasets.
 
 Checkpoint layout (one directory per hop — partitioned, resumable output):
 
@@ -72,6 +69,7 @@ Checkpoint layout (one directory per hop — partitioned, resumable output):
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -82,21 +80,24 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-import ray.data
 
 from fs_crawler_ray.corpus import CorpusInfo
 from fs_crawler_ray.ids import as_key_array, range_bucket_of
 from fs_crawler_ray.model import EDGE_SCHEMA, FRONTIER_SCHEMA, VERTEX_SCHEMA, RelationshipType
-from fs_crawler_ray.relops import hash_buckets, partition_count, shuffle_apply, thin_boundaries
+from fs_crawler_ray.relops import (even_cuts, exchange_reduce, hash_buckets, split_buckets,
+                                   thin_boundaries)
 from fs_crawler_ray.sources import storage as st
 from fs_crawler_ray.stages.fetch import PolitenessBudget
 from fs_crawler_ray.state.fetch_service import FetchPool, FetchStage
-from fs_crawler_ray.stages.parse import miss_records, parse_documents
+from fs_crawler_ray.stages.parse import RECORD_SCHEMA, miss_records, parse_documents
 from fs_crawler_ray.state.membership import ShardedMembership
 from fs_crawler_ray.state.robots import RobotsPolicy
 
 VISITED = "visited"
 EDGES = "edges"
+#: a hop's checkpoint tables, by name, with their schemas
+_TABLES = {"processing": FRONTIER_SCHEMA, "vertices": VERTEX_SCHEMA,
+           "frontier": FRONTIER_SCHEMA, "edges": EDGE_SCHEMA}
 
 #: fetch blocks per CPU for a hop large enough to fill them
 #: (``_fetch_rpb``). Per-doc fan-out variance skews task walls ~2.6x,
@@ -143,7 +144,7 @@ class CrawlConfig:
     #: priority-queue frontier: process at most this many ids per hop
     #: (at least 1), chosen by (priority, id) order; the remainder
     #: carries over to the next hop's frontier with its own priority, in
-    #: the same execution. None = reference semantics (whole frontier
+    #: the same hop. None = reference semantics (whole frontier
     #: per superstep). This is the load-bounding extension the reference
     #: lacks — at 10^10-URL scale hops MUST be budgeted.
     frontier_budget: int | None = None
@@ -203,55 +204,103 @@ class CrawlResult:
 
 
 # ----------------------------------------------------------------------
-# the hop's map_batches stages
+# the hop's map tasks
 # ----------------------------------------------------------------------
-class MembershipStage:
-    """Register each batch's ``column`` keys into the ``register`` set
-    and emit the batch unchanged (retry-safe: ``add`` is idempotent)."""
-
-    def __init__(self, sm: ShardedMembership, column: str, register: str):
-        self.sm = sm
-        self.column = column
-        self.register = register
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if len(batch):
-            self.sm.add(self.register, as_key_array(batch[self.column]))
-        return batch
-
-
-class FetchParseStage:
-    """Frontier batch → parsed records: ``fetch`` (a direct-mode fetch
+def _fetch_records(ids: pa.Table, fetch, batch_size: int | None,
+                   robots: RobotsPolicy | None) -> pa.Table:
+    """Frontier rows → parsed records, one batch of ``batch_size`` rows
+    at a time (the whole table with None): ``fetch`` (a direct-mode fetch
     function returning one table, or a :class:`FetchStage` yielding
     several) then :func:`parse_documents` on each table, in the fetch's
     own order — FetchStage's fixed actor order keeps a retried task's
-    batch stream, and so its content-named side-writes, identical. Last
-    come the records of the batch's ids that yielded no document: a
-    ``blocked`` record per id ``robots`` disallows (the policy is a pure
-    function of the id, so this is the fetch gate's own decision) and a
-    ``miss`` record per other id (no such document). The hop's sink
-    counts both kinds, which is how a hop counts its fetch outcomes."""
-
-    def __init__(self, fetch, robots: RobotsPolicy | None):
-        self.fetch = fetch
-        self.robots = robots
-
-    def __call__(self, batch: pa.Table):
-        docs = self.fetch(batch)
+    records, and so its content-named parts, identical. After each
+    batch's documents come the records of its ids that yielded no
+    document: a ``blocked`` record per id ``robots`` disallows (the
+    policy is a pure function of the id, so this is the fetch gate's own
+    decision) and a ``miss`` record per other id (no such document). The
+    hop's sink counts both kinds, which is how a hop counts its fetch
+    outcomes."""
+    out = []
+    step = batch_size or max(1, len(ids))
+    for lo in range(0, len(ids), step):
+        batch = ids.slice(lo, step)
+        docs = fetch(batch)
         found = []
         for d in [docs] if isinstance(docs, pa.Table) else docs:
             found.append(d["doc_id"].combine_chunks())
-            yield parse_documents(d)
-        ids = batch["id"].combine_chunks()
-        missed = ids.filter(pc.invert(pc.is_in(ids, pa.concat_arrays(found))))
-        if len(missed) and self.robots is not None:
-            allowed = pa.array(self.robots.allowed_mask(as_key_array(missed)))
-            blocked = missed.filter(pc.invert(allowed))
-            if len(blocked):
-                yield miss_records(blocked, "blocked")
+            out.append(parse_documents(d))
+        keys = batch["id"].combine_chunks()
+        missed = keys.filter(pc.invert(pc.is_in(keys, pa.concat_arrays(found))))
+        if len(missed) and robots is not None:
+            allowed = pa.array(robots.allowed_mask(as_key_array(missed)))
+            out.append(miss_records(missed.filter(pc.invert(allowed)), "blocked"))
             missed = missed.filter(allowed)
-        if len(missed):
-            yield miss_records(missed)
+        out.append(miss_records(missed))
+    return pa.concat_tables(out) if out else RECORD_SCHEMA.empty_table()
+
+
+def _fetch_block(ids: pa.Table, *, proc_path: str, vert_path: str, fetch,
+                 batch_size: int | None, robots: RobotsPolicy | None,
+                 sm: ShardedMembership, tag) -> pa.Table:
+    """One fetch block of a hop, from its frontier rows to tagged rows:
+    the processing part, then fetch + parse (:func:`_fetch_records`),
+    then the vertex part once its ids are in ``visited``, then ``tag``.
+    Both parts are content-named (:func:`_write_part`) and ``add`` is
+    idempotent, so a retried task rewrites the same files and state."""
+    if len(ids):
+        _write_part(ids, proc_path, FRONTIER_SCHEMA, key_col="id")
+    records = _fetch_records(ids, fetch, batch_size, robots)
+    verts = records.filter(pc.equal(records["rec_kind"], "vertex"))
+    if len(verts):
+        verts = verts.select(VERTEX_SCHEMA.names).cast(VERTEX_SCHEMA)
+        sm.add(VISITED, as_key_array(verts["id"]))
+        _write_part(verts, vert_path, VERTEX_SCHEMA, key_col="id")
+    return tag(records)
+
+
+@ray.remote
+def _hop_map(src, fn, cuts: list[int]):
+    """A hop's map task: one block's rows (a seed slice, or
+    ``(pieces, schema, filters)`` checkpoint pieces read with
+    :func:`storage.read_pieces`) through ``fn`` (:func:`_fetch_block`, or
+    the classify or carry-over tagger alone), cut into the hop's
+    partitions at ``cuts`` of ``__bucket`` (``len(cuts) + 1`` returns)."""
+    rows = src if isinstance(src, pa.Table) else st.read_pieces(*src)
+    pieces = split_buckets(fn(rows), "__bucket", cuts)
+    return pieces if cuts else pieces[0]
+
+
+def _run_hop(blocks: list[tuple], sink, n: int) -> list[dict]:
+    """A hop's ``(source, fn)`` blocks through :func:`_hop_map`, each cut
+    into ``n`` partitions of one bucket, then one ``_exchange_reduce``
+    per partition calling ``sink``; returns the sink's count rows. The
+    driver hands the map refs straight to the reducers and waits once."""
+    cuts = even_cuts(n, n)
+    hop_map = _hop_map.options(num_returns=n)
+    pieces = [hop_map.remote(src, fn, cuts) for src, fn in blocks]
+    refs, _ = exchange_reduce(sink, "__bucket", False,
+                              [p if cuts else [p] for p in pieces], n)
+    return [r for t in ray.get(refs) for r in t.to_pylist()]
+
+
+def _read_blocks(files: list[str], columns: list[str] | None, footers=None,
+                 num_blocks: int | None = None, cut: tuple | None = None) -> list[tuple]:
+    """Part files in ``num_blocks`` (None: :func:`_sized_blocks`) even row
+    ranges, each the ``(pieces, schema, filters)`` a task reads with
+    :func:`storage.read_pieces`. ``cut``: the ``(index, rows kept,
+    predicate)`` of the one file read through a filter."""
+    kept, filters = ({cut[0]: cut[1]}, {files[cut[0]]: cut[2]}) if cut else (None, None)
+    rows = st.PartsDatasource(files, columns, footers, kept)
+    return [(rows.pieces(lo, hi), rows.schema, filters) for lo, hi in
+            st.row_ranges(rows.num_rows, num_blocks or _sized_blocks(rows.num_rows))]
+
+
+@ray.remote
+def _add_keys(sm: ShardedMembership, name: str, src: tuple) -> None:
+    """Add one checkpoint block's keys to the ``name`` set: vertex ids to
+    ``visited``, ``source|destination`` keys to ``edges``."""
+    rows = st.read_pieces(*src)
+    sm.add(name, as_key_array(rows["id"] if name == VISITED else _edge_keys(rows)))
 
 
 def _part_order(name: str) -> tuple:
@@ -323,10 +372,11 @@ def _fetch_rpb(n: int, cpus: int, direct: bool) -> int:
     record table at roughly 60 MB). A hop of fewer than CPUs ×
     FETCH_SPLIT_ROWS ids cannot give every CPU a block, so it is sized
     by its work instead, in blocks of :data:`FETCH_ROWS_PER_TASK` ids:
-    a block costs a Ray Data map task, an exchange split, a reducer
-    with its sink call and RPCs, and part files (~90 ms of session CPU
-    on 1 vCPU) against ~28 µs of work per id (a 14.4k-id wave took 0.88
-    session CPU-s in 4 blocks, 0.61 in one, on 1 vCPU). At 4 CPUs a hop
+    a block costs a map task, a reducer with its sink call and RPCs,
+    and part files (~90 ms of session CPU on 1 vCPU, measured when a
+    block was a Ray Data map task plus an exchange split) against ~28
+    µs of work per id (a 14.4k-id wave took 0.88 session CPU-s in 4
+    blocks, 0.61 in one, on 1 vCPU). At 4 CPUs a hop
     of fewer than 16,384 ids is one block, and every larger hop gets
     the blocks of the 4,096-id floor alone, at least one per CPU. The
     politeness-budget actor pool takes fixed 5k-id blocks."""
@@ -374,9 +424,10 @@ def _write_part(rows: pa.Table, path: str, schema: pa.Schema,
     ``part-{prefix}{md5}.parquet`` with the md5 of the prefix and the
     batch content (first/last key + row count), so a task retried after
     its write lands overwrites the same file instead of duplicating rows
-    — the same contract as Ray's own write tasks. Shared by every fused
-    side-write (BranchCheckpoint and the hop sink, whose prefixes are
-    :func:`_part_order`'s integers) so the naming rule lives in one place."""
+    — the same contract as Ray's own write tasks. Shared by every hop
+    side-write (the fetch block's parts and the hop sink's, whose
+    prefixes are :func:`_part_order`'s integers) so the naming rule
+    lives in one place."""
     rows = rows.select(schema.names).cast(schema)
     key = rows.column(key_col)
     tag = f"{prefix}{key[0].as_py()}|{key[-1].as_py()}|{len(rows)}"
@@ -384,61 +435,18 @@ def _write_part(rows: pa.Table, path: str, schema: pa.Schema,
     st.write_table(rows, st.join(path, f"part-{prefix}{name}.parquet"))
 
 
-class BranchCheckpoint:
-    """1:1 passthrough map_batches stage that persists (a projection of)
-    each batch as a parquet part file while the execution continues
-    downstream — fusing a checkpoint write into a longer pipeline so a
-    hop pays ONE streaming execution where write + re-read + second
-    execution used to sit (each extra Dataset execution costs a fixed
-    ~0.2-0.5 s floor; a 4-hop crawl paid it 8 extra times).
-
-    Part names are derived from the batch CONTENT (first/last key + row
-    count), so a task retried after its write lands overwrites the same
-    file instead of duplicating rows — the same idempotence contract as
-    Ray's own write tasks. Optionally registers the projected keys into
-    a membership set in the same pass (retry-safe: adds are idempotent).
-    """
-
-    def __init__(self, path: str, schema: pa.Schema, extract=None,
-                 sm: ShardedMembership | None = None, register: str | None = None,
-                 key_col: str = "id"):
-        self.path = path
-        self.schema = schema
-        self.extract = extract
-        self.sm = sm
-        self.register = register
-        self.key_col = key_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = self.extract(batch) if self.extract is not None else batch
-        if len(rows):
-            rows = rows.select(self.schema.names).cast(self.schema)
-            if self.sm is not None:
-                self.sm.add(self.register, as_key_array(rows[self.key_col]))
-            _write_part(rows, self.path, self.schema, key_col=self.key_col)
-        return batch
-
-
-def _rec_filter(kind: str):
-    def f(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.equal(batch["rec_kind"], kind))
-
-    return f
-
-
-def _edge_key(batch: pa.Table) -> pa.Table:
-    key = pc.binary_join_element_wise(batch["source"], batch["destination"], "|")
-    return batch.append_column("edge_key", key)
+def _edge_keys(t: pa.Table) -> pa.ChunkedArray:
+    """The ``source|destination`` key of each edge row."""
+    return pc.binary_join_element_wise(t["source"], t["destination"], "|")
 
 
 # Unified row layout for the hop's single combined shuffle: frontier
 # candidates, the hop's missed and robots-blocked ids (in ``cand_id``),
 # edge rows and (on a classifying hop) earlier hops' edges ride the SAME
-# exchange, so a hop pays ONE all-to-all instead of one Dataset
-# execution per kind. Every kind shares one space of ``n`` buckets
-# (candidates, misses and blocked ids by id range, edge and classify
-# rows by a hash of (source, destination)); ``__kind`` tells the rows
-# apart in the sink.
+# exchange, so a hop pays ONE all-to-all instead of one per kind.
+# Every kind shares one space of ``n`` buckets (candidates, misses and
+# blocked ids by id range, edge and classify rows by a hash of
+# (source, destination)); ``__kind`` tells the rows apart in the sink.
 _CAND, _EDGE, _CLASSIFY, _MISS, _BLOCKED = range(5)
 
 _TAGGED_SCHEMA = pa.schema(
@@ -464,7 +472,7 @@ _SINK_COUNT_SCHEMA = pa.schema(
         ("rows_out", pa.int64()),
         # edge-classification partials (0 unless the hop classifies,
         # see CrawlConfig.log_edge_classification): J1 counts folded
-        # into the SAME streaming execution as the hop itself
+        # into the hop's own exchange
         ("within", pa.int64()),
         ("spanning", pa.int64()),
         ("frontier_e", pa.int64()),
@@ -507,9 +515,9 @@ def _range_tagged(kind: int, ids: pa.Array, n_buckets: int, boundaries: np.ndarr
 
 
 def _make_record_tagger(hop: int, n_buckets: int, boundaries: np.ndarray | None):
-    """1:1 batch stage: split a parsed record batch into its edge rows,
+    """Split a fetch block's parsed records into its edge rows,
     frontier-candidate rows and miss and blocked rows, pre-combine the
-    first two (the same per-batch keep-first that dedup_keep_first/
+    first two (the same per-block keep-first that dedup_keep_first/
     distinct ran before their separate shuffles — hot-key mitigation is
     preserved), and emit ONE tagged table whose ``__bucket`` routes
     candidates, misses and blocked ids to ``n_buckets`` range buckets
@@ -543,8 +551,8 @@ def _make_classify_tagger(n_buckets: int):
     """Tag earlier hops' (source, destination) edge rows as
     classify-only rows in the hop's ``n_buckets`` hash buckets — they
     ride a classifying hop's own shuffle so the sink classifies them
-    AFTER every VISITED registration of the hop (the shuffle barrier is
-    the ordering), and edge classification is never an execution of its
+    AFTER every VISITED registration of the hop (the exchange barrier
+    is the ordering), and edge classification is never a pass of its
     own."""
 
     def tag(batch: pa.Table) -> pa.Table:
@@ -576,19 +584,19 @@ class _HopSink:
     - classification (a classifying hop): ONE VISITED check over this
       call's written edges and its classify-only rows.
 
-    Both parts are content-named (same retry-safe idempotence contract
-    as BranchCheckpoint, and a retried reduce task rewrites the same
-    files); the call returns one count row per kind present (``miss``
-    and ``blocked`` rows are the hop's fetch counts). Every occurrence
-    of a key lands in one bucket, so the whole-bucket keep-first and
-    checks give the rows the same work done key group by key group would.
+    Both parts are content-named (:func:`_write_part`: a retried reduce
+    task rewrites the same files); the call returns one count row per
+    kind present (``miss`` and ``blocked`` rows are the hop's fetch
+    counts). Every occurrence of a key lands in one bucket, so the
+    whole-bucket keep-first and checks give the rows the same work done
+    key group by key group would.
 
-    Correctness: the shuffle upstream is an all-to-all barrier, so every
-    VISITED registration (in the post-parse stage of the hop's
-    execution) has completed before any sink call runs. Each id of the
-    hop's frontier then is in VISITED or arrives here as a miss or
-    blocked row in its range bucket, so "not in visited and not in
-    processing" is "neither missed nor blocked, and not in visited"."""
+    Correctness: the exchange upstream is an all-to-all barrier, so
+    every VISITED registration (in the hop's fetch blocks,
+    :func:`_fetch_block`) has completed before any sink call runs. Each
+    id of the hop's frontier then is in VISITED or arrives here as a
+    miss or blocked row in its range bucket, so "not in visited and not
+    in processing" is "neither missed nor blocked, and not in visited"."""
 
     def __init__(self, sm: ShardedMembership, frontier_path: str, edges_path: str,
                  classify_edges: bool = False):
@@ -619,9 +627,8 @@ class _HopSink:
         from fs_crawler_ray.relops import _keep_first_arrow
 
         e = t.select(["source", "destination", "rel_id", "src_doc", "offset", "hop"])
-        e = _edge_key(_keep_first_arrow(e, ["source", "destination"],
-                                        ["hop", "src_doc", "offset"]))
-        present = self.sm.check_and_add_deferred(EDGES, as_key_array(e["edge_key"]))
+        e = _keep_first_arrow(e, ["source", "destination"], ["hop", "src_doc", "offset"])
+        present = self.sm.check_and_add_deferred(EDGES, as_key_array(_edge_keys(e)))
         e = e.filter(pa.array(~present))
         out = pa.table({
             "source": e["source"],
@@ -771,7 +778,7 @@ class Crawler:
         session-resident: after a crawl that returned normally they go
         back to the Ray session's free-list, and the next Crawler resets
         and reuses them instead of starting new worker processes. After
-        a crawl that raised, Ray Data tasks may still be calling them,
+        a crawl that raised, its hop tasks may still be calling them,
         so they are killed. The polite-mode fetch pool is always killed
         (its token buckets and auth session start fresh per crawl).
         Results remain fully readable — all state is reconstructable
@@ -807,62 +814,47 @@ class Crawler:
         done = _complete_hops(self.out_dir)
         if not done:
             return 0, None, []
-        log = []
-        for h in done:
-            log.append(st.read_json(st.join(self._hop_dir(h), "log.json")))
-        # batched filter-state rebuild: one execution over all hops'
-        # vertex and edge tables
-        v_paths = _expand_parquet([st.join(self._hop_dir(h), "vertices.parquet") for h in done])
-        visited = st.read_parts(v_paths, ["id"], _sized_blocks).map_batches(
-            MembershipStage(self.sm, "id", register=VISITED),
-            batch_format="pyarrow", batch_size=8192
-        )
-        e_paths = _expand_parquet([st.join(self._hop_dir(h), "edges.parquet") for h in done])
-        edges = st.read_parts(e_paths, ["source", "destination"], _sized_blocks).map_batches(
-            _edge_key, batch_format="pyarrow"
-        ).map_batches(
-            MembershipStage(self.sm, "edge_key", register=EDGES),
-            batch_format="pyarrow", batch_size=8192
-        )
-        visited.union(edges).count()
+        log = [st.read_json(st.join(self._hop_dir(h), "log.json")) for h in done]
+        # the filter-state rebuild: one plain task per block of every
+        # hop's vertex and edge tables
+        ray.get([_add_keys.remote(self.sm, name, src)
+                 for name, table, cols in ((VISITED, "vertices.parquet", ["id"]),
+                                           (EDGES, "edges.parquet", ["source", "destination"]))
+                 for src in _read_blocks(
+                     _expand_parquet([st.join(self._hop_dir(h), table) for h in done]), cols)])
         last = done[-1]
         return last + 1, st.join(self._hop_dir(last), "frontier.parquet"), log
 
-    def _split_frontier(self, frontier: pa.Table | str
-                        ) -> tuple[ray.data.Dataset, int, ray.data.Dataset | None]:
-        """A hop's frontier cut at the budget: the head the hop fetches,
-        in :func:`_fetch_rpb` blocks, its row count (exact: frontier ids
-        are unique, so the head predicate keeps exactly the budget), and
-        the tail it carries over (None when the head is every id).
-        ``frontier`` is the sorted seed table, all priority 0, whose cut
-        is a slice, or a frontier checkpoint directory, whose cut is
-        :func:`_budget_cut`'s predicate: the head reads the parts up to
-        the cut's, the tail those from it on."""
-        budget, cpus = self.config.frontier_budget, _cluster_cpus()
-        if isinstance(frontier, pa.Table):
-            n_head = len(frontier) if budget is None else min(budget, len(frontier))
-            seeds, rest = frontier.slice(0, n_head), frontier.slice(n_head)
-            # fetch-sized chunks (one block would be one task for the
-            # whole fused chain: a 2M-seed wave spent 77 s in one task).
-            # from_blocks, not from_arrow: from_arrow waits on a remote
-            # task for each block's metadata, in a fresh session on a
-            # worker start (2,048 seeds, fresh 4-CPU session: 1.6-1.9 s
-            # against 0.9-1.1 s)
-            chunk = _fetch_rpb(n_head, cpus, self.direct)
-            head = ray.data.from_blocks(
-                [seeds.slice(lo, chunk) for lo in range(0, max(1, n_head), chunk)])
-            return head, n_head, ray.data.from_blocks([rest]) if len(rest) else None
-        files = _expand_parquet([frontier])
-        footers = [st.footer(f) for f in files]  # read once, for the cut and both reads
-        n_head, k, keep = _budget_cut(files, footers, budget)
-        head = st.read_parts(files[:k + 1], None,
-                             _sized_blocks(n_head, _fetch_rpb(n_head, cpus, self.direct)),
-                             footers[:k + 1])
+    def _split_frontier(self, frontier: pa.Table | str) -> tuple[int, list, list]:
+        """A hop's frontier cut at the budget: the head's row count
+        (exact: frontier ids are unique), its :func:`_hop_map` sources,
+        :func:`_sized_blocks` even blocks of at most :func:`_fetch_rpb`
+        ids, and those of the tail it carries over (none when the head is
+        every id). ``frontier`` is the sorted seed table, all priority 0,
+        cut by a slice, or a frontier checkpoint directory, cut by
+        :func:`_budget_cut`'s predicate, which only the part holding the
+        cut is read through (its negation, for the tail)."""
+        budget = self.config.frontier_budget
+        n = len(frontier) if isinstance(frontier, pa.Table) else None
+        if n is not None:
+            n_head = n if budget is None else min(budget, n)
+        else:
+            files = _expand_parquet([frontier])
+            footers = [st.footer(f) for f in files]  # read once, for the cut and both reads
+            n_head, k, keep = _budget_cut(files, footers, budget)
+        blocks = _sized_blocks(n_head, _fetch_rpb(n_head, _cluster_cpus(), self.direct))
+        if n is not None:
+            # fetch-sized slices (one block would be one task for the
+            # whole chain: a 2M-seed wave spent 77 s in one task)
+            head = [frontier.slice(lo, hi - lo) for lo, hi in st.row_ranges(n_head, blocks)]
+            return n_head, head, [frontier.slice(n_head)] if n_head < n else []
         if keep is None:
-            return head, n_head, None
-        tail = st.read_parts(files[k:], ["id", "priority"], _sized_blocks, footers[k:])
-        return (head.map_batches(lambda t: t.filter(keep), batch_format="pyarrow"), n_head,
-                tail.map_batches(lambda t: t.filter(~keep), batch_format="pyarrow"))
+            return n_head, _read_blocks(files, None, footers, blocks), []
+        in_head = n_head - sum(m.num_rows for m in footers[:k])  # rows of part k in the head
+        head = _read_blocks(files[:k + 1], None, footers[:k + 1], blocks, (k, in_head, keep))
+        tail = _read_blocks(files[k:], ["id", "priority"], footers[k:],
+                            cut=(0, footers[k].num_rows - in_head, ~keep))
+        return n_head, head, tail
 
     # -- main loop -----------------------------------------------------
     def crawl(self, seeds: list[str], resume: bool = False) -> CrawlResult:
@@ -921,96 +913,61 @@ class Crawler:
 
             tick = [time.time()]
 
-            # 1.+2. the frontier head → processing checkpoint → fetch +
-            # parse (+ miss records) → vertex checkpoint with VISITED
-            # registration, all in the hop's ONE streaming execution
-            # (each extra execution costs a fixed floor). No stage
-            # filters the frontier against VISITED: the sink that wrote
-            # it did (a budget tail rides that sink too), a resume
-            # rebuilds the same VISITED, and seeds meet empty shards.
-            # The frontier arrives RANGE-CLUSTERED (seeds are sorted;
-            # later frontiers are range-bucketed parts read in name
-            # order) and every stage is 1:1, so each fetch task's batch
-            # is a contiguous id range: 1-2 corpus row groups, no sort.
-            proc_path = st.join(hop_dir, "processing.parquet")
-            vert_path = st.join(hop_dir, "vertices.parquet")
-            st.makedirs(proc_path)
-            st.makedirs(vert_path)
-            head, n_head, carryover = self._split_frontier(frontier)
-            records = (
-                head.map_batches(BranchCheckpoint(proc_path, FRONTIER_SCHEMA),
-                                 batch_format="pyarrow")
-                .map_batches(
-                    FetchParseStage(self._fetch_stage(hop), cfg.robots),
-                    batch_size=None if self.direct else cfg.fetch_batch_size,
-                    batch_format="pyarrow",
-                )
-                .map_batches(
-                    BranchCheckpoint(vert_path, VERTEX_SCHEMA, extract=_rec_filter("vertex"),
-                                     sm=self.sm, register=VISITED),
-                    batch_format="pyarrow",
-                )
-            )
+            # 1.+2. the frontier head in fetch blocks, one map task
+            # each (_fetch_block). No task filters the frontier against
+            # VISITED: the sink that wrote it did (a budget tail rides
+            # that sink too), a resume rebuilds the same VISITED, and
+            # seeds meet empty shards. The frontier arrives
+            # RANGE-CLUSTERED (seeds are sorted; later frontiers are
+            # range-bucketed parts read in name order), so each fetch
+            # block is a contiguous id range: 1-2 corpus row groups.
+            paths = {name: st.join(hop_dir, f"{name}.parquet") for name in _TABLES}
+            for path in paths.values():
+                st.makedirs(path)
+            n_head, head, tail = self._split_frontier(frontier)
 
-            # sink directories must exist before the fused execution
-            frontier_out = st.join(hop_dir, "frontier.parquet")
-            edges_out = st.join(hop_dir, "edges.parquet")
-            st.makedirs(frontier_out)
-            st.makedirs(edges_out)
-
-            # 3. the combined edges + frontier shuffle over that
-            # execution's output: the tagger pre-combines each kind per
-            # batch (hot-key mitigation) and routes candidates, misses
-            # and blocked ids to n range buckets (so the next frontier
-            # lands range-clustered, which IS the next hop's fetch
-            # routing) and edges to the same n buckets by hash; _HopSink,
-            # in the exchange's reduce tasks, dedups, filters (candidates
-            # minus misses, then against visited — the add_to_frontier
-            # guard, graph_memory_impl.py:60-63 — and the deferred
-            # cross-hop edge-seen check for edges) and side-writes one
-            # parquet part per kind. On a classifying hop (every hop in
-            # "full" mode, the last in "final") the earlier hops' edges
-            # ride the same shuffle as classify-only rows, so the J1
-            # counts cost no execution of their own. The shuffle barrier
-            # orders every VISITED registration before any sink call.
+            # 3. the combined edges + frontier exchange: every map task
+            # tags its rows into n buckets (candidates, misses and
+            # blocked ids by id range, so the next frontier lands
+            # range-clustered; edges by hash) and cuts them into the n
+            # partitions itself; _HopSink, in the exchange's reduce
+            # tasks, writes the next frontier and the new edges. On a
+            # classifying hop (every hop in "full" mode, the last in
+            # "final") the earlier hops' edges ride the same exchange as
+            # classify-only rows. The exchange is a barrier, so every
+            # VISITED registration completes before any sink call.
             classify = (cfg.log_edge_classification == "full"
                         or (cfg.log_edge_classification == "final"
                             and hop == cfg.hops - 1))
-            prev_edges = None
+            prev_edges = []
             if classify and result.hops_run:
                 files = _expand_parquet(
                     [st.join(self._hop_dir(h), "edges.parquet") for h in result.hops_run])
                 for f in files:
                     if f not in edge_footers:
                         edge_footers[f] = st.footer(f)
-                prev_edges = st.read_parts(files, ["source", "destination"], _sized_blocks,
-                                           [edge_footers[f] for f in files])
-            # one bucket per shuffle partition: shuffle_apply cuts the
-            # union of the tagged inputs into partition_count(n, union)
-            # partitions, which is n itself (a union plans the sum of its
-            # inputs' blocks), so the sink runs once per partition
-            n = partition_count(cfg.num_buckets, *(
-                d for d in (records, prev_edges, carryover) if d is not None))
-            tagged = records.map_batches(_make_record_tagger(hop, n, self.range_boundaries),
-                                         batch_format="pyarrow")
-            if prev_edges is not None:
-                tagged = tagged.union(prev_edges.map_batches(_make_classify_tagger(n),
-                                                             batch_format="pyarrow"))
-            if carryover is not None:
-                # unprocessed budget remainder carries over with its
-                # ORIGINAL priority; the sink's keep-first by
-                # (cand_id, priority) keeps the smallest priority per id
-                tagged = tagged.union(carryover.map_batches(
-                    _make_carryover_tagger(n, self.range_boundaries), batch_format="pyarrow"))
-            sink = _HopSink(self.sm, frontier_out, edges_out, classify_edges=classify)
-            _mark("hop_plan", tick)  # lazy graph construction + seed prep
-            sink_counts = shuffle_apply(tagged, sink, bucket="__bucket",
-                                        num_buckets=n).take_all()
+                prev_edges = _read_blocks(files, ["source", "destination"],
+                                          [edge_footers[f] for f in files])
+            # one bucket per partition: one sink call per partition
+            n = min(cfg.num_buckets, len(head) + len(prev_edges) + len(tail))
+            fetch = functools.partial(
+                _fetch_block, proc_path=paths["processing"], vert_path=paths["vertices"],
+                fetch=self._fetch_stage(hop), robots=cfg.robots, sm=self.sm,
+                batch_size=None if self.direct else cfg.fetch_batch_size,
+                tag=_make_record_tagger(hop, n, self.range_boundaries))
+            # an unprocessed budget remainder carries over with its
+            # ORIGINAL priority; the sink's keep-first by (cand_id,
+            # priority) keeps the smallest priority per id
+            blocks = ([(src, fetch) for src in head]
+                      + [(src, _make_classify_tagger(n)) for src in prev_edges]
+                      + [(src, _make_carryover_tagger(n, self.range_boundaries))
+                         for src in tail])
+            sink = _HopSink(self.sm, paths["frontier"], paths["edges"], classify_edges=classify)
+            _mark("hop_plan", tick)  # block planning + seed prep
+            sink_counts = _run_hop(blocks, sink, n)
             _mark("hop_exec", tick)
-            _ensure_nonempty(proc_path, FRONTIER_SCHEMA)
-            _ensure_nonempty(vert_path, VERTEX_SCHEMA)
-            _ensure_nonempty(frontier_out, FRONTIER_SCHEMA)
-            _ensure_nonempty(edges_out, EDGE_SCHEMA)
+            for name, schema in _TABLES.items():
+                _ensure_nonempty(paths[name], schema)
             # ONE call per host: merge this hop's edge keys, then the
             # shards' stats and the RPCs the hosts served this hop
             shard_stats, rpcs = self.sm.end_hop(EDGES)
@@ -1050,7 +1007,7 @@ class Crawler:
                 "shards": {"sets": shard_stats, "rpcs": rpcs},
                 # one entry per sink call and row kind; every call holds
                 # one bucket, so "partitions" calls when none is empty
-                "sink": {"partitions": partition_count(n, tagged),
+                "sink": {"partitions": n,
                          "entries": sorted(
                              [{k: r[k] for k in ("bucket", "kind", "rows_in", "rows_out")}
                               for r in sink_counts], key=lambda e: (e["bucket"], e["kind"]))},
@@ -1077,7 +1034,7 @@ class Crawler:
             st.replace(tmp, st.join(hop_dir, "log.json"))
 
             result.hops_run.append(hop)
-            frontier = frontier_out
+            frontier = paths["frontier"]
 
         result.log = log
         # a later crawl() of this Crawler reuses every actor it holds

@@ -30,7 +30,6 @@ the DuckDB oracles reproduce.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
@@ -50,10 +49,6 @@ def _eval_mask(ids, eval_mod: int) -> np.ndarray:
     from fs_crawler_ray.ids import stable_hash64
 
     return (stable_hash64(arr.astype(str)) % np.uint64(eval_mod)) == 0
-
-
-def _id_arrow_type(series: pd.Series) -> pa.DataType:
-    return pa.int64() if series.dtype.kind in "iu" else pa.string()
 
 
 def _batch_ngrams(texts: pa.Array | pa.ChunkedArray, n: int):

@@ -133,16 +133,12 @@ def even_cuts(parts: int, span: int) -> list[int]:
     return [int(i * span // parts) for i in range(1, parts)]
 
 
-def partition_count(span: int, *inputs: ray.data.Dataset) -> int:
-    """Partitions of a shuffle over the buckets ``[0, span)`` whose input
-    is the union of ``inputs``: ``min(span, input blocks)``, 1 when the
-    block count is unknown. The block count is the one the plan knows
-    before it runs (checkpoint reads size it by rows); a union plans the
-    sum of its inputs' counts, so a caller that tags several inputs into
-    ``partition_count(span, *inputs)`` buckets before their union gets
-    one bucket per partition."""
-    blocks = [d._plan.initial_num_blocks() for d in inputs]
-    return min(span, (sum(blocks) if None not in blocks else 0) or 1)
+def partition_count(span: int, ds: ray.data.Dataset) -> int:
+    """Partitions of a shuffle of ``ds`` over the buckets ``[0, span)``:
+    ``min(span, input blocks)``, 1 when the block count is unknown. The
+    block count is the one the plan knows before it runs (checkpoint
+    reads size it by rows)."""
+    return min(span, ds._plan.initial_num_blocks() or 1)
 
 
 def sort_by_range(ds: ray.data.Dataset, keys: list[str], span: int,
@@ -167,13 +163,19 @@ def _by_bucket(block, col: str) -> tuple[pa.Table, np.ndarray]:
     return t, t[col].to_numpy()
 
 
-@ray.remote
-def _exchange_split(block, col: str, cuts: list[int]) -> tuple:
+def split_buckets(block, col: str, cuts: list[int]) -> tuple[pa.Table, ...]:
     """The exchange's map step: ``block`` cut into one piece per
-    partition, at ``cuts`` of its ``col`` buckets."""
+    partition, at ``cuts`` of its ``col`` buckets (whole with no cuts)."""
+    if not cuts:
+        return (BlockAccessor.for_block(block).to_arrow(),)
     t, b = _by_bucket(block, col)
     ends = np.concatenate([[0], np.searchsorted(b, cuts), [len(b)]])
     return tuple(t.slice(lo, hi - lo) for lo, hi in zip(ends[:-1], ends[1:]))
+
+
+@ray.remote
+def _exchange_split(block, col: str, cuts: list[int]) -> tuple:
+    return split_buckets(block, col, cuts)
 
 
 @ray.remote(num_returns=2)
@@ -198,6 +200,16 @@ def _exchange_reduce(fn, col: str, drop: bool, *pieces):
     return block, BlockMetadataWithSchema.from_block(block)
 
 
+def exchange_reduce(fn, col: str, drop: bool, pieces: list, parts: int) -> tuple[list, list]:
+    """One ``_exchange_reduce`` per partition ``i`` of ``parts``, over
+    ``pieces[b][i]`` of every block ``b``: the output block and metadata
+    refs, in partition order."""
+    fn = ray.put(fn)
+    refs, metas = zip(*(_exchange_reduce.remote(fn, col, drop, *(p[i] for p in pieces))
+                        for i in range(parts)))
+    return list(refs), list(metas)
+
+
 def shuffle_apply(ds: ray.data.Dataset, fn, *, key_cols: list[str] | None = None,
                   bucket: str | None = None, num_buckets: int) -> ray.data.MaterializedDataset:
     """``fn`` applied once per non-empty bucket, on an Arrow table
@@ -211,14 +223,14 @@ def shuffle_apply(ds: ray.data.Dataset, fn, *, key_cols: list[str] | None = None
     in the rows.
 
     ``ds`` executes once; the exchange after it is plain Ray tasks. As
-    each non-empty block arrives, an ``_exchange_split`` cuts it into
-    ``P =`` :func:`partition_count` partitions of whole buckets at
-    :func:`even_cuts` (none with P = 1). One ``_exchange_reduce`` per
-    partition takes its piece of every block (so the shuffle is a
-    barrier) and calls ``fn``. A fixed P gave a 1-2 block hop 8
-    reducers (deep_crawl −30 % URLs per CPU-s); Ray's sort plus a Ray
-    Data map for ``fn`` cost an operator more per shuffle. A hot key's
-    bucket lands whole in one partition."""
+    each non-empty block arrives, an ``_exchange_split``
+    (:func:`split_buckets`) cuts it into ``P =`` :func:`partition_count`
+    partitions of whole buckets at :func:`even_cuts` (none with P = 1).
+    One ``_exchange_reduce`` per partition takes its piece of every
+    block (so the shuffle is a barrier) and calls ``fn``. A fixed P
+    gave a 1-2 block hop 8 reducers (deep_crawl −30 % URLs per CPU-s);
+    Ray's sort plus a Ray Data map for ``fn`` cost an operator more per
+    shuffle. A hot key's bucket lands whole in one partition."""
     if (key_cols is None) == (bucket is None):
         raise ValueError("shuffle_apply: pass exactly one of key_cols and bucket")
     col = _BUCKET_COL if bucket is None else bucket
@@ -235,11 +247,8 @@ def shuffle_apply(ds: ray.data.Dataset, fn, *, key_cols: list[str] | None = None
     pieces = [[ref] if parts == 1 else split.remote(ref, col, even_cuts(parts, num_buckets))
               for bundle in ds.iter_internal_ref_bundles()
               for ref, m in bundle.blocks if m.num_rows]
-    fn = ray.put(fn)
-    refs, metas = zip(*(_exchange_reduce.remote(fn, col, key_cols is not None,
-                                                *(p[i] for p in pieces))
-                        for i in range(parts)))
-    return _materialized(list(refs), ray.get(list(metas)))
+    refs, metas = exchange_reduce(fn, col, key_cols is not None, pieces, parts)
+    return _materialized(refs, ray.get(metas))
 
 
 def _keep_first_arrow(t: pa.Table, key_cols: list[str], order_cols: list) -> pa.Table:

@@ -1,14 +1,15 @@
 """Checkpoint / corpus IO behind fsspec URIs.
 
-Round 2's checkpoint writers (``BranchCheckpoint``, ``_HopSink``) wrote
-worker-side ``pq.write_table`` to plain OS paths
-— which on a real multi-node cluster silently requires every node to
-mount the same POSIX filesystem. This module makes the shared-storage
-assumption EXPLICIT: every path the crawl reads or writes goes through
-these helpers, which accept either a plain local path (the sandbox
-default, zero overhead) or any fsspec URI (``s3://``, ``gcs://``,
-``hdfs://``, ``file://`` …) — the deployment-scale configuration is
-"point ``out_dir`` at the shared object store".
+The crawl's checkpoint writers (a hop's fetch blocks and its
+``_HopSink``) write parquet parts from worker processes; written with
+``pq.write_table`` to plain OS paths, that silently requires every
+node of a multi-node cluster to mount the same POSIX filesystem. This
+module makes the shared-storage assumption EXPLICIT: every path the
+crawl reads or writes goes through these helpers, which accept either a
+plain local path (the sandbox default, zero overhead) or any fsspec URI
+(``s3://``, ``gcs://``, ``hdfs://``, ``file://`` …) — the
+deployment-scale configuration is "point ``out_dir`` at the shared
+object store".
 
 Caveats, stated honestly:
 - ``memory://`` is per-PROCESS — fine for driver-only unit tests,
@@ -189,74 +190,92 @@ def read_parquet(paths, **kwargs):
     )
 
 
-def _read_pieces(pieces: list[tuple], schema: pa.Schema):
-    """One read task: for each ``(file, row groups, skip, take)`` piece,
-    read only those row groups, then keep rows ``[skip, skip + take)``."""
+def read_pieces(pieces: list, schema: pa.Schema, filters: dict | None = None) -> pa.Table:
+    """The rows of ``(file, row groups, skip, take)`` pieces, in order:
+    for each, only those row groups of ``schema``'s columns, put through
+    the Arrow filter expression ``filters`` holds for the file (if any),
+    then rows ``[skip, skip + take)`` of what is left."""
     tables = []
     for path, groups, skip, take in pieces:
         with open_file(path) if is_uri(path) else contextlib.nullcontext(path) as src:
             t = pq.ParquetFile(src).read_row_groups(groups, columns=schema.names)
+        if filters and path in filters:
+            t = t.filter(filters[path])
         t = t.slice(skip, take)
         tables.append(t if t.schema.equals(schema) else t.cast(schema))
-    yield pa.concat_tables(tables) if tables else schema.empty_table()
+    return pa.concat_tables(tables) if tables else schema.empty_table()
+
+
+def _read_task(pieces: list, schema: pa.Schema):
+    yield read_pieces(pieces, schema)
+
+
+def row_ranges(rows: int, num_blocks: int) -> list[tuple[int, int]]:
+    """``num_blocks`` even ``[lo, hi)`` ranges of ``rows`` rows (1 to ``rows``)."""
+    k = max(1, min(num_blocks, rows))
+    bounds = [rows * i // k for i in range(k + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 class PartsDatasource(Datasource):
-    """Parquet part files as contiguous row ranges, in file order.
+    """Parquet part files as one run of rows, in file order, planned on
+    the driver from their footers (read once, or the caller's
+    ``footers``): :meth:`pieces` cuts a row range into the pieces
+    :func:`read_pieces` reads, in a Ray Data read task or in a task of
+    the caller's own. So a read runs no remote task to plan itself
+    (``ray.data.read_parquet`` samples fragments and, above 24 files,
+    fetches footers in remote tasks). No hive column is added. ``kept``
+    maps a file's index to the rows a filter keeps of it, read as one
+    run over all its row groups (:func:`read_pieces` takes the filter)."""
 
-    The driver reads every footer once (or takes the caller's
-    ``footers``); each read task gets the row groups that
-    overlap its range. So building the read runs no
-    remote task (``ray.data.read_parquet`` samples fragments in remote
-    tasks, and fetches the footers of more than 24 files in half-CPU
-    tasks that start worker processes), and the read fuses with the map
-    stages after it. No hive partition column is added."""
-
-    def __init__(self, files: list[str], columns: list[str] | None = None, footers=None):
+    def __init__(self, files: list[str], columns: list[str] | None = None, footers=None,
+                 kept: dict[int, int] | None = None):
         if not files:
             raise ValueError("read_parts needs at least one part file")
         metas = footers if footers is not None else [footer(f) for f in files]
         schema = metas[0].schema.to_arrow_schema()
         if columns is not None:
             schema = pa.schema([schema.field(c) for c in columns], metadata=schema.metadata)
-        self._files, self._schema = list(files), schema
-        self._groups = [(i, g, md.row_group(g).num_rows)
-                        for i, md in enumerate(metas) for g in range(md.num_row_groups)]
-        self._ends = np.cumsum([n for _, _, n in self._groups], dtype=np.int64)
-        self.num_rows = int(self._ends[-1]) if self._groups else 0
+        self.files, self.schema = list(files), schema
+        kept = kept or {}
+        self._runs = []  # (file index, row groups, rows)
+        for i, md in enumerate(metas):
+            groups = list(range(md.num_row_groups))
+            self._runs += ([(i, groups, kept[i])] if i in kept else
+                           [(i, [g], md.row_group(g).num_rows) for g in groups])
+        self._ends = np.cumsum([n for _, _, n in self._runs], dtype=np.int64)
+        self.num_rows = int(self._ends[-1]) if self._runs else 0
         self._bytes = sum(md.row_group(g).total_byte_size
                           for md in metas for g in range(md.num_row_groups))
 
     def estimate_inmemory_data_size(self) -> int:
         return self._bytes
 
-    def _pieces(self, lo: int, hi: int) -> list[tuple]:
+    def pieces(self, lo: int, hi: int) -> list[tuple]:
         """The ``(file, row groups, skip, take)`` pieces of rows [lo, hi)."""
         pieces = []
         first = int(np.searchsorted(self._ends, lo, side="right"))
-        for (f, g, n), end in zip(self._groups[first:], self._ends[first:]):
+        for (f, groups, n), end in zip(self._runs[first:], self._ends[first:]):
             start = int(end) - n
             if start >= hi:
                 break
             take = min(hi, start + n) - max(lo, start)
             if pieces and pieces[-1][0] == f:
-                pieces[-1][1].append(g)
+                pieces[-1][1].extend(groups)
                 pieces[-1][3] += take
             elif n:
-                pieces.append([f, [g], max(0, lo - start), take])
-        return [(self._files[f], gs, skip, take) for f, gs, skip, take in pieces]
+                pieces.append([f, list(groups), max(0, lo - start), take])
+        return [(self.files[f], gs, skip, take) for f, gs, skip, take in pieces]
 
     def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
-        k = max(1, min(parallelism, self.num_rows))
-        bounds = [self.num_rows * i // k for i in range(k + 1)]
         tasks = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            pieces = self._pieces(lo, hi)
+        for lo, hi in row_ranges(self.num_rows, parallelism):
+            pieces = self.pieces(lo, hi)
             meta = BlockMetadata(num_rows=hi - lo, exec_stats=None,
                                  size_bytes=self._bytes * (hi - lo) // max(1, self.num_rows),
                                  input_files=list(dict.fromkeys(p[0] for p in pieces)))
-            tasks.append(ReadTask(functools.partial(_read_pieces, pieces, self._schema), meta,
-                                  schema=self._schema))
+            tasks.append(ReadTask(functools.partial(_read_task, pieces, self.schema), meta,
+                                  schema=self.schema))
         return tasks
 
 

@@ -1,9 +1,10 @@
 """Fetch stages: partition-local direct fetch + persistent politeness
 actor pool.
 
-Direct mode (:func:`make_partition_fetcher`) is a STATELESS map fn
-resolving ids against only the corpus row groups that own them — no
-corpus broadcast anywhere (see ``sources/doc_table.RangeStore``).
+Direct mode (:func:`make_partition_fetcher`) is a STATELESS function,
+called in a hop's fetch block, resolving ids against only the corpus
+row groups that own them — no corpus broadcast anywhere (see
+``sources/doc_table.RangeStore``).
 
 Politeness mode is a pool created ONCE per crawl:
 
@@ -18,10 +19,10 @@ Politeness mode is a pool created ONCE per crawl:
   host's token bucket lives on exactly one actor and per-host budgets
   hold under any parallelism (pool size == the politeness concurrency
   budget, fsapi.py:23-34);
-- the per-hop pipeline stage (:class:`FetchStage`) is a stateless
-  ``map_batches`` function that scatter-gathers its batch across the
-  pool, so the streaming executor still pipelines fetch with parse and
-  downstream stages.
+- the per-hop fetch (:class:`FetchStage`) is a stateless generator a
+  hop's fetch block calls on each ``fetch_batch_size``-id batch; it
+  scatter-gathers the batch across the pool and yields the documents
+  actor by actor, so parsing starts before the last actor answers.
 
 Neither mode counts ids: the crawl counts a hop's attempted, fetched,
 missing and robots-blocked ids from the hop's own rows.
@@ -164,9 +165,10 @@ class FetchPool:
 
 def make_partition_fetcher(documents_path: str, hop: int,
                            robots: RobotsPolicy | None = None):
-    """Direct (politeness-free) fetch path: a STATELESS map_batches fn
-    that resolves ids against the corpus PARTITION-LOCALLY — each task
-    reads only the row groups owning its ids (worker-global
+    """Direct (politeness-free) fetch path: a STATELESS function, called
+    once per fetch block, that resolves ids against the corpus
+    PARTITION-LOCALLY — each task reads only the row groups owning its
+    ids (worker-global
     :func:`~fs_crawler_ray.sources.doc_table.open_range_store`). The
     crawl writes its processing set id-sorted, so each task's batch is a
     contiguous id range hitting 1-2 row groups; at deployment scale the
@@ -191,17 +193,17 @@ def make_partition_fetcher(documents_path: str, hop: int,
 
 
 class FetchStage:
-    """Stateless map_batches GENERATOR fn: ids batch → doc batches via
-    the pool, routed by host so politeness budgets are honored exactly.
+    """Stateless GENERATOR function: ids batch → doc batches via the
+    pool, routed by host so politeness budgets are honored exactly. A
+    hop's fetch block calls it once per ``fetch_batch_size``-id batch.
 
     The per-actor RPCs OVERLAP: all fetches are issued up front and
-    results are yielded as they land, so downstream stages (parse,
-    checkpoints) start early — round 2 blocked the map task on a single
-    ``ray.get`` of the whole scatter (VERDICT r02 'what's wrong' #5).
-    Yield order is FIXED (actor index), not ``ray.wait`` completion
-    order: the fused hop side-writes content-named checkpoint parts,
-    and a retried task must re-produce byte-identical batch streams or
-    the retry writes duplicate parts. The RPCs still run concurrently;
+    results are yielded as they land, so parsing starts early — round 2
+    blocked the map task on a single ``ray.get`` of the whole scatter
+    (VERDICT r02 'what's wrong' #5). Yield order is FIXED (actor
+    index), not ``ray.wait`` completion order: the hop side-writes
+    content-named checkpoint parts, and a retried task must re-produce
+    byte-identical records or the retry writes duplicate parts. The RPCs still run concurrently;
     only the hand-off is ordered, and in politeness mode the BUDGET is
     the bottleneck by construction."""
 

@@ -642,9 +642,9 @@ class ShardedMembership:
     share a host. A call makes one RPC per host that owns any of its
     keys (``commit``/``end_hop``/``reset``/``stats``: one per host).
 
-    Stages route inside their own ``map_batches`` batch (see
-    :class:`fs_crawler_ray.crawl.MembershipStage`), so each batch issues
-    ≤ one RPC per host regardless of batch size.
+    Callers route a whole block or sink partition per call (the crawl's
+    fetch blocks, resume tasks and hop sink), so each call issues ≤ one
+    RPC per host regardless of its size.
     """
 
     actors: list

@@ -282,26 +282,32 @@ def test_budget_resume_is_identical(small_corpus, tmp_path_factory, small_blocks
 
 
 @pytest.mark.parametrize("mode", ["exact", "probabilistic"])
-def test_several_fetch_blocks_per_hop(small_corpus, tmp_path_factory, small_fetch_blocks,
-                                      remote_tasks, mode):
+def test_several_fetch_blocks_per_hop(small_corpus, tmp_path_factory, small_fetch_blocks, mode):
     """Hops of several fetch blocks (a 16-id floor) and so several
-    shuffle partitions, exchange splits and sink calls: a budget crawl
-    killed in hop 2 and resumed writes what an uninterrupted one writes,
-    and both equal the budgeted oracle, in either membership mode."""
+    shuffle partitions and sink calls: a budget crawl killed in hop 2
+    and resumed writes what an uninterrupted one writes, and both equal
+    the budgeted oracle, in either membership mode. Every hop writes one
+    processing part per head block it plans (budget heads included),
+    and none of them is empty."""
+    import pyarrow.parquet as pq
+
+    from fs_crawler_ray.crawl import _cluster_cpus, _fetch_rpb, _sized_blocks
     from fs_crawler_ray.oracle import load_docs
 
     seeds = sorted(load_docs(small_corpus.documents_path))[::5]
     cfg = CrawlConfig(hops=HOPS, num_shards=4, num_buckets=8, frontier_budget=40,
                       membership_mode=mode)
-    remote_tasks.clear()
     full = crawl(small_corpus, seeds, str(tmp_path_factory.mktemp(f"blocks_{mode}")), cfg)
-    assert remote_tasks["_exchange_split"] > 0
-    # hop 0 fetches its 40 seeds in 16-id blocks, one processing part
-    # each; every hop plans 3 head blocks, plus its tail and classify reads
-    assert len(os.listdir(os.path.join(full.hop_dir(0), "processing.parquet"))) == 3
     for hop in full.hops_run:
         with open(os.path.join(full.hop_dir(hop), "lineage.json")) as f:
-            assert json.load(f)["sink"]["partitions"] > 3, hop
+            lineage = json.load(f)
+        n_head = lineage["fetch"]["ids_attempted"]
+        proc = os.path.join(full.hop_dir(hop), "processing.parquet")
+        rows = [pq.read_metadata(os.path.join(proc, f)).num_rows for f in os.listdir(proc)]
+        assert n_head == 40 and sum(rows) == n_head, hop
+        assert len(rows) == _sized_blocks(n_head, _fetch_rpb(n_head, _cluster_cpus(), True)) > 1
+        assert min(rows) > 0, hop
+        assert lineage["sink"]["partitions"] > 3, hop  # head, tail and classify blocks
     oracle = oracle_crawl(small_corpus.documents_path, seeds, HOPS, frontier_budget=40)
     _assert_match(full, oracle)
     out = str(tmp_path_factory.mktemp(f"blocks_resume_{mode}"))
@@ -480,34 +486,78 @@ def test_politeness_budget_preserves_results(small_corpus, tmp_path_factory):
         assert fetch["requests"] > 0 and fetch["politeness_wait_s"] >= 0, hop
 
 
-def test_branch_checkpoint_retry_idempotent(tmp_path):
-    """A task retried after its side-write landed must overwrite the
-    same part file (content-derived name), not duplicate rows."""
-    import pyarrow as pa
-    import pyarrow.dataset as pads
+def test_hop_map_retry_writes_the_same_parts(small_corpus, tmp_path):
+    """A hop map task run twice on one block (a retry after its writes
+    landed) rewrites the same content-named processing and vertex parts
+    with the same rows, returns the same partition pieces, and leaves
+    VISITED as one run leaves it."""
+    import functools
 
-    from fs_crawler_ray.crawl import BranchCheckpoint
+    import pyarrow.parquet as pq
+
+    from fs_crawler_ray.crawl import VISITED, _fetch_block, _hop_map, _make_record_tagger
     from fs_crawler_ray.model import FRONTIER_SCHEMA
+    from fs_crawler_ray.oracle import load_docs
+    from fs_crawler_ray.state.fetch_service import make_partition_fetcher
 
-    d = str(tmp_path / "proc")
-    os.makedirs(d)
-    ckpt = BranchCheckpoint(d, FRONTIER_SCHEMA)
-    batch = pa.table(
-        {"id": ["A", "B", "C"], "priority": [0, 0, 0], "hop": [0, 0, 0]},
-        schema=FRONTIER_SCHEMA,
-    )
-    out1 = ckpt(batch)
-    out2 = ckpt(batch)  # simulated retry of the same task
-    assert out1 == batch and out2 == batch  # pure passthrough
-    parts = [f for f in os.listdir(d) if f.endswith(".parquet")]
-    assert len(parts) == 1  # overwrote, not duplicated
-    assert pads.dataset(d).to_table().num_rows == 3
-    # a DIFFERENT batch lands in its own part
-    batch2 = pa.table(
-        {"id": ["D"], "priority": [1], "hop": [1]}, schema=FRONTIER_SCHEMA
-    )
-    ckpt(batch2)
-    assert pads.dataset(d).to_table().num_rows == 4
+    ids = sorted(load_docs(small_corpus.documents_path))[:30] + ["ZZZZ-ZZZ"]  # one miss
+    block = pa.table({"id": ids, "priority": [0] * len(ids), "hop": [0] * len(ids)},
+                     schema=FRONTIER_SCHEMA)
+    sm = _CountingMembership()
+    dirs = [tmp_path / "processing", tmp_path / "vertices"]
+    for d in dirs:
+        d.mkdir()
+    fn = functools.partial(_fetch_block, proc_path=str(dirs[0]), vert_path=str(dirs[1]),
+                           fetch=make_partition_fetcher(small_corpus.documents_path, 0),
+                           batch_size=None, robots=None, sm=sm,
+                           tag=_make_record_tagger(0, 4, None))
+    runs = []
+    for _ in range(2):
+        pieces = _hop_map._function(block, fn, [1, 2, 3])
+        runs.append(([sorted(os.listdir(d)) for d in dirs],
+                     [pq.read_table(str(d)) for d in dirs], pieces, sm.state.stats()))
+    (names, rows, pieces, visited), again = runs
+    assert names == again[0] and [len(n) for n in names] == [1, 1]
+    assert [a.equals(b) for a, b in zip(rows, again[1])] == [True, True]
+    assert len(pieces) == 4 and [a.equals(b) for a, b in zip(pieces, again[2])] == [True] * 4
+    assert visited == again[3] == {VISITED: {"mode": "exact", "count": 30}}
+    assert sm.calls["add"] == 2 and rows[0].num_rows == 31 and rows[1].num_rows == 30
+
+
+def test_hop_reducer_retry_writes_the_same_parts(tmp_path):
+    """A hop's reducer run twice on its pieces (a retry after its sink
+    wrote) gives the same count rows and rewrites the same frontier and
+    edge parts with the same rows; EDGES holds none of the new edges
+    until the hop commits them."""
+    import pyarrow.parquet as pq
+
+    from fs_crawler_ray.crawl import EDGES, VISITED, _HopSink
+    from fs_crawler_ray.ids import as_key_array
+    from fs_crawler_ray.relops import _exchange_reduce
+
+    cand, edge, cls = _sink_rows()
+    sm = _CountingMembership()
+    sm.state.add(VISITED, as_key_array(pa.array(["AAAA-000", "AAAA-005", "AAAA-009"])))
+    sm.state.add(EDGES, as_key_array(pa.array(["AAAA-002|AAAA-007"])))
+    dirs = [tmp_path / "frontier", tmp_path / "edges"]
+    for d in dirs:
+        d.mkdir()
+    sink = _HopSink(sm, str(dirs[0]), str(dirs[1]), classify_edges=True)
+    runs = []
+    for _ in range(2):
+        block, _ = _exchange_reduce._function(sink, "__bucket", False, cand,
+                                              pa.concat_tables([edge, cls]))
+        runs.append((block, [sorted(os.listdir(d)) for d in dirs],
+                     [pq.read_table(str(d)) for d in dirs]))
+    (counts, names, rows), again = runs
+    assert counts.equals(again[0]) and names == again[1] and [len(n) for n in names] == [1, 1]
+    assert [a.equals(b) for a, b in zip(rows, again[2])] == [True, True]
+    keys = as_key_array(pa.array([f"{s}|{d}" for s, d in
+                                  zip(rows[1]["source"].to_pylist(),
+                                      rows[1]["destination"].to_pylist())]))
+    assert len(keys) == 6 and not sm.state.contains(EDGES, keys).any()
+    assert sm.state.stats()[EDGES]["count"] == 1
+    assert sm.state.commit(EDGES) == 6 and sm.state.contains(EDGES, keys).all()
 
 
 def test_sized_blocks_directory_or_files(tmp_path):
@@ -665,10 +715,11 @@ def test_crawl_configures_data_context(crawled):
 def test_full_mode_hop_is_one_execution(small_corpus, tmp_path_factory, count_executions,
                                         budget):
     """A fresh 'full'-mode crawl classifies every hop at the hop
-    shuffle's sink: one Ray Data execution per hop, with or without a
-    frontier budget (the head and the carried-over tail are read in the
-    hop's own execution), and every hop's LOG row equals the oracle's.
-    Every fifth document is a seed, so the budget cuts hop 0 and more."""
+    shuffle's sink, and each hop runs as plain tasks: no Ray Data
+    execution, with or without a frontier budget (the head and the
+    carried-over tail are read in the hop's own map tasks), and every
+    hop's LOG row equals the oracle's. Every fifth document is a seed,
+    so the budget cuts hop 0 and more."""
     from fs_crawler_ray.oracle import load_docs
 
     seeds = sorted(load_docs(small_corpus.documents_path))[::5]
@@ -677,7 +728,7 @@ def test_full_mode_hop_is_one_execution(small_corpus, tmp_path_factory, count_ex
                       frontier_budget=budget)
     start = len(count_executions)
     result = crawl(small_corpus, seeds, out, cfg)
-    assert len(count_executions) - start == 3
+    assert len(count_executions) - start == 0
     oracle = oracle_crawl(small_corpus.documents_path, seeds, 3, frontier_budget=budget)
     _assert_match(result, oracle)
     if budget is not None:
@@ -686,7 +737,7 @@ def test_full_mode_hop_is_one_execution(small_corpus, tmp_path_factory, count_ex
 
 def test_resume_rebuild_is_one_execution(crawled, small_corpus, count_executions):
     """A resume rebuilds VISITED and EDGES from every complete hop's
-    vertex and edge tables in one Ray Data execution."""
+    vertex and edge tables in plain tasks: no Ray Data execution."""
     from fs_crawler_ray.crawl import EDGES, VISITED
     from fs_crawler_ray.ids import as_key_array
 
@@ -696,7 +747,7 @@ def test_resume_rebuild_is_one_execution(crawled, small_corpus, count_executions
     try:
         start = len(count_executions)
         next_hop, _, log = crawler._resume_state()
-        assert len(count_executions) - start == 1
+        assert len(count_executions) - start == 0
         assert (next_hop, log) == (HOPS, result.log)
         verts, edges, _ = _ray_tables(result)
         assert crawler.sm.contains(VISITED, as_key_array(pa.array(list(verts)))).all()
@@ -853,22 +904,22 @@ def test_full_mode_sink_runs_once_per_partition(small_corpus, tmp_path_factory, 
 def test_hop_runs_no_ray_data_task_after_its_exchange(small_corpus, tmp_path_factory,
                                                       small_blocks, remote_tasks,
                                                       monkeypatch, budget):
-    """A hop's Ray Data tasks are its fused input chain alone: a 'full'
-    crawl over 16-row checkpoint blocks (with a budget, a carried-over
-    tail too) launches one ``_map_task`` per block its shuffle input
-    plans, and its sink runs in the exchange's reduce tasks, one per
+    """A hop runs no Ray Data task at all: a 'full' crawl over 16-row
+    checkpoint blocks (with a budget, a carried-over tail too) launches
+    one ``_hop_map`` task per block it plans, which cuts its own rows
+    into ``min(num_buckets, blocks)`` partitions (no ``_exchange_split``),
+    and its sink runs in the exchange's reduce tasks, one per
     partition."""
     from fs_crawler_ray import crawl as crawl_mod
     from fs_crawler_ray.oracle import load_docs
-    from fs_crawler_ray.relops import partition_count
 
-    planned, shuffle_apply = [], crawl_mod.shuffle_apply
+    planned, run_hop = [], crawl_mod._run_hop
 
-    def spy(ds, fn, **kwargs):
-        planned.append((ds._plan.initial_num_blocks(), partition_count(kwargs["num_buckets"], ds)))
-        return shuffle_apply(ds, fn, **kwargs)
+    def spy(blocks, sink, n):
+        planned.append((len(blocks), n))
+        return run_hop(blocks, sink, n)
 
-    monkeypatch.setattr(crawl_mod, "shuffle_apply", spy)
+    monkeypatch.setattr(crawl_mod, "_run_hop", spy)
     seeds = sorted(load_docs(small_corpus.documents_path))[::5]
     out = str(tmp_path_factory.mktemp("no_task_after_exchange"))
     cfg = CrawlConfig(hops=3, num_shards=2, num_buckets=8, log_edge_classification="full",
@@ -877,7 +928,9 @@ def test_hop_runs_no_ray_data_task_after_its_exchange(small_corpus, tmp_path_fac
     crawl(small_corpus, seeds, out, cfg)
     assert len(planned) == 3
     assert max(blocks for blocks, _ in planned) > 1
-    assert remote_tasks["_map_task"] == sum(blocks for blocks, _ in planned)
+    assert all(parts == min(8, blocks) for blocks, parts in planned)
+    assert remote_tasks["_map_task"] == remote_tasks["_exchange_split"] == 0
+    assert remote_tasks["_hop_map"] == sum(blocks for blocks, _ in planned)
     assert remote_tasks["_exchange_reduce"] == sum(parts for _, parts in planned)
     assert remote_tasks["map"] == remote_tasks["reduce"] == 0
 

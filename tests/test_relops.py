@@ -10,7 +10,6 @@ from fs_crawler_ray.relops import (
     even_cuts,
     hash_buckets,
     join,
-    partition_count,
     shuffle_apply,
     thin_boundaries,
 )
@@ -429,29 +428,6 @@ def test_shuffle_apply_takes_one_bucket_mode():
         shuffle_apply(ds, _bucket_summary(), num_buckets=2)
     with pytest.raises(ValueError):
         shuffle_apply(ds, _bucket_summary(), key_cols=["b"], bucket="b", num_buckets=2)
-
-
-def test_partition_count_of_a_union_is_its_inputs_summed(remote_tasks):
-    """A union plans the sum of its inputs' blocks, so ``partition_count``
-    over the inputs equals it over their union, capped by the bucket
-    count; inputs tagged into that many buckets before their union give
-    ``shuffle_apply`` one bucket per partition: one call per reducer."""
-    t = pa.table({"v": np.arange(30)})
-    a = ray.data.from_arrow([t.slice(0, 10), t.slice(10, 10)])
-    b = ray.data.from_arrow([t.slice(20, 10)]).map_batches(lambda x: x, batch_format="pyarrow")
-    assert partition_count(64, a, b) == partition_count(64, a.union(b)) == 3
-    assert partition_count(2, a, b) == partition_count(2, a.union(b)) == 2
-    n = partition_count(64, a, b)
-
-    def tag(x: pa.Table) -> pa.Table:
-        return x.append_column("b", pa.compute.cast(pa.compute.divide(x["v"], 10), pa.int64()))
-
-    both = a.map_batches(tag, batch_format="pyarrow").union(b.map_batches(tag,
-                                                                          batch_format="pyarrow"))
-    remote_tasks.clear()
-    out = shuffle_apply(both, _bucket_summary(), bucket="b", num_buckets=n).to_pandas()
-    assert sorted(out["bucket"]) == [0, 1, 2] and set(out["rows"]) == {10}
-    assert remote_tasks["_exchange_reduce"] == n
 
 
 def test_even_cuts_split_the_range_evenly():

@@ -18,15 +18,21 @@ phase (a thread lists the session's processes every 20 ms; a worker
 is a process titled ``ray::...`` or running ``default_worker.py``).
 Births before the cold crawl (``ray.init``'s prestarted workers) and
 between phases count under ``init`` and ``between``, and ``processes``
-is the session's process count when the phase ends. Run from the root
-of a checkout::
+is the session's process count when the phase ends. Last come the CPU
+seconds each phase cost, read from ``/proc/<pid>/stat`` over the
+session's processes at its start and end: the driver's (less the
+census's own sampling thread), and the session's, split by process
+kind (driver, raylet + gcs, membership shard hosts, other workers). A
+process that exits during a phase takes its CPU with it. Run from the
+root of a checkout::
 
     python3 tools/task_census.py --workload deep_crawl --seed 71
 
 The last line of stdout is one JSON object, ``{phase: {"tasks",
 "by_function", "ray_data_tasks", "plain_tasks", "executions",
 "membership_rpcs", "rpcs_by_call", "sink_calls", "births",
-"processes"}, "births": {phase: births}}``.
+"processes", "driver_cpu_s", "session_cpu_s", "cpu_s_by_kind"},
+"births": {phase: births}}``.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ import json
 import os
 import sys
 import threading
+import time
 from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -55,6 +62,8 @@ class Births:
     changes, so a birth is charged to the phase it happened in."""
 
     def __init__(self, interval_s: float = 0.02):
+        #: CPU seconds the sampling thread itself has used
+        self.cpu_s = 0.0
         self.phase = "init"
         self.by_phase: Counter = Counter()
         self.processes: dict[str, int] = {}
@@ -94,11 +103,35 @@ class Births:
 
     def _run(self, interval_s: float) -> None:
         while not self._done.wait(interval_s):
+            t0 = time.thread_time()
             self.poll()
+            self.cpu_s += time.thread_time() - t0
 
     def stop(self) -> None:
         self._done.set()
         self._thread.join()
+
+
+def _kind(pid: int) -> str:
+    """The kind of a session process, from its command line."""
+    if pid == os.getpid():
+        return "driver"
+    try:
+        with open(f"/proc/{pid}/cmdline", "rb") as f:
+            cmd = f.read(400)
+    except OSError:
+        return "other"
+    if b"raylet" in cmd or b"gcs_server" in cmd:
+        return "raylet+gcs"
+    if cmd.startswith(b"ray::MembershipShard"):
+        return "shard hosts"
+    return "workers" if Births._is_worker(pid) else "other"
+
+
+def session_ticks() -> dict[int, int]:
+    """CPU ticks (user + system) of each process of this Ray session."""
+    table = machine.proc_table()
+    return {p: table[p][1] for p in machine.session_pids(os.getpid(), table) if p in table}
 
 
 class Census:
@@ -115,6 +148,8 @@ class Census:
         #: function name -> True for a function Ray Data defines
         self.ray_data: dict[str, bool] = {}
         self.executions: Counter = Counter()
+        #: phase -> {"driver_cpu_s", "session_cpu_s", "cpu_s_by_kind"}
+        self.cpu: dict[str, dict] = {}
         launch, execute = RemoteFunction._remote, StreamingExecutor.execute
         census = self
 
@@ -137,11 +172,20 @@ class Census:
         self.phase = phase
         self.tasks[phase] = Counter()
         self.births.set(phase)
+        ticks, sampler_s = session_ticks(), self.births.cpu_s
         try:
             return fn(*args)
         finally:
             self.births.set("between")
             self.phase = None
+            by_kind: Counter = Counter()
+            for pid, t in session_ticks().items():
+                by_kind[_kind(pid)] += (t - ticks.get(pid, 0)) * machine.TICK_S
+            by_kind["driver"] -= self.births.cpu_s - sampler_s
+            self.cpu[phase] = {"driver_cpu_s": round(by_kind["driver"], 3),
+                               "session_cpu_s": round(sum(by_kind.values()), 3),
+                               "cpu_s_by_kind": {k: round(v, 3)
+                                                 for k, v in by_kind.most_common()}}
 
     def report(self, lineage: dict[str, list[dict]]) -> dict:
         """The counts of each phase, with the membership RPCs and sink
@@ -162,7 +206,8 @@ class Census:
                       "sink_calls": sum(len({e["bucket"] for e in lin["sink"]["entries"]})
                                         for lin in lineage.get(p, [])),
                       "births": self.births.by_phase[p],
-                      "processes": self.births.processes.get(p)}
+                      "processes": self.births.processes.get(p),
+                      **self.cpu[p]}
         return out
 
 
@@ -222,6 +267,8 @@ def main(argv=None) -> int:
                 print(f"    {n:5d}  {name}")
         for name, n in r["rpcs_by_call"].items():
             print(f"  {n:5d}  rpc {name}")
+        print(f"  CPU-s: driver {r['driver_cpu_s']:.2f}, session {r['session_cpu_s']:.2f} ("
+              + ", ".join(f"{k} {v:.2f}" for k, v in r["cpu_s_by_kind"].items()) + ")")
     report["births"] = dict(census.births.by_phase)
     print("worker births by phase: " + ", ".join(
         f"{p} {n}" for p, n in report["births"].items()))
